@@ -18,6 +18,11 @@ from .measures import (Circle, RadonMeasure1D, RadonMeasure2D, Segment,
                        DiscPatch, SingularLadder)
 from .quadrature import adaptive_simpson, gauss_nodes, _leggauss
 
+# Plateau and leaf intervals of a ladder are integrated this many at a time,
+# which bounds the arrays an integrand builds per node (for example a
+# t-quadrature per node) to a few megabytes.
+_CANTOR_BLOCK = 4096
+
 __all__ = [
     "Piecewise1D",
     "JumpPoint",
@@ -382,31 +387,25 @@ class BvFunction1D:
                 out = out + self.ac.evaluate(x)
             return out
 
-        gx, gw = _leggauss(n_plateau)
         total = 0.0
-        # plateau intervals: u is smooth there (base + constant ladder value)
-        plo, phi, pval = lad.plateaus()
-        clo = np.clip(plo, s0, s1)
-        chi = np.clip(phi, s0, s1)
-        keep = chi > clo
-        if keep.any():
-            clo, chi, val = clo[keep], chi[keep], pval[keep]
-            mid = 0.5 * (clo + chi)[:, None]
-            half = 0.5 * (chi - clo)[:, None]
-            xs = mid + half * gx[None, :]
-            uvals = base(xs) + cp.scale * val[:, None]
-            hv = np.asarray(h(xs, uvals), dtype=float)
-            total += float(np.sum(hv * (half * gw[None, :])))
-        # leaf intervals: midpoint rule, error O(side^depth)
-        llo, lhi, lval, _mass = lad.increments()
-        clo = np.clip(llo, s0, s1)
-        chi = np.clip(lhi, s0, s1)
-        keep = chi > clo
-        if keep.any():
-            clo, chi, val = clo[keep], chi[keep], lval[keep]
-            xm = 0.5 * (clo + chi)
-            hv = np.asarray(h(xm, base(xm) + cp.scale * val), dtype=float)
-            total += float(np.dot(hv, chi - clo))
+        # plateaus: u is smooth there (base + constant ladder value), so
+        # n_plateau-point Gauss; leaves: midpoint rule (1-point Gauss),
+        # error O(side^depth)
+        rules = ((*lad.plateaus(), _leggauss(n_plateau)),
+                 (*lad.increments()[:3], (np.zeros(1), np.full(1, 2.0))))
+        for lo, hi, val, (gx, gw) in rules:
+            clo = np.clip(lo, s0, s1)
+            chi = np.clip(hi, s0, s1)
+            keep = chi > clo
+            clo, chi, val = clo[keep], chi[keep], val[keep]
+            for i in range(0, clo.size, _CANTOR_BLOCK):
+                blk = slice(i, i + _CANTOR_BLOCK)
+                mid = 0.5 * (clo[blk] + chi[blk])[:, None]
+                half = 0.5 * (chi[blk] - clo[blk])[:, None]
+                xs = mid + half * gx
+                uvals = base(xs) + cp.scale * val[blk, None]
+                hv = np.asarray(h(xs, uvals), dtype=float)
+                total += float(np.sum(hv * (half * gw)))
         return total
 
 

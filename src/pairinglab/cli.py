@@ -10,12 +10,15 @@ per scenario plus an aggregate CSV, and exits 0 only if everything passed.
 Exit code 2 flags scenario files that could not be parsed; with
 --keep-going such files are skipped with a logged reason instead.
 
-The environment variable LAB_TOL_SCALE multiplies every tolerance.
+The environment variable LAB_TOL_SCALE multiplies every tolerance; it must
+be a finite number > 0, or ``run`` and ``series`` exit with code 2.
 """
 
 import argparse
 import csv
+import io
 import json
+import math
 import os
 import pathlib
 import platform
@@ -29,10 +32,20 @@ from .scenarios import (CHECKS, CheckSpec, load_catalog, load_scenario_file,
 
 
 def _tol_scale():
+    """LAB_TOL_SCALE as a finite float > 0; SpecError otherwise.
+
+    Any other scale makes the tolerances vacuous (inf) or meaningless (0,
+    negative, NaN), so it is rejected rather than applied.
+    """
+    raw = os.environ.get("LAB_TOL_SCALE", "1.0")
     try:
-        return float(os.environ.get("LAB_TOL_SCALE", "1.0"))
+        scale = float(raw)
     except ValueError:
-        return 1.0
+        scale = math.nan
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise SpecError(
+            f"LAB_TOL_SCALE must be a finite number > 0, got {raw!r}")
+    return scale
 
 
 def _collect_scenarios(path, keep_going):
@@ -91,9 +104,13 @@ def cmd_run(args):
     if not scenarios:
         print("no scenarios found", file=sys.stderr)
         return 2
+    try:
+        scale = _tol_scale()
+    except SpecError as exc:
+        print(f"spec error: {exc}", file=sys.stderr)
+        return 2
     outdir = pathlib.Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    scale = _tol_scale()
 
     def job(sc):
         return sc.id, _scenario_report(sc, scale, args.stable)
@@ -117,10 +134,11 @@ def cmd_run(args):
             status = "pass" if o.passed else "FAIL"
             print(f"{sc.id:28s} {o.check:18s} {status}  "
                   f"residual={o.residual:.3e}")
-    with open(outdir / "aggregate.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["scenario", "check", "residual", "pass"])
-        w.writerows(rows)
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(["scenario", "check", "residual", "pass"])
+    w.writerows(rows)
+    _write_atomic(outdir / "aggregate.csv", buf.getvalue())
     return 0 if all_pass else 1
 
 
@@ -152,8 +170,12 @@ def cmd_series(args):
             return 2
         spec = CheckSpec(args.check, 1e-6)
     try:
-        outcome = run_check(scenario.resolve(), spec,
-                            tol_scale=_tol_scale())
+        scale = _tol_scale()
+    except SpecError as exc:
+        print(f"spec error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        outcome = run_check(scenario.resolve(), spec, tol_scale=scale)
     except UnknownCheck as exc:
         print(f"unknown check: {exc}", file=sys.stderr)
         return 2

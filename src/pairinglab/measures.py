@@ -62,25 +62,9 @@ class SingularLadder:
 
     def evaluate(self, x):
         """Ladder value in [0, 1]; clamps outside the carrier."""
-        a0, b0 = self.interval
-        y = (np.asarray(x, dtype=float) - a0) / (b0 - a0)
-        y = np.clip(y, 0.0, 1.0)
-        s = self.side
-        res = np.zeros_like(y)
-        scale = np.ones_like(y)
-        active = np.ones_like(y, dtype=bool)
-        for _ in range(self.depth):
-            left = active & (y < s)
-            mid = active & (y >= s) & (y <= 1.0 - s)
-            right = active & (y > 1.0 - s)
-            res[mid] += 0.5 * scale[mid]
-            active = active & ~mid
-            res[right] += 0.5 * scale[right]
-            y[right] = (y[right] - (1.0 - s)) / s
-            y[left] = y[left] / s
-            scale[left | right] *= 0.5
-        res[active] += scale[active] * np.clip(y[active], 0.0, 1.0)
-        return res
+        self._build()
+        xk, vk = self._cache["knots"]
+        return np.interp(np.asarray(x, dtype=float), xk, vk)
 
     def inverse(self, t):
         """Right-continuous inverse: x in the carrier with F(x) = t."""
@@ -105,23 +89,23 @@ class SingularLadder:
         val = np.array([0.0])
         length = 1.0
         mass = 1.0
-        plat_lo, plat_hi, plat_val = [], [], []
         for _ in range(self.depth):
-            plat_lo.append(lo + s * length)
-            plat_hi.append(lo + (1.0 - s) * length)
-            plat_val.append(val + 0.5 * mass)
             lo = np.stack([lo, lo + (1.0 - s) * length], axis=1).ravel()
             val = np.stack([val, val + 0.5 * mass], axis=1).ravel()
             length *= s
             mass *= 0.5
         a0, b0 = self.interval
         w = b0 - a0
-        self._cache["increments"] = (
-            a0 + w * lo, a0 + w * (lo + length), val + 0.5 * mass, mass)
-        self._cache["plateaus"] = (
-            a0 + w * np.concatenate(plat_lo),
-            a0 + w * np.concatenate(plat_hi),
-            np.concatenate(plat_val))
+        llo, lhi, mid = a0 + w * lo, a0 + w * (lo + length), val + 0.5 * mass
+        # the plateaus are the gaps between consecutive leaves, so leaves and
+        # plateaus tile the carrier exactly; evaluate() interpolates between
+        # the leaf ends: linear on each leaf, constant on each plateau
+        self._cache["plateaus"] = (lhi[:-1], llo[1:], mid[:-1] + 0.5 * mass)
+        self._cache["knots"] = (
+            np.stack([llo, lhi], axis=1).ravel(),
+            np.stack([mid - 0.5 * mass, mid + 0.5 * mass], axis=1).ravel())
+        # set last: _build() tests for this key
+        self._cache["increments"] = (llo, lhi, mid, mass)
 
     def increments(self):
         """(lo, hi, mid_value, mass) arrays for the 2^depth retained intervals."""
@@ -129,7 +113,8 @@ class SingularLadder:
         return self._cache["increments"]
 
     def plateaus(self):
-        """(lo, hi, value) arrays for all removed plateau intervals."""
+        """(lo, hi, value) arrays for all removed plateau intervals, in order
+        along the carrier."""
         self._build()
         return self._cache["plateaus"]
 

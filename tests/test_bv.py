@@ -83,6 +83,18 @@ def test_bv_cantor_endpoint_values(u_cantor):
     assert abs(u_cantor.total_variation() - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("splits", [(), (0.2, 0.5, 0.8), (0.25, 0.5, 0.75),
+                                    (0.1, 0.3, 0.61, 0.9)])
+def test_bv_cantor_composed_integral_is_half(u_cantor, splits):
+    # int_0^1 L = 1/2 by the symmetry L(1 - x) = 1 - L(x); the plateau Gauss
+    # rule and the leaf midpoint rule are exact for u itself
+    h = lambda x, uv: uv
+    pts = (0.0,) + splits + (1.0,)
+    total = sum(u_cantor.integrate_composed(h, lo, hi)
+                for lo, hi in zip(pts[:-1], pts[1:]))
+    assert abs(total - 0.5) <= 1e-14
+
+
 def test_bv_level_crossings_staircase(u_stair):
     cs = u_stair.level_crossings(0.5)
     assert len(cs) == 1

@@ -114,6 +114,51 @@ def test_ladder_inverse_round_trip():
     assert np.max(np.abs(back - ts)) < 2.0 ** -lad.depth
 
 
+@pytest.mark.parametrize("removed", [0.2, 1.0 / 3.0, 0.5])
+@pytest.mark.parametrize("depth", [1, 2, 4, 6])
+def test_ladder_self_similarity(removed, depth):
+    # the recursive definition: L_d on the left (right) child interval is a
+    # half-height copy of L_{d-1}, shifted by 1/2 on the right
+    a, b = -0.75, 1.25
+    w = b - a
+    lad = SingularLadder((a, b), removed, depth)
+    parent = SingularLadder((a, b), removed, depth - 1)
+    s = lad.side
+    y = np.concatenate([np.linspace(0.0, 1.0, 1025),
+                        np.random.default_rng(7).uniform(0.0, 1.0, 4000)])
+    coarse = parent.evaluate(a + w * y)
+    left = lad.evaluate(a + w * s * y)
+    right = lad.evaluate(a + w * (1.0 - s + s * y))
+    assert np.max(np.abs(left - 0.5 * coarse)) <= 1e-14
+    assert np.max(np.abs(right - (0.5 + 0.5 * coarse))) <= 1e-14
+
+
+def test_ladder_clamps_outside_carrier():
+    lad = SingularLadder((-1.5, -0.5), 0.4)
+    assert np.all(lad.evaluate(np.array([-7.0, -1.5 - 1e-9, -1.5])) == 0.0)
+    assert np.all(lad.evaluate(np.array([-0.5, -0.5 + 1e-9, 3.0])) == 1.0)
+
+
+@pytest.mark.parametrize("removed", [0.2, 1.0 / 3.0])
+def test_ladder_leaf_midpoints_match_increments(removed):
+    lad = SingularLadder((0.3, 2.7), removed)
+    lo, hi, mid_value, mass = lad.increments()
+    # u is linear with slope mass / (hi - lo) on a leaf, so rounding the
+    # midpoint to a float moves the value by at most slope * ulp
+    slack = 4.0 * mass / (hi[0] - lo[0]) * np.spacing(2.7)
+    assert np.max(np.abs(lad.evaluate(0.5 * (lo + hi)) - mid_value)) <= slack
+
+
+def test_ladder_plateaus_tile_carrier_with_leaves():
+    lad = SingularLadder((0.3, 2.7))
+    lo, hi, mid_value, mass = lad.increments()
+    plo, phi, pval = lad.plateaus()
+    assert len(plo) == len(lo) - 1
+    assert np.all(phi > plo) and np.all(lo[1:] == phi) and np.all(hi[:-1] == plo)
+    assert np.allclose(lad.evaluate(0.5 * (plo + phi)), pval, rtol=0,
+                       atol=1e-15)
+
+
 @given(st.floats(0.05, 0.9))
 @settings(max_examples=25, deadline=None)
 def test_ladder_depth_convergence(removed):

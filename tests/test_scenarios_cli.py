@@ -6,6 +6,7 @@ import shutil
 
 import pytest
 
+from pairinglab import pairing
 from pairinglab.cli import main
 from pairinglab.errors import SpecError, UnknownCheck
 from pairinglab.scenarios import (CHECKS, CheckSpec, load_catalog,
@@ -114,6 +115,55 @@ def test_run_check_converts_errors_to_failed_outcome():
     assert "AssumptionViolation" in outs[0].diagnostics["error"]
 
 
+CANTOR_SCENARIO = dict(
+    FAST_SCENARIO, id="tiny_cantor", field={"kind": "gt"},
+    bv={"kind": "bv1d", "domain": [-2.0, 2.0],
+        "cantor": {"interval": [0.0, 1.0], "scale": 1.0, "depth": 10}},
+    checks=[{"name": "two_route", "tolerance": 1e-6},
+            {"name": "traces_route", "tolerance": 1e-6},
+            {"name": "coarea_pairing", "tolerance": 1e-6}])
+
+
+def _count_form_checks(monkeypatch, shift=0.0):
+    """Count the double-integral form evaluations; ``shift`` perturbs them."""
+    calls = []
+    real = pairing._dist_value_1d
+
+    def counted(field, u, phi, tol, numeric_t):
+        value = real(field, u, phi, tol, numeric_t)
+        if numeric_t:
+            calls.append(tol)
+            value += shift
+        return value
+
+    monkeypatch.setattr(pairing, "_dist_value_1d", counted)
+    return calls
+
+
+def test_form_check_runs_once_per_scenario(monkeypatch):
+    calls = _count_form_checks(monkeypatch)
+    outs = run_scenario(parse_scenario(CANTOR_SCENARIO))
+    assert [o.passed for o in outs] == [True, True, True]
+    assert len(calls) == 1
+
+
+def test_form_mismatch_fails_every_check_that_needs_it(monkeypatch):
+    calls = _count_form_checks(monkeypatch, shift=1.0)
+    outs = run_scenario(parse_scenario(CANTOR_SCENARIO))
+    assert [o.passed for o in outs] == [False, False, False]
+    assert all("FormMismatch" in o.diagnostics["error"] for o in outs)
+    assert len(calls) == 3  # a mismatch is not memoized
+
+
+def test_resolved_scenarios_share_no_memo(monkeypatch):
+    sc = parse_scenario(FAST_SCENARIO)
+    first, second = sc.resolve(), sc.resolve()
+    calls = _count_form_checks(monkeypatch)
+    assert first.distributional() == second.distributional()
+    assert first.distributional() == second.distributional()
+    assert len(calls) == 2
+
+
 def test_run_scenario_overall(tmp_path):
     outs = run_scenario(parse_scenario(FAST_SCENARIO))
     assert all(o.passed for o in outs)
@@ -187,6 +237,32 @@ def test_cli_run_failure_exit_1(tmp_path, monkeypatch):
     monkeypatch.setenv("LAB_TOL_SCALE", "1e-30")
     code = main(["run", str(p), "--out", str(tmp_path / "r")])
     assert code == 1
+
+
+@pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1", "abc"])
+def test_cli_rejects_bad_tol_scale(scale, tmp_path, monkeypatch, capsys):
+    p = _write_fast(tmp_path)
+    monkeypatch.setenv("LAB_TOL_SCALE", scale)
+    outdir = tmp_path / "r"
+    assert main(["run", str(p), "--out", str(outdir)]) == 2
+    assert not outdir.exists()
+    series = tmp_path / "series.csv"
+    assert main(["series", "s04_jump_gt", "blowup", str(series)]) == 2
+    assert not series.exists()
+    err = capsys.readouterr().err
+    assert err.count("LAB_TOL_SCALE") == 2
+
+
+def test_cli_aggregate_csv_written_atomically(tmp_path):
+    p = _write_fast(tmp_path)
+    outdir = tmp_path / "r"
+    assert main(["run", str(p), "--stable", "--out", str(outdir)]) == 0
+    rep = json.loads((outdir / "tiny_jump.json").read_text())
+    expect = "scenario,check,residual,pass\r\n" + "".join(
+        f"tiny_jump,{c['check']},{c['residual']:.6e},pass\r\n"
+        for c in rep["checks"])
+    assert (outdir / "aggregate.csv").read_bytes() == expect.encode()
+    assert list(outdir.glob("*.tmp")) == []
 
 
 def test_cli_jobs_parallel_matches_serial(tmp_path):
