@@ -15,7 +15,7 @@ from .bv import (BvFunction1D, CantorPart, Disc, FinitePerimeterSet1D,
 from .errors import (AssumptionViolation, BoundViolated,
                      CrossValidationMismatch, CylAverageDiverged,
                      DegenerateLevel, FormMismatch, GapAboveTolerance,
-                     InequalityViolated, NoApparentConvergence, NotSobolev,
+                     InequalityViolated, NoApparentConvergence,
                      PairingLabError, SpecError, ToleranceNotMet,
                      UnknownCheck, WindowTooLarge)
 from .fields import FieldB, field_catalog, make_field, mollify, sigma_k, \

@@ -16,7 +16,7 @@ from scipy.optimize import brentq
 from .errors import DegenerateLevel
 from .measures import (Circle, RadonMeasure1D, RadonMeasure2D, Segment,
                        DiscPatch, SingularLadder)
-from .quadrature import adaptive_simpson, gauss_nodes, _leggauss
+from .quadrature import adaptive_simpson, _leggauss
 
 # Plateau and leaf intervals of a ladder are integrated this many at a time,
 # which bounds the arrays an integrand builds per node (for example a
@@ -36,8 +36,6 @@ __all__ = [
     "FinitePerimeterSet2D",
     "indicator_1d",
     "gradient_measure",
-    "level_set",
-    "precise_values",
     "coarea_tv_check",
 ]
 
@@ -442,9 +440,6 @@ class FinitePerimeterSet1D:
             out |= (x > lo) & (x < hi)
         return out
 
-    def indicator_bv(self, value=1.0):
-        return indicator_1d(self.intervals, self.domain, value=value)
-
 
 @dataclass(frozen=True)
 class Disc:
@@ -500,11 +495,6 @@ class FinitePerimeterSet2D:
 
     def perimeter(self):
         return self.region.perimeter()
-
-    def interior_normal_at(self, pts):
-        if isinstance(self.region, Disc):
-            return self.region.interior_normal(pts)
-        raise NotImplementedError("per-edge normals are used for polygons")
 
 
 # ---------------------------------------------------------------------------
@@ -634,19 +624,17 @@ def gradient_measure(u):
     raise TypeError(f"unsupported BV function {type(u)!r}")
 
 
-def level_set(u, t):
-    return u.level_set(t)
-
-
-def precise_values(u, x):
-    return u.precise_values(x)
-
-
 def coarea_tv_check(u, g, tol=1e-8):
     """Check int g d|Du| = int dt int_{boundary of {u>t}} g dH^{N-1}."""
     if isinstance(u, BvFunction1D):
         lhs = u.gradient_measure().variation().integrate(g, tol=tol)
-        rhs = _coarea_rhs_1d(u, g, tol=tol)
+
+        def slice_at(t):
+            xs = np.array([x for x, _ in u.level_crossings(t)])
+            return float(np.sum(np.asarray(g(xs), dtype=float))) \
+                if xs.size else 0.0
+
+        rhs = _coarea_rhs_1d(u, slice_at, lambda xs, nu, ts: g(xs), tol)
     elif isinstance(u, SmoothRadialBv2D):
         du = gradient_measure(u).variation()
         lhs = du.integrate(g, tol=tol)
@@ -675,33 +663,53 @@ def coarea_tv_check(u, g, tol=1e-8):
     return lhs, rhs, abs(lhs - rhs)
 
 
-def _coarea_rhs_1d(u, g, tol=1e-8, dyadic_depth=13):
+def _coarea_rhs_1d(u, slice_at, ladder_slice, tol):
+    """int dt of a slice functional of {u > t} over the level range of u.
+
+    ``slice_at(t)`` gives the slice at an ordinary level t and may raise
+    DegenerateLevel at a plateau level.  Over the level range of a ladder
+    the single crossing x(t) jumps at every dyadic level, so those panels
+    follow the dyadic grid and use 2-point Gauss in t; ``ladder_slice(xs,
+    nu, ts)`` gets all of their nodes at once: the crossings xs (from the
+    ladder inverse), the normal nu of {u > t} there and the levels ts.
+    """
+    depth = 13
     breaks = u.level_breaks()
-    tmin, tmax = u.value_range()
+    pad = 1e-10 * (breaks[-1] - breaks[0])
+    cantor_range = _cantor_level_range(u)
     total = 0.0
     for t0, t1 in zip(breaks[:-1], breaks[1:]):
         if t1 - t0 < 1e-13:
             continue
         tm = 0.5 * (t0 + t1)
-        cantor_range = _cantor_level_range(u)
-        if cantor_range is not None and cantor_range[0] <= tm <= cantor_range[1]:
-            total += _dyadic_level_integral(u, g, t0, t1, dyadic_depth)
-            continue
-        try:
-            u.level_crossings(tm)
-        except DegenerateLevel:
+        if cantor_range is not None \
+                and cantor_range[0] <= tm <= cantor_range[1]:
+            lo_val, hi_val = cantor_range
+            span = hi_val - lo_val
+            f0 = (t0 - lo_val) / span
+            f1 = (t1 - lo_val) / span
+            n = 2 ** depth
+            j0 = int(np.ceil(f0 * n - 1e-12))
+            j1 = int(np.floor(f1 * n + 1e-12))
+            edges_f = np.concatenate([[f0], np.arange(j0, j1 + 1) / n, [f1]])
+            edges_f = np.unique(np.clip(edges_f, f0, f1))
+            gx, gw = _leggauss(2)
+            mid = 0.5 * (edges_f[:-1] + edges_f[1:])
+            half = 0.5 * np.diff(edges_f)
+            fn = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
+            wn = (half[:, None] * gw[None, :]).ravel() * span
+            # ladder fraction of the crossing at level t: invert the
+            # monotone map
+            increasing = u.cantor.scale > 0
+            xs = u.cantor.ladder.inverse(fn if increasing else 1.0 - fn)
+            vals = ladder_slice(xs, 1.0 if increasing else -1.0,
+                                lo_val + fn * span)
+            total += float(np.dot(wn, vals))
             continue
 
         def integrand(ts):
-            ts = np.atleast_1d(np.asarray(ts, dtype=float))
-            out = np.empty(ts.shape)
-            for i, t in enumerate(ts):
-                xs = np.array([x for x, _ in u.level_crossings(float(t))])
-                out[i] = float(np.sum(np.asarray(g(xs), dtype=float))) \
-                    if xs.size else 0.0
-            return out
+            return np.array([slice_at(float(t)) for t in np.atleast_1d(ts)])
 
-        pad = 1e-10 * (tmax - tmin)
         total += adaptive_simpson(integrand, t0 + pad, t1 - pad, tol=tol)
     return total
 
@@ -713,33 +721,3 @@ def _cantor_level_range(u):
     va = float(u.evaluate(np.array([ca + 1e-13]))[0])
     vb = float(u.evaluate(np.array([cb - 1e-13]))[0])
     return (min(va, vb), max(va, vb))
-
-
-def _dyadic_level_integral(u, g, t0, t1, depth):
-    """t-integral over a ladder-generated level range.
-
-    The crossing map t -> x(t) jumps at every dyadic level value, so the
-    panels are aligned with the dyadic grid of the ladder range and the
-    crossing is evaluated through the vectorized ladder inverse.
-    """
-    cp = u.cantor
-    lad = cp.ladder
-    lo_val, hi_val = _cantor_level_range(u)
-    span = hi_val - lo_val
-    f0 = (t0 - lo_val) / span
-    f1 = (t1 - lo_val) / span
-    n = 2 ** depth
-    j0 = int(np.ceil(f0 * n - 1e-12))
-    j1 = int(np.floor(f1 * n + 1e-12))
-    edges_f = np.concatenate([[f0], np.arange(j0, j1 + 1) / n, [f1]])
-    edges_f = np.unique(np.clip(edges_f, f0, f1))
-    gx, gw = _leggauss(2)
-    mid = 0.5 * (edges_f[:-1] + edges_f[1:])
-    half = 0.5 * np.diff(edges_f)
-    fn = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-    wn = (half[:, None] * gw[None, :]).ravel() * span
-    # ladder fraction for a crossing at level t: invert the monotone map
-    frac = fn if cp.scale > 0 else 1.0 - fn
-    xs = lad.inverse(frac)
-    vals = np.asarray(g(xs), dtype=float)
-    return float(np.dot(wn, vals))

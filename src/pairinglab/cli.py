@@ -7,8 +7,10 @@
 ``run`` executes every check of every scenario found at PATH (a JSON file or
 a directory of them; default: the shipped catalog), writes one report JSON
 per scenario plus an aggregate CSV, and exits 0 only if everything passed.
-Exit code 2 flags scenario files that could not be parsed; with
---keep-going such files are skipped with a logged reason instead.
+Exit code 2 flags scenario files that could not be parsed, among them
+files that name an unknown check; with --keep-going such files are skipped
+with a logged reason instead.  Reports are strict JSON: a non-finite
+number is written as null.
 
 The environment variable LAB_TOL_SCALE multiplies every tolerance; it must
 be a finite number > 0, or ``run`` and ``series`` exit with code 2.
@@ -26,7 +28,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from .errors import SpecError, UnknownCheck
+from .errors import SpecError
 from .scenarios import (CHECKS, CheckSpec, load_catalog, load_scenario_file,
                         run_check, run_scenario, shipped_catalog_dir)
 
@@ -87,6 +89,18 @@ def _scenario_report(scenario, tol_scale, stable):
     return report, outcomes
 
 
+def _finite_or_null(obj):
+    """obj with every non-finite float replaced by None, which JSON writes
+    as null: NaN and Infinity are not JSON."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def _write_atomic(path, text):
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_text(text)
@@ -126,7 +140,8 @@ def cmd_run(args):
     for sc in scenarios:  # deterministic aggregation order
         report, outcomes = results[sc.id]
         _write_atomic(outdir / f"{sc.id}.json",
-                      json.dumps(report, indent=2, sort_keys=True) + "\n")
+                      json.dumps(_finite_or_null(report), indent=2,
+                                 sort_keys=True, allow_nan=False) + "\n")
         for o in outcomes:
             rows.append((sc.id, o.check, f"{o.residual:.6e}",
                          "pass" if o.passed else "fail"))
@@ -174,11 +189,7 @@ def cmd_series(args):
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2
-    try:
-        outcome = run_check(scenario.resolve(), spec, tol_scale=scale)
-    except UnknownCheck as exc:
-        print(f"unknown check: {exc}", file=sys.stderr)
-        return 2
+    outcome = run_check(scenario.resolve(), spec, tol_scale=scale)
     out = pathlib.Path(args.output)
     with open(out, "w", newline="") as fh:
         w = csv.writer(fh)

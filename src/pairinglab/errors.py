@@ -64,10 +64,6 @@ class GapAboveTolerance(PairingLabError):
     """The relaxation gap exceeds the scenario tolerance."""
 
 
-class NotSobolev(PairingLabError):
-    """The function has a singular part where a W^{1,1} function was required."""
-
-
 class UnknownCheck(PairingLabError):
     """The requested check name is not registered."""
 

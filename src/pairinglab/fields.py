@@ -523,24 +523,13 @@ def _bump_weights_2d(n=24):
 
 
 class Mollifier1D:
-    """Discretized even bump kernel at radius epsilon, plus its CDF."""
+    """Discretized even bump kernel at radius epsilon."""
 
     def __init__(self, epsilon, n=48):
         self.epsilon = float(epsilon)
         y, w = _bump_weights_1d(n)
         self.nodes = y * self.epsilon
         self.weights = w
-
-    def convolve(self, f, x):
-        """(rho_eps * f)(x) for vectorized f."""
-        x = np.asarray(x, dtype=float)
-        vals = np.asarray(f(x[..., None] - self.nodes), dtype=float)
-        return vals @ self.weights
-
-    def cdf(self, x):
-        """int_{-inf}^x rho_eps, vectorized; exact at the node level."""
-        x = np.asarray(x, dtype=float)
-        return np.sum((self.nodes <= x[..., None]) * self.weights, axis=-1)
 
 
 class Mollifier2D:
@@ -549,14 +538,6 @@ class Mollifier2D:
         pts, w = _bump_weights_2d(n)
         self.nodes = pts * self.epsilon
         self.weights = w
-
-    def convolve(self, f, pts):
-        p = np.asarray(pts, dtype=float)
-        shifted = p[..., None, :] - self.nodes
-        vals = np.asarray(f(shifted), dtype=float)
-        if vals.shape == shifted.shape:     # vector-valued
-            return np.einsum("...nd,n->...d", vals, self.weights)
-        return vals @ self.weights
 
 
 def mollify(field: FieldB, epsilon, window=None) -> FieldB:

@@ -26,9 +26,6 @@ __all__ = [
     "PolygonPatch",
     "TestFunction1D",
     "TestFunction2D",
-    "integrate",
-    "variation",
-    "restrict",
 ]
 
 
@@ -117,15 +114,6 @@ class SingularLadder:
         along the carrier."""
         self._build()
         return self._cache["plateaus"]
-
-    def to_json(self):
-        return {"kind": "cantor", "interval": list(self.interval),
-                "removed": self.removed, "depth": self.depth}
-
-    @staticmethod
-    def from_json(d):
-        return SingularLadder(tuple(d["interval"]), d.get("removed", 1.0 / 3.0),
-                              d.get("depth", 18))
 
 
 # ---------------------------------------------------------------------------
@@ -292,41 +280,6 @@ class RadonMeasure1D:
         return replace(self, ac_density=sdens,
                        atoms=tuple((x, c * w) for x, w in self.atoms),
                        ladder_scale=c * self.ladder_scale)
-
-    # -- serialization
-
-    def to_json(self, nsamples=129):
-        a, b = self.interval
-        out = {"interval": [a, b], "atoms": [[x, w] for x, w in self.atoms]}
-        if self.ac_density is not None:
-            xs = np.linspace(a, b, nsamples)
-            xs = np.unique(np.concatenate(
-                [xs, np.asarray(self.ac_breakpoints, dtype=float)]))
-            out["ac"] = [[float(x), float(v)] for x, v in
-                         zip(xs, np.asarray(self.ac_density(xs), dtype=float))]
-        if self.ladder is not None and self.ladder_scale != 0.0:
-            out["ladder"] = dict(self.ladder.to_json(),
-                                 scale=self.ladder_scale)
-        return out
-
-    @staticmethod
-    def from_json(d):
-        ac = None
-        bps = ()
-        if "ac" in d:
-            xs = np.array([p[0] for p in d["ac"]])
-            vs = np.array([p[1] for p in d["ac"]])
-            ac = lambda x: np.interp(np.asarray(x, float), xs, vs)
-            bps = tuple(xs)
-        ladder = None
-        scale = 0.0
-        if "ladder" in d:
-            ladder = SingularLadder.from_json(d["ladder"])
-            scale = d["ladder"].get("scale", 1.0)
-        return RadonMeasure1D(tuple(d["interval"]), ac_density=ac,
-                              ac_breakpoints=bps,
-                              atoms=tuple((x, w) for x, w in d["atoms"]),
-                              ladder=ladder, ladder_scale=scale)
 
 
 # ---------------------------------------------------------------------------
@@ -707,19 +660,3 @@ class TestFunction2D:
 
         gmax = max(fx.grad_sup_norm, fy.grad_sup_norm)
         return TestFunction2D(ev, gr, ("box", tuple(xr), tuple(yr)), 1.0, gmax)
-
-
-# ---------------------------------------------------------------------------
-# Module-level operation aliases
-
-
-def integrate(m, g, tol=1e-9):
-    return m.integrate(g, tol=tol)
-
-
-def variation(m):
-    return m.variation()
-
-
-def restrict(m, window, **kw):
-    return m.restrict(window, **kw)

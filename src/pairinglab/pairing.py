@@ -15,11 +15,11 @@ import numpy as np
 
 from .bv import (Disc, FinitePerimeterSet1D, FinitePerimeterSet2D,
                  PiecewiseConstantBv2D, PolygonRegion, SmoothRadialBv2D,
-                 _cantor_level_range)
+                 _coarea_rhs_1d)
 from .bv import gradient_measure as bv_gradient_measure
 from .errors import (BoundViolated, CylAverageDiverged, FormMismatch,
-                     CrossValidationMismatch, DegenerateLevel,
-                     NoApparentConvergence, NonFiniteValue)
+                     CrossValidationMismatch, NoApparentConvergence,
+                     NonFiniteValue)
 from .fields import FieldB, mollify
 from .measures import (Circle, DiscPatch, PolygonPatch, RadonMeasure1D,
                        RadonMeasure2D, Segment, _density_sign_breaks)
@@ -323,6 +323,23 @@ def _patch_for_region(region, phi):
     raise TypeError(f"unsupported region {type(region)!r}")
 
 
+def _patches(u, phi):
+    """(patch, u on the patch) pairs covering the support of a 2D u.
+
+    Outside them u = 0, and every integrand h(x, u(x)) built on the
+    primitive B(x, 0) = 0 vanishes there.
+    """
+    if isinstance(u, SmoothRadialBv2D):
+        yield (_patch_for_region(Disc(u.center, u.support_radius), phi),
+               u.evaluate)
+    elif isinstance(u, PiecewiseConstantBv2D):
+        for region, val in u.regions:
+            yield (_patch_for_region(region, phi),
+                   lambda p, _v=val: np.full(np.shape(p)[:-1], _v))
+    else:
+        raise TypeError(f"unsupported BV function {type(u)!r}")
+
+
 def _dist_value_1d(field, u, phi, tol, numeric_t):
     lo, hi = phi.support
 
@@ -366,18 +383,8 @@ def _dist_value_2d(field, u, phi, tol, numeric_t):
                     + B[..., 0] * grad[..., 0] + B[..., 1] * grad[..., 1])
 
     total = 0.0
-    if isinstance(u, SmoothRadialBv2D):
-        patch = _patch_for_region(Disc(u.center, u.support_radius), phi)
-        total -= patch.integrate(lambda p: h(p, u.evaluate(p)), tol=tol)
-    elif isinstance(u, PiecewiseConstantBv2D):
-        # outside every region u = 0 and B(x, 0) = 0, so only the regions
-        # contribute
-        for region, val in u.regions:
-            patch = _patch_for_region(region, phi)
-            total -= patch.integrate(
-                lambda p: h(p, np.full(np.shape(p)[:-1], val)), tol=tol)
-    else:
-        raise TypeError(f"unsupported BV function {type(u)!r}")
+    for patch, u_of in _patches(u, phi):
+        total -= patch.integrate(lambda p: h(p, u_of(p)), tol=tol)
     return total
 
 
@@ -498,50 +505,35 @@ def _representation_2d(field, u, tol):
         return PairingMeasure(measure, theta, "representation")
 
     if isinstance(u, PiecewiseConstantBv2D):
+        def jump_density(normal_at, val):
+            # u+ = val, u- = 0 on the interior side of the boundary when
+            # val > 0; nu_u is then the interior normal.  The density is the
+            # integral of q(b_t, nu_u) over the jump range between 0 and val.
+            sgn = 1.0 if val >= 0 else -1.0
+
+            def density(pts):
+                pts = np.asarray(pts, dtype=float)
+                nu = normal_at(pts) * sgn
+                return sgn * elementwise_t_integral(
+                    lambda ts: _fast_q(field, pts[..., None, :],
+                                       nu[..., None, :], ts),
+                    np.full(pts.shape[:-1], val), kinks=field.t_kinks)
+            return density
+
         parts = []
         thetas = []
         for region, val in u.regions:
-            # u+ = val, u- = 0 on the interior side of the boundary when
-            # val > 0; nu_u is then the interior normal
-            lo, hi = (0.0, val) if val >= 0 else (val, 0.0)
             if isinstance(region, Disc):
                 normal_at = region.interior_normal
-
-                def density(pts, _n=normal_at, _lo=lo, _hi=hi, _v=val):
-                    pts = np.asarray(pts, dtype=float)
-                    nu = _n(pts) * (1.0 if _v >= 0 else -1.0)
-                    avg = elementwise_t_integral(
-                        lambda ts: _fast_q(field, pts[..., None, :],
-                                           nu[..., None, :], ts),
-                        np.full(pts.shape[:-1], _hi),
-                        kinks=field.t_kinks) - elementwise_t_integral(
-                        lambda ts: _fast_q(field, pts[..., None, :],
-                                           nu[..., None, :], ts),
-                        np.full(pts.shape[:-1], _lo),
-                        kinks=field.t_kinks)
-                    return avg
-                parts.append((region.boundary_curve(), density))
+                parts.append((region.boundary_curve(),
+                              jump_density(normal_at, val)))
                 thetas.append((region, val, normal_at))
             else:
                 for p0, p1 in region.edges():
                     nu_edge = region.edge_interior_normal(p0, p1)
-
-                    def density(pts, _nu=nu_edge, _lo=lo, _hi=hi, _v=val):
-                        pts = np.asarray(pts, dtype=float)
-                        nu = np.broadcast_to(
-                            _nu * (1.0 if _v >= 0 else -1.0),
-                            pts.shape)
-                        avg = elementwise_t_integral(
-                            lambda ts: _fast_q(field, pts[..., None, :],
-                                               nu[..., None, :], ts),
-                            np.full(pts.shape[:-1], _hi),
-                            kinks=field.t_kinks) - elementwise_t_integral(
-                            lambda ts: _fast_q(field, pts[..., None, :],
-                                               nu[..., None, :], ts),
-                            np.full(pts.shape[:-1], _lo),
-                            kinks=field.t_kinks)
-                        return avg
-                    parts.append((Segment(p0, p1), density))
+                    parts.append((Segment(p0, p1), jump_density(
+                        lambda pts, _nu=nu_edge: np.broadcast_to(
+                            _nu, np.shape(pts)), val)))
                 thetas.append((region, val, None))
         measure = RadonMeasure2D(u.rect, surface_parts=tuple(parts))
 
@@ -674,84 +666,6 @@ def _indicator_slice_1d(field, t, intervals, phi, tol):
     return total
 
 
-def _boundary_slice_1d(field, t, crossings, phi, absolute):
-    total = 0.0
-    for x, nu in crossings:
-        q = float(_fast_q(field, np.array([x]), nu, float(t))[0])
-        pv = float(phi(np.array([x]))[0])
-        total += pv * (abs(q) if absolute else q)
-    return total
-
-
-def _coarea_rhs_1d(field, u, phi, tol, absolute, dyadic_depth=13):
-    breaks = [b for b in u.level_breaks()]
-    total = 0.0
-    span = breaks[-1] - breaks[0]
-    for t0, t1 in zip(breaks[:-1], breaks[1:]):
-        if t1 - t0 < 1e-13:
-            continue
-        tm = 0.5 * (t0 + t1)
-        cr = _cantor_level_range(u)
-        if cr is not None and cr[0] <= tm <= cr[1]:
-            total += _dyadic_slice_integral(field, u, phi, t0, t1,
-                                            dyadic_depth, absolute)
-            continue
-        pad = 1e-10 * span
-
-        def integrand(ts):
-            ts = np.atleast_1d(np.asarray(ts, dtype=float))
-            out = np.empty(ts.shape)
-            for i, t in enumerate(ts):
-                try:
-                    if absolute:
-                        out[i] = _boundary_slice_1d(
-                            field, float(t), u.level_crossings(float(t)),
-                            phi, True)
-                    else:
-                        ls = u.level_set(float(t))
-                        out[i] = _indicator_slice_1d(
-                            field, float(t), ls.intervals, phi,
-                            tol=tol * 1e-2)
-                except DegenerateLevel:
-                    out[i] = np.nan
-            if np.isnan(out).any():
-                raise DegenerateLevel("quadrature node hit a plateau level")
-            return out
-
-        total += adaptive_simpson(integrand, t0 + pad, t1 - pad,
-                                  tol=max(tol, 1e-8))
-    return total
-
-
-def _dyadic_slice_integral(field, u, phi, t0, t1, depth, absolute):
-    """t-integral over a ladder level range: the single crossing moves by
-    the ladder inverse, so panels are aligned to the dyadic grid where the
-    crossing map jumps.  Uses the boundary (Gauss-Green) form of the slice
-    pairing, exact for the catalog's x-smooth fields."""
-    cp = u.cantor
-    lo_val, hi_val = _cantor_level_range(u)
-    span = hi_val - lo_val
-    f0 = (t0 - lo_val) / span
-    f1 = (t1 - lo_val) / span
-    n = 2 ** depth
-    j0 = int(np.ceil(f0 * n - 1e-12))
-    j1 = int(np.floor(f1 * n + 1e-12))
-    edges_f = np.concatenate([[f0], np.arange(j0, j1 + 1) / n, [f1]])
-    edges_f = np.unique(np.clip(edges_f, f0, f1))
-    gx, gw = _leggauss(2)
-    mid = 0.5 * (edges_f[:-1] + edges_f[1:])
-    half = 0.5 * np.diff(edges_f)
-    fn = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-    wn = (half[:, None] * gw[None, :]).ravel() * span
-    nu = 1.0 if cp.scale > 0 else -1.0
-    frac = fn if cp.scale > 0 else 1.0 - fn
-    xs = cp.ladder.inverse(frac)
-    ts = lo_val + fn * span
-    q = _fast_q(field, xs, nu, ts)
-    vals = np.asarray(phi(xs), dtype=float) * (np.abs(q) if absolute else q)
-    return float(np.dot(wn, vals))
-
-
 def _coarea_rhs_2d(field, u, phi, tol, absolute):
     def slice_value(t):
         t = float(t)
@@ -865,7 +779,17 @@ def coarea_pairing_check(field: FieldB, u, phi, tol=1e-9, dist=None):
         dist = pairing_distributional(field, u, phi, tol=tol)
     lhs = dist
     if field.dim == 1:
-        rhs = _coarea_rhs_1d(field, u, phi, tol, absolute=False)
+        def slice_at(t):
+            return _indicator_slice_1d(field, t, u.level_set(t).intervals,
+                                       phi, tol=tol * 1e-2)
+
+        def ladder_slice(xs, nu, ts):
+            # the boundary (Gauss-Green) form of the slice pairing, exact
+            # for the catalog's x-smooth fields
+            return np.asarray(phi(xs), dtype=float) \
+                * _fast_q(field, xs, nu, ts)
+
+        rhs = _coarea_rhs_1d(u, slice_at, ladder_slice, max(tol, 1e-8))
     else:
         rhs = _coarea_rhs_2d(field, u, phi, tol, absolute=False)
     return lhs, rhs, abs(lhs - rhs)
@@ -878,7 +802,16 @@ def coarea_variation_check(field: FieldB, u, phi, tol=1e-9,
         rep = pairing_by_representation(field, u, tol=tol)
     lhs = rep.measure.variation().integrate(phi, tol=tol)
     if field.dim == 1:
-        rhs = _coarea_rhs_1d(field, u, phi, tol, absolute=True)
+        def slice_at(t):
+            return sum(
+                float(phi(np.array([x]))[0])
+                * abs(float(_fast_q(field, np.array([x]), nu, t)[0]))
+                for x, nu in u.level_crossings(t))
+
+        rhs = _coarea_rhs_1d(
+            u, slice_at,
+            lambda xs, nu, ts: np.asarray(phi(xs), dtype=float)
+            * np.abs(_fast_q(field, xs, nu, ts)), max(tol, 1e-8))
     else:
         rhs = _coarea_rhs_2d(field, u, phi, tol, absolute=True)
     return lhs, rhs, abs(lhs - rhs)
@@ -916,16 +849,9 @@ def chain_rule_check(field: FieldB, u, phi, tol=1e-10, dist=None):
                                          float)
         div_v = 0.0
         ac_term = 0.0
-        if isinstance(u, SmoothRadialBv2D):
-            regions = [(Disc(u.center, u.support_radius), None)]
-        else:
-            regions = list(u.regions)
-        for region, val in regions:
-            patch = _patch_for_region(region, phi)
-            uv_of = (lambda p: u.evaluate(p)) if val is None \
-                else (lambda p, _v=val: np.full(np.shape(p)[:-1], _v))
-            div_v -= patch.integrate(lambda p: hv(p, uv_of(p)), tol=tol)
-            ac_term += patch.integrate(lambda p: ha(p, uv_of(p)), tol=tol)
+        for patch, u_of in _patches(u, phi):
+            div_v -= patch.integrate(lambda p: hv(p, u_of(p)), tol=tol)
+            ac_term += patch.integrate(lambda p: ha(p, u_of(p)), tol=tol)
     if dist is None:
         dist = pairing_distributional(field, u, phi, tol=tol,
                                       form_check=False)
@@ -955,14 +881,8 @@ def _frozen_pairing(field, u, phi, tau, tol):
         return uv * (phi(pts) * dt + bt[..., 0] * grad[..., 0]
                      + bt[..., 1] * grad[..., 1])
     total = 0.0
-    if isinstance(u, SmoothRadialBv2D):
-        patch = _patch_for_region(Disc(u.center, u.support_radius), phi)
-        total -= patch.integrate(lambda p: h(p, u.evaluate(p)), tol=tol)
-    else:
-        for region, val in u.regions:
-            patch = _patch_for_region(region, phi)
-            total -= patch.integrate(
-                lambda p: h(p, np.full(np.shape(p)[:-1], val)), tol=tol)
+    for patch, u_of in _patches(u, phi):
+        total -= patch.integrate(lambda p: h(p, u_of(p)), tol=tol)
     return total
 
 

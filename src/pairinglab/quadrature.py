@@ -15,9 +15,7 @@ from scipy.optimize import brentq
 from .errors import NonFiniteValue, ToleranceNotMet
 
 __all__ = [
-    "fixed_gauss",
     "adaptive_simpson",
-    "composite_gauss",
     "find_sign_changes",
     "integrate_abs",
     "aitken",
@@ -40,11 +38,6 @@ def gauss_nodes(a, b, n):
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     return mid + half * x, half * w
-
-
-def fixed_gauss(f, a, b, n=16):
-    x, w = gauss_nodes(a, b, n)
-    return float(np.dot(w, np.asarray(f(x), dtype=float)))
 
 
 def _clean_breakpoints(a, b, breakpoints):
@@ -112,50 +105,6 @@ def adaptive_simpson(f, a, b, tol=1e-9, breakpoints=(), max_nodes=2_000_000):
         S2 = np.concatenate([Sl[keep], Sr[keep]])
         lo, mid, hi, flo, fmid, fhi, S = lo2, mid2, hi2, flo2, fmid2, fhi2, S2
     return result
-
-
-def composite_gauss(f, a, b, breakpoints=(), tol=1e-10, n=8, min_panels=2,
-                    max_doublings=12):
-    """Composite Gauss-Legendre with uniform panel doubling until converged.
-
-    Faster than adaptive Simpson for smooth integrands evaluated inside hot
-    loops; intended for integrands known to be smooth between breakpoints.
-    """
-    if b <= a:
-        return 0.0
-    pts = _clean_breakpoints(a, b, breakpoints)
-    panels = max(min_panels, pts.size - 1)
-
-    def value(k):
-        # k subdivisions of every base panel
-        edges = []
-        for lo, hi in zip(pts[:-1], pts[1:]):
-            edges.append(np.linspace(lo, hi, k + 1))
-        xs = []
-        ws = []
-        gx, gw = _leggauss(n)
-        for e in edges:
-            lo, hi = e[:-1], e[1:]
-            mid = 0.5 * (lo + hi)
-            half = 0.5 * (hi - lo)
-            xs.append((mid[:, None] + half[:, None] * gx[None, :]).ravel())
-            ws.append((half[:, None] * gw[None, :]).ravel())
-        x = np.concatenate(xs)
-        w = np.concatenate(ws)
-        fx = np.asarray(f(x), dtype=float)
-        if not np.all(np.isfinite(fx)):
-            raise NonFiniteValue("integrand produced non-finite values")
-        return float(np.dot(w, fx))
-
-    prev = value(1)
-    k = 2
-    for _ in range(max_doublings):
-        cur = value(k)
-        if abs(cur - prev) <= tol * (1.0 + abs(cur)):
-            return cur
-        prev = cur
-        k *= 2
-    raise ToleranceNotMet(f"composite Gauss did not converge on [{a}, {b}]")
 
 
 def find_sign_changes(f, a, b, breakpoints=(), grid=4001):

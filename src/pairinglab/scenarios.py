@@ -196,6 +196,9 @@ def parse_scenario(d):
     try:
         checks = []
         for c in d["checks"]:
+            if c["name"] not in CHECKS:
+                raise SpecError(
+                    f"unknown check {c['name']!r} in {d['id']!r}")
             tol = float(c["tolerance"])
             if tol <= 0:
                 raise SpecError(f"non-positive tolerance in {d['id']!r}")
@@ -545,13 +548,17 @@ CHECKS = {
 
 
 def run_check(ctx, spec: CheckSpec, tol_scale=1.0):
-    """Execute one named check; failures surface as failed outcomes."""
+    """Execute one named check; failures surface as failed outcomes.
+
+    Any exception a check raises, not only a PairingLabError, fails that
+    check alone, so one defect cannot take down the other checks' reports.
+    """
     if spec.name not in CHECKS:
         raise UnknownCheck(spec.name)
     tol = spec.tolerance * tol_scale
     try:
         return CHECKS[spec.name](ctx, spec.params, tol)
-    except PairingLabError as exc:
+    except Exception as exc:
         return CheckOutcome(ctx.id, spec.name, float("nan"), float("nan"),
                             float("inf"), tol, False,
                             {"error": f"{type(exc).__name__}: {exc}"})

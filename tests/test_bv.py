@@ -127,10 +127,12 @@ def test_bv_rejects_discontinuous_ac():
         BvFunction1D(DOMAIN, ac=bad)
 
 
-def test_coarea_tv_identity_mixed(u_mixed):
-    lhs, rhs, res = coarea_tv_check(u_mixed, lambda x: np.ones_like(x))
-    assert abs(lhs - 2.1) < 1e-9
-    assert res < 1e-6
+def test_coarea_tv_identity_mixed(u_mixed, u_cantor):
+    # the pure ladder slices its levels through the dyadic ladder panels only
+    for u, tv in ((u_mixed, 2.1), (u_cantor, 1.0)):
+        lhs, rhs, res = coarea_tv_check(u, lambda x: np.ones_like(x))
+        assert abs(lhs - tv) < 1e-9
+        assert res < 1e-6
 
 
 def test_coarea_tv_identity_smooth(u_smooth):

@@ -11,9 +11,8 @@ from pairinglab.measures import (Circle, DiscPatch, RadonMeasure1D,
                                  RadonMeasure2D, Segment, SingularLadder,
                                  TestFunction1D, TestFunction2D)
 from pairinglab.quadrature import (adaptive_simpson, aitken, circle_integral,
-                                   composite_gauss, find_sign_changes,
-                                   integrate_abs, polar_quad, polygon_quad,
-                                   segment_integral)
+                                   find_sign_changes, integrate_abs,
+                                   polar_quad, polygon_quad, segment_integral)
 
 
 # ---------------------------------------------------------------------------
@@ -45,11 +44,6 @@ def test_find_sign_changes_locates_roots():
 def test_aitken_accelerates_geometric_tail():
     partial = np.cumsum([0.5 ** k for k in range(8)])
     assert abs(aitken(list(partial)) - 2.0) < 1e-12
-
-
-def test_composite_gauss_polynomial_exact():
-    val = composite_gauss(lambda x: x ** 5 - x, -1.0, 2.0)
-    assert abs(val - (2.0 ** 6 - 1.0) / 6.0 + (4.0 - 1.0) / 2.0) < 1e-11
 
 
 def test_polar_quad_area_and_moment():

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairinglab.bv import BvFunction1D, JumpPoint, Piecewise1D
+from pairinglab.bv import (BvFunction1D, Disc, JumpPoint, Piecewise1D,
+                           PiecewiseConstantBv2D, PolygonRegion)
 from pairinglab.errors import BoundViolated
 from pairinglab.fields import field_catalog
 from pairinglab.measures import TestFunction1D
@@ -94,6 +95,24 @@ def test_two_routes_agree_on_disc(u_disc, phi_radial):
     v1 = pairing_distributional(f, u_disc, phi_radial)
     v2 = pairing_by_representation(f, u_disc).integrate(phi_radial)
     assert abs(v1 - v2) < 1e-6 * (1.0 + abs(v1))
+
+
+@pytest.mark.parametrize("region, value", [
+    (Disc((0.0, 0.0), 1.0), -0.8),
+    (PolygonRegion(((-0.8, -0.8), (0.8, -0.8), (0.8, 0.8), (-0.8, 0.8))),
+     -0.6),
+], ids=["disc", "square"])
+def test_routes_agree_on_negative_2d_values(region, value, phi_radial):
+    # a negative value flips the jump normal and the t-range of the density
+    u = PiecewiseConstantBv2D(((-2.0, 2.0), (-2.0, 2.0)), ((region, value),))
+    f = field_catalog("linear2d")
+    v1 = pairing_distributional(f, u, phi_radial)
+    v2 = pairing_by_representation(f, u).integrate(phi_radial)
+    v3 = pairing_by_traces(f, u).integrate(phi_radial)
+    assert abs(v1) > 1.0
+    tol = 1e-6 * (1.0 + abs(v1))
+    assert abs(v1 - v2) < tol
+    assert abs(v1 - v3) < tol
 
 
 @given(c=st.floats(-2.0, 2.0))

@@ -46,6 +46,13 @@ def test_parse_rejects_bad_tolerance():
         parse_scenario(bad)
 
 
+def test_parse_rejects_unknown_check_name():
+    bad = dict(FAST_SCENARIO,
+               checks=[{"name": "no_such_check", "tolerance": 1e-6}])
+    with pytest.raises(SpecError, match="no_such_check"):
+        parse_scenario(bad)
+
+
 def test_parse_rejects_missing_keys():
     with pytest.raises(SpecError):
         parse_scenario({"id": "x"})
@@ -83,6 +90,16 @@ def test_run_check_unknown_name():
     ctx = parse_scenario(FAST_SCENARIO).resolve()
     with pytest.raises(UnknownCheck):
         run_check(ctx, CheckSpec("no_such_check", 1e-6))
+
+
+def test_run_check_lets_base_exceptions_through(monkeypatch):
+    def interrupted(ctx, params, tol):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(CHECKS, "two_route", interrupted)
+    ctx = parse_scenario(FAST_SCENARIO).resolve()
+    with pytest.raises(KeyboardInterrupt):
+        run_check(ctx, CheckSpec("two_route", 1e-6))
 
 
 def test_run_check_report_schema():
@@ -173,10 +190,19 @@ def test_run_scenario_overall(tmp_path):
 # command line
 
 
-def _write_fast(tmp_path):
+def _write_fast(tmp_path, scenario=FAST_SCENARIO):
     p = tmp_path / "tiny_jump.json"
-    p.write_text(json.dumps(FAST_SCENARIO))
+    p.write_text(json.dumps(scenario))
     return p
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _strict_load(path):
+    """A report parsed as standard JSON: NaN and Infinity are rejected."""
+    return json.loads(path.read_text(), parse_constant=_no_constant)
 
 
 def test_cli_list(capsys):
@@ -190,7 +216,7 @@ def test_cli_run_single_scenario(tmp_path, capsys):
     outdir = tmp_path / "reports"
     code = main(["run", str(p), "--out", str(outdir)])
     assert code == 0
-    rep = json.loads((outdir / "tiny_jump.json").read_text())
+    rep = _strict_load(outdir / "tiny_jump.json")
     assert rep["overall_pass"] is True
     assert {c["check"] for c in rep["checks"]} == {"two_route", "chain_rule"}
     assert "timing_seconds" in rep
@@ -207,7 +233,7 @@ def test_cli_run_stable_is_deterministic(tmp_path):
     for name in ("r1", "r2"):
         outdir = tmp_path / name
         assert main(["run", str(p), "--stable", "--out", str(outdir)]) == 0
-        rep = json.loads((outdir / "tiny_jump.json").read_text())
+        rep = _strict_load(outdir / "tiny_jump.json")
         assert "timing_seconds" not in rep
         assert "environment" not in rep
         texts.append((outdir / "tiny_jump.json").read_bytes())
@@ -230,6 +256,61 @@ def test_cli_keep_going_skips_malformed(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "skipped" in err and "broken.json" in err
     assert (outdir / "tiny_jump.json").exists()
+
+
+def test_cli_unknown_check_is_a_spec_error(tmp_path, capsys):
+    d = tmp_path / "cat"
+    d.mkdir()
+    bad = dict(FAST_SCENARIO, id="a_bad",
+               checks=[{"name": "no_such_check", "tolerance": 1e-6}])
+    (d / "a_bad.json").write_text(json.dumps(bad))
+    (d / "tiny_jump.json").write_text(json.dumps(FAST_SCENARIO))
+    outdir = tmp_path / "r"
+    assert main(["run", str(d), "--out", str(outdir)]) == 2
+    assert not outdir.exists()
+    assert main(["run", str(d), "--keep-going", "--out", str(outdir)]) == 0
+    assert sorted(p.name for p in outdir.iterdir()) \
+        == ["aggregate.csv", "tiny_jump.json"]
+    assert "no_such_check" in capsys.readouterr().err
+
+
+def test_cli_unexpected_exception_fails_that_check_only(tmp_path,
+                                                        monkeypatch):
+    def broken(ctx, params, tol):
+        raise ValueError("boom")
+
+    monkeypatch.setitem(CHECKS, "chain_rule", broken)
+    d = tmp_path / "cat"
+    d.mkdir()
+    for sid in ("a_one", "b_two"):
+        (d / f"{sid}.json").write_text(
+            json.dumps(dict(FAST_SCENARIO, id=sid)))
+    outdir = tmp_path / "r"
+    assert main(["run", str(d), "--stable", "--out", str(outdir)]) == 1
+    for sid in ("a_one", "b_two"):
+        rep = _strict_load(outdir / f"{sid}.json")
+        checks = {c["check"]: c for c in rep["checks"]}
+        assert checks["two_route"]["pass"] is True
+        failed = checks["chain_rule"]
+        assert failed["pass"] is False
+        assert failed["diagnostics"] == {"error": "ValueError: boom"}
+        assert failed["lhs"] is failed["rhs"] is failed["residual"] is None
+    with open(outdir / "aggregate.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert [(r[1], r[3]) for r in rows[1:]] == [
+        ("two_route", "pass"), ("chain_rule", "fail")] * 2
+    assert rows[2][2] == "inf"
+
+
+def test_cli_reports_write_non_finite_as_null(tmp_path):
+    # sigma_k without g_invariance reports a NaN g_invariance and passes
+    p = _write_fast(tmp_path, dict(
+        FAST_SCENARIO, checks=[{"name": "sigma_k", "tolerance": 1e-6}]))
+    outdir = tmp_path / "r"
+    assert main(["run", str(p), "--stable", "--out", str(outdir)]) == 0
+    (check,) = _strict_load(outdir / "tiny_jump.json")["checks"]
+    assert check["pass"] is True
+    assert check["diagnostics"]["k=2"]["g_invariance"] is None
 
 
 def test_cli_run_failure_exit_1(tmp_path, monkeypatch):
@@ -257,7 +338,7 @@ def test_cli_aggregate_csv_written_atomically(tmp_path):
     p = _write_fast(tmp_path)
     outdir = tmp_path / "r"
     assert main(["run", str(p), "--stable", "--out", str(outdir)]) == 0
-    rep = json.loads((outdir / "tiny_jump.json").read_text())
+    rep = _strict_load(outdir / "tiny_jump.json")
     expect = "scenario,check,residual,pass\r\n" + "".join(
         f"tiny_jump,{c['check']},{c['residual']:.6e},pass\r\n"
         for c in rep["checks"])
