@@ -8,9 +8,12 @@
 a directory of them; default: the shipped catalog), writes one report JSON
 per scenario plus an aggregate CSV, and exits 0 only if everything passed.
 Exit code 2 flags scenario files that could not be parsed, among them
-files that name an unknown check; with --keep-going such files are skipped
-with a logged reason instead.  Reports are strict JSON: a non-finite
-number is written as null.
+files that name an unknown check or a mass_bound ``windows`` that is not an
+integer >= 1, and a file whose scenario id an earlier file already has; with
+--keep-going such files are skipped with a logged reason instead.  A
+scenario that parses but does not resolve fails each of its checks with the
+error, and the other scenarios are still run.  Reports are strict JSON: a
+non-finite number is written as null.
 
 The environment variable LAB_TOL_SCALE multiplies every tolerance; it must
 be a finite number > 0, or ``run`` and ``series`` exit with code 2.
@@ -28,9 +31,10 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from .errors import SpecError
-from .scenarios import (CHECKS, CheckSpec, load_catalog, load_scenario_file,
-                        run_check, run_scenario, shipped_catalog_dir)
+from .errors import PairingLabError, SpecError
+from .scenarios import (CHECKS, CheckSpec, claim_id, load_catalog,
+                        load_scenario_file, run_check, run_scenario,
+                        shipped_catalog_dir)
 
 
 def _tol_scale():
@@ -61,10 +65,12 @@ def _collect_scenarios(path, keep_going):
             files = sorted(str(q) for q in p.glob("*.json"))
         else:
             files = [str(p)]
-    scenarios, skipped = [], []
+    scenarios, skipped, owners = [], [], {}
     for f in files:
         try:
-            scenarios.append(load_scenario_file(f))
+            sc = load_scenario_file(f)
+            claim_id(owners, sc, f)
+            scenarios.append(sc)
         except SpecError as exc:
             if not keep_going:
                 raise
@@ -186,10 +192,11 @@ def cmd_series(args):
         spec = CheckSpec(args.check, 1e-6)
     try:
         scale = _tol_scale()
-    except SpecError as exc:
+        ctx = scenario.resolve()
+    except PairingLabError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2
-    outcome = run_check(scenario.resolve(), spec, tol_scale=scale)
+    outcome = run_check(ctx, spec, tol_scale=scale)
     out = pathlib.Path(args.output)
     with open(out, "w", newline="") as fh:
         w = csv.writer(fh)

@@ -70,9 +70,13 @@ class FieldB:
         return np.hypot(v[..., 0], v[..., 1])
 
     def sup_norm(self, box, trange=None, n=161, nt=81):
-        """Sampled sup of |b| over box x trange (box=(a,b) or ((x0,x1),(y0,y1)))."""
+        """Sampled sup of |b| over box x trange (box=(a,b) or ((x0,x1),(y0,y1))).
+
+        A field with lipschitz_t == 0 does not depend on t (make_field checks
+        the declared constant), so it is sampled at the single t = trange[0].
+        """
         t0, t1 = trange if trange is not None else self.t_range
-        ts = np.linspace(t0, t1, nt)
+        ts = np.linspace(t0, t1, 1 if self.lipschitz_t == 0 else nt)
         if self.dim == 1:
             xs = np.linspace(box[0], box[1], n)
             vals = self.magnitude(xs[:, None], ts[None, :])

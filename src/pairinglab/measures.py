@@ -273,6 +273,10 @@ class RadonMeasure1D:
                               ac_sign_roots=tuple(
                                   r for r in self.ac_sign_roots if lo <= r <= hi))
 
+    def variation_masses(self, windows):
+        """|mu|(E) for each window E, as restrict(E).variation()."""
+        return [self.restrict(E).variation().total_mass() for E in windows]
+
     def scaled(self, c):
         dens = self.ac_density
         sdens = None if dens is None else (
@@ -378,39 +382,43 @@ class RadonMeasure2D:
     def zero(rect, empty_intersection=False):
         return RadonMeasure2D(rect, empty_intersection=empty_intersection)
 
-    def _mask_fn(self):
-        if self.mask is None:
-            return None
-        (x0, x1), (y0, y1) = self.mask
-
-        def inside(pts):
-            p = np.asarray(pts, dtype=float)
-            return ((p[..., 0] >= x0) & (p[..., 0] < x1)
-                    & (p[..., 1] >= y0) & (p[..., 1] < y1))
-        return inside
-
     def integrate(self, g, tol=1e-9, nsurf=8192, narea=256):
-        mask = self._mask_fn()
+        if self.mask is not None:
+            return self._masked_integrals(g, (self.mask,), nsurf, narea)[0]
         value = 0.0
         for patch, dens in self.ac_parts:
             f = lambda p, _d=dens: (np.asarray(g(p), dtype=float)
                                     * np.asarray(_d(p), dtype=float))
-            if mask is None:
-                value += patch.integrate(f, tol=tol)
-            else:
-                value += _masked_patch_integral(patch, f, mask, narea)
+            value += patch.integrate(f, tol=tol)
         for curve, dens in self.surface_parts:
             f = lambda p, _d=dens: (np.asarray(g(p), dtype=float)
                                     * np.asarray(_d(p), dtype=float))
-            if mask is None:
-                value += curve.integrate(f, tol=tol)
-            else:
-                pts, w = curve.sample(nsurf)
-                vals = np.asarray(f(pts), dtype=float)
-                value += float(np.dot(w, np.where(mask(pts), vals, 0.0)))
+            value += curve.integrate(f, tol=tol)
         if not np.isfinite(value):
             raise NonFiniteValue("non-finite 2D integral")
         return value
+
+    def _masked_integrals(self, g, boxes, nsurf=8192, narea=256):
+        """Fixed-grid integrals of g over each half-open box
+        ((x0,x1),(y0,y1)).  Each part's integrand is evaluated once on its
+        grid and then summed under every box; the shared scheme keeps
+        mass-bound comparisons consistent between a measure and its
+        variation."""
+        values = [0.0] * len(boxes)
+        parts = [(p, d, narea) for p, d in self.ac_parts] + \
+            [(c, d, nsurf) for c, d in self.surface_parts]
+        for part, dens, n in parts:
+            pts, inside, total = _part_grid(part, n)
+            vals = np.asarray(g(pts), dtype=float) \
+                * np.asarray(dens(pts), dtype=float)
+            for i, box in enumerate(boxes):
+                keep = _in_box(pts, box)
+                if inside is not None:
+                    keep = keep & inside
+                values[i] += total(np.where(keep, vals, 0.0))
+        if not np.all(np.isfinite(values)):
+            raise NonFiniteValue("non-finite 2D integral")
+        return values
 
     def total_mass(self, tol=1e-9):
         return self.integrate(lambda p: np.ones(np.shape(p)[:-1]), tol=tol)
@@ -427,12 +435,24 @@ class RadonMeasure2D:
                          (lambda p, _d=d: np.abs(np.asarray(_d(p), float)))))
         return replace(self, ac_parts=ac, surface_parts=tuple(surf))
 
-    def restrict(self, box):
+    def _meets_rect(self, box):
         (x0, x1), (y0, y1) = box
         (rx0, rx1), (ry0, ry1) = self.rect
-        if x1 <= rx0 or x0 >= rx1 or y1 <= ry0 or y0 >= ry1:
+        return not (x1 <= rx0 or x0 >= rx1 or y1 <= ry0 or y0 >= ry1)
+
+    def restrict(self, box):
+        if not self._meets_rect(box):
             return RadonMeasure2D.zero(self.rect, empty_intersection=True)
         return replace(self, mask=box)
+
+    def variation_masses(self, boxes):
+        """[restrict(E).variation().total_mass() for E in boxes], from one
+        variation() and one evaluation of each part's grid."""
+        boxes = list(boxes)
+        hit = [E for E in boxes if self._meets_rect(E)]
+        found = iter(self.variation()._masked_integrals(
+            lambda p: np.ones(np.shape(p)[:-1]), hit))
+        return [next(found) if self._meets_rect(E) else 0.0 for E in boxes]
 
 
 def _density_sign_breaks(curve, dens, n=2048):
@@ -455,34 +475,45 @@ def _density_sign_breaks(curve, dens, n=2048):
     return tuple(roots)
 
 
-def _masked_patch_integral(patch, f, mask, narea):
-    """Fixed-grid integral of a masked patch; shared scheme keeps mass-bound
-    comparisons consistent between a measure and its variation."""
-    if isinstance(patch, DiscPatch):
-        r = np.linspace(patch.r_inner, patch.r_outer, narea + 1)
+def _part_grid(part, n):
+    """(points, inside, total) of the fixed grid a masked integral sums
+    over: an n x 2n midpoint polar grid on a disc patch, an n x n midpoint
+    grid on a polygon's bounding box (``inside`` marks the polygon; None for
+    the other parts), or the n-point sample of a curve.  ``total`` maps the
+    masked integrand values on the points to the integral."""
+    if isinstance(part, DiscPatch):
+        r = np.linspace(part.r_inner, part.r_outer, n + 1)
         rm = 0.5 * (r[:-1] + r[1:])
         dr = np.diff(r)
-        th = (np.arange(2 * narea) + 0.5) * (2.0 * np.pi / (2 * narea))
-        dth = 2.0 * np.pi / (2 * narea)
+        th = (np.arange(2 * n) + 0.5) * (2.0 * np.pi / (2 * n))
+        dth = 2.0 * np.pi / (2 * n)
         pts = np.empty((th.size, rm.size, 2))
-        pts[..., 0] = patch.center[0] + rm[None, :] * np.cos(th)[:, None]
-        pts[..., 1] = patch.center[1] + rm[None, :] * np.sin(th)[:, None]
+        pts[..., 0] = part.center[0] + rm[None, :] * np.cos(th)[:, None]
+        pts[..., 1] = part.center[1] + rm[None, :] * np.sin(th)[:, None]
         w = (rm * dr)[None, :] * dth
-        vals = np.where(mask(pts), np.asarray(f(pts), dtype=float), 0.0)
-        return float(np.sum(vals * w))
-    verts = np.asarray(patch.vertices, dtype=float)
-    x0, y0 = verts.min(axis=0)
-    x1, y1 = verts.max(axis=0)
-    xs = np.linspace(x0, x1, narea + 1)
-    ys = np.linspace(y0, y1, narea + 1)
-    xm = 0.5 * (xs[:-1] + xs[1:])
-    ym = 0.5 * (ys[:-1] + ys[1:])
-    X, Y = np.meshgrid(xm, ym, indexing="ij")
-    pts = np.stack([X, Y], axis=-1)
-    inside = mask(pts) & _points_in_polygon(pts, verts)
-    vals = np.where(inside, np.asarray(f(pts), dtype=float), 0.0)
-    cell = (xs[1] - xs[0]) * (ys[1] - ys[0])
-    return float(np.sum(vals) * cell)
+        return pts, None, lambda v: float(np.sum(v * w))
+    if isinstance(part, PolygonPatch):
+        verts = np.asarray(part.vertices, dtype=float)
+        x0, y0 = verts.min(axis=0)
+        x1, y1 = verts.max(axis=0)
+        xs = np.linspace(x0, x1, n + 1)
+        ys = np.linspace(y0, y1, n + 1)
+        xm = 0.5 * (xs[:-1] + xs[1:])
+        ym = 0.5 * (ys[:-1] + ys[1:])
+        X, Y = np.meshgrid(xm, ym, indexing="ij")
+        pts = np.stack([X, Y], axis=-1)
+        cell = (xs[1] - xs[0]) * (ys[1] - ys[0])
+        return (pts, _points_in_polygon(pts, verts),
+                lambda v: float(np.sum(v) * cell))
+    pts, w = part.sample(n)
+    return pts, None, lambda v: float(np.dot(w, v))
+
+
+def _in_box(pts, box):
+    (x0, x1), (y0, y1) = box
+    p = np.asarray(pts, dtype=float)
+    return ((p[..., 0] >= x0) & (p[..., 0] < x1)
+            & (p[..., 1] >= y0) & (p[..., 1] < y1))
 
 
 def _points_in_polygon(pts, verts):

@@ -202,7 +202,14 @@ def parse_scenario(d):
             tol = float(c["tolerance"])
             if tol <= 0:
                 raise SpecError(f"non-positive tolerance in {d['id']!r}")
-            checks.append(CheckSpec(c["name"], tol, dict(c.get("params", {}))))
+            params = dict(c.get("params", {}))
+            if c["name"] == "mass_bound" and "windows" in params:
+                w = params["windows"]
+                # zero windows would let mass_bound pass without testing any
+                if type(w) is not int or w < 1:
+                    raise SpecError(f"mass_bound windows must be an integer "
+                                    f">= 1 in {d['id']!r}, got {w!r}")
+            checks.append(CheckSpec(c["name"], tol, params))
         window = d.get("window")
         if window is not None:
             window = (tuple(tuple(w) for w in window)
@@ -230,13 +237,23 @@ def shipped_catalog_dir():
     return resources.files("pairinglab") / "data" / "scenarios"
 
 
+def claim_id(owners, scenario, path):
+    """Record path as the file of scenario's id in owners (id -> path);
+    SpecError naming both files if an earlier file has the same id."""
+    if scenario.id in owners:
+        raise SpecError(f"duplicate scenario id {scenario.id!r} in "
+                        f"{owners[scenario.id]} and {path}")
+    owners[scenario.id] = path
+
+
 def load_catalog(directory=None):
     """All scenarios in a directory (default: the shipped catalog), by id."""
     import pathlib
     base = pathlib.Path(directory) if directory else shipped_catalog_dir()
-    out = {}
+    out, owners = {}, {}
     for p in sorted(base.glob("*.json")):
         s = load_scenario_file(p)
+        claim_id(owners, s, p)
         out[s.id] = s
     return out
 
@@ -325,7 +342,7 @@ def _windows_for(ctx, count):
 
 
 def _check_mass_bound(ctx, params, tol):
-    count = int(params.get("windows", 20))
+    count = params.get("windows", 20)
     results = pairing.mass_bound_check(ctx.field, ctx.u,
                                        _windows_for(ctx, count))
     worst = max((r["lhs"] - r["bound"] for r in results), default=0.0)
@@ -559,11 +576,21 @@ def run_check(ctx, spec: CheckSpec, tol_scale=1.0):
     try:
         return CHECKS[spec.name](ctx, spec.params, tol)
     except Exception as exc:
-        return CheckOutcome(ctx.id, spec.name, float("nan"), float("nan"),
-                            float("inf"), tol, False,
-                            {"error": f"{type(exc).__name__}: {exc}"})
+        return _error_outcome(ctx.id, spec.name, tol, exc)
+
+
+def _error_outcome(scenario_id, check, tol, exc):
+    return CheckOutcome(scenario_id, check, float("nan"), float("nan"),
+                        float("inf"), tol, False,
+                        {"error": f"{type(exc).__name__}: {exc}"})
 
 
 def run_scenario(scenario: Scenario, tol_scale=1.0):
-    ctx = scenario.resolve()
+    """Outcomes of the scenario's checks.  A scenario that does not resolve
+    fails each of its checks with the resolve error, and nothing else."""
+    try:
+        ctx = scenario.resolve()
+    except Exception as exc:
+        return [_error_outcome(scenario.id, c.name, c.tolerance * tol_scale,
+                               exc) for c in scenario.checks]
     return [run_check(ctx, c, tol_scale=tol_scale) for c in scenario.checks]

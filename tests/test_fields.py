@@ -152,6 +152,51 @@ def test_sup_norm_reports_catalog_bounds():
     assert abs(f.sup_norm((-2.0, 2.0)) - 1.5) < 1e-12
 
 
+def _full_grid_sup(f, box, trange, n=161, nt=81):
+    """Sup of |b| sampled on n points per x-axis times all nt t-values."""
+    ts = np.linspace(trange[0], trange[1], nt)
+    if f.dim == 1:
+        xs = np.linspace(box[0], box[1], n)
+        return float(np.max(f.magnitude(xs[:, None], ts[None, :])))
+    (x0, x1), (y0, y1) = box
+    pts = np.stack(np.meshgrid(np.linspace(x0, x1, n),
+                               np.linspace(y0, y1, n), indexing="ij"), axis=-1)
+    return float(np.max(f.magnitude(pts[..., None, :], ts[None, None, :])))
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("const", {"c": -1.5}), ("tanh", {}), ("const2d", {"vx": 2.0, "vy": 1.0}),
+    ("linear2d", {}), ("radial2d", {})])
+def test_sup_norm_of_t_independent_field_equals_full_grid(kind, params):
+    f = field_catalog(kind, **params)
+    assert f.lipschitz_t == 0.0
+    box = (-1.3, 0.7) if f.dim == 1 else ((-1.1, 0.4), (-0.3, 0.9))
+    for trange in ((-1.7, 1.7), f.t_range):
+        assert f.sup_norm(box, trange) == _full_grid_sup(f, box, trange)
+
+
+def test_sup_norm_of_mollified_t_independent_field():
+    # the mollifier sums through a matrix-vector product whose rounding
+    # depends on the array shape, so the one-t sample may differ from the
+    # 81-t sample in the last bits, and only there
+    f = mollify(field_catalog("tanh"), 0.05)
+    assert f.lipschitz_t == 0.0
+    for box in ((0.001, 0.011), (-0.02, 0.03), (-0.5, -0.01)):
+        want = _full_grid_sup(f, box, (-1.7, 1.7))
+        assert 0.1 < want < 1.0
+        assert f.sup_norm(box, (-1.7, 1.7)) == pytest.approx(want, rel=1e-15)
+
+
+def test_sup_norm_of_t_dependent_field_samples_t():
+    f = field_catalog("gt2d")
+    box = ((-1.0, 1.0), (-0.5, 0.5))
+    got = f.sup_norm(box, (-4.0, 4.0))
+    assert got == _full_grid_sup(f, box, (-4.0, 4.0))
+    # attained at the interior grid t = 1.6, not at t = -4 (1.3784...)
+    assert got == pytest.approx(1.0 + 0.5 * math.sin(1.6), rel=1e-14)
+    assert got - (1.0 + 0.5 * math.sin(-4.0)) > 0.12
+
+
 @given(st.floats(-3.0, 3.0))
 @settings(max_examples=40, deadline=None)
 def test_sigma_k_between_zero_and_one(t):

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairinglab.bv import (BvFunction1D, Disc, JumpPoint, Piecewise1D,
-                           PiecewiseConstantBv2D, PolygonRegion)
+                           PiecewiseConstantBv2D, PolygonRegion,
+                           gradient_measure)
 from pairinglab.errors import BoundViolated
 from pairinglab.fields import field_catalog
 from pairinglab.measures import TestFunction1D
+from pairinglab.scenarios import _windows_for, load_catalog
 from pairinglab.pairing import (approximation_convergence_check,
                                 chain_rule_check, coarea_pairing_check,
                                 coarea_variation_check, cylindrical_average,
@@ -205,6 +207,61 @@ def test_mass_bound_random_windows(lo, width, field_gt, u_stair):
     out = mass_bound_check(field_gt, u_stair, [(lo, hi)])
     assert out[0]["ok"]
     assert out[0]["lhs"] <= out[0]["bound"] + 1e-9
+
+
+@pytest.mark.parametrize("sid", ["s15_disc_linear2d", "s19_square_linear2d",
+                                 "s20_smoothdisc_linear2d"])
+def test_variation_masses_match_restricted_variations(sid):
+    ctx = load_catalog()[sid].resolve()
+    (x0, x1), (y0, y1) = ctx.u.rect
+    boxes = [((-0.7, 0.9), (-1.2, 0.3)), ((0.1, 1.7), (-0.4, 0.6)),
+             ((x1 + 0.5, x1 + 1.0), (y0, y1)),
+             ((x0 - 1.0, x1 + 1.0), (y0 - 1.0, y1 + 1.0))]
+    for m in (pairing_by_representation(ctx.field, ctx.u).measure,
+              gradient_measure(ctx.u)):
+        want = [m.restrict(E).variation().total_mass() for E in boxes]
+        assert m.variation_masses(boxes) == want
+        assert want[2] == 0.0 and want[3] > 0.0
+
+
+@pytest.mark.parametrize("sid,lhs,bound", [
+    ("s15_disc_linear2d", 0.4203107358806657, 0.7388000434281994),
+    ("s17_disc_gt2d", 0.47445741487803417, 0.715926642079896),
+    ("s19_square_linear2d", 4.5000000000000036, 14.328717898892506),
+    ("s20_smoothdisc_linear2d", 0.12058281363918202, 0.3297881867190727)])
+def test_mass_bound_2d_values_are_pinned(sid, lhs, bound):
+    # the second mass window of each scenario, to the bit: --stable reports
+    # of the catalog must not move when the fixed grids are reorganised
+    ctx = load_catalog()[sid].resolve()
+    window = _windows_for(ctx, 2)[1]
+    (out,) = mass_bound_check(ctx.field, ctx.u, [window])
+    assert (out["lhs"], out["bound"]) == (lhs, bound)
+
+
+def test_variation_masses_1d(u_mixed, field_gt):
+    windows = [(-1.7, -0.9), (-0.2, 1.4), (2.5, 3.0), (-3.0, 3.0)]
+    for m in (pairing_by_representation(field_gt, u_mixed).measure,
+              gradient_measure(u_mixed)):
+        want = [m.restrict(E).variation().total_mass() for E in windows]
+        assert m.variation_masses(windows) == want
+
+
+def test_mass_bound_2d_can_fail():
+    # a representation measure built under a field twice as large as the
+    # one the bound is taken with must break the bound near the jump set
+    ctx = load_catalog()["s15_disc_linear2d"].resolve()
+    rep = pairing_by_representation(field_catalog("const2d", vx=2.0, vy=1.0),
+                                    ctx.u)
+    windows = [((-1.5, 1.5), (-1.5, 1.5)), ((0.5, 1.5), (-0.5, 0.5)),
+               ((-0.5, 0.5), (-0.5, 0.5))]
+    out = mass_bound_check(field_catalog("const2d", vx=1.0, vy=0.5), ctx.u,
+                           windows, rep=rep)
+    assert [r["ok"] for r in out] == [False, False, True]
+    # whole circle: |mu| = int |(2, 1).nu| ds = 4 sqrt(5) against the bound
+    # |(1, 0.5)| 2 pi = 7.02...
+    assert out[0]["lhs"] == pytest.approx(4.0 * math.sqrt(5.0), rel=1e-6)
+    assert out[0]["bound"] == pytest.approx(math.sqrt(1.25) * 2.0 * math.pi,
+                                            rel=1e-6)
 
 
 def test_approximation_gap_decreases(u_smooth, phi_bump):

@@ -6,7 +6,7 @@ import shutil
 
 import pytest
 
-from pairinglab import pairing
+from pairinglab import pairing, scenarios
 from pairinglab.cli import main
 from pairinglab.errors import SpecError, UnknownCheck
 from pairinglab.scenarios import (CHECKS, CheckSpec, load_catalog,
@@ -51,6 +51,21 @@ def test_parse_rejects_unknown_check_name():
                checks=[{"name": "no_such_check", "tolerance": 1e-6}])
     with pytest.raises(SpecError, match="no_such_check"):
         parse_scenario(bad)
+
+
+@pytest.mark.parametrize("windows", [0, -3, 2.5, True, "20", None])
+def test_parse_rejects_bad_mass_bound_windows(windows):
+    bad = dict(FAST_SCENARIO, checks=[{"name": "mass_bound", "tolerance": 1e-9,
+                                       "params": {"windows": windows}}])
+    with pytest.raises(SpecError, match="windows"):
+        parse_scenario(bad)
+
+
+def test_parse_accepts_one_mass_bound_window():
+    ok = dict(FAST_SCENARIO, checks=[{"name": "mass_bound", "tolerance": 1e-9,
+                                      "params": {"windows": 1}}])
+    (out,) = run_scenario(parse_scenario(ok))
+    assert out.passed and out.diagnostics["windows"] == 1
 
 
 def test_parse_rejects_missing_keys():
@@ -186,6 +201,16 @@ def test_run_scenario_overall(tmp_path):
     assert all(o.passed for o in outs)
 
 
+def test_run_scenario_that_does_not_resolve_fails_each_check():
+    sc = parse_scenario(dict(FAST_SCENARIO, field={"kind": "nope"}))
+    outs = run_scenario(sc, tol_scale=2.0)
+    assert [(o.check, o.passed, o.tolerance) for o in outs] == [
+        ("two_route", False, 2e-6), ("chain_rule", False, 2e-8)]
+    for o in outs:
+        assert o.scenario == "tiny_jump"
+        assert o.diagnostics["error"].startswith("SpecError: bad field spec")
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -272,6 +297,99 @@ def test_cli_unknown_check_is_a_spec_error(tmp_path, capsys):
     assert sorted(p.name for p in outdir.iterdir()) \
         == ["aggregate.csv", "tiny_jump.json"]
     assert "no_such_check" in capsys.readouterr().err
+
+
+def _aggregate_rows(outdir):
+    with open(outdir / "aggregate.csv") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+def _catalog_dir(tmp_path, files):
+    d = tmp_path / "cat"
+    d.mkdir()
+    for name, scenario in files.items():
+        (d / name).write_text(json.dumps(scenario))
+    return d
+
+
+@pytest.mark.parametrize("windows", [0, -3, 2.5, True, "20"])
+def test_cli_vacuous_mass_bound_windows_is_a_spec_error(windows, tmp_path,
+                                                        capsys):
+    bad = dict(FAST_SCENARIO, id="a_bad",
+               checks=[{"name": "mass_bound", "tolerance": 1e-9,
+                        "params": {"windows": windows}}])
+    d = _catalog_dir(tmp_path, {"a_bad.json": bad,
+                                "tiny_jump.json": FAST_SCENARIO})
+    outdir = tmp_path / "r"
+    assert main(["run", str(d), "--out", str(outdir)]) == 2
+    assert not outdir.exists()
+    assert main(["run", str(d), "--keep-going", "--out", str(outdir)]) == 0
+    assert sorted(p.name for p in outdir.iterdir()) \
+        == ["aggregate.csv", "tiny_jump.json"]
+    assert [r[0] for r in _aggregate_rows(outdir)] == ["tiny_jump"] * 2
+    err = capsys.readouterr().err
+    assert "skipped" in err and "a_bad.json" in err and "windows" in err
+
+
+@pytest.mark.parametrize("keep_going", [[], ["--keep-going"]])
+def test_cli_unresolvable_scenario_fails_only_itself(keep_going, tmp_path):
+    bad = dict(FAST_SCENARIO, id="a_bad", field={"kind": "nope"})
+    d = _catalog_dir(tmp_path, {"a_bad.json": bad,
+                                "tiny_jump.json": FAST_SCENARIO})
+    outdir = tmp_path / "r"
+    assert main(["run", str(d), "--stable", "--out", str(outdir)]
+                + keep_going) == 1
+    rep = _strict_load(outdir / "a_bad.json")
+    assert rep["overall_pass"] is False
+    assert [c["check"] for c in rep["checks"]] == ["two_route", "chain_rule"]
+    for c in rep["checks"]:
+        assert c["pass"] is False
+        assert c["lhs"] is c["rhs"] is c["residual"] is None
+        assert c["diagnostics"]["error"].startswith("SpecError: ")
+        assert "nope" in c["diagnostics"]["error"]
+    assert _strict_load(outdir / "tiny_jump.json")["overall_pass"] is True
+    assert [(r[0], r[1], r[3]) for r in _aggregate_rows(outdir)] == [
+        ("a_bad", "two_route", "fail"), ("a_bad", "chain_rule", "fail"),
+        ("tiny_jump", "two_route", "pass"), ("tiny_jump", "chain_rule", "pass")]
+    assert [r[2] for r in _aggregate_rows(outdir)[:2]] == ["inf", "inf"]
+
+
+def test_cli_series_unresolvable_scenario_is_a_spec_error(tmp_path,
+                                                         monkeypatch, capsys):
+    bad = dict(FAST_SCENARIO, id="a_bad", field={"kind": "nope"})
+    d = _catalog_dir(tmp_path, {"a_bad.json": bad})
+    monkeypatch.setattr(scenarios, "shipped_catalog_dir", lambda: d)
+    out = tmp_path / "series.csv"
+    assert main(["series", "a_bad", "two_route", str(out)]) == 2
+    assert not out.exists()
+    assert "spec error" in capsys.readouterr().err
+
+
+def test_duplicate_scenario_ids_are_a_spec_error(tmp_path, capsys):
+    first = dict(FAST_SCENARIO, checks=[{"name": "two_route",
+                                         "tolerance": 1e-6}])
+    second = dict(FAST_SCENARIO, checks=[{"name": "chain_rule",
+                                          "tolerance": 1e-8}])
+    d = _catalog_dir(tmp_path, {"a_first.json": first,
+                                "b_second.json": second})
+    with pytest.raises(SpecError, match="a_first.json.*b_second.json"):
+        load_catalog(d)
+    assert main(["list", str(d)]) == 2
+    outdir = tmp_path / "r"
+    assert main(["run", str(d), "--out", str(outdir)]) == 2
+    assert not outdir.exists()
+    err = capsys.readouterr().err
+    assert "duplicate scenario id 'tiny_jump'" in err
+    assert "a_first.json" in err and "b_second.json" in err
+    assert main(["run", str(d), "--keep-going", "--out", str(outdir)]) == 0
+    assert sorted(p.name for p in outdir.iterdir()) \
+        == ["aggregate.csv", "tiny_jump.json"]
+    rep = _strict_load(outdir / "tiny_jump.json")
+    assert [c["check"] for c in rep["checks"]] == ["two_route"]
+    assert [(r[0], r[1], r[3]) for r in _aggregate_rows(outdir)] == [
+        ("tiny_jump", "two_route", "pass")]
+    err = capsys.readouterr().err
+    assert "skipped" in err and "b_second.json" in err
 
 
 def test_cli_unexpected_exception_fails_that_check_only(tmp_path,
