@@ -15,6 +15,11 @@ scenario that parses but does not resolve fails each of its checks with the
 error, and the other scenarios are still run.  Reports are strict JSON: a
 non-finite number is written as null.
 
+``--jobs N`` runs the scenarios in N worker processes (N must be an
+integer >= 1; the default 1 runs them in this process) and writes the same
+reports in the same order.  If a worker dies, each scenario it left
+unfinished fails all of its checks with the error; the run goes on.
+
 The environment variable LAB_TOL_SCALE multiplies every tolerance; it must
 be a finite number > 0, or ``run`` and ``series`` exit with code 2.
 """
@@ -29,12 +34,12 @@ import pathlib
 import platform
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 
 from .errors import PairingLabError, SpecError
-from .scenarios import (CHECKS, CheckSpec, claim_id, load_catalog,
-                        load_scenario_file, run_check, run_scenario,
-                        shipped_catalog_dir)
+from .scenarios import (CHECKS, CheckSpec, _error_outcome, claim_id,
+                        load_catalog, load_scenario_file, run_check,
+                        run_scenario, shipped_catalog_dir)
 
 
 def _tol_scale():
@@ -79,8 +84,14 @@ def _collect_scenarios(path, keep_going):
 
 
 def _scenario_report(scenario, tol_scale, stable):
+    """(report, outcomes) of one scenario; a module-level function so that
+    a worker process can run it."""
     t0 = time.time()
-    outcomes = run_scenario(scenario, tol_scale=tol_scale)
+    return _report(scenario, run_scenario(scenario, tol_scale=tol_scale),
+                   stable, t0)
+
+
+def _report(scenario, outcomes, stable, t0):
     report = {
         "scenario": scenario.id,
         "checks": [o.to_report() for o in outcomes],
@@ -93,6 +104,31 @@ def _scenario_report(scenario, tol_scale, stable):
             "platform": platform.platform(),
         }
     return report, outcomes
+
+
+def _pooled_reports(scenarios, tol_scale, stable, jobs):
+    """_scenario_report of each scenario, in order, from worker processes.
+
+    A check that raises fails alone inside its worker.  A scenario whose
+    future raises instead (a dead worker gives BrokenProcessPool, which
+    also fails every scenario still pending) fails each of its checks with
+    that error; the scenarios that finished keep their outcomes.
+    """
+    t0 = time.time()
+    with ProcessPoolExecutor(max_workers=min(jobs, len(scenarios))) as pool:
+        futures = [pool.submit(_scenario_report, sc, tol_scale, stable)
+                   for sc in scenarios]
+        results = []
+        for sc, fut in zip(scenarios, futures):
+            try:
+                results.append(fut.result())
+            except Exception as exc:
+                outcomes = [_error_outcome(sc.id, c.name,
+                                           c.tolerance * tol_scale, exc)
+                            for c in sc.checks]
+                # timed from the pool's start: when it ran is unknown
+                results.append(_report(sc, outcomes, stable, t0))
+    return results
 
 
 def _finite_or_null(obj):
@@ -132,19 +168,15 @@ def cmd_run(args):
     outdir = pathlib.Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    def job(sc):
-        return sc.id, _scenario_report(sc, scale, args.stable)
-
     if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = dict(pool.map(job, scenarios))
+        results = _pooled_reports(scenarios, scale, args.stable, args.jobs)
     else:
-        results = dict(job(sc) for sc in scenarios)
+        results = [_scenario_report(sc, scale, args.stable)
+                   for sc in scenarios]
 
     all_pass = True
     rows = []
-    for sc in scenarios:  # deterministic aggregation order
-        report, outcomes = results[sc.id]
+    for sc, (report, outcomes) in zip(scenarios, results):  # file order
         _write_atomic(outdir / f"{sc.id}.json",
                       json.dumps(_finite_or_null(report), indent=2,
                                  sort_keys=True, allow_nan=False) + "\n")
@@ -161,6 +193,15 @@ def cmd_run(args):
     w.writerows(rows)
     _write_atomic(outdir / "aggregate.csv", buf.getvalue())
     return 0 if all_pass else 1
+
+
+def _jobs(text):
+    """--jobs as an integer >= 1; argparse turns an error into exit 2."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1, got {text!r}")
+    return n
 
 
 def cmd_list(args):
@@ -221,8 +262,9 @@ def main(argv=None):
                        help="skip malformed scenario files")
     p_run.add_argument("--stable", action="store_true",
                        help="omit timing/environment stamps from reports")
-    p_run.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="run scenarios in N parallel workers")
+    p_run.add_argument("--jobs", type=_jobs, default=1, metavar="N",
+                       help="run scenarios in N worker processes "
+                            "(default 1: in this process)")
     p_run.add_argument("--out", default="lab_reports",
                        help="report output directory")
     p_run.set_defaults(func=cmd_run)

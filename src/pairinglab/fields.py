@@ -26,6 +26,8 @@ __all__ = [
     "Mollifier2D",
 ]
 
+_SUP_BLOCK = 8192   # (x, t) sample points per magnitude call in sup_norm
+
 
 @dataclass(frozen=True)
 class FieldB:
@@ -79,14 +81,22 @@ class FieldB:
         ts = np.linspace(t0, t1, 1 if self.lipschitz_t == 0 else nt)
         if self.dim == 1:
             xs = np.linspace(box[0], box[1], n)
-            vals = self.magnitude(xs[:, None], ts[None, :])
         else:
             (x0, x1), (y0, y1) = box
             gx = np.linspace(x0, x1, n)
             gy = np.linspace(y0, y1, n)
-            pts = np.stack(np.meshgrid(gx, gy, indexing="ij"), axis=-1)
-            vals = self.magnitude(pts[..., None, :], ts[None, None, :])
-        return float(np.max(vals))
+            xs = np.stack(np.meshgrid(gx, gy, indexing="ij"),
+                          axis=-1).reshape(-1, 2)
+        # the (x, t) sample in blocks of at most _SUP_BLOCK points, so that
+        # a mollified field, which spreads each point over its kernel
+        # nodes, never needs the whole sample times the nodes at once
+        tb = min(len(ts), _SUP_BLOCK)
+        xb = _SUP_BLOCK // tb
+        maxima = [np.max(self.magnitude(xs[i:i + xb, None],
+                                        ts[None, j:j + tb]))
+                  for i in range(0, len(xs), xb)
+                  for j in range(0, len(ts), tb)]
+        return float(np.max(maxima))
 
 
 # ---------------------------------------------------------------------------

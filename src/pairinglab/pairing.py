@@ -70,9 +70,6 @@ class PairingMeasure:
     def integrate(self, phi, tol=1e-9):
         return self.measure.integrate(phi, tol=tol)
 
-    def variation_integrate(self, phi, tol=1e-9):
-        return self.measure.variation().integrate(phi, tol=tol)
-
 
 # ---------------------------------------------------------------------------
 # Per-element t-quadrature int_0^{u} g(t) dt
@@ -142,7 +139,9 @@ def cylindrical_average(field: FieldB, t, nu, x, r0=0.25, rho0=0.25,
     """Double-limit average of b_t . nu over shrinking cylinders at x.
 
     The inner radius r shrinks first at fixed rho, then rho shrinks; both
-    run over geometric sequences of ratio 1/2 with Aitken acceleration.
+    run over geometric sequences of ratio 1/2 with Aitken acceleration of
+    the last five terms only: the first cylinders may still contain a
+    singular point of the field, and their terms would bias the limit.
     """
     if field.dim == 1:
         x = float(np.asarray(x).reshape(()))
@@ -153,7 +152,7 @@ def cylindrical_average(field: FieldB, t, nu, x, r0=0.25, rho0=0.25,
             r = r0 * 0.5 ** i
             raw.append(_interval_average(field, t, x, r))
             table.append((r, raw[-1] * nu))
-            ext = aitken(raw)
+            ext = aitken(raw[-5:])
             if ext_prev is not None and abs(ext - ext_prev) <= threshold \
                     and i >= 3:
                 return CylAverage(ext * nu, tuple(table), True)
@@ -172,7 +171,7 @@ def cylindrical_average(field: FieldB, t, nu, x, r0=0.25, rho0=0.25,
         for i in range(depth):
             r = r0 * 0.5 ** i
             inner_raw.append(_cylinder_average(field, t, nu, x, r, rho))
-            inner_val = aitken(inner_raw)
+            inner_val = aitken(inner_raw[-5:])
             if inner_prev is not None \
                     and abs(inner_val - inner_prev) <= 0.1 * threshold \
                     and i >= 3:
@@ -180,7 +179,7 @@ def cylindrical_average(field: FieldB, t, nu, x, r0=0.25, rho0=0.25,
             inner_prev = inner_val
         outer_raw.append(inner_val)
         table.append((rho, inner_val))
-        ext = aitken(outer_raw)
+        ext = aitken(outer_raw[-5:])
         if ext_prev is not None and abs(ext - ext_prev) <= threshold \
                 and j >= 2:
             return CylAverage(ext, tuple(table), True)
@@ -417,11 +416,6 @@ def pairing_distributional(field: FieldB, u, phi, tol=1e-9,
 
 # ---------------------------------------------------------------------------
 # Representation route
-
-
-def _jump_normal_1d(u, x):
-    j = u.jump_at(x)
-    return None if j is None else j.nu
 
 
 def _diffuse_normal_1d(u, x):

@@ -200,8 +200,10 @@ def parse_scenario(d):
                 raise SpecError(
                     f"unknown check {c['name']!r} in {d['id']!r}")
             tol = float(c["tolerance"])
-            if tol <= 0:
-                raise SpecError(f"non-positive tolerance in {d['id']!r}")
+            # an infinite or NaN tolerance would give a gate that never fails
+            if not (math.isfinite(tol) and tol > 0):
+                raise SpecError(f"tolerance must be a finite number > 0 "
+                                f"in {d['id']!r}, got {c['tolerance']!r}")
             params = dict(c.get("params", {}))
             if c["name"] == "mass_bound" and "windows" in params:
                 w = params["windows"]

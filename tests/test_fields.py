@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pairinglab import fields
 from pairinglab.errors import AssumptionViolation, WindowTooLarge
-from pairinglab.fields import (field_catalog, make_field, mollify, sigma_k,
-                               truncate)
+from pairinglab.fields import (FieldB, field_catalog, make_field, mollify,
+                               sigma_k, truncate)
 
 KINDS_1D = ("const", "gt", "xt", "sep", "tanh")
 KINDS_2D = ("const2d", "linear2d", "gt2d", "radial2d")
@@ -195,6 +196,41 @@ def test_sup_norm_of_t_dependent_field_samples_t():
     # attained at the interior grid t = 1.6, not at t = -4 (1.3784...)
     assert got == pytest.approx(1.0 + 0.5 * math.sin(1.6), rel=1e-14)
     assert got - (1.0 + 0.5 * math.sin(-4.0)) > 0.12
+
+
+@pytest.mark.parametrize("block", [50, 4])
+def test_sup_norm_of_mollified_t_dependent_field_in_blocks(block,
+                                                           monkeypatch):
+    # blocks of 5 x-points by all 9 t-values, then of 1 x-point by 4 t-values;
+    # the mollifier's rounding depends on the array shape, hence rel=1e-15
+    f = mollify(field_catalog("gt2d"), 0.05)
+    box = ((-0.6, 0.4), (-0.3, 0.5))
+    want = _full_grid_sup(f, box, (-4.0, 4.0), n=21, nt=9)
+    assert 1.0 < want < 1.5
+    monkeypatch.setattr(fields, "_SUP_BLOCK", block)
+    got = f.sup_norm(box, (-4.0, 4.0), n=21, nt=9)
+    assert got == pytest.approx(want, rel=1e-15)
+    g = field_catalog("gt2d")
+    assert g.sup_norm(box, (-4.0, 4.0), n=21, nt=9) \
+        == _full_grid_sup(g, box, (-4.0, 4.0), n=21, nt=9)
+
+
+def test_sup_norm_evaluates_at_most_a_block_at_once(monkeypatch):
+    f = field_catalog("gt2d")
+    box = ((-1.0, 1.0), (-0.5, 0.5))
+    want = _full_grid_sup(f, box, (-4.0, 4.0))
+    seen = []
+    magnitude = FieldB.magnitude
+
+    def spy(self, x, t):
+        seen.append(math.prod(np.broadcast_shapes(np.shape(x)[:-1],
+                                                  np.shape(t))))
+        return magnitude(self, x, t)
+
+    monkeypatch.setattr(FieldB, "magnitude", spy)
+    assert f.sup_norm(box, (-4.0, 4.0)) == want
+    assert 0 < max(seen) <= fields._SUP_BLOCK
+    assert sum(seen) == 161 * 161 * 81
 
 
 @given(st.floats(-3.0, 3.0))

@@ -149,6 +149,21 @@ def test_cyl_average_odd_symmetry_zero():
     assert abs(got2.value) < 1e-7
 
 
+def test_cyl_average_near_a_singular_point():
+    # 0.0053 from the origin, where radial2d is singular: the first
+    # cylinders contain the origin, and extrapolating over their terms gave
+    # -0.41019596 (converged) for the limit b . nu = -0.41015628
+    f = field_catalog("radial2d")
+    t = 0.5136295604293177
+    x = (0.004554446103657739, -0.0028021761813354917)
+    ang = 3.7381977576096683
+    nu = (math.cos(ang), math.sin(ang))
+    got = cylindrical_average(f, t, nu, x)
+    want = float(np.asarray(f.eval(np.array(x), t)) @ np.array(nu))
+    assert got.converged
+    assert abs(got.value - want) <= 1e-9
+
+
 def test_jump_theta_constant_field(field_const):
     th = jump_theta(field_const, 0.3, 0.2, 1.2, 1.0)
     assert abs(th - 1.0) < 1e-10

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import math
+import os
 import shutil
 
 import pytest
@@ -43,6 +45,15 @@ def test_parse_rejects_bad_tolerance():
     bad = dict(FAST_SCENARIO,
                checks=[{"name": "two_route", "tolerance": 0.0}])
     with pytest.raises(SpecError):
+        parse_scenario(bad)
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.inf, -math.inf, math.nan])
+def test_parse_rejects_non_finite_or_negative_tolerance(tol):
+    # an infinite or NaN tolerance would make a gate that cannot fail
+    bad = dict(FAST_SCENARIO,
+               checks=[{"name": "two_route", "tolerance": tol}])
+    with pytest.raises(SpecError, match="finite number > 0"):
         parse_scenario(bad)
 
 
@@ -480,6 +491,98 @@ def test_cli_jobs_parallel_matches_serial(tmp_path):
             == (par / f"{sid}.json").read_bytes()
     assert (serial / "aggregate.csv").read_bytes() \
         == (par / "aggregate.csv").read_bytes()
+
+
+def _three_scenarios(tmp_path):
+    d = tmp_path / "cat"
+    d.mkdir()
+    for sid in ("a_one", "b_two", "c_three"):
+        (d / f"{sid}.json").write_text(
+            json.dumps(dict(FAST_SCENARIO, id=sid)))
+    return d
+
+
+def _fail_chain_rule_of_b_two(monkeypatch, fail):
+    real = CHECKS["chain_rule"]
+
+    def check(ctx, params, tol):
+        if ctx.id == "b_two":
+            fail()
+        return real(ctx, params, tol)
+
+    monkeypatch.setitem(CHECKS, "chain_rule", check)
+
+
+def test_cli_jobs_mixed_outcomes_match_serial(tmp_path, monkeypatch):
+    def boom():
+        raise ValueError("boom")
+
+    _fail_chain_rule_of_b_two(monkeypatch, boom)
+    d = _three_scenarios(tmp_path)
+    serial = tmp_path / "serial"
+    par = tmp_path / "par"
+    assert main(["run", str(d), "--stable", "--out", str(serial)]) == 1
+    assert main(["run", str(d), "--stable", "--jobs", "2",
+                 "--out", str(par)]) == 1
+    names = sorted(p.name for p in serial.iterdir())
+    assert names == ["a_one.json", "aggregate.csv", "b_two.json",
+                     "c_three.json"]
+    assert sorted(p.name for p in par.iterdir()) == names
+    for name in names:
+        assert (serial / name).read_bytes() == (par / name).read_bytes()
+    checks = _strict_load(par / "b_two.json")["checks"]
+    assert [c["pass"] for c in checks] == [True, False]
+    assert checks[1]["diagnostics"] == {"error": "ValueError: boom"}
+
+
+def test_cli_jobs_dead_worker_fails_its_scenario(tmp_path, monkeypatch):
+    # the fork start method hands the patched check to the workers
+    _fail_chain_rule_of_b_two(monkeypatch, lambda: os._exit(1))
+    d = _three_scenarios(tmp_path)
+    outdir = tmp_path / "r"
+    assert main(["run", str(d), "--stable", "--jobs", "2",
+                 "--out", str(outdir)]) == 1
+    assert sorted(p.name for p in outdir.iterdir()) == [
+        "a_one.json", "aggregate.csv", "b_two.json", "c_three.json"]
+    rep = _strict_load(outdir / "b_two.json")
+    assert rep["overall_pass"] is False
+    assert [c["check"] for c in rep["checks"]] == ["two_route", "chain_rule"]
+    for c in rep["checks"]:
+        assert c["pass"] is False
+        assert c["diagnostics"]["error"].startswith("BrokenProcessPool: ")
+    assert [(r[0], r[1]) for r in _aggregate_rows(outdir)] == [
+        (sid, name) for sid in ("a_one", "b_two", "c_three")
+        for name in ("two_route", "chain_rule")]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_cli_rejects_jobs_below_one(jobs, tmp_path, capsys):
+    p = _write_fast(tmp_path)
+    outdir = tmp_path / "r"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(p), "--jobs", jobs, "--out", str(outdir)])
+    assert exc.value.code == 2
+    assert not outdir.exists()
+    assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["1e309", "-1e309", "NaN", "0", "-1"])
+def test_cli_non_finite_tolerance_is_a_spec_error(tol, tmp_path, capsys):
+    d = tmp_path / "cat"
+    d.mkdir()
+    bad = dict(FAST_SCENARIO, id="a_bad",
+               checks=[{"name": "two_route", "tolerance": 1e-6}])
+    (d / "a_bad.json").write_text(
+        json.dumps(bad).replace("1e-06", tol))
+    (d / "tiny_jump.json").write_text(json.dumps(FAST_SCENARIO))
+    outdir = tmp_path / "r"
+    assert main(["run", str(d), "--out", str(outdir)]) == 2
+    assert not outdir.exists()
+    assert main(["run", str(d), "--keep-going", "--out", str(outdir)]) == 0
+    assert sorted(p.name for p in outdir.iterdir()) \
+        == ["aggregate.csv", "tiny_jump.json"]
+    err = capsys.readouterr().err
+    assert "skipped" in err and "a_bad.json" in err and "tolerance" in err
 
 
 def test_cli_series_blowup(tmp_path, capsys):
