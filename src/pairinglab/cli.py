@@ -8,17 +8,21 @@
 a directory of them; default: the shipped catalog), writes one report JSON
 per scenario plus an aggregate CSV, and exits 0 only if everything passed.
 Exit code 2 flags scenario files that could not be parsed, among them
-files that name an unknown check or a mass_bound ``windows`` that is not an
-integer >= 1, and a file whose scenario id an earlier file already has; with
---keep-going such files are skipped with a logged reason instead.  A
-scenario that parses but does not resolve fails each of its checks with the
-error, and the other scenarios are still run.  Reports are strict JSON: a
-non-finite number is written as null.
+files that name an unknown check or give a check parameter that would leave
+it nothing to test (``windows``, ``points`` or ``count`` not an integer
+>= 1, ``eps0`` not a finite number > 0, an empty or non-finite ``taus``,
+``ks``, ``radii`` or ``n_values``), and a file whose scenario id an earlier
+file already has; with --keep-going such files are skipped with a logged
+reason instead.  A scenario that parses but does not resolve fails each of
+its checks with the error, and the other scenarios are still run.  Reports
+are strict JSON: a non-finite number is written as null.
 
 ``--jobs N`` runs the scenarios in N worker processes (N must be an
 integer >= 1; the default 1 runs them in this process) and writes the same
-reports in the same order.  If a worker dies, each scenario it left
-unfinished fails all of its checks with the error; the run goes on.
+reports in the same order.  If a worker dies, each scenario the broken
+pool left unfinished is run again alone in a fresh worker, so only the
+scenario that kills its worker fails, with each of its checks reporting
+the error; the run goes on.
 
 The environment variable LAB_TOL_SCALE multiplies every tolerance; it must
 be a finite number > 0, or ``run`` and ``series`` exit with code 2.
@@ -35,6 +39,7 @@ import platform
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 from .errors import PairingLabError, SpecError
 from .scenarios import (CHECKS, CheckSpec, _error_outcome, claim_id,
@@ -106,28 +111,37 @@ def _report(scenario, outcomes, stable, t0):
     return report, outcomes
 
 
+def _pool_run(scenarios, tol_scale, stable, workers):
+    """_scenario_report of each scenario from a pool of worker processes:
+    its result, or the exception its future raised."""
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_scenario_report, sc, tol_scale, stable)
+                   for sc in scenarios]
+        return [fut.exception() or fut.result() for fut in futures]
+
+
 def _pooled_reports(scenarios, tol_scale, stable, jobs):
     """_scenario_report of each scenario, in order, from worker processes.
 
-    A check that raises fails alone inside its worker.  A scenario whose
-    future raises instead (a dead worker gives BrokenProcessPool, which
-    also fails every scenario still pending) fails each of its checks with
-    that error; the scenarios that finished keep their outcomes.
+    A check that raises fails alone inside its worker.  A dead worker
+    breaks the whole pool, so each scenario that got BrokenProcessPool is
+    run again in a one-worker pool of its own, one after another: only a
+    scenario that kills its worker fails.  A scenario whose future raises
+    fails each of its checks with that error; the others keep their
+    outcomes.
     """
     t0 = time.time()
-    with ProcessPoolExecutor(max_workers=min(jobs, len(scenarios))) as pool:
-        futures = [pool.submit(_scenario_report, sc, tol_scale, stable)
-                   for sc in scenarios]
-        results = []
-        for sc, fut in zip(scenarios, futures):
-            try:
-                results.append(fut.result())
-            except Exception as exc:
-                outcomes = [_error_outcome(sc.id, c.name,
-                                           c.tolerance * tol_scale, exc)
-                            for c in sc.checks]
-                # timed from the pool's start: when it ran is unknown
-                results.append(_report(sc, outcomes, stable, t0))
+    results = _pool_run(scenarios, tol_scale, stable,
+                        min(jobs, len(scenarios)))
+    for i, sc in enumerate(scenarios):
+        if isinstance(results[i], BrokenProcessPool):
+            (results[i],) = _pool_run([sc], tol_scale, stable, 1)
+        if isinstance(results[i], BaseException):
+            outcomes = [_error_outcome(sc.id, c.name,
+                                       c.tolerance * tol_scale, results[i])
+                        for c in sc.checks]
+            # timed from the pool's start: when it ran is unknown
+            results[i] = _report(sc, outcomes, stable, t0)
     return results
 
 

@@ -25,6 +25,8 @@ from .measures import (Circle, DiscPatch, PolygonPatch, RadonMeasure1D,
                        RadonMeasure2D, Segment, _density_sign_breaks)
 from .quadrature import _leggauss, adaptive_simpson, aitken, polar_quad
 
+_T_BLOCK = 1 << 16   # t-nodes per integrand call in elementwise_t_integral
+
 __all__ = [
     "CylAverage",
     "NormalTrace",
@@ -75,32 +77,39 @@ class PairingMeasure:
 # Per-element t-quadrature int_0^{u} g(t) dt
 
 
-def elementwise_t_integral(fn, uv, kinks=(), n=24):
-    """Vectorized int_0^{uv} fn(t) dt with panel splits at fixed t-kinks.
+def elementwise_t_integral(fn, uv, *rows, kinks=(), n=24):
+    """Vectorized int_0^{uv} fn(t, *rows) dt, panels split at fixed t-kinks.
 
-    ``fn`` receives nodes of shape uv.shape + (m,) and may return either the
-    same shape (scalar integrand) or an extra trailing component axis.
+    ``rows`` are arrays whose leading axes are those of uv (points and
+    their data, such as phi there).  The leading rows of uv are walked in
+    blocks of at most _T_BLOCK t-nodes: ``fn`` receives the nodes of a
+    block, of shape uv[blk].shape + (m,), and the same block of each of
+    ``rows``, and returns a scalar integrand of the node shape.
     """
     uv = np.asarray(uv, dtype=float)
-    lo = np.minimum(uv, 0.0)
-    hi = np.maximum(uv, 0.0)
-    edges = [lo]
-    for kk in sorted(kinks):
-        edges.append(np.clip(np.full_like(uv, float(kk)), lo, hi))
-    edges.append(hi)
-    edges = np.stack(edges, axis=-1)
     gx, gw = _leggauss(n)
-    a = edges[..., :-1]
-    b = edges[..., 1:]
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    nodes = (mid[..., None] + half[..., None] * gx).reshape(uv.shape + (-1,))
-    w = (half[..., None] * gw).reshape(uv.shape + (-1,))
-    vals = np.asarray(fn(nodes), dtype=float)
-    sgn = np.where(uv >= 0.0, 1.0, -1.0)
-    if vals.ndim == nodes.ndim + 1:     # vector-valued integrand
-        return sgn[..., None] * np.sum(w[..., None] * vals, axis=-2)
-    return sgn * np.sum(w * vals, axis=-1)
+    cuts = [float(kk) for kk in sorted(kinks)]
+    per_row = gx.size * (len(cuts) + 1) * int(np.prod(uv.shape[1:]))
+    step = max(1, _T_BLOCK // per_row)
+    blocks = ([Ellipsis] if uv.ndim == 0 else
+              [slice(i, i + step) for i in range(0, uv.shape[0], step)])
+    out = np.empty(uv.shape)
+    for blk in blocks:
+        u = uv[blk]
+        lo = np.minimum(u, 0.0)
+        hi = np.maximum(u, 0.0)
+        edges = np.stack([lo] + [np.clip(np.full_like(u, kk), lo, hi)
+                                 for kk in cuts] + [hi], axis=-1)
+        a = edges[..., :-1]
+        b = edges[..., 1:]
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        nodes = (mid[..., None] + half[..., None] * gx).reshape(
+            u.shape + (-1,))
+        w = (half[..., None] * gw).reshape(u.shape + (-1,))
+        vals = np.asarray(fn(nodes, *(r[blk] for r in rows)), dtype=float)
+        out[blk] = np.where(u >= 0.0, 1.0, -1.0) * np.sum(w * vals, axis=-1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -343,15 +352,16 @@ def _dist_value_1d(field, u, phi, tol, numeric_t):
     lo, hi = phi.support
 
     if numeric_t:
+        def integrand(ts, x, f, df):
+            x = x[..., None]
+            return (f[..., None] * field.div_x(x, ts)
+                    + field.eval(x, ts) * df[..., None])
+
         def h(x, uv):
             x = np.asarray(x, dtype=float)
-            divB = elementwise_t_integral(
-                lambda ts: field.div_x(x[..., None], ts), uv,
-                kinks=field.t_kinks)
-            B = elementwise_t_integral(
-                lambda ts: field.eval(x[..., None], ts), uv,
-                kinks=field.t_kinks)
-            return phi(x) * divB + B * phi.gradient(x)
+            return elementwise_t_integral(integrand, uv, x, phi(x),
+                                          phi.gradient(x),
+                                          kinks=field.t_kinks)
     else:
         def h(x, uv):
             return (phi(x) * field.div_primitive(x, uv)
@@ -363,17 +373,18 @@ def _dist_value_1d(field, u, phi, tol, numeric_t):
 
 def _dist_value_2d(field, u, phi, tol, numeric_t):
     if numeric_t:
+        def integrand(ts, pts, f, grad):
+            pts = pts[..., None, :]
+            b = np.asarray(field.eval(pts, ts), dtype=float)
+            return (f[..., None] * field.div_x(pts, ts)
+                    + b[..., 0] * grad[..., 0, None]
+                    + b[..., 1] * grad[..., 1, None])
+
         def h(pts, uv):
             pts = np.asarray(pts, dtype=float)
-            divB = elementwise_t_integral(
-                lambda ts: field.div_x(pts[..., None, :], ts), uv,
-                kinks=field.t_kinks)
-            B = elementwise_t_integral(
-                lambda ts: field.eval(pts[..., None, :], ts), uv,
-                kinks=field.t_kinks)
-            grad = phi.gradient(pts)
-            return (phi(pts) * divB + B[..., 0] * grad[..., 0]
-                    + B[..., 1] * grad[..., 1])
+            return elementwise_t_integral(integrand, uv, pts, phi(pts),
+                                          phi.gradient(pts),
+                                          kinks=field.t_kinks)
     else:
         def h(pts, uv):
             B = np.asarray(field.primitive(pts, uv), dtype=float)
@@ -509,9 +520,10 @@ def _representation_2d(field, u, tol):
                 pts = np.asarray(pts, dtype=float)
                 nu = normal_at(pts) * sgn
                 return sgn * elementwise_t_integral(
-                    lambda ts: _fast_q(field, pts[..., None, :],
-                                       nu[..., None, :], ts),
-                    np.full(pts.shape[:-1], val), kinks=field.t_kinks)
+                    lambda ts, p, n: _fast_q(field, p[..., None, :],
+                                             n[..., None, :], ts),
+                    np.full(pts.shape[:-1], val), pts, nu,
+                    kinks=field.t_kinks)
             return density
 
         parts = []

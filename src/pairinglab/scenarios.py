@@ -192,6 +192,35 @@ class ResolvedScenario:
         return self._dist[key]
 
 
+def _is_real(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _validate_params(sid, check, params):
+    """SpecError for a check parameter that would make its gate vacuous.
+
+    Zero windows, cylinder points or sequence elements, and an empty list
+    of taus, ks, radii or n_values, leave a check nothing to test, so it
+    would pass with residual 0; a non-finite or non-positive eps0, or a
+    non-finite list entry, gives no meaningful sample at all.
+    """
+    for key in ("windows", "points", "count"):
+        v = params.get(key, 1)
+        if type(v) is not int or v < 1:
+            raise SpecError(f"{check} {key} must be an integer >= 1 in "
+                            f"{sid!r}, got {v!r}")
+    v = params.get("eps0", 1.0)
+    if not (_is_real(v) and math.isfinite(v) and v > 0):
+        raise SpecError(f"{check} eps0 must be a finite number > 0 in "
+                        f"{sid!r}, got {v!r}")
+    for key in ("taus", "ks", "radii", "n_values"):
+        v = params.get(key, [1.0])
+        if not (isinstance(v, list) and v
+                and all(_is_real(x) and math.isfinite(x) for x in v)):
+            raise SpecError(f"{check} {key} must be a non-empty list of "
+                            f"finite numbers in {sid!r}, got {v!r}")
+
+
 def parse_scenario(d):
     try:
         checks = []
@@ -205,12 +234,7 @@ def parse_scenario(d):
                 raise SpecError(f"tolerance must be a finite number > 0 "
                                 f"in {d['id']!r}, got {c['tolerance']!r}")
             params = dict(c.get("params", {}))
-            if c["name"] == "mass_bound" and "windows" in params:
-                w = params["windows"]
-                # zero windows would let mass_bound pass without testing any
-                if type(w) is not int or w < 1:
-                    raise SpecError(f"mass_bound windows must be an integer "
-                                    f">= 1 in {d['id']!r}, got {w!r}")
+            _validate_params(d["id"], c["name"], params)
             checks.append(CheckSpec(c["name"], tol, params))
         window = d.get("window")
         if window is not None:
@@ -389,7 +413,7 @@ def _check_gauss_green(ctx, params, tol):
 
 
 def _check_cyl_average(ctx, params, tol):
-    n = int(params.get("points", 20))
+    n = params.get("points", 20)
     rng = _rng(ctx, "cyl")
     lo, hi = ctx.u.value_range()
     worst = 0.0
@@ -426,7 +450,7 @@ def _check_cyl_average(ctx, params, tol):
 
 def _eps_schedule(params, eps0=0.04, count=7):
     e0 = float(params.get("eps0", eps0))
-    n = int(params.get("count", count))
+    n = params.get("count", count)
     return tuple(e0 * 0.5 ** i for i in range(n))
 
 
@@ -453,7 +477,7 @@ def _sequence_for(ctx, params):
                                                              mode=mode)
     if kind == "constant":
         return variational.ApproximatingSequence.constant(
-            ctx.u, int(params.get("count", 6)), mode=mode)
+            ctx.u, params.get("count", 6), mode=mode)
     raise SpecError(f"unknown sequence kind {kind!r}")
 
 

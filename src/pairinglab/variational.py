@@ -34,6 +34,8 @@ from .pairing import pairing_by_representation
 # ---------------------------------------------------------------------------
 # Polynomial mollification kernel (quartic, compactly supported on [-1, 1])
 
+_WINDOW_BLOCK = 1 << 16   # kernel terms per block in MollifiedBv1D sums
+
 
 def _kernel_rho(t):
     t = np.asarray(t, dtype=float)
@@ -120,20 +122,32 @@ class MollifiedBv1D:
         return np.asarray(self._ac.derivative(shifted)) @ self._ac_weights
 
     def _cantor_sum(self, x, kernel, cumulative=False):
+        """leaf_mass * sum over the leaves of kernel(x - mid).
+
+        The kernel is supported on [-eps, eps]: a leaf with mid >= x + eps
+        adds nothing, one with mid <= x - eps adds nothing to the density
+        and its full mass to the CDF (``cumulative``).  Only the window of
+        leaves in between is evaluated, padded to the widest window and
+        masked, in blocks of at most _WINDOW_BLOCK kernel terms.
+        """
         out = np.zeros(x.shape)
         if self.leaf_mids is None:
             return out
-        lo = self.leaf_mids[0] - self.epsilon
-        hi = self.leaf_mids[-1] + self.epsilon
+        mids = self.leaf_mids
+        first = np.searchsorted(mids, x - self.epsilon, side="right")
+        width = np.searchsorted(mids, x + self.epsilon, side="left") - first
         if cumulative:
-            out[x >= hi] = self.leaf_mass * self.leaf_mids.size
-        mid = (x > lo) & (x < hi)
-        idx = np.nonzero(mid)[0]
-        for k in range(0, idx.size, 128):
-            sel = idx[k:k + 128]
-            out[sel] = self.leaf_mass * kernel(
-                x[sel][:, None] - self.leaf_mids).sum(axis=1)
-        return out
+            out += first
+        k = int(width.max(initial=0))
+        offsets = np.arange(k)
+        step = _WINDOW_BLOCK // max(k, 1)
+        for i in range(0, x.size, step):
+            blk = slice(i, i + step)
+            idx = np.minimum(first[blk, None] + offsets, mids.size - 1)
+            terms = kernel(x[blk, None] - mids[idx])
+            out[blk] += np.where(offsets < width[blk, None], terms, 0.0).sum(
+                axis=1)
+        return self.leaf_mass * out
 
     def value(self, x):
         x = np.asarray(x, dtype=float)

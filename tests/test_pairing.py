@@ -1,5 +1,6 @@
 """Pairing routes, cylindrical averages, coarea/chain-rule/mass-bound checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,9 +11,10 @@ from hypothesis import strategies as st
 from pairinglab.bv import (BvFunction1D, Disc, JumpPoint, Piecewise1D,
                            PiecewiseConstantBv2D, PolygonRegion,
                            gradient_measure)
-from pairinglab.errors import BoundViolated
-from pairinglab.fields import field_catalog
-from pairinglab.measures import TestFunction1D
+from pairinglab import pairing
+from pairinglab.errors import AssumptionViolation, BoundViolated, FormMismatch
+from pairinglab.fields import FieldB, field_catalog, make_field
+from pairinglab.measures import TestFunction1D, TestFunction2D
 from pairinglab.scenarios import _windows_for, load_catalog
 from pairinglab.pairing import (approximation_convergence_check,
                                 chain_rule_check, coarea_pairing_check,
@@ -295,3 +297,84 @@ def test_representation_theta_bounded_by_sigma(field_gt, u_mixed):
     sig = np.asarray(field_gt.sigma(xs), float)
     for x, s in zip(xs, sig):
         assert abs(rep.theta(float(x))) <= s + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the form check: one fused, blocked t-integral per integrand call
+
+
+def _off_by(field, name):
+    """A copy of ``field`` whose ``name`` evaluator is off by 1e-3 t.
+
+    A 2D primitive is off by 1e-3 t x: a shift that is constant in x
+    pairs to zero with the gradient of a radial phi on a concentric disc.
+    """
+    f = getattr(field, name)
+    if field.dim == 2 and name == "primitive":
+        wrong = lambda x, t: f(x, t) + 1e-3 * np.asarray(t, float)[
+            ..., None] * np.asarray(x, float)
+    else:
+        wrong = lambda x, t: f(x, t) + 1e-3 * np.asarray(t, float)
+    kwargs = {k.name: getattr(field, k.name)
+              for k in dataclasses.fields(field)}
+    kwargs[name] = wrong
+    # make_field's finite-difference checks already reject a primitive
+    # that does not match b; the gate must catch it on its own
+    with pytest.raises(AssumptionViolation):
+        make_field(**kwargs)
+    return FieldB(**kwargs)
+
+
+# phi's gradient does not vanish on the unit disc, so the primitive itself,
+# not only its divergence, enters the pairing there
+PHI_SLOPE = TestFunction2D.radial((0.0, 0.0), 0.5, 1.9)
+
+
+@pytest.mark.parametrize("wrong", ["primitive", "div_primitive"])
+@pytest.mark.parametrize("kind", ["const", "gt"])
+def test_form_check_catches_a_wrong_primitive_1d(kind, wrong, u_cantor,
+                                                 u_jump, phi_plateau,
+                                                 phi_bump):
+    field = field_catalog(kind)
+    bad = _off_by(field, wrong)
+    assert u_cantor.cantor.ladder.depth == 18
+    for u, phi in ((u_cantor, phi_plateau), (u_jump, phi_bump)):
+        with pytest.raises(FormMismatch):
+            pairing_distributional(bad, u, phi)
+    pairing_distributional(field, u_jump, phi_bump)   # the right one passes
+
+
+@pytest.mark.parametrize("wrong", ["primitive", "div_primitive"])
+def test_form_check_catches_a_wrong_primitive_2d(wrong, u_disc):
+    field = field_catalog("linear2d")
+    with pytest.raises(FormMismatch):
+        pairing_distributional(_off_by(field, wrong), u_disc, PHI_SLOPE)
+    pairing_distributional(field, u_disc, PHI_SLOPE)
+
+
+@pytest.mark.parametrize("kinks", [(), (-1.0, 0.5)])
+def test_blocked_t_integral_equals_unblocked(kinks, monkeypatch):
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-2.0, 2.0, (700, 6))
+    uv = rng.uniform(-3.0, 3.0, (700, 6))          # both signs
+    assert (uv < 0).any() and (uv > 0).any()
+    seen = []
+
+    def fn(ts, xb):
+        seen.append(ts.size)
+        return np.sin(xb[..., None] + ts) * (1.0 + np.abs(ts - 0.5))
+
+    def run(block):
+        monkeypatch.setattr(pairing, "_T_BLOCK", block)
+        seen.clear()
+        out = pairing.elementwise_t_integral(fn, uv, x, kinks=kinks)
+        assert max(seen) <= max(block, 24 * (len(kinks) + 1) * 6)
+        return out, len(seen)
+
+    default = pairing._T_BLOCK
+    whole, calls = run(1 << 40)
+    assert calls == 1
+    for block in (1, 1000, default):
+        blocked, calls = run(block)
+        assert calls > 1
+        assert np.array_equal(blocked, whole)

@@ -13,7 +13,8 @@ from pairinglab.cli import main
 from pairinglab.errors import SpecError, UnknownCheck
 from pairinglab.scenarios import (CHECKS, CheckSpec, load_catalog,
                                   load_scenario_file, parse_scenario,
-                                  run_check, run_scenario)
+                                  run_check, run_scenario,
+                                  shipped_catalog_dir)
 
 FAST_SCENARIO = {
     "id": "tiny_jump",
@@ -342,6 +343,75 @@ def test_cli_vacuous_mass_bound_windows_is_a_spec_error(windows, tmp_path,
     assert "skipped" in err and "a_bad.json" in err and "windows" in err
 
 
+S03_PATH = shipped_catalog_dir() / "s03_jump_const.json"
+
+
+@pytest.mark.parametrize("check, params", [
+    ("cyl_average", {"points": 0}),
+    ("cyl_average", {"points": -5}),
+    ("lipschitz", {"taus": []}),
+    ("sigma_k", {"ks": []}),
+], ids=["points0", "points-5", "taus", "ks"])
+def test_cli_vacuous_check_params_are_spec_errors(check, params, tmp_path,
+                                                  capsys):
+    # each of these passed with residual 0 even under tolerance 1e-30
+    bad = dict(json.loads(S03_PATH.read_text()), id="a_bad",
+               checks=[{"name": check, "tolerance": 1e-30,
+                        "params": params}])
+    d = _catalog_dir(tmp_path, {"a_bad.json": bad,
+                                "tiny_jump.json": FAST_SCENARIO})
+    outdir = tmp_path / "r"
+    assert main(["run", str(d), "--out", str(outdir)]) == 2
+    assert not outdir.exists()
+    assert main(["run", str(d), "--keep-going", "--out", str(outdir)]) == 0
+    assert sorted(p.name for p in outdir.iterdir()) \
+        == ["aggregate.csv", "tiny_jump.json"]
+    err = capsys.readouterr().err
+    assert "skipped" in err and "a_bad.json" in err
+    assert next(iter(params)) in err
+
+
+@pytest.mark.parametrize("check, params", [
+    ("cyl_average", {"points": 2.5}),
+    ("cyl_average", {"points": True}),
+    ("cyl_average", {"points": "20"}),
+    ("continuity", {"count": 0}),
+    ("lsc", {"count": -1}),
+    ("approximation", {"eps0": 0.0}),
+    ("relaxation", {"eps0": -0.04}),
+    ("relaxation", {"eps0": math.inf}),
+    ("relaxation", {"eps0": math.nan}),
+    ("relaxation", {"eps0": "0.04"}),
+    ("lipschitz", {"taus": [0.5, math.nan]}),
+    ("lipschitz", {"taus": 0.5}),
+    ("sigma_k", {"ks": [math.inf]}),
+    ("blowup", {"radii": []}),
+    ("blowup", {"radii": [0.01, math.inf]}),
+    ("lsc", {"sequence": "oscillation", "n_values": []}),
+    ("lsc", {"sequence": "oscillation", "n_values": [4, None]}),
+])
+def test_parse_rejects_vacuous_check_params(check, params):
+    bad = dict(FAST_SCENARIO, checks=[{"name": check, "tolerance": 1e-6,
+                                       "params": params}])
+    with pytest.raises(SpecError, match=list(params)[-1]):
+        parse_scenario(bad)
+
+
+@pytest.mark.parametrize("check, params", [
+    ("cyl_average", {"points": 1}),
+    ("continuity", {"count": 1}),
+    ("relaxation", {"eps0": 1e-3}),
+    ("lipschitz", {"taus": [0.5]}),
+    ("sigma_k", {"ks": [2]}),
+    ("blowup", {"radii": [0.01, 0.005, 0.0025]}),
+    ("lsc", {"sequence": "oscillation", "n_values": [4]}),
+])
+def test_parse_accepts_minimal_check_params(check, params):
+    ok = dict(FAST_SCENARIO, checks=[{"name": check, "tolerance": 1e-6,
+                                      "params": params}])
+    assert parse_scenario(ok).checks[0].params == params
+
+
 @pytest.mark.parametrize("keep_going", [[], ["--keep-going"]])
 def test_cli_unresolvable_scenario_fails_only_itself(keep_going, tmp_path):
     bad = dict(FAST_SCENARIO, id="a_bad", field={"kind": "nope"})
@@ -550,6 +620,14 @@ def test_cli_jobs_dead_worker_fails_its_scenario(tmp_path, monkeypatch):
     for c in rep["checks"]:
         assert c["pass"] is False
         assert c["diagnostics"]["error"].startswith("BrokenProcessPool: ")
+    # the scenarios the broken pool left are run again alone: only the
+    # one that kills its worker fails
+    for sid in ("a_one", "c_three"):
+        rep = _strict_load(outdir / f"{sid}.json")
+        assert rep["overall_pass"] is True, sid
+        assert all("error" not in c["diagnostics"] for c in rep["checks"])
+    assert [r[3] for r in _aggregate_rows(outdir)] == [
+        "pass", "pass", "fail", "fail", "pass", "pass"]
     assert [(r[0], r[1]) for r in _aggregate_rows(outdir)] == [
         (sid, name) for sid in ("a_one", "b_two", "c_three")
         for name in ("two_route", "chain_rule")]

@@ -1,0 +1,40 @@
+"""Smoke test of tools/time_catalog.py on one fast scenario."""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+from pairinglab.scenarios import load_catalog
+
+TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" \
+    / "time_catalog.py"
+
+
+@pytest.fixture(scope="module")
+def time_catalog():
+    spec = importlib.util.spec_from_file_location("time_catalog", TOOL)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_time_catalog_one_scenario(time_catalog, capsys):
+    sid = "s05_jump2_xt"
+    assert time_catalog.main(["--only", sid]) == 0
+    out = capsys.readouterr().out
+    checks = [c.name for c in load_catalog()[sid].checks]
+    rows = [line.split() for line in out.splitlines()
+            if line.startswith(sid + " ")]
+    # one line per check, then one total for the scenario
+    assert [r[1] for r in rows[:-1]] == checks
+    assert all(r[3] == "s" and r[4] == "pass" for r in rows[:-1])
+    assert rows[-1][0] == sid and len(rows) == len(checks) + 1
+    assert f"over {len(checks)} checks, 0 failed" in out
+    total = sum(float(r[2]) for r in rows[:-1])
+    assert total == pytest.approx(float(rows[-1][1]), abs=1e-3 * len(checks))
+
+
+def test_time_catalog_unknown_id(time_catalog):
+    with pytest.raises(SystemExit, match="no_such_id"):
+        time_catalog.main(["--only", "no_such_id"])

@@ -12,6 +12,7 @@ from pairinglab.errors import (AssumptionViolation, GapAboveTolerance,
                                InequalityViolated)
 from pairinglab.fields import field_catalog
 from pairinglab.measures import SingularLadder, TestFunction1D
+from pairinglab.scenarios import load_catalog
 from pairinglab.variational import (ApproximatingSequence, Functionals,
                                     MollifiedBv1D, _kernel_cdf, _kernel_rho,
                                     blowup_density, continuity_check_Gphi,
@@ -62,6 +63,45 @@ def test_mollified_l1_gap_shrinks(u_jump):
 def test_mollified_total_variation_matches_base(u_stair):
     m = MollifiedBv1D(u_stair, 0.03)
     assert abs(m.total_variation() - u_stair.total_variation()) < 1e-6
+
+
+def _dense_cantor_sum(self, x, kernel, cumulative=False):
+    """Reference: the kernel summed over every leaf, for every point of
+    the carrier window, as before the sum was windowed."""
+    out = np.zeros(x.shape)
+    lo = self.leaf_mids[0] - self.epsilon
+    hi = self.leaf_mids[-1] + self.epsilon
+    if cumulative:
+        out[x >= hi] = self.leaf_mass * self.leaf_mids.size
+    idx = np.nonzero((x > lo) & (x < hi))[0]
+    for k in range(0, idx.size, 128):
+        sel = idx[k:k + 128]
+        out[sel] = self.leaf_mass * kernel(
+            x[sel][:, None] - self.leaf_mids).sum(axis=1)
+    return out
+
+
+@pytest.mark.parametrize("sid", ["s08_cantor_const", "s11_mixed_tanh"])
+def test_windowed_cantor_sums_match_dense(sid, monkeypatch):
+    u = load_catalog()[sid].resolve().u
+    a, b = u.cantor.ladder.interval
+    for eps in (0.04 * 0.5 ** i for i in range(12)):   # relaxation schedule
+        m = MollifiedBv1D(u, eps)
+        mids = m.leaf_mids
+        xs = np.concatenate([
+            np.linspace(a, b, 1001),                       # carrier
+            np.linspace(a - 0.3, a - 2 * eps, 5),          # outside it
+            np.linspace(b + 2 * eps, b + 0.3, 5),
+            mids[::max(1, mids.size // 256)] + 0.3 * eps,  # near leaves
+            [mids[0] - eps, mids[0] + eps, mids[-1] - eps, mids[-1] + eps]])
+        value, deriv = m.value(xs), m.derivative(xs)
+        with monkeypatch.context() as mp:
+            mp.setattr(MollifiedBv1D, "_cantor_sum", _dense_cantor_sum)
+            ref_value, ref_deriv = m.value(xs), m.derivative(xs)
+        assert np.max(np.abs(value - ref_value)) <= 1e-14, eps
+        # relative; the floor covers a point at mid - eps exactly, where
+        # the dense loop adds nothing and the window adds rho(-1 + ulp)
+        np.testing.assert_allclose(deriv, ref_deriv, rtol=1e-14, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,73 @@
+"""Time every (scenario, check) of a scenario catalog, in process.
+
+Run from the repository root:
+
+    python3 tools/time_catalog.py [DIR] [--only ID ...]
+
+DIR is a directory of scenario JSON files (default: the shipped catalog);
+``--only`` keeps the named scenario ids.  The checks run as in
+tests/test_acceptance.py::catalog_results: each scenario is resolved once,
+then each of its checks is run with ``run_check`` and timed with
+``time.perf_counter``.  The output is one line per (scenario, check) with
+its wall time and outcome, then the totals per check and per scenario, and
+the overall total.  Exit code 0 if every check passed, 1 otherwise.
+"""
+
+import argparse
+import pathlib
+import sys
+import time
+from collections import defaultdict
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+from pairinglab.scenarios import load_catalog, run_check  # noqa: E402
+
+
+def time_catalog(directory=None, only=()):
+    """[(scenario id, check name, seconds, passed), ...] in catalog order."""
+    catalog = load_catalog(directory)
+    missing = set(only) - set(catalog)
+    if missing:
+        raise SystemExit("unknown scenario id(s): "
+                         + ", ".join(sorted(missing)))
+    rows = []
+    for sid, sc in catalog.items():
+        if only and sid not in only:
+            continue
+        ctx = sc.resolve()
+        for spec in sc.checks:
+            t0 = time.perf_counter()
+            out = run_check(ctx, spec)
+            rows.append((sid, spec.name, time.perf_counter() - t0,
+                         out.passed))
+    return rows
+
+
+def _totals(rows, key):
+    acc = defaultdict(float)
+    for row in rows:
+        acc[row[key]] += row[2]
+    return sorted(acc.items(), key=lambda kv: -kv[1])
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("directory", nargs="?", default=None)
+    parser.add_argument("--only", nargs="+", default=(), metavar="ID")
+    args = parser.parse_args(argv)
+    rows = time_catalog(args.directory, args.only)
+    for sid, check, dt, passed in rows:
+        print(f"{sid:24s} {check:18s} {dt:8.3f} s  "
+              f"{'pass' if passed else 'FAIL'}")
+    for title, key in (("check", 1), ("scenario", 0)):
+        print(f"\ntotal by {title}")
+        for name, dt in _totals(rows, key):
+            print(f"{name:24s} {dt:8.3f} s")
+    print(f"\ntotal {sum(r[2] for r in rows):.3f} s over {len(rows)} checks, "
+          f"{sum(not r[3] for r in rows)} failed")
+    return 0 if all(r[3] for r in rows) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
