@@ -9,9 +9,8 @@ approximating sequences.
 """
 
 from .bv import (BvFunction1D, CantorPart, Disc, FinitePerimeterSet1D,
-                 FinitePerimeterSet2D, JumpPoint, Piecewise1D,
-                 PiecewiseConstantBv2D, PolygonRegion, SmoothRadialBv2D,
-                 indicator_1d)
+                 JumpPoint, Piecewise1D, PiecewiseConstantBv2D, PolygonRegion,
+                 SmoothRadialBv2D, indicator_1d)
 from .errors import (AssumptionViolation, BoundViolated,
                      CrossValidationMismatch, CylAverageDiverged,
                      DegenerateLevel, FormMismatch, GapAboveTolerance,

@@ -33,7 +33,6 @@ __all__ = [
     "Disc",
     "PolygonRegion",
     "FinitePerimeterSet1D",
-    "FinitePerimeterSet2D",
     "indicator_1d",
     "gradient_measure",
     "coarea_tv_check",
@@ -224,14 +223,6 @@ class BvFunction1D:
             if abs(j.location - x) <= atol:
                 return j
         return None
-
-    def precise_values(self, x):
-        """(u_tilde, u_star) at diffuse points, ((u-, u+, nu), u_star) at jumps."""
-        j = self.jump_at(x)
-        if j is not None:
-            return (j.u_minus, j.u_plus, j.nu), 0.5 * (j.u_minus + j.u_plus)
-        v = float(self.evaluate(np.array([x]))[0])
-        return v, v
 
     # -- gradient measure
 
@@ -430,15 +421,9 @@ class FinitePerimeterSet1D:
     boundary: tuple  # ((x, interior normal nu), ...)
     domain: tuple
 
-    def perimeter(self):
-        return float(len(self.boundary))
 
-    def contains(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape, dtype=bool)
-        for lo, hi in self.intervals:
-            out |= (x > lo) & (x < hi)
-        return out
+# A 2D region describes its boundary as pieces (curve, normal_at): a Circle
+# or Segment from measures, and the interior unit normal at points of it.
 
 
 @dataclass(frozen=True)
@@ -446,8 +431,8 @@ class Disc:
     center: tuple
     radius: float
 
-    def boundary_curve(self):
-        return Circle(self.center, self.radius)
+    def boundary(self):
+        return ((Circle(self.center, self.radius), self.interior_normal),)
 
     def perimeter(self):
         return 2.0 * np.pi * self.radius
@@ -469,32 +454,40 @@ class Disc:
 class PolygonRegion:
     vertices: tuple  # counter-clockwise
 
-    def edges(self):
+    def boundary(self):
         v = np.asarray(self.vertices, dtype=float)
-        return [(tuple(v[i]), tuple(v[(i + 1) % len(v)]))
-                for i in range(len(v))]
+        pieces = []
+        for p0, p1 in zip(v, np.roll(v, -1, axis=0)):
+            # ccw orientation: interior lies to the left of each edge
+            d = p1 - p0
+            n = np.array([-d[1], d[0]])
+            n = n / np.linalg.norm(n)
+            normal_at = (lambda pts, _n=n: np.broadcast_to(_n, np.shape(pts)))
+            pieces.append((Segment(tuple(p0), tuple(p1)), normal_at))
+        return tuple(pieces)
 
     def perimeter(self):
-        return sum(Segment(p0, p1).length for p0, p1 in self.edges())
+        return sum(seg.length for seg, _ in self.boundary())
 
-    def edge_interior_normal(self, p0, p1):
-        # ccw orientation: interior lies to the left of each edge
-        d = np.asarray(p1, dtype=float) - np.asarray(p0, dtype=float)
-        n = np.array([-d[1], d[0]])
-        return n / np.linalg.norm(n)
+    def interior_normal(self, pts):
+        """Interior normal of the edge nearest to each point."""
+        p = np.asarray(pts, dtype=float)
+        best = np.full(p.shape[:-1], np.inf)
+        out = np.zeros(p.shape)
+        for seg, normal_at in self.boundary():
+            p0 = np.asarray(seg.p0)
+            d = np.asarray(seg.p1) - p0
+            s = np.clip(np.dot(p - p0, d) / np.dot(d, d), 0, 1)
+            dist = np.linalg.norm(p - (p0 + s[..., None] * d), axis=-1)
+            closer = dist < best
+            best = np.where(closer, dist, best)
+            out = np.where(closer[..., None], normal_at(p), out)
+        return out
 
     def contains(self, pts):
         from .measures import _points_in_polygon
         return _points_in_polygon(np.asarray(pts, dtype=float),
                                   np.asarray(self.vertices, dtype=float))
-
-
-@dataclass(frozen=True)
-class FinitePerimeterSet2D:
-    region: object  # Disc | PolygonRegion
-
-    def perimeter(self):
-        return self.region.perimeter()
 
 
 # ---------------------------------------------------------------------------
@@ -540,8 +533,12 @@ class SmoothRadialBv2D:
         return brentq(lambda r: float(self.profile(r)) - t,
                       0.0, self.support_radius, xtol=1e-14)
 
-    def level_set(self, t):
-        return FinitePerimeterSet2D(Disc(self.center, self.radius_of_level(t)))
+    def level_breaks(self):
+        return self.value_range()
+
+    def level_regions(self, t):
+        """((region, sign), ...) whose union, signed, is {u > t}."""
+        return ((Disc(self.center, self.radius_of_level(t)), 1.0),)
 
     def sup_norm(self, window=None):
         return abs(self.max_value())
@@ -581,17 +578,16 @@ class PiecewiseConstantBv2D:
         vals = [self.background] + [v for _, v in self.regions]
         return min(vals), max(vals)
 
-    def level_set(self, t):
-        active = [(r, v) for r, v in self.regions if v > t]
-        for _, v in self.regions:
-            if v == t:
-                raise DegenerateLevel(f"level {t} equals a region value")
-        if t == self.background:
-            raise DegenerateLevel("level equals the background value")
-        if len(active) != 1:
-            raise NotImplementedError(
-                "catalog scope: exactly one active region per level")
-        return FinitePerimeterSet2D(active[0][0])
+    def level_breaks(self):
+        return tuple(sorted({self.background, *(v for _, v in self.regions)}))
+
+    def level_regions(self, t):
+        """((region, sign), ...) for the regions whose jump range holds t:
+        sign +1 where {u > t} is the region, -1 where it is the complement
+        (a negative value)."""
+        return tuple((region, 1.0 if v >= 0 else -1.0)
+                     for region, v in self.regions
+                     if min(v, 0.0) < t < max(v, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -611,16 +607,11 @@ def gradient_measure(u):
         patch = DiscPatch(u.center, u.support_radius)
         return RadonMeasure2D(u.rect, ac_parts=((patch, density),))
     if isinstance(u, PiecewiseConstantBv2D):
-        parts = []
-        for region, val in u.regions:
-            height = abs(val - u.background)
-            dens = (lambda p, _h=height: np.full(np.shape(p)[:-1], _h))
-            if isinstance(region, Disc):
-                parts.append((region.boundary_curve(), dens))
-            else:
-                for p0, p1 in region.edges():
-                    parts.append((Segment(p0, p1), dens))
-        return RadonMeasure2D(u.rect, surface_parts=tuple(parts))
+        parts = tuple(
+            (curve, lambda p, _h=abs(val - u.background):
+             np.full(np.shape(p)[:-1], _h))
+            for region, val in u.regions for curve, _ in region.boundary())
+        return RadonMeasure2D(u.rect, surface_parts=parts)
     raise TypeError(f"unsupported BV function {type(u)!r}")
 
 
@@ -634,7 +625,7 @@ def coarea_tv_check(u, g, tol=1e-8):
             return float(np.sum(np.asarray(g(xs), dtype=float))) \
                 if xs.size else 0.0
 
-        rhs = _coarea_rhs_1d(u, slice_at, lambda xs, nu, ts: g(xs), tol)
+        rhs = _coarea_rhs(u, slice_at, lambda xs, nu, ts: g(xs), tol)
     elif isinstance(u, SmoothRadialBv2D):
         du = gradient_measure(u).variation()
         lhs = du.integrate(g, tol=tol)
@@ -650,28 +641,26 @@ def coarea_tv_check(u, g, tol=1e-8):
     elif isinstance(u, PiecewiseConstantBv2D):
         du = gradient_measure(u).variation()
         lhs = du.integrate(g, tol=tol)
-        rhs = 0.0
-        for region, val in u.regions:
-            height = abs(val - u.background)
-            if isinstance(region, Disc):
-                rhs += height * region.boundary_curve().integrate(g)
-            else:
-                for p0, p1 in region.edges():
-                    rhs += height * Segment(p0, p1).integrate(g)
+        rhs = sum(abs(val - u.background) * curve.integrate(g)
+                  for region, val in u.regions
+                  for curve, _ in region.boundary())
     else:
         raise TypeError(f"unsupported BV function {type(u)!r}")
     return lhs, rhs, abs(lhs - rhs)
 
 
-def _coarea_rhs_1d(u, slice_at, ladder_slice, tol):
+def _coarea_rhs(u, slice_at, ladder_slice, tol):
     """int dt of a slice functional of {u > t} over the level range of u.
 
+    The t-panels lie between consecutive ``u.level_breaks()`` (1D or 2D),
+    each pulled in at both ends by 1e-10 times the span of the breaks.
     ``slice_at(t)`` gives the slice at an ordinary level t and may raise
-    DegenerateLevel at a plateau level.  Over the level range of a ladder
-    the single crossing x(t) jumps at every dyadic level, so those panels
-    follow the dyadic grid and use 2-point Gauss in t; ``ladder_slice(xs,
-    nu, ts)`` gets all of their nodes at once: the crossings xs (from the
-    ladder inverse), the normal nu of {u > t} there and the levels ts.
+    DegenerateLevel at a plateau level.  Over the level range of a 1D
+    ladder the single crossing x(t) jumps at every dyadic level, so those
+    panels follow the dyadic grid and use 2-point Gauss in t;
+    ``ladder_slice(xs, nu, ts)`` gets all of their nodes at once: the
+    crossings xs (from the ladder inverse), the normal nu of {u > t} there
+    and the levels ts.
     """
     depth = 13
     breaks = u.level_breaks()

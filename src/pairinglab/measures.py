@@ -277,14 +277,6 @@ class RadonMeasure1D:
         """|mu|(E) for each window E, as restrict(E).variation()."""
         return [self.restrict(E).variation().total_mass() for E in windows]
 
-    def scaled(self, c):
-        dens = self.ac_density
-        sdens = None if dens is None else (
-            lambda x, _d=dens: c * np.asarray(_d(x), dtype=float))
-        return replace(self, ac_density=sdens,
-                       atoms=tuple((x, c * w) for x, w in self.atoms),
-                       ladder_scale=c * self.ladder_scale)
-
 
 # ---------------------------------------------------------------------------
 # 2D measures

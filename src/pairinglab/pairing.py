@@ -13,16 +13,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bv import (Disc, FinitePerimeterSet1D, FinitePerimeterSet2D,
-                 PiecewiseConstantBv2D, PolygonRegion, SmoothRadialBv2D,
-                 _coarea_rhs_1d)
+from .bv import (Disc, PiecewiseConstantBv2D, PolygonRegion,
+                 SmoothRadialBv2D, _coarea_rhs)
 from .bv import gradient_measure as bv_gradient_measure
 from .errors import (BoundViolated, CylAverageDiverged, FormMismatch,
                      CrossValidationMismatch, NoApparentConvergence,
                      NonFiniteValue)
 from .fields import FieldB, mollify
-from .measures import (Circle, DiscPatch, PolygonPatch, RadonMeasure1D,
-                       RadonMeasure2D, Segment, _density_sign_breaks)
+from .measures import (DiscPatch, PolygonPatch, RadonMeasure1D,
+                       RadonMeasure2D, _density_sign_breaks)
 from .quadrature import _leggauss, adaptive_simpson, aitken, polar_quad
 
 _T_BLOCK = 1 << 16   # t-nodes per integrand call in elementwise_t_integral
@@ -257,53 +256,25 @@ def _fast_q(field, x, nu, t):
 # Normal traces
 
 
-def normal_trace(field: FieldB, t, sigma, nsample=24) -> NormalTrace:
-    """Trace of the normal component of b_t on an oriented boundary.
+def normal_trace(field: FieldB, t, region, nsample=24) -> NormalTrace:
+    """Trace of the normal component of b_t on the boundary of a region.
 
-    ``sigma`` is a FinitePerimeterSet (1D or 2D); traces are genuine
+    ``region`` is a Disc or PolygonRegion; each of its boundary pieces gets
+    max(2, nsample // pieces) sample points.  Traces are genuine
     cylindrical averages taken with the interior normal.
     """
-    diag = []
-    if isinstance(sigma, FinitePerimeterSet1D):
-        pts, nus, vals = [], [], []
-        for x, nu in sigma.boundary:
-            res = cylindrical_average(field, t, nu, x)
-            pts.append(x)
-            nus.append(nu)
-            vals.append(res.value)
-            diag.append(res.converged)
-        return NormalTrace(tuple(pts), tuple(nus), tuple(vals),
-                           all(diag), tuple(diag))
-    region = sigma.region if isinstance(sigma, FinitePerimeterSet2D) \
-        else sigma
-    pts, nus, vals = [], [], []
-    if isinstance(region, Disc):
-        thetas = 2.0 * np.pi * (np.arange(nsample) + 0.5) / nsample
-        for th in thetas:
-            p = np.array([region.center[0] + region.radius * np.cos(th),
-                          region.center[1] + region.radius * np.sin(th)])
-            nu = region.interior_normal(p)
+    if not isinstance(region, (Disc, PolygonRegion)):
+        raise TypeError(f"unsupported boundary {type(region)!r}")
+    pieces = region.boundary()
+    pts, nus, vals, diag = [], [], [], []
+    for curve, normal_at in pieces:
+        ps, _ = curve.sample(max(2, nsample // len(pieces)))
+        for p, nu in zip(ps, normal_at(ps)):
             res = cylindrical_average(field, t, nu, p)
             pts.append(tuple(p))
             nus.append(tuple(nu))
             vals.append(res.value)
             diag.append(res.converged)
-    elif isinstance(region, PolygonRegion):
-        edges = region.edges()
-        per_edge = max(2, nsample // len(edges))
-        for p0, p1 in edges:
-            nu = region.edge_interior_normal(p0, p1)
-            p0 = np.asarray(p0)
-            p1 = np.asarray(p1)
-            for s in (np.arange(per_edge) + 0.5) / per_edge:
-                p = p0 + s * (p1 - p0)
-                res = cylindrical_average(field, t, nu, p)
-                pts.append(tuple(p))
-                nus.append(tuple(nu))
-                vals.append(res.value)
-                diag.append(res.converged)
-    else:
-        raise TypeError(f"unsupported boundary {type(region)!r}")
     return NormalTrace(tuple(pts), tuple(nus), tuple(vals),
                        all(diag), tuple(diag))
 
@@ -313,22 +284,21 @@ def normal_trace(field: FieldB, t, sigma, nsample=24) -> NormalTrace:
 
 
 def _patch_for_region(region, phi):
-    """Integration patch for a 2D region, clipped to the support of phi
-    when the geometry allows it (concentric radial test functions)."""
-    if isinstance(region, Disc):
-        r_in = 0.0
-        r_out = region.radius
-        breaks = ()
-        if phi is not None and phi.support[0] in ("disc", "annulus") \
-                and tuple(phi.support[1]) == tuple(region.center):
-            if phi.support[0] == "annulus":
-                r_in = min(phi.support[2], r_out)
-            r_out = min(r_out, phi.support[-1])
-            breaks = tuple(b for b in phi.radial_breaks if r_in < b < r_out)
-        return DiscPatch(region.center, r_out, r_inner=r_in, r_breaks=breaks)
+    """Integration patch for a PolygonRegion or a Disc, the disc clipped to
+    the support of phi when the geometry allows it (concentric radial test
+    functions)."""
     if isinstance(region, PolygonRegion):
         return PolygonPatch(tuple(tuple(v) for v in region.vertices))
-    raise TypeError(f"unsupported region {type(region)!r}")
+    r_in = 0.0
+    r_out = region.radius
+    breaks = ()
+    if phi is not None and phi.support[0] in ("disc", "annulus") \
+            and tuple(phi.support[1]) == tuple(region.center):
+        if phi.support[0] == "annulus":
+            r_in = min(phi.support[2], r_out)
+        r_out = min(r_out, phi.support[-1])
+        breaks = tuple(b for b in phi.radial_breaks if r_in < b < r_out)
+    return DiscPatch(region.center, r_out, r_inner=r_in, r_breaks=breaks)
 
 
 def _patches(u, phi):
@@ -526,45 +496,19 @@ def _representation_2d(field, u, tol):
                     kinks=field.t_kinks)
             return density
 
-        parts = []
-        thetas = []
-        for region, val in u.regions:
-            if isinstance(region, Disc):
-                normal_at = region.interior_normal
-                parts.append((region.boundary_curve(),
-                              jump_density(normal_at, val)))
-                thetas.append((region, val, normal_at))
-            else:
-                for p0, p1 in region.edges():
-                    nu_edge = region.edge_interior_normal(p0, p1)
-                    parts.append((Segment(p0, p1), jump_density(
-                        lambda pts, _nu=nu_edge: np.broadcast_to(
-                            _nu, np.shape(pts)), val)))
-                thetas.append((region, val, None))
-        measure = RadonMeasure2D(u.rect, surface_parts=tuple(parts))
+        parts = tuple((curve, jump_density(normal_at, val))
+                      for region, val in u.regions
+                      for curve, normal_at in region.boundary())
+        measure = RadonMeasure2D(u.rect, surface_parts=parts)
 
         def theta(x):
+            # catalog scope: u has one region, whose jump density this is
             x = np.asarray(x, dtype=float)
-            for region, val, normal_at in thetas:
-                if normal_at is not None:
-                    nu = normal_at(x)
-                else:
-                    # nearest polygon edge normal
-                    best = None
-                    for p0, p1 in region.edges():
-                        p0 = np.asarray(p0)
-                        p1 = np.asarray(p1)
-                        d = p1 - p0
-                        s = np.clip(np.dot(x - p0, d) / np.dot(d, d), 0, 1)
-                        dist = np.linalg.norm(x - (p0 + s * d))
-                        if best is None or dist < best[0]:
-                            best = (dist, region.edge_interior_normal(p0, p1))
-                    nu = best[1]
-                nu = nu * (1.0 if val >= 0 else -1.0)
-                lo, hi = (0.0, val) if val >= 0 else (val, 0.0)
-                return jump_theta(field, tuple(x), lo, hi, nu, tol=tol,
-                                  genuine=field.smooth_at(x))
-            raise ValueError("no region")
+            region, val = u.regions[0]
+            nu = region.interior_normal(x) * (1.0 if val >= 0 else -1.0)
+            lo, hi = (0.0, val) if val >= 0 else (val, 0.0)
+            return jump_theta(field, tuple(x), lo, hi, nu, tol=tol,
+                              genuine=field.smooth_at(x))
         return PairingMeasure(measure, theta, "representation")
     raise TypeError(f"unsupported BV function {type(u)!r}")
 
@@ -636,10 +580,8 @@ def pairing_by_traces(field: FieldB, u, tol=1e-9,
     # cross-validate the surface density against genuine traces at samples
     if isinstance(u, PiecewiseConstantBv2D):
         for region, val in u.regions:
-            fps = FinitePerimeterSet2D(region)
-            lo, hi = (0.0, val) if val >= 0 else (val, 0.0)
-            tmid = 0.5 * (lo + hi)
-            tr = normal_trace(field, tmid, fps, nsample=8)
+            tmid = 0.5 * val
+            tr = normal_trace(field, tmid, region, nsample=8)
             for p, nu, v in zip(tr.points, tr.normals, tr.values):
                 want = _fast_q(field, np.asarray(p),
                                np.asarray(nu), tmid)
@@ -672,110 +614,6 @@ def _indicator_slice_1d(field, t, intervals, phi, tol):
     return total
 
 
-def _coarea_rhs_2d(field, u, phi, tol, absolute):
-    def slice_value(t):
-        t = float(t)
-        if absolute:
-            if isinstance(u, SmoothRadialBv2D):
-                r = u.radius_of_level(t)
-                circ = Circle(u.center, r)
-
-                def signed(pts):
-                    nu = Disc(u.center, r).interior_normal(pts)
-                    return _fast_q(field, pts, nu, t)
-
-                circ = replace(circ,
-                               param_breaks=_density_sign_breaks(circ, signed))
-
-                def g(pts):
-                    nu = Disc(u.center, r).interior_normal(pts)
-                    return np.asarray(phi(pts), float) \
-                        * np.abs(_fast_q(field, pts, nu, t))
-                return circ.integrate(g)
-            total = 0.0
-            for region, val in u.regions:
-                lo, hi = (0.0, val) if val >= 0 else (val, 0.0)
-                if not (lo < t < hi):
-                    continue
-                sgn = 1.0 if val >= 0 else -1.0
-                if isinstance(region, Disc):
-                    circ = region.boundary_curve()
-
-                    def signed(pts, _r=region):
-                        return _fast_q(field, pts,
-                                       _r.interior_normal(pts) * sgn, t)
-
-                    circ = replace(circ,
-                                   param_breaks=_density_sign_breaks(circ,
-                                                                     signed))
-
-                    def g(pts, _r=region):
-                        nu = _r.interior_normal(pts) * sgn
-                        return np.asarray(phi(pts), float) \
-                            * np.abs(_fast_q(field, pts, nu, t))
-                    total += circ.integrate(g)
-                else:
-                    for p0, p1 in region.edges():
-                        nu = region.edge_interior_normal(p0, p1) * sgn
-                        seg = Segment(p0, p1)
-
-                        def signed(pts, _nu=nu):
-                            nub = np.broadcast_to(_nu, np.shape(pts))
-                            return _fast_q(field, pts, nub, t)
-
-                        seg = replace(
-                            seg,
-                            param_breaks=_density_sign_breaks(seg, signed))
-
-                        def g(pts, _nu=nu):
-                            nub = np.broadcast_to(_nu, np.shape(pts))
-                            return np.asarray(phi(pts), float) \
-                                * np.abs(_fast_q(field, pts, nub, t))
-                        total += seg.integrate(g)
-            return total
-
-        def f(pts):
-            grad = phi.gradient(pts)
-            b = np.asarray(field.eval(pts, t), float)
-            return (np.asarray(phi(pts), float)
-                    * np.asarray(field.div_x(pts, t), float)
-                    + b[..., 0] * grad[..., 0] + b[..., 1] * grad[..., 1])
-
-        if isinstance(u, SmoothRadialBv2D):
-            r = u.radius_of_level(t)
-            patch = _patch_for_region(Disc(u.center, r), phi)
-            return -patch.integrate(f, tol=tol * 1e-2)
-        total = 0.0
-        for region, val in u.regions:
-            lo, hi = (0.0, val) if val >= 0 else (val, 0.0)
-            if not (lo < t < hi):
-                continue
-            patch = _patch_for_region(region, phi)
-            total += -patch.integrate(f, tol=tol * 1e-2) \
-                * (1.0 if val >= 0 else -1.0)
-        return total
-
-    vmin, vmax = u.value_range()
-    t_lo = min(vmin, 0.0)
-    t_hi = max(vmax, 0.0)
-    breaks = {t_lo, t_hi}
-    if isinstance(u, PiecewiseConstantBv2D):
-        breaks |= {v for _, v in u.regions}
-    pad = 1e-9 * (t_hi - t_lo)
-    pts = sorted(breaks)
-    total = 0.0
-    for a, b in zip(pts[:-1], pts[1:]):
-        if b - a < 1e-13:
-            continue
-
-        def integrand(ts):
-            ts = np.atleast_1d(np.asarray(ts, dtype=float))
-            return np.array([slice_value(tv) for tv in ts])
-        total += adaptive_simpson(integrand, a + pad, b - pad,
-                                  tol=max(tol, 1e-8))
-    return total
-
-
 def coarea_pairing_check(field: FieldB, u, phi, tol=1e-9, dist=None):
     """lhs = <(b(., u), Du), phi>; rhs = int_R <(b_t, D chi_{u>t}), phi> dt.
 
@@ -788,16 +626,24 @@ def coarea_pairing_check(field: FieldB, u, phi, tol=1e-9, dist=None):
         def slice_at(t):
             return _indicator_slice_1d(field, t, u.level_set(t).intervals,
                                        phi, tol=tol * 1e-2)
-
-        def ladder_slice(xs, nu, ts):
-            # the boundary (Gauss-Green) form of the slice pairing, exact
-            # for the catalog's x-smooth fields
-            return np.asarray(phi(xs), dtype=float) \
-                * _fast_q(field, xs, nu, ts)
-
-        rhs = _coarea_rhs_1d(u, slice_at, ladder_slice, max(tol, 1e-8))
     else:
-        rhs = _coarea_rhs_2d(field, u, phi, tol, absolute=False)
+        def slice_at(t):
+            def f(pts):
+                grad = phi.gradient(pts)
+                b = np.asarray(field.eval(pts, t), float)
+                return (np.asarray(phi(pts), float)
+                        * np.asarray(field.div_x(pts, t), float)
+                        + b[..., 0] * grad[..., 0] + b[..., 1] * grad[..., 1])
+
+            return -sum(sgn * _patch_for_region(region, phi).integrate(
+                f, tol=tol * 1e-2) for region, sgn in u.level_regions(t))
+
+    def ladder_slice(xs, nu, ts):
+        # the boundary (Gauss-Green) form of the slice pairing, exact for
+        # the catalog's x-smooth fields
+        return np.asarray(phi(xs), dtype=float) * _fast_q(field, xs, nu, ts)
+
+    rhs = _coarea_rhs(u, slice_at, ladder_slice, max(tol, 1e-8))
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -813,13 +659,25 @@ def coarea_variation_check(field: FieldB, u, phi, tol=1e-9,
                 float(phi(np.array([x]))[0])
                 * abs(float(_fast_q(field, np.array([x]), nu, t)[0]))
                 for x, nu in u.level_crossings(t))
-
-        rhs = _coarea_rhs_1d(
-            u, slice_at,
-            lambda xs, nu, ts: np.asarray(phi(xs), dtype=float)
-            * np.abs(_fast_q(field, xs, nu, ts)), max(tol, 1e-8))
     else:
-        rhs = _coarea_rhs_2d(field, u, phi, tol, absolute=True)
+        def slice_at(t):
+            total = 0.0
+            for region, sgn in u.level_regions(t):
+                for curve, normal_at in region.boundary():
+                    def q(pts):
+                        return _fast_q(field, pts, normal_at(pts) * sgn, t)
+
+                    curve = replace(curve, param_breaks=_density_sign_breaks(
+                        curve, q))
+                    total += curve.integrate(
+                        lambda pts: np.asarray(phi(pts), float)
+                        * np.abs(q(pts)))
+            return total
+
+    rhs = _coarea_rhs(
+        u, slice_at,
+        lambda xs, nu, ts: np.asarray(phi(xs), dtype=float)
+        * np.abs(_fast_q(field, xs, nu, ts)), max(tol, 1e-8))
     return lhs, rhs, abs(lhs - rhs)
 
 

@@ -78,6 +78,20 @@ def _build_ac(domain, spec):
     raise SpecError(f"unknown ac type {typ!r}")
 
 
+def _bv2d_number(spec, key, default=None, signed=False):
+    """spec[key] (or the default) as a finite number > 0, or != 0 if signed.
+
+    A zero size, amplitude or value makes u = 0, so every check of u would
+    pass with residual 0; a negative size turns the region inside out.
+    """
+    v = spec[key] if default is None else spec.get(key, default)
+    if not (_is_real(v) and math.isfinite(v)
+            and (v != 0 if signed else v > 0)):
+        raise SpecError(f"bv2d {key!r} must be a finite number "
+                        f"{'!= 0' if signed else '> 0'}, got {v!r}")
+    return v
+
+
 def build_bv(spec):
     try:
         kind = spec["kind"]
@@ -99,15 +113,18 @@ def build_bv(spec):
             rect = tuple(tuple(r) for r in spec["rect"])
             shape = spec["shape"]
             if shape == "disc":
-                region = Disc(tuple(spec["center"]), spec["radius"])
-                return PiecewiseConstantBv2D(rect, ((region, spec["value"]),))
+                region = Disc(tuple(spec["center"]),
+                              _bv2d_number(spec, "radius"))
+                value = _bv2d_number(spec, "value", signed=True)
+                return PiecewiseConstantBv2D(rect, ((region, value),))
             if shape == "square":
-                h = spec["half_width"]
+                h = _bv2d_number(spec, "half_width")
                 region = PolygonRegion(((-h, -h), (h, -h), (h, h), (-h, h)))
-                return PiecewiseConstantBv2D(rect, ((region, spec["value"]),))
+                value = _bv2d_number(spec, "value", signed=True)
+                return PiecewiseConstantBv2D(rect, ((region, value),))
             if shape == "smooth_radial":
-                a = spec["amplitude"]
-                rs = spec.get("support_radius", 1.0)
+                a = _bv2d_number(spec, "amplitude")
+                rs = _bv2d_number(spec, "support_radius", 1.0)
                 return SmoothRadialBv2D(
                     rect, tuple(spec.get("center", (0.0, 0.0))),
                     profile=lambda r: a * np.clip(1 - (np.asarray(r, float)

@@ -555,33 +555,6 @@ def liminf_tail(values, tail=5):
 # Operations
 
 
-def f_phi_smooth(b, u, phi, A):
-    """int_A phi b(x,u) . grad u for Sobolev u; +inf marker otherwise."""
-    if isinstance(u, BvFunction1D):
-        if u.jumps or u.cantor is not None:
-            return float("inf")
-
-        def integrand(x):
-            return (phi.evaluate(x) * b.eval(x, u.evaluate(x))
-                    * u.ac_derivative(x))
-
-        lo = max(A[0], u.domain[0], phi.support[0])
-        hi = min(A[1], u.domain[1], phi.support[1])
-        if hi <= lo:
-            return 0.0
-        bps = tuple(p for p in u.breakpoints() + phi.breakpoints
-                    if lo < p < hi)
-        return adaptive_simpson(integrand, lo, hi, tol=1e-10, breakpoints=bps)
-    if isinstance(u, PiecewiseConstantBv2D):
-        return float("inf")
-    if isinstance(u, SmoothRadialBv2D):
-        return Functionals(b, A).G_phi(u, phi)
-    if isinstance(u, MollifiedRadial2D):
-        return _element_integral_radial(b, u, phi, "id")
-    win = A if A is not None else u.domain
-    return _element_integral_1d(b, u, phi, win, "id")
-
-
 @dataclass(frozen=True)
 class ContinuityResult:
     target: float

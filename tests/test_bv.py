@@ -13,6 +13,15 @@ from pairinglab.bv import (BvFunction1D, CantorPart, Disc, JumpPoint,
 from pairinglab.measures import SingularLadder
 
 DOMAIN = (-2.0, 2.0)
+RECT = ((-2.0, 2.0), (-2.0, 2.0))
+SQUARE = PolygonRegion(((-0.8, -0.8), (0.8, -0.8), (0.8, 0.8), (-0.8, 0.8)))
+TRIANGLE = PolygonRegion(((0.0, 0.0), (1.5, 0.2), (0.4, 1.1)))  # ccw
+
+
+def _radial_u():
+    prof = lambda r: np.clip(1.0 - r ** 2, 0.0, None) ** 2
+    dprof = lambda r: np.where(r < 1.0, -4.0 * r * (1.0 - r ** 2), 0.0)
+    return SmoothRadialBv2D(RECT, (0.0, 0.0), prof, dprof, 1.0)
 
 
 def test_piecewise_evaluate_and_derivative():
@@ -43,15 +52,6 @@ def test_jump_from_sides_round_trip(a, b):
     assert abs(j.left_value - a) < 1e-15
     assert abs(j.right_value - b) < 1e-15
     assert abs(j.height - abs(b - a)) < 1e-12
-
-
-def test_bv_precise_values_at_jump(u_jump):
-    (um, up, nu), star = u_jump.precise_values(0.3)
-    assert abs(um - 0.2) < 1e-12 and abs(up - 1.2) < 1e-12
-    assert abs(star - 0.7) < 1e-12
-    # away from the jump both returned values agree
-    v, star = u_jump.precise_values(1.0)
-    assert v == star == pytest.approx(1.2)
 
 
 def test_bv_total_variation_decomposes(u_mixed):
@@ -108,7 +108,6 @@ def test_bv_level_set_indicator(u_jump):
     sup = u_jump.level_set(0.7)
     # {u > 0.7} = [0.3, 2]; its reduced boundary is the single point 0.3
     assert any(abs(x - 0.3) < 1e-9 for x, _ in sup.boundary)
-    assert abs(sup.perimeter() - 1.0) < 1e-12
 
 
 def test_bv_rejects_unordered_jumps():
@@ -179,19 +178,85 @@ def test_piecewise_constant_2d(u_disc):
 
 
 def test_smooth_radial_2d_levels():
-    prof = lambda r: np.clip(1.0 - r ** 2, 0.0, None) ** 2
-    dprof = lambda r: np.where(r < 1.0, -4.0 * r * (1.0 - r ** 2), 0.0)
-    u = SmoothRadialBv2D(((-2.0, 2.0), (-2.0, 2.0)), (0.0, 0.0),
-                         prof, dprof, 1.0)
+    u = _radial_u()
     r = u.radius_of_level(0.25)
-    assert abs(prof(r) - 0.25) < 1e-10
+    assert abs(u.profile(r) - 0.25) < 1e-10
     lo, hi = u.value_range()
     assert lo == 0.0 and hi == pytest.approx(1.0)
+    assert u.level_breaks() == (lo, hi)
+    assert u.level_regions(0.25) == ((Disc((0.0, 0.0), r), 1.0),)
     pts = np.array([[0.3, 0.4]])
     h = 1e-6
     gx = (u.evaluate(pts + [[h, 0.0]]) - u.evaluate(pts - [[h, 0.0]])) \
         / (2.0 * h)
     assert abs(gx[0] - u.gradient(pts)[0, 0]) < 1e-6
+
+
+@pytest.mark.parametrize("region, npieces", [
+    (Disc((0.3, -0.2), 0.9), 1), (SQUARE, 4), (TRIANGLE, 3),
+], ids=["disc", "square", "triangle"])
+def test_region_boundary_pieces(region, npieces):
+    pieces = region.boundary()
+    assert len(pieces) == npieces
+    assert abs(sum(c.length for c, _ in pieces) - region.perimeter()) < 1e-12
+    for curve, normal_at in pieces:
+        pts, _ = curve.sample(7)
+        nu = normal_at(pts)
+        assert np.allclose(np.hypot(nu[:, 0], nu[:, 1]), 1.0)
+        # the interior normal points into the region
+        assert region.contains(pts + 1e-6 * nu).all()
+        assert not region.contains(pts - 1e-6 * nu).any()
+
+
+@pytest.mark.parametrize("region", [SQUARE, TRIANGLE],
+                         ids=["square", "triangle"])
+def test_polygon_interior_normal_is_nearest_edge_normal(region):
+    mids, normals = [], []
+    for seg, normal_at in region.boundary():
+        mid = seg.point_at(np.array(0.5))
+        assert np.array_equal(region.interior_normal(mid), normal_at(mid))
+        mids.append(mid)
+        normals.append(normal_at(mid))
+    assert np.array_equal(region.interior_normal(np.array(mids)),
+                          np.array(normals))
+
+
+def test_piecewise_constant_level_regions():
+    neg = PiecewiseConstantBv2D(RECT, ((SQUARE, -0.6),))
+    # {u > t} for t in (-0.6, 0) is the complement of the square
+    assert neg.level_regions(-0.3) == ((SQUARE, -1.0),)
+    assert neg.level_regions(0.3) == ()
+    assert neg.level_regions(-0.9) == ()
+    assert neg.level_breaks() == (-0.6, 0.0)
+    pos = PiecewiseConstantBv2D(RECT, ((Disc((0.0, 0.0), 1.0), 0.7),))
+    assert pos.level_regions(0.3) == ((Disc((0.0, 0.0), 1.0), 1.0),)
+    assert pos.level_regions(-0.1) == ()
+    assert pos.level_breaks() == (0.0, 0.7)
+
+
+_ONE = lambda p: np.ones(np.shape(p)[:-1])
+_ONE_X2 = lambda p: 1.0 + np.asarray(p)[..., 0] ** 2
+
+
+@pytest.mark.parametrize("u, g, tv", [
+    (PiecewiseConstantBv2D(RECT, ((Disc((0.0, 0.0), 1.0), 1.0),)), _ONE,
+     2.0 * math.pi),
+    (PiecewiseConstantBv2D(RECT, ((Disc((0.0, 0.0), 1.0), 1.0),)), _ONE_X2,
+     3.0 * math.pi),
+    (PiecewiseConstantBv2D(RECT, ((SQUARE, -0.6),)), _ONE, 0.6 * 6.4),
+    # edges y = +-0.8 give 2 int x^2 dx = 2.048 / 3, edges x = +-0.8 2.048
+    (PiecewiseConstantBv2D(RECT, ((SQUARE, -0.6),)), _ONE_X2,
+     0.6 * (6.4 + 2.048 / 3.0 + 2.048)),
+    # |grad u| = 4r(1 - r^2) and int of x^2 over the circle of radius r is
+    # pi r^3, so 16 pi / 15 and 16 pi / 15 + 8 pi / 35
+    (_radial_u(), _ONE, 16.0 * math.pi / 15.0),
+    (_radial_u(), _ONE_X2, 136.0 * math.pi / 105.0),
+], ids=["disc-1", "disc-1+x2", "square-1", "square-1+x2", "radial-1",
+        "radial-1+x2"])
+def test_coarea_tv_identity_2d(u, g, tv):
+    lhs, rhs, res = coarea_tv_check(u, g)
+    assert abs(lhs - tv) < 1e-12
+    assert res < 1e-12
 
 
 @given(st.lists(st.floats(-1.8, 1.8), min_size=1, max_size=4, unique=True),

@@ -207,11 +207,6 @@ def test_measure1d_window_additivity(a, b):
     assert abs(left + mid + right + edge - m.total_mass()) < 1e-8
 
 
-def test_measure1d_scaled():
-    m = _mix_measure()
-    assert abs(m.scaled(-2.0).total_mass() + 2.0 * m.total_mass()) < 1e-9
-
-
 # ---------------------------------------------------------------------------
 # 2D measures
 

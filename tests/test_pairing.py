@@ -111,12 +111,16 @@ def test_routes_agree_on_negative_2d_values(region, value, phi_radial):
     u = PiecewiseConstantBv2D(((-2.0, 2.0), (-2.0, 2.0)), ((region, value),))
     f = field_catalog("linear2d")
     v1 = pairing_distributional(f, u, phi_radial)
-    v2 = pairing_by_representation(f, u).integrate(phi_radial)
+    rep = pairing_by_representation(f, u)
+    v2 = rep.integrate(phi_radial)
     v3 = pairing_by_traces(f, u).integrate(phi_radial)
     assert abs(v1) > 1.0
     tol = 1e-6 * (1.0 + abs(v1))
     assert abs(v1 - v2) < tol
     assert abs(v1 - v3) < tol
+    # the level regions of a negative value carry sign -1 in the slices
+    assert coarea_pairing_check(f, u, phi_radial, dist=v1)[2] < 1e-6
+    assert coarea_variation_check(f, u, phi_radial, rep=rep)[2] < 1e-5
 
 
 @given(c=st.floats(-2.0, 2.0))
@@ -173,12 +177,26 @@ def test_jump_theta_constant_field(field_const):
     assert abs(th + 1.0) < 1e-10
 
 
-def test_normal_trace_on_unit_circle():
-    from pairinglab.bv import Disc
+def _check_normal_trace(region, want):
     f = field_catalog("linear2d")
-    tr = normal_trace(f, 1.0, Disc((0.0, 0.0), 1.0))
+    for kw, count in (({"nsample": 8}, 8), ({}, 24)):
+        tr = normal_trace(f, 1.0, region, **kw)
+        assert len(tr.points) == len(tr.values) == count and tr.converged
+        assert np.max(np.abs(np.asarray(tr.values) - want)) < 1e-9
+
+
+def test_normal_trace_on_unit_circle():
     # b = x and the interior normal is -x/|x|, so b . nu = -1 on the circle
-    assert np.max(np.abs(np.asarray(tr.values) + 1.0)) < 1e-9
+    _check_normal_trace(Disc((0.0, 0.0), 1.0), -1.0)
+
+
+def test_normal_trace_on_square():
+    # on each edge of the square of half-width 0.8, b . nu = -0.8
+    _check_normal_trace(
+        PolygonRegion(((-0.8, -0.8), (0.8, -0.8), (0.8, 0.8), (-0.8, 0.8))),
+        -0.8)
+    with pytest.raises(TypeError):
+        normal_trace(field_catalog("linear2d"), 1.0, (0.0, 0.0))
 
 
 # ---------------------------------------------------------------------------

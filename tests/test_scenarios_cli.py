@@ -11,7 +11,7 @@ import pytest
 from pairinglab import pairing, scenarios
 from pairinglab.cli import main
 from pairinglab.errors import SpecError, UnknownCheck
-from pairinglab.scenarios import (CHECKS, CheckSpec, load_catalog,
+from pairinglab.scenarios import (CHECKS, CheckSpec, build_bv, load_catalog,
                                   load_scenario_file, parse_scenario,
                                   run_check, run_scenario,
                                   shipped_catalog_dir)
@@ -27,6 +27,12 @@ FAST_SCENARIO = {
     "checks": [{"name": "two_route", "tolerance": 1e-6},
                {"name": "chain_rule", "tolerance": 1e-8}],
 }
+
+DISC_BV = {"kind": "bv2d", "rect": [[-2.0, 2.0], [-2.0, 2.0]],
+           "shape": "disc", "center": [0.0, 0.0], "radius": 1.0,
+           "value": 1.0}
+SQUARE_BV = dict(DISC_BV, shape="square", half_width=0.8, value=-0.6)
+RADIAL_BV = dict(DISC_BV, shape="smooth_radial", amplitude=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +98,24 @@ def test_resolve_rejects_unknown_kinds():
         sc = parse_scenario(dict(FAST_SCENARIO, **{key: bad}))
         with pytest.raises(SpecError):
             sc.resolve()
+
+
+@pytest.mark.parametrize("base, key, value", [
+    (DISC_BV, "radius", 0.0), (DISC_BV, "radius", -1.0),
+    (DISC_BV, "radius", math.inf), (DISC_BV, "radius", "1"),
+    (DISC_BV, "value", 0.0), (DISC_BV, "value", math.nan),
+    (SQUARE_BV, "half_width", 0.0), (SQUARE_BV, "half_width", -0.8),
+    (SQUARE_BV, "value", 0),
+    (RADIAL_BV, "amplitude", 0.0), (RADIAL_BV, "amplitude", -1.0),
+    (RADIAL_BV, "support_radius", 0.0),
+    (RADIAL_BV, "support_radius", math.nan),
+])
+def test_build_bv_rejects_vacuous_2d_geometry(base, key, value):
+    # u = 0 passes every check with residual 0; a negative size turns the
+    # region inside out
+    build_bv(base)
+    with pytest.raises(SpecError, match=key):
+        build_bv(dict(base, **{key: value}))
 
 
 def test_shipped_catalog_loads():
@@ -444,6 +468,26 @@ def test_cli_series_unresolvable_scenario_is_a_spec_error(tmp_path,
     assert main(["series", "a_bad", "two_route", str(out)]) == 2
     assert not out.exists()
     assert "spec error" in capsys.readouterr().err
+
+
+def test_cli_vacuous_2d_geometry_fails_each_check(tmp_path, monkeypatch):
+    bad = {"id": "a_empty_disc", "field": {"kind": "linear2d"},
+           "bv": dict(DISC_BV, radius=0.0),
+           "phi": {"kind": "radial2d", "r_plateau": 1.2, "r_out": 1.9},
+           "checks": [{"name": "two_route", "tolerance": 1e-6},
+                      {"name": "coarea_pairing", "tolerance": 1e-30}]}
+    d = _catalog_dir(tmp_path, {"a_empty_disc.json": bad})
+    outdir = tmp_path / "r"
+    assert main(["run", str(d), "--stable", "--out", str(outdir)]) == 1
+    checks = _strict_load(outdir / "a_empty_disc.json")["checks"]
+    assert [c["pass"] for c in checks] == [False, False]
+    for c in checks:
+        assert c["diagnostics"]["error"].startswith(
+            "SpecError: bv2d 'radius' must be a finite number > 0")
+    monkeypatch.setattr(scenarios, "shipped_catalog_dir", lambda: d)
+    out = tmp_path / "series.csv"
+    assert main(["series", "a_empty_disc", "two_route", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_duplicate_scenario_ids_are_a_spec_error(tmp_path, capsys):

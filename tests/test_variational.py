@@ -7,16 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairinglab.bv import BvFunction1D, CantorPart, JumpPoint, Piecewise1D
 from pairinglab.errors import (AssumptionViolation, GapAboveTolerance,
                                InequalityViolated)
 from pairinglab.fields import field_catalog
-from pairinglab.measures import SingularLadder, TestFunction1D
 from pairinglab.scenarios import load_catalog
 from pairinglab.variational import (ApproximatingSequence, Functionals,
                                     MollifiedBv1D, _kernel_cdf, _kernel_rho,
                                     blowup_density, continuity_check_Gphi,
-                                    f_phi_smooth, liminf_tail, lsc_check,
+                                    liminf_tail, lsc_check,
                                     order_relation_check, relaxation_check,
                                     sigma_k_identity_check, truncate_bv)
 
@@ -140,24 +138,6 @@ def test_order_relation_constant_fields(c, u_stair):
 
 # ---------------------------------------------------------------------------
 # smooth functional values
-
-
-def test_f_phi_smooth_ramp_oracle():
-    ramp = Piecewise1D.from_callables(
-        DOMAIN,
-        lambda x: np.clip(x, 0.0, 1.0),
-        lambda x: np.where((x > 0.0) & (x < 1.0), 1.0, 0.0),
-        interior_breaks=(0.0, 1.0))
-    u = BvFunction1D(DOMAIN, ac=ramp)
-    phi = TestFunction1D.plateau(-1.8, -1.2, 1.2, 1.8)
-    val = f_phi_smooth(field_catalog("const", c=2.0), u, phi, DOMAIN)
-    assert abs(val - 2.0) < 1e-9
-
-
-def test_f_phi_smooth_infinite_on_jump(u_jump, phi_bump):
-    val = f_phi_smooth(field_catalog("const", c=1.0), u_jump, phi_bump,
-                       DOMAIN)
-    assert math.isinf(val)
 
 
 def test_liminf_tail_uses_last_values():
