@@ -32,7 +32,7 @@ __all__ = [
     "PiecewiseConstantBv2D",
     "Disc",
     "PolygonRegion",
-    "FinitePerimeterSet1D",
+    "Interval",
     "indicator_1d",
     "gradient_measure",
     "coarea_tv_check",
@@ -316,27 +316,21 @@ class BvFunction1D:
                 crossings.append((float(x0), nu))
         return sorted(crossings)
 
-    def level_set(self, t):
-        crossings = self.level_crossings(t)
+    def level_regions(self, t):
+        """((Interval, 1.0), ...) whose union is {u > t}."""
         a, b = self.domain
-        pts = [a] + [x for x, _ in crossings] + [b]
-        intervals = []
+        pts = [a] + [x for x, _ in self.level_crossings(t)] + [b]
+        above = self.evaluate(0.5 * (np.array(pts[:-1]) + pts[1:])) > t
         eps = 1e-9 * (b - a)
-        for lo, hi in zip(pts[:-1], pts[1:]):
-            if hi - lo < eps:
-                continue
-            mid = 0.5 * (lo + hi)
-            if float(self.evaluate(np.array([mid]))[0]) > t:
-                intervals.append((lo, hi))
-        # merge adjacent intervals sharing an endpoint (degenerate split)
         merged = []
-        for iv in intervals:
-            if merged and abs(merged[-1][1] - iv[0]) < eps:
-                merged[-1] = (merged[-1][0], iv[1])
-            else:
-                merged.append(list(iv) if isinstance(iv, tuple) else iv)
-        merged = [tuple(iv) for iv in merged]
-        return FinitePerimeterSet1D(tuple(merged), tuple(crossings), self.domain)
+        for lo, hi, up in zip(pts[:-1], pts[1:], above):
+            if hi - lo < eps or not up:
+                continue
+            # merge adjacent intervals sharing an endpoint (degenerate split)
+            if merged and abs(merged[-1][1] - lo) < eps:
+                lo = merged.pop()[0]
+            merged.append((lo, hi))
+        return tuple((Interval(lo, hi), 1.0) for lo, hi in merged)
 
     # -- composed integration handling the ladder part
 
@@ -412,14 +406,15 @@ def indicator_1d(intervals, domain, value=1.0):
 
 
 # ---------------------------------------------------------------------------
-# Finite perimeter sets
+# Regions
 
 
 @dataclass(frozen=True)
-class FinitePerimeterSet1D:
-    intervals: tuple
-    boundary: tuple  # ((x, interior normal nu), ...)
-    domain: tuple
+class Interval:
+    """A 1D region, the open interval (lo, hi)."""
+
+    lo: float
+    hi: float
 
 
 # A 2D region describes its boundary as pieces (curve, normal_at): a Circle
@@ -443,6 +438,10 @@ class Disc:
         r = np.hypot(d[..., 0], d[..., 1])
         safe = np.where(r > 0, r, 1.0)
         return -d / safe[..., None]
+
+    def boundary_distance(self, pts):
+        d = np.asarray(pts, dtype=float) - np.asarray(self.center, float)
+        return np.abs(np.hypot(d[..., 0], d[..., 1]) - self.radius)
 
     def contains(self, pts):
         p = np.asarray(pts, dtype=float)
@@ -471,6 +470,13 @@ class PolygonRegion:
 
     def interior_normal(self, pts):
         """Interior normal of the edge nearest to each point."""
+        return self._nearest_edge(pts)[1]
+
+    def boundary_distance(self, pts):
+        return self._nearest_edge(pts)[0]
+
+    def _nearest_edge(self, pts):
+        """(distance to the nearest edge, its interior normal) per point."""
         p = np.asarray(pts, dtype=float)
         best = np.full(p.shape[:-1], np.inf)
         out = np.zeros(p.shape)
@@ -482,7 +488,7 @@ class PolygonRegion:
             closer = dist < best
             best = np.where(closer, dist, best)
             out = np.where(closer[..., None], normal_at(p), out)
-        return out
+        return best, out
 
     def contains(self, pts):
         from .measures import _points_in_polygon

@@ -17,6 +17,9 @@ reason instead.  A scenario that parses but does not resolve fails each of
 its checks with the error, and the other scenarios are still run.  Reports
 are strict JSON: a non-finite number is written as null.
 
+``series`` writes the check's table even when the check fails; it then
+prints the failure to stderr and exits 1, as ``run`` does.
+
 ``--jobs N`` runs the scenarios in N worker processes (N must be an
 integer >= 1; the default 1 runs them in this process) and writes the same
 reports in the same order.  If a worker dies, each scenario the broken
@@ -259,7 +262,13 @@ def cmd_series(args):
         for param, value in outcome.table:
             w.writerow([f"{float(param):.10g}", f"{float(value):.12g}"])
     print(f"wrote {len(outcome.table)} rows to {out}")
-    return 0
+    if outcome.passed:
+        return 0
+    error = outcome.diagnostics.get("error")
+    print(f"{scenario.id} {outcome.check} FAIL "
+          f"residual={outcome.residual:.3e}"
+          + (f" error={error}" if error else ""), file=sys.stderr)
+    return 1
 
 
 def main(argv=None):

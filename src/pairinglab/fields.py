@@ -29,6 +29,35 @@ __all__ = [
 _SUP_BLOCK = 8192   # (x, t) sample points per magnitude call in sup_norm
 
 
+# The point convention: a 1D point is a scalar, a 2D point the trailing (2,)
+# axis of an array; values of b and B are shaped like points.
+
+
+def _norm(v, dim):
+    """|v| of values or vectors at points."""
+    return np.abs(v) if dim == 1 else np.hypot(v[..., 0], v[..., 1])
+
+
+def _node_axis(x, dim):
+    """Points x with a new axis (for t- or kernel nodes) after their shape."""
+    return x[..., None] if dim == 1 else x[..., None, :]
+
+
+def _broadcast(x, t, dim):
+    """(x, t) broadcast to their common shape of points."""
+    if dim == 1:
+        return np.broadcast_arrays(x, t)
+    shape = np.broadcast_shapes(np.shape(x)[:-1], np.shape(t))
+    return np.broadcast_to(x, shape + (2,)), np.broadcast_to(t, shape)
+
+
+def _plus_dot(dim, acc, b, g):
+    """acc + b . g, summed left to right."""
+    if dim == 1:
+        return acc + b * g
+    return acc + b[..., 0] * g[..., 0] + b[..., 1] * g[..., 1]
+
+
 @dataclass(frozen=True)
 class FieldB:
     """A field b(x, t) with its structural data.
@@ -54,22 +83,12 @@ class FieldB:
 
     def smooth_at(self, x, radius=1e-6):
         x = np.asarray(x, dtype=float)
-        for p in self.singular_points:
-            p = np.asarray(p, dtype=float)
-            if self.dim == 1:
-                if np.any(np.abs(x - p) < radius):
-                    return False
-            else:
-                d = x - p
-                if np.any(np.hypot(d[..., 0], d[..., 1]) < radius):
-                    return False
-        return True
+        return not any(
+            np.any(_norm(x - np.asarray(p, dtype=float), self.dim) < radius)
+            for p in self.singular_points)
 
     def magnitude(self, x, t):
-        v = np.asarray(self.eval(x, t), dtype=float)
-        if self.dim == 1:
-            return np.abs(v)
-        return np.hypot(v[..., 0], v[..., 1])
+        return _norm(np.asarray(self.eval(x, t), dtype=float), self.dim)
 
     def sup_norm(self, box, trange=None, n=161, nt=81):
         """Sampled sup of |b| over box x trange (box=(a,b) or ((x0,x1),(y0,y1))).
@@ -114,36 +133,29 @@ def _sample_points(dim, box, rng):
 def _check_field(f: FieldB, box):
     rng = np.random.default_rng(7)
     xs = _sample_points(f.dim, box, rng)
-    if f.singular_points:
-        # keep probe points away from declared singularities
-        for p in f.singular_points:
-            p = np.asarray(p, dtype=float)
-            if f.dim == 1:
-                xs = xs[np.abs(xs - p) > 0.2]
-            else:
-                d = xs - p
-                xs = xs[np.hypot(d[..., 0], d[..., 1]) > 0.2]
+    # keep probe points away from declared singularities
+    for p in f.singular_points:
+        xs = xs[_norm(xs - np.asarray(p, dtype=float), f.dim) > 0.2]
     t0, t1 = f.t_range
     ts = rng.uniform(t0 + 0.1, t1 - 0.1, size=xs.shape[0])
     h = 1e-5
-    xarg = xs if f.dim == 1 else xs
 
     # dB/dt = b
-    dB = (np.asarray(f.primitive(xarg, ts + h), float)
-          - np.asarray(f.primitive(xarg, ts - h), float)) / (2 * h)
-    bv = np.asarray(f.eval(xarg, ts), float)
+    dB = (np.asarray(f.primitive(xs, ts + h), float)
+          - np.asarray(f.primitive(xs, ts - h), float)) / (2 * h)
+    bv = np.asarray(f.eval(xs, ts), float)
     if np.max(np.abs(dB - bv)) > 1e-7 * (1.0 + np.max(np.abs(bv))):
         raise AssumptionViolation(
             "primitive", f"{f.name}: dB/dt does not match b")
 
     # B(x, 0) = 0
-    B0 = np.asarray(f.primitive(xarg, np.zeros_like(ts)), float)
+    B0 = np.asarray(f.primitive(xs, np.zeros_like(ts)), float)
     if np.max(np.abs(B0)) > 1e-10:
         raise AssumptionViolation(
             "primitive", f"{f.name}: B(x, 0) is not zero")
 
     # divergence formulas against central differences
-    def num_div(g, vector):
+    def num_div(g):
         if f.dim == 1:
             return (np.asarray(g(xs + h, ts), float)
                     - np.asarray(g(xs - h, ts), float)) / (2 * h)
@@ -159,8 +171,8 @@ def _check_field(f: FieldB, box):
     for formula, target, clause in (
             (f.div_x, f.eval, "divergence"),
             (f.div_primitive, f.primitive, "divergence of primitive")):
-        got = np.asarray(formula(xarg, ts), float)
-        want = num_div(target, target)
+        got = np.asarray(formula(xs, ts), float)
+        want = num_div(target)
         scale = 1.0 + np.max(np.abs(want))
         if np.max(np.abs(got - want)) > 1e-5 * scale:
             raise AssumptionViolation(
@@ -168,10 +180,9 @@ def _check_field(f: FieldB, box):
                         f"differences")
 
     # |b(x, t)| <= sigma(x) on the declared t-range
-    tg = np.linspace(t0, t1, 33)
-    mags = f.magnitude(xarg[..., None, :] if f.dim == 2 else xs[:, None],
-                       tg[None, :])
-    sig = np.asarray(f.sigma(xarg), float)
+    xrep = _node_axis(xs, f.dim)
+    mags = f.magnitude(xrep, np.linspace(t0, t1, 33)[None, :])
+    sig = np.asarray(f.sigma(xs), float)
     if np.any(mags > sig[:, None] * (1 + 1e-9) + 1e-12):
         raise AssumptionViolation(
             "local bound", f"{f.name}: |b| exceeds sigma on the t-range")
@@ -179,13 +190,8 @@ def _check_field(f: FieldB, box):
     # Lipschitz continuity in t
     t_a = rng.uniform(t0, t1, size=(xs.shape[0], 16))
     t_b = rng.uniform(t0, t1, size=(xs.shape[0], 16))
-    xrep = xarg[..., None, :] if f.dim == 2 else xs[:, None]
-    diff = np.asarray(f.eval(xrep, t_a), float) \
-        - np.asarray(f.eval(xrep, t_b), float)
-    if f.dim == 2:
-        diff = np.hypot(diff[..., 0], diff[..., 1])
-    else:
-        diff = np.abs(diff)
+    diff = _norm(np.asarray(f.eval(xrep, t_a), float)
+                 - np.asarray(f.eval(xrep, t_b), float), f.dim)
     gap = np.abs(t_a - t_b)
     if np.any(diff > f.lipschitz_t * gap * (1 + 1e-9) + 1e-12):
         raise AssumptionViolation(
@@ -443,59 +449,28 @@ def truncate(field: FieldB, k) -> FieldB:
     if k < 1.0:
         raise ValueError("truncation level must be at least 1")
 
-    if field.dim == 1:
-        def ev(x, t):
-            return sigma_k(t, k) * np.asarray(field.eval(x, t), float)
+    dim = field.dim
 
-        def dv(x, t):
-            return sigma_k(t, k) * np.asarray(field.div_x(x, t), float)
+    def ev(x, t):
+        s = sigma_k(t, k)
+        return s.reshape(s.shape + (1,) * (dim - 1)) \
+            * np.asarray(field.eval(x, t), float)
 
-        def prim(x, t):
-            x = np.asarray(x, float)
-            t = np.asarray(t, float)
-            xb, tb = np.broadcast_arrays(x, t)
+    def dv(x, t):
+        return sigma_k(t, k) * np.asarray(field.div_x(x, t), float)
+
+    def moment(g, G):
+        # int_0^t sigma_k(s) g(x, s) ds, with G the t-primitive of g
+        def out(x, t):
+            xb, tb = _broadcast(np.asarray(x, float), np.asarray(t, float),
+                                dim)
             return _sigma_k_moment(
-                tb, k,
-                integrand=lambda s: field.eval(xb[..., None], s),
-                antiderivative=lambda s: field.primitive(xb, s))
+                tb, k, integrand=lambda s: g(_node_axis(xb, dim), s),
+                antiderivative=lambda s: G(xb, s))
+        return out
 
-        def dprim(x, t):
-            x = np.asarray(x, float)
-            t = np.asarray(t, float)
-            xb, tb = np.broadcast_arrays(x, t)
-            return _sigma_k_moment(
-                tb, k,
-                integrand=lambda s: field.div_x(xb[..., None], s),
-                antiderivative=lambda s: field.div_primitive(xb, s))
-    else:
-        def ev(p, t):
-            return sigma_k(t, k)[..., None] \
-                * np.asarray(field.eval(p, t), float)
-
-        def dv(p, t):
-            return sigma_k(t, k) * np.asarray(field.div_x(p, t), float)
-
-        def prim(p, t):
-            p = np.asarray(p, float)
-            t = np.asarray(t, float)
-            shape = np.broadcast_shapes(np.shape(p)[:-1], np.shape(t))
-            pb = np.broadcast_to(p, shape + (2,))
-            tb = np.broadcast_to(t, shape)
-            return _sigma_k_moment(
-                tb, k,
-                integrand=lambda s: field.eval(pb[..., None, :], s),
-                antiderivative=lambda s: field.primitive(pb, s))
-
-        def dprim(p, t):
-            p = np.asarray(p, float)
-            t = np.asarray(t, float)
-            shape = np.broadcast_shapes(np.shape(p)[:-1], np.shape(t))
-            pb = np.broadcast_to(p, shape + (2,))
-            tb = np.broadcast_to(t, shape)
-            return _sigma_k_moment(
-                tb, k,
-                integrand=lambda s: field.div_x(pb[..., None, :], s),
-                antiderivative=lambda s: field.div_primitive(pb, s))
+    prim = moment(field.eval, field.primitive)
+    dprim = moment(field.div_x, field.div_primitive)
 
     sup = field.sup_norm(field.reference_box) if field.reference_box else 0.0
     return FieldB(
@@ -560,59 +535,31 @@ def mollify(field: FieldB, epsilon, window=None) -> FieldB:
     if epsilon <= 0:
         raise ValueError("mollification radius must be positive")
     if window is not None and field.reference_box is not None:
-        if field.dim == 1:
-            a, b = field.reference_box
-            w0, w1 = window
-            if w0 - epsilon < a or w1 + epsilon > b:
-                raise WindowTooLarge(
-                    f"radius {epsilon} spills outside the reference box")
-        else:
-            (a0, a1), (b0, b1) = field.reference_box
-            (w00, w01), (w10, w11) = window
-            if (w00 - epsilon < a0 or w01 + epsilon > a1
-                    or w10 - epsilon < b0 or w11 + epsilon > b1):
-                raise WindowTooLarge(
-                    f"radius {epsilon} spills outside the reference box")
+        # one (lo, hi) row per axis
+        box = np.reshape(np.asarray(field.reference_box, float), (-1, 2))
+        win = np.reshape(np.asarray(window, float), (-1, 2))
+        if np.any(win[:, 0] - epsilon < box[:, 0]) \
+                or np.any(win[:, 1] + epsilon > box[:, 1]):
+            raise WindowTooLarge(
+                f"radius {epsilon} spills outside the reference box")
 
-    if field.dim == 1:
-        m = Mollifier1D(epsilon)
+    dim = field.dim
+    m = Mollifier1D(epsilon) if dim == 1 else Mollifier2D(epsilon)
 
-        def smoothed(g):
-            def out(x, t):
-                x = np.asarray(x, float)
-                t = np.asarray(t, float)
-                xb, tb = np.broadcast_arrays(x, t)
-                vals = np.asarray(
-                    g(xb[..., None] - m.nodes, tb[..., None]), float)
-                return vals @ m.weights
-            return out
+    def smoothed(g):
+        def out(x, t):
+            xb, tb = _broadcast(np.asarray(x, float), np.asarray(t, float),
+                                dim)
+            shifted = _node_axis(xb, dim) - m.nodes
+            vals = np.asarray(g(shifted, tb[..., None]), float)
+            if vals.ndim > tb.ndim + 1:  # vector-valued g
+                return np.einsum("...nd,n->...d", vals, m.weights)
+            return vals @ m.weights
+        return out
 
-        def sig(x):
-            x = np.asarray(x, float)
-            vals = np.asarray(field.sigma(x[..., None] - m.nodes), float)
-            return np.max(vals, axis=-1)
-    else:
-        m = Mollifier2D(epsilon)
-
-        def smoothed(g):
-            def out(p, t):
-                p = np.asarray(p, float)
-                t = np.asarray(t, float)
-                shape = np.broadcast_shapes(np.shape(p)[:-1], np.shape(t))
-                pb = np.broadcast_to(p, shape + (2,))
-                tb = np.broadcast_to(t, shape)
-                shifted = pb[..., None, :] - m.nodes
-                vals = np.asarray(g(shifted, tb[..., None]), float)
-                if vals.shape == shifted.shape:
-                    return np.einsum("...nd,n->...d", vals, m.weights)
-                return vals @ m.weights
-            return out
-
-        def sig(p):
-            p = np.asarray(p, float)
-            shifted = p[..., None, :] - m.nodes
-            vals = np.asarray(field.sigma(shifted), float)
-            return np.max(vals, axis=-1)
+    def sig(x):
+        shifted = _node_axis(np.asarray(x, float), dim) - m.nodes
+        return np.max(np.asarray(field.sigma(shifted), float), axis=-1)
 
     return FieldB(
         name=f"{field.name}|moll{epsilon:g}", dim=field.dim,

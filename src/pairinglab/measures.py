@@ -22,6 +22,7 @@ __all__ = [
     "RadonMeasure2D",
     "Circle",
     "Segment",
+    "IntervalPatch",
     "DiscPatch",
     "PolygonPatch",
     "TestFunction1D",
@@ -340,6 +341,17 @@ class Segment:
         p1 = np.asarray(self.p1, float)
         pts = p0[None, :] + s[:, None] * (p1 - p0)[None, :]
         return pts, np.full(n, self.length / n)
+
+
+@dataclass(frozen=True)
+class IntervalPatch:
+    lo: float
+    hi: float
+    breaks: tuple = ()
+
+    def integrate(self, g, tol=1e-9):
+        return adaptive_simpson(g, self.lo, self.hi, tol=tol,
+                                breakpoints=self.breaks)
 
 
 @dataclass(frozen=True)

@@ -13,15 +13,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bv import (Disc, PiecewiseConstantBv2D, PolygonRegion,
-                 SmoothRadialBv2D, _coarea_rhs)
+from .bv import (BvFunction1D, Disc, Interval, PiecewiseConstantBv2D,
+                 PolygonRegion, SmoothRadialBv2D, _coarea_rhs)
 from .bv import gradient_measure as bv_gradient_measure
 from .errors import (BoundViolated, CylAverageDiverged, FormMismatch,
                      CrossValidationMismatch, NoApparentConvergence,
                      NonFiniteValue)
-from .fields import FieldB, mollify
-from .measures import (DiscPatch, PolygonPatch, RadonMeasure1D,
-                       RadonMeasure2D, _density_sign_breaks)
+from .fields import FieldB, _broadcast, _node_axis, _plus_dot, mollify
+from .measures import (DiscPatch, IntervalPatch, PolygonPatch,
+                       RadonMeasure1D, RadonMeasure2D, _density_sign_breaks)
 from .quadrature import _leggauss, adaptive_simpson, aitken, polar_quad
 
 _T_BLOCK = 1 << 16   # t-nodes per integrand call in elementwise_t_integral
@@ -229,13 +229,7 @@ def jump_theta(field: FieldB, x0, u_minus, u_plus, nu, tol=1e-9,
 
         def integrand(ts):
             ts = np.asarray(np.atleast_1d(ts), dtype=float)
-            if field.dim == 1:
-                xs = np.full(ts.shape, float(x0a))
-                return _fast_q(field, xs, nu, ts)
-            xs = np.broadcast_to(x0a, ts.shape + (2,))
-            nub = np.broadcast_to(np.asarray(nu, dtype=float),
-                                  ts.shape + (2,))
-            return _fast_q(field, xs, nub, ts)
+            return _fast_q(field, _broadcast(x0a, ts, field.dim)[0], nu, ts)
 
     total = adaptive_simpson(integrand, u_minus, u_plus, tol=tol,
                              breakpoints=[k for k in field.t_kinks
@@ -284,9 +278,12 @@ def normal_trace(field: FieldB, t, region, nsample=24) -> NormalTrace:
 
 
 def _patch_for_region(region, phi):
-    """Integration patch for a PolygonRegion or a Disc, the disc clipped to
-    the support of phi when the geometry allows it (concentric radial test
-    functions)."""
+    """Integration patch for an Interval, a PolygonRegion or a Disc, the
+    interval clipped to the support of phi, and the disc too when the
+    geometry allows it (concentric radial test functions)."""
+    if isinstance(region, Interval):
+        return IntervalPatch(max(region.lo, phi.support[0]),
+                             min(region.hi, phi.support[1]), phi.breakpoints)
     if isinstance(region, PolygonRegion):
         return PolygonPatch(tuple(tuple(v) for v in region.vertices))
     r_in = 0.0
@@ -301,31 +298,35 @@ def _patch_for_region(region, phi):
     return DiscPatch(region.center, r_out, r_inner=r_in, r_breaks=breaks)
 
 
-def _patches(u, phi):
-    """(patch, u on the patch) pairs covering the support of a 2D u.
+def _composed_integral(u, phi, h, tol):
+    """int h(x, u(x)) dx over the support of phi.
 
-    Outside them u = 0, and every integrand h(x, u(x)) built on the
-    primitive B(x, 0) = 0 vanishes there.
+    A 2D u is integrated patch by patch over its regions (the support disc
+    of a smooth radial u): outside them u = 0, and every integrand
+    h(x, u(x)) built on the primitive B(x, 0) = 0 vanishes there.
     """
+    if isinstance(u, BvFunction1D):
+        return u.integrate_composed(h, *phi.support, tol=tol,
+                                    extra_breaks=phi.breakpoints)
     if isinstance(u, SmoothRadialBv2D):
-        yield (_patch_for_region(Disc(u.center, u.support_radius), phi),
-               u.evaluate)
-    elif isinstance(u, PiecewiseConstantBv2D):
-        for region, val in u.regions:
-            yield (_patch_for_region(region, phi),
-                   lambda p, _v=val: np.full(np.shape(p)[:-1], _v))
+        parts = ((Disc(u.center, u.support_radius), u.evaluate),)
     else:
-        raise TypeError(f"unsupported BV function {type(u)!r}")
+        parts = ((region, lambda p, _v=val: np.full(np.shape(p)[:-1], _v))
+                 for region, val in u.regions)
+    return sum(_patch_for_region(region, phi).integrate(
+        lambda p: h(p, u_of(p)), tol=tol) for region, u_of in parts)
 
 
-def _dist_value_1d(field, u, phi, tol, numeric_t):
-    lo, hi = phi.support
-
+def _dist_value(field, u, phi, tol, numeric_t):
+    """<(b(., u), Du), phi> = -int [phi Div_x B + B . grad phi](x, u(x)) dx,
+    with B by its closed form or (``numeric_t``) by t-quadrature of b."""
+    dim = field.dim
     if numeric_t:
-        def integrand(ts, x, f, df):
-            x = x[..., None]
-            return (f[..., None] * field.div_x(x, ts)
-                    + field.eval(x, ts) * df[..., None])
+        def integrand(ts, x, f, grad):
+            x = _node_axis(x, dim)
+            return _plus_dot(dim, f[..., None] * field.div_x(x, ts),
+                             np.asarray(field.eval(x, ts), dtype=float),
+                             _node_axis(grad, dim))
 
         def h(x, uv):
             x = np.asarray(x, dtype=float)
@@ -334,38 +335,12 @@ def _dist_value_1d(field, u, phi, tol, numeric_t):
                                           kinks=field.t_kinks)
     else:
         def h(x, uv):
-            return (phi(x) * field.div_primitive(x, uv)
-                    + field.primitive(x, uv) * phi.gradient(x))
+            return _plus_dot(dim, phi(x) * field.div_primitive(x, uv),
+                             np.asarray(field.primitive(x, uv), dtype=float),
+                             phi.gradient(x))
 
-    return -u.integrate_composed(h, lo, hi, tol=tol,
-                                 extra_breaks=phi.breakpoints)
-
-
-def _dist_value_2d(field, u, phi, tol, numeric_t):
-    if numeric_t:
-        def integrand(ts, pts, f, grad):
-            pts = pts[..., None, :]
-            b = np.asarray(field.eval(pts, ts), dtype=float)
-            return (f[..., None] * field.div_x(pts, ts)
-                    + b[..., 0] * grad[..., 0, None]
-                    + b[..., 1] * grad[..., 1, None])
-
-        def h(pts, uv):
-            pts = np.asarray(pts, dtype=float)
-            return elementwise_t_integral(integrand, uv, pts, phi(pts),
-                                          phi.gradient(pts),
-                                          kinks=field.t_kinks)
-    else:
-        def h(pts, uv):
-            B = np.asarray(field.primitive(pts, uv), dtype=float)
-            grad = phi.gradient(pts)
-            return (phi(pts) * field.div_primitive(pts, uv)
-                    + B[..., 0] * grad[..., 0] + B[..., 1] * grad[..., 1])
-
-    total = 0.0
-    for patch, u_of in _patches(u, phi):
-        total -= patch.integrate(lambda p: h(p, u_of(p)), tol=tol)
-    return total
+    # 0.0 - I, not -I: an exactly cancelling I gives +0.0, never -0.0
+    return 0.0 - _composed_integral(u, phi, h, tol)
 
 
 def pairing_distributional(field: FieldB, u, phi, tol=1e-9,
@@ -376,14 +351,9 @@ def pairing_distributional(field: FieldB, u, phi, tol=1e-9,
     and div b instead of the closed-form primitive) and requires agreement
     within 10x the quadrature tolerance.
     """
-    if field.dim == 1:
-        value = _dist_value_1d(field, u, phi, tol, numeric_t=False)
-        if form_check:
-            other = _dist_value_1d(field, u, phi, tol, numeric_t=True)
-    else:
-        value = _dist_value_2d(field, u, phi, tol, numeric_t=False)
-        if form_check:
-            other = _dist_value_2d(field, u, phi, tol, numeric_t=True)
+    value = _dist_value(field, u, phi, tol, numeric_t=False)
+    if form_check:
+        other = _dist_value(field, u, phi, tol, numeric_t=True)
     if not np.isfinite(value):
         raise NonFiniteValue("distributional pairing is not finite")
     if form_check:
@@ -502,9 +472,10 @@ def _representation_2d(field, u, tol):
         measure = RadonMeasure2D(u.rect, surface_parts=parts)
 
         def theta(x):
-            # catalog scope: u has one region, whose jump density this is
+            # the jump density of the region whose boundary is nearest to x
             x = np.asarray(x, dtype=float)
-            region, val = u.regions[0]
+            region, val = min(u.regions,
+                              key=lambda rv: rv[0].boundary_distance(x))
             nu = region.interior_normal(x) * (1.0 if val >= 0 else -1.0)
             lo, hi = (0.0, val) if val >= 0 else (val, 0.0)
             return jump_theta(field, tuple(x), lo, hi, nu, tol=tol,
@@ -595,25 +566,6 @@ def pairing_by_traces(field: FieldB, u, tol=1e-9,
 # Coarea checks
 
 
-def _indicator_slice_1d(field, t, intervals, phi, tol):
-    """-int_{E_t} [phi div b_t + b_t phi'] dx, clipped to supp phi."""
-    lo_s, hi_s = phi.support
-    total = 0.0
-    for lo, hi in intervals:
-        lo = max(lo, lo_s)
-        hi = min(hi, hi_s)
-        if hi <= lo:
-            continue
-
-        def f(x):
-            return (phi(x) * np.asarray(field.div_x(x, float(t)), float)
-                    + np.asarray(field.eval(x, float(t)), float)
-                    * phi.gradient(x))
-        total -= adaptive_simpson(f, lo, hi, tol=tol,
-                                  breakpoints=phi.breakpoints)
-    return total
-
-
 def coarea_pairing_check(field: FieldB, u, phi, tol=1e-9, dist=None):
     """lhs = <(b(., u), Du), phi>; rhs = int_R <(b_t, D chi_{u>t}), phi> dt.
 
@@ -622,21 +574,17 @@ def coarea_pairing_check(field: FieldB, u, phi, tol=1e-9, dist=None):
     if dist is None:
         dist = pairing_distributional(field, u, phi, tol=tol)
     lhs = dist
-    if field.dim == 1:
-        def slice_at(t):
-            return _indicator_slice_1d(field, t, u.level_set(t).intervals,
-                                       phi, tol=tol * 1e-2)
-    else:
-        def slice_at(t):
-            def f(pts):
-                grad = phi.gradient(pts)
-                b = np.asarray(field.eval(pts, t), float)
-                return (np.asarray(phi(pts), float)
-                        * np.asarray(field.div_x(pts, t), float)
-                        + b[..., 0] * grad[..., 0] + b[..., 1] * grad[..., 1])
 
-            return -sum(sgn * _patch_for_region(region, phi).integrate(
-                f, tol=tol * 1e-2) for region, sgn in u.level_regions(t))
+    def slice_at(t):
+        # -int_{u > t} [phi div b_t + b_t . grad phi] dx
+        def f(x):
+            return _plus_dot(field.dim, np.asarray(phi(x), float)
+                             * np.asarray(field.div_x(x, t), float),
+                             np.asarray(field.eval(x, t), float),
+                             phi.gradient(x))
+
+        return 0.0 - sum(sgn * _patch_for_region(region, phi).integrate(
+            f, tol=tol * 1e-2) for region, sgn in u.level_regions(t))
 
     def ladder_slice(xs, nu, ts):
         # the boundary (Gauss-Green) form of the slice pairing, exact for
@@ -692,30 +640,13 @@ def chain_rule_check(field: FieldB, u, phi, tol=1e-10, dist=None):
     ``dist``, if given, is pairing_distributional(field, u, phi, tol,
     form_check=False).
     """
-    if field.dim == 1:
-        lo, hi = phi.support
-        div_v = -u.integrate_composed(
-            lambda x, uv: np.asarray(field.primitive(x, uv), float)
-            * phi.gradient(x), lo, hi, tol=tol,
-            extra_breaks=phi.breakpoints)
-        ac_term = u.integrate_composed(
-            lambda x, uv: phi(x)
-            * np.asarray(field.div_primitive(x, uv), float),
-            lo, hi, tol=tol, extra_breaks=phi.breakpoints)
-    else:
-        def hv(pts, uv):
-            B = np.asarray(field.primitive(pts, uv), float)
-            grad = phi.gradient(pts)
-            return B[..., 0] * grad[..., 0] + B[..., 1] * grad[..., 1]
-
-        def ha(pts, uv):
-            return phi(pts) * np.asarray(field.div_primitive(pts, uv),
-                                         float)
-        div_v = 0.0
-        ac_term = 0.0
-        for patch, u_of in _patches(u, phi):
-            div_v -= patch.integrate(lambda p: hv(p, u_of(p)), tol=tol)
-            ac_term += patch.integrate(lambda p: ha(p, u_of(p)), tol=tol)
+    div_v = 0.0 - _composed_integral(
+        u, phi, lambda x, uv: _plus_dot(
+            field.dim, 0.0, np.asarray(field.primitive(x, uv), float),
+            phi.gradient(x)), tol)
+    ac_term = _composed_integral(
+        u, phi, lambda x, uv: phi(x)
+        * np.asarray(field.div_primitive(x, uv), float), tol)
     if dist is None:
         dist = pairing_distributional(field, u, phi, tol=tol,
                                       form_check=False)
@@ -728,26 +659,11 @@ def chain_rule_check(field: FieldB, u, phi, tol=1e-10, dist=None):
 
 def _frozen_pairing(field, u, phi, tau, tol):
     """<(b_tau, Du), phi> for the t-frozen field: primitive is b(x,tau)*s."""
-    if field.dim == 1:
-        lo, hi = phi.support
-
-        def h(x, uv):
-            bt = np.asarray(field.eval(x, float(tau)), float)
-            dt = np.asarray(field.div_x(x, float(tau)), float)
-            return uv * (phi(x) * dt + bt * phi.gradient(x))
-        return -u.integrate_composed(h, lo, hi, tol=tol,
-                                     extra_breaks=phi.breakpoints)
-
-    def h(pts, uv):
-        bt = np.asarray(field.eval(pts, float(tau)), float)
-        dt = np.asarray(field.div_x(pts, float(tau)), float)
-        grad = phi.gradient(pts)
-        return uv * (phi(pts) * dt + bt[..., 0] * grad[..., 0]
-                     + bt[..., 1] * grad[..., 1])
-    total = 0.0
-    for patch, u_of in _patches(u, phi):
-        total -= patch.integrate(lambda p: h(p, u_of(p)), tol=tol)
-    return total
+    def h(x, uv):
+        bt = np.asarray(field.eval(x, float(tau)), float)
+        dt = np.asarray(field.div_x(x, float(tau)), float)
+        return uv * _plus_dot(field.dim, phi(x) * dt, bt, phi.gradient(x))
+    return 0.0 - _composed_integral(u, phi, h, tol)
 
 
 def _diffuse_variation_1d(u, window):

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import PairingLabError, SpecError, UnknownCheck
-from .quadrature import polar_quad
+from .errors import (AssumptionViolation, PairingLabError, SpecError,
+                     UnknownCheck)
 from .measures import SingularLadder, TestFunction1D, TestFunction2D
 from .bv import (BvFunction1D, CantorPart, Disc, JumpPoint, Piecewise1D,
                  PiecewiseConstantBv2D, PolygonRegion, SmoothRadialBv2D)
@@ -414,17 +414,18 @@ def _check_lipschitz(ctx, params, tol):
 
 
 def _check_gauss_green(ctx, params, tol):
+    if not isinstance(ctx.u, PiecewiseConstantBv2D):
+        raise AssumptionViolation(
+            "gauss_green", "u must be piecewise constant on 2D regions")
     rep = pairing.pairing_by_representation(ctx.field, ctx.u)
     lhs = rep.measure.total_mass()
-    region, val = ctx.u.regions[0]
 
-    def neg_div(pts):
-        p = np.asarray(pts, dtype=float)
-        t = val * np.ones(p.shape[:-1])
+    def neg_div(p, t):
         return -np.asarray(ctx.field.div_x(p, t), dtype=float)
 
-    rhs = val * polar_quad(neg_div, region.center, 0.0, region.radius,
-                           tol=1e-10)
+    rhs = sum(val * pairing._patch_for_region(region, None).integrate(
+        lambda p, _v=val: neg_div(p, np.full(np.shape(p)[:-1], _v)),
+        tol=1e-10) for region, val in ctx.u.regions)
     res = abs(lhs - rhs)
     return CheckOutcome(ctx.id, "gauss_green", lhs, rhs, res, tol, res <= tol)
 

@@ -25,8 +25,8 @@ from .errors import (AssumptionViolation, GapAboveTolerance,
 from .quadrature import (adaptive_simpson, aitken, find_sign_changes,
                          gauss_nodes, integrate_abs, polar_quad)
 from .measures import SingularLadder
-from .bv import (BvFunction1D, JumpPoint, Piecewise1D, PiecewiseConstantBv2D,
-                 SmoothRadialBv2D, gradient_measure)
+from .bv import (BvFunction1D, Disc, JumpPoint, Piecewise1D,
+                 PiecewiseConstantBv2D, SmoothRadialBv2D, gradient_measure)
 from .fields import FieldB, sigma_k, truncate
 from .pairing import pairing_by_representation
 
@@ -641,8 +641,12 @@ def relaxation_check(b, u, phi, A, eps_sequence, tol=1e-4, mode="weak*",
     eps_sequence = tuple(float(e) for e in eps_sequence)
     if len(eps_sequence) < 12:
         raise ValueError("the relaxation schedule needs at least 12 radii")
-    if isinstance(u, PiecewiseConstantBv2D):
-        region, inner = u.regions[0]
+    if isinstance(u, BvFunction1D):
+        seq = ApproximatingSequence.mollified(u, eps_sequence, mode=mode)
+        fun = Functionals(b, A)
+    elif isinstance(u, PiecewiseConstantBv2D) and len(u.regions) == 1 \
+            and isinstance(u.regions[0][0], Disc):
+        ((region, inner),) = u.regions
         elements = tuple(
             MollifiedRadial2D(region.center, region.radius, inner + u.background,
                               u.background, e) for e in eps_sequence)
@@ -651,8 +655,8 @@ def relaxation_check(b, u, phi, A, eps_sequence, tol=1e-4, mode="weak*",
                                                  for e in eps_sequence))
         fun = Functionals(b, None)
     else:
-        seq = ApproximatingSequence.mollified(u, eps_sequence, mode=mode)
-        fun = Functionals(b, A)
+        raise AssumptionViolation(
+            "recovery sequence", "a 2D u must be one constant disc")
     seq.monitor(u)
     target = fun.G_phi(u, phi)
     values = tuple(fun.G_phi(e, phi) for e in seq.elements)

@@ -105,9 +105,10 @@ def test_bv_level_crossings_staircase(u_stair):
 
 
 def test_bv_level_set_indicator(u_jump):
-    sup = u_jump.level_set(0.7)
     # {u > 0.7} = [0.3, 2]; its reduced boundary is the single point 0.3
-    assert any(abs(x - 0.3) < 1e-9 for x, _ in sup.boundary)
+    ((iv, sgn),) = u_jump.level_regions(0.7)
+    assert sgn == 1.0
+    assert abs(iv.lo - 0.3) < 1e-9 and iv.hi == 2.0
 
 
 def test_bv_rejects_unordered_jumps():

@@ -1,0 +1,33 @@
+"""Byte-identity of `pairinglab run --stable` reports on a catalog subset.
+
+The five scenarios cover the 1D jump path under the t-dependent ``xt`` and
+``sep`` fields (s05, s07) and the disc, exact-zero and square 2D pairings
+(s15, s16, s19).  A refactor that is meant to keep the numbers must keep
+these files byte for byte; a change that moves a number on purpose
+regenerates ``tests/golden/`` and says which values moved and why.
+"""
+
+import pathlib
+import shutil
+
+from pairinglab.cli import main
+from pairinglab.scenarios import shipped_catalog_dir
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+SCENARIOS = ("s05_jump2_xt", "s07_stair_sep", "s15_disc_linear2d",
+             "s16_disc_const2d", "s19_square_linear2d")
+
+
+def test_stable_reports_match_golden_bytes(tmp_path):
+    src = tmp_path / "catalog"
+    src.mkdir()
+    for sid in SCENARIOS:
+        shutil.copy(shipped_catalog_dir() / f"{sid}.json", src)
+    out = tmp_path / "reports"
+    assert main(["run", str(src), "--stable", "--jobs", "1",
+                 "--out", str(out)]) == 0
+    names = [f"{sid}.json" for sid in SCENARIOS] + ["aggregate.csv"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(names)
+    for name in names:
+        assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), \
+            name

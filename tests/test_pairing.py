@@ -123,6 +123,18 @@ def test_routes_agree_on_negative_2d_values(region, value, phi_radial):
     assert coarea_variation_check(f, u, phi_radial, rep=rep)[2] < 1e-5
 
 
+def test_representation_theta_uses_the_nearest_region():
+    # b(x) = x; on the boundary of each disc theta is b . nu_u averaged over
+    # that disc's jump range: |x| on both, for the value 1 disc (nu_u
+    # inward) and the value -0.6 disc (nu_u outward) alike
+    u = PiecewiseConstantBv2D(((-2.0, 2.0), (-2.0, 2.0)),
+                              ((Disc((-1.2, 0.0), 0.5), 1.0),
+                               (Disc((1.2, 0.0), 0.5), -0.6)))
+    theta = pairing_by_representation(field_catalog("linear2d"), u).theta
+    assert abs(theta((1.7, 0.0)) - 1.7) < 1e-9
+    assert abs(theta((-0.7, 0.0)) - 0.7) < 1e-9
+
+
 @given(c=st.floats(-2.0, 2.0))
 @settings(max_examples=15, deadline=None)
 def test_pairing_linear_in_constant_fields(c, u_stair, phi_bump):

@@ -195,7 +195,7 @@ CANTOR_SCENARIO = dict(
 def _count_form_checks(monkeypatch, shift=0.0):
     """Count the double-integral form evaluations; ``shift`` perturbs them."""
     calls = []
-    real = pairing._dist_value_1d
+    real = pairing._dist_value
 
     def counted(field, u, phi, tol, numeric_t):
         value = real(field, u, phi, tol, numeric_t)
@@ -204,7 +204,7 @@ def _count_form_checks(monkeypatch, shift=0.0):
             value += shift
         return value
 
-    monkeypatch.setattr(pairing, "_dist_value_1d", counted)
+    monkeypatch.setattr(pairing, "_dist_value", counted)
     return calls
 
 
@@ -726,11 +726,47 @@ def test_cli_series_header_only_for_tableless_check(tmp_path):
     assert rows == [["parameter", "value"]]
 
 
+def test_cli_series_failed_check_exits_1(tmp_path, capsys):
+    # blowup on a u without jumps raises; the (empty) table is still
+    # written, and the failure is reported, not hidden behind exit 0
+    out = tmp_path / "series.csv"
+    assert main(["series", "s01_smooth_const", "blowup", str(out)]) == 1
+    with open(out) as fh:
+        assert list(csv.reader(fh)) == [["parameter", "value"]]
+    err = capsys.readouterr().err
+    assert "s01_smooth_const blowup FAIL" in err and "error=" in err
+
+
 def test_cli_series_unknown_inputs(tmp_path, capsys):
     out = tmp_path / "series.csv"
     assert main(["series", "no_such_scenario", "blowup", str(out)]) == 2
     assert main(["series", "s01_smooth_const", "no_such_check",
                  str(out)]) == 2
+
+
+def _s19_with(**changes):
+    with open(shipped_catalog_dir() / "s19_square_linear2d.json") as fh:
+        return dict(json.load(fh), **changes)
+
+
+def test_gauss_green_on_square():
+    (out,) = run_scenario(parse_scenario(_s19_with(
+        checks=[{"name": "gauss_green", "tolerance": 1e-10}])))
+    # int -div b = -2 over the square of side 1.6, times the value 1.5
+    assert out.passed
+    assert abs(out.lhs + 7.68) < 1e-12 and abs(out.rhs + 7.68) < 1e-12
+
+
+@pytest.mark.parametrize("check, spec", [
+    ("gauss_green", FAST_SCENARIO), ("gauss_green", _s19_with(bv=RADIAL_BV)),
+    ("relaxation", _s19_with()), ("relaxation", _s19_with(bv=RADIAL_BV)),
+], ids=["gauss_green-1d", "gauss_green-radial", "relaxation-square",
+        "relaxation-radial"])
+def test_checks_needing_regions_fail_typed(check, spec):
+    spec = dict(spec, checks=[{"name": check, "tolerance": 1e-6}])
+    (out,) = run_scenario(parse_scenario(spec))
+    assert not out.passed
+    assert out.diagnostics["error"].startswith("AssumptionViolation")
 
 
 def test_checks_registry_is_complete():
