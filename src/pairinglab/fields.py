@@ -22,8 +22,6 @@ __all__ = [
     "truncate",
     "mollify",
     "sigma_k",
-    "Mollifier1D",
-    "Mollifier2D",
 ]
 
 _SUP_BLOCK = 8192   # (x, t) sample points per magnitude call in sup_norm
@@ -77,7 +75,6 @@ class FieldB:
     lipschitz_t: float      # uniform Lipschitz constant of t -> b(x, t)
     t_range: tuple = (-4.0, 4.0)
     singular_points: tuple = ()
-    divergence_class: str = "continuous"  # or "l1"
     reference_box: object = None
     t_kinks: tuple = ()  # t-values where b(x, .) is only Lipschitz
 
@@ -385,8 +382,7 @@ def _radial2d():
             np.asarray(p, float)[..., 0], np.asarray(p, float)[..., 1]),
         sigma=lambda p: np.ones(np.shape(p)[:-1]),
         lipschitz_t=0.0,
-        singular_points=((0.0, 0.0),),
-        divergence_class="l1")
+        singular_points=((0.0, 0.0),))
 
 
 _CATALOG = {
@@ -480,7 +476,6 @@ def truncate(field: FieldB, k) -> FieldB:
         lipschitz_t=field.lipschitz_t + sup,
         t_range=field.t_range,
         singular_points=field.singular_points,
-        divergence_class=field.divergence_class,
         reference_box=field.reference_box,
         t_kinks=tuple(sorted(set(field.t_kinks)
                              | {-k, -(k - 1.0), k - 1.0, k})))
@@ -511,24 +506,6 @@ def _bump_weights_2d(n=24):
     return pts[keep], w[keep] / w[keep].sum()
 
 
-class Mollifier1D:
-    """Discretized even bump kernel at radius epsilon."""
-
-    def __init__(self, epsilon, n=48):
-        self.epsilon = float(epsilon)
-        y, w = _bump_weights_1d(n)
-        self.nodes = y * self.epsilon
-        self.weights = w
-
-
-class Mollifier2D:
-    def __init__(self, epsilon, n=24):
-        self.epsilon = float(epsilon)
-        pts, w = _bump_weights_2d(n)
-        self.nodes = pts * self.epsilon
-        self.weights = w
-
-
 def mollify(field: FieldB, epsilon, window=None) -> FieldB:
     """Mollify b(., t) in x at radius epsilon; primitives commute with it."""
     epsilon = float(epsilon)
@@ -544,21 +521,22 @@ def mollify(field: FieldB, epsilon, window=None) -> FieldB:
                 f"radius {epsilon} spills outside the reference box")
 
     dim = field.dim
-    m = Mollifier1D(epsilon) if dim == 1 else Mollifier2D(epsilon)
+    nodes, weights = _bump_weights_1d() if dim == 1 else _bump_weights_2d()
+    nodes = nodes * epsilon
 
     def smoothed(g):
         def out(x, t):
             xb, tb = _broadcast(np.asarray(x, float), np.asarray(t, float),
                                 dim)
-            shifted = _node_axis(xb, dim) - m.nodes
+            shifted = _node_axis(xb, dim) - nodes
             vals = np.asarray(g(shifted, tb[..., None]), float)
             if vals.ndim > tb.ndim + 1:  # vector-valued g
-                return np.einsum("...nd,n->...d", vals, m.weights)
-            return vals @ m.weights
+                return np.einsum("...nd,n->...d", vals, weights)
+            return vals @ weights
         return out
 
     def sig(x):
-        shifted = _node_axis(np.asarray(x, float), dim) - m.nodes
+        shifted = _node_axis(np.asarray(x, float), dim) - nodes
         return np.max(np.asarray(field.sigma(shifted), float), axis=-1)
 
     return FieldB(
@@ -569,6 +547,5 @@ def mollify(field: FieldB, epsilon, window=None) -> FieldB:
         sigma=sig, lipschitz_t=field.lipschitz_t,
         t_range=field.t_range,
         singular_points=(),
-        divergence_class="continuous",
         reference_box=field.reference_box,
         t_kinks=field.t_kinks)

@@ -137,7 +137,6 @@ class RadonMeasure1D:
     ladder_scale: float = 0.0
     ladder_density: object = None  # optional density along the carrier
     ac_sign_roots: tuple = ()  # seeded kinks of |density| for variations
-    empty_intersection: bool = False
 
     def __post_init__(self):
         xs = [a[0] for a in self.atoms]
@@ -146,12 +145,6 @@ class RadonMeasure1D:
         a, b = self.interval
         if any(not (a <= x <= b) for x in xs):
             raise ValueError("atoms must lie inside the domain interval")
-
-    # -- construction helpers
-
-    @staticmethod
-    def zero(interval, empty_intersection=False):
-        return RadonMeasure1D(interval, empty_intersection=empty_intersection)
 
     # -- integration
 
@@ -239,7 +232,7 @@ class RadonMeasure1D:
         lo = max(window[0], self.interval[0])
         hi = min(window[1], self.interval[1])
         if hi < lo or (hi == lo and not (closed_left and closed_right)):
-            return RadonMeasure1D.zero(self.interval, empty_intersection=True)
+            return RadonMeasure1D(self.interval)
         atoms = []
         for x, w in self.atoms:
             inside = lo < x < hi
@@ -380,11 +373,6 @@ class RadonMeasure2D:
     ac_parts: tuple = ()       # ((patch, density(pts)), ...)
     surface_parts: tuple = ()  # ((curve, density(pts)), ...)
     mask: object = None        # optional box ((x0,x1),(y0,y1)) restriction
-    empty_intersection: bool = False
-
-    @staticmethod
-    def zero(rect, empty_intersection=False):
-        return RadonMeasure2D(rect, empty_intersection=empty_intersection)
 
     def integrate(self, g, tol=1e-9, nsurf=8192, narea=256):
         if self.mask is not None:
@@ -446,7 +434,7 @@ class RadonMeasure2D:
 
     def restrict(self, box):
         if not self._meets_rect(box):
-            return RadonMeasure2D.zero(self.rect, empty_intersection=True)
+            return RadonMeasure2D(self.rect)
         return replace(self, mask=box)
 
     def variation_masses(self, boxes):
@@ -548,7 +536,6 @@ class TestFunction1D:
     support: tuple
     sup_norm: float
     grad_sup_norm: float
-    in_unit_class: bool = True  # 0 <= phi <= 1
     breakpoints: tuple = ()  # kinks of the gradient, for quadrature seeding
 
     def __call__(self, x):
@@ -642,7 +629,6 @@ class TestFunction2D:
     support: tuple  # ("disc", center, r) | ("annulus", center, r0, r1) | ("box", xr, yr)
     sup_norm: float
     grad_sup_norm: float
-    in_unit_class: bool = True
     radial_breaks: tuple = ()  # radii of profile kinks, for quadrature seeding
 
     def __call__(self, pts):

@@ -48,7 +48,6 @@ __all__ = [
 @dataclass(frozen=True)
 class CylAverage:
     value: float
-    table: tuple     # 1D: ((r, average), ...); 2D: ((rho, inner limit), ...)
     converged: bool
     message: str = ""
 
@@ -59,14 +58,12 @@ class NormalTrace:
     normals: tuple
     values: tuple    # trace density at the sample points
     converged: bool
-    diagnostics: tuple = ()
 
 
 @dataclass(frozen=True)
 class PairingMeasure:
     measure: object          # RadonMeasure1D or RadonMeasure2D
     theta: object            # density against |Du| on its support
-    provenance: str          # distributional | representation | coarea | traces
 
     def integrate(self, phi, tol=1e-9):
         return self.measure.integrate(phi, tol=tol)
@@ -142,6 +139,21 @@ def _cylinder_average(field, t, nu, x, r, rho, n=10):
     return float(ws @ dotted @ ws)
 
 
+def _aitken_limit(term, depth, threshold, first):
+    """Limit of term(0), term(1), ... by Aitken acceleration of the last
+    five terms: (limit, settled).  It settles at i >= first, once two
+    successive accelerated values lie within ``threshold``."""
+    raw = []
+    prev = None
+    for i in range(depth):
+        raw.append(term(i))
+        ext = aitken(raw[-5:])
+        if prev is not None and abs(ext - prev) <= threshold and i >= first:
+            return ext, True
+        prev = ext
+    return prev, False
+
+
 def cylindrical_average(field: FieldB, t, nu, x, r0=0.25, rho0=0.25,
                         depth=24, threshold=1e-7) -> CylAverage:
     """Double-limit average of b_t . nu over shrinking cylinders at x.
@@ -153,46 +165,24 @@ def cylindrical_average(field: FieldB, t, nu, x, r0=0.25, rho0=0.25,
     """
     if field.dim == 1:
         x = float(np.asarray(x).reshape(()))
-        nu = float(nu)
-        raw, table = [], []
-        ext_prev = None
-        for i in range(depth):
-            r = r0 * 0.5 ** i
-            raw.append(_interval_average(field, t, x, r))
-            table.append((r, raw[-1] * nu))
-            ext = aitken(raw[-5:])
-            if ext_prev is not None and abs(ext - ext_prev) <= threshold \
-                    and i >= 3:
-                return CylAverage(ext * nu, tuple(table), True)
-            ext_prev = ext
-        return CylAverage(ext_prev * nu, tuple(table), False,
+        value, settled = _aitken_limit(
+            lambda i: _interval_average(field, t, x, r0 * 0.5 ** i),
+            depth, threshold, 3)
+        return CylAverage(value * float(nu), settled,
+                          "" if settled else
                           "inner limit did not settle within depth")
 
     x = np.asarray(x, dtype=float).reshape(2)
-    outer_raw, table = [], []
-    ext_prev = None
-    for j in range(depth):
+
+    def inner(j):
         rho = rho0 * 0.5 ** j
-        inner_raw = []
-        inner_prev = None
-        inner_val = None
-        for i in range(depth):
-            r = r0 * 0.5 ** i
-            inner_raw.append(_cylinder_average(field, t, nu, x, r, rho))
-            inner_val = aitken(inner_raw[-5:])
-            if inner_prev is not None \
-                    and abs(inner_val - inner_prev) <= 0.1 * threshold \
-                    and i >= 3:
-                break
-            inner_prev = inner_val
-        outer_raw.append(inner_val)
-        table.append((rho, inner_val))
-        ext = aitken(outer_raw[-5:])
-        if ext_prev is not None and abs(ext - ext_prev) <= threshold \
-                and j >= 2:
-            return CylAverage(ext, tuple(table), True)
-        ext_prev = ext
-    return CylAverage(ext_prev, tuple(table), False,
+        return _aitken_limit(
+            lambda i: _cylinder_average(field, t, nu, x, r0 * 0.5 ** i, rho),
+            depth, 0.1 * threshold, 3)[0]
+
+    value, settled = _aitken_limit(inner, depth, threshold, 2)
+    return CylAverage(value, settled,
+                      "" if settled else
                       "outer limit did not settle within depth")
 
 
@@ -260,7 +250,7 @@ def normal_trace(field: FieldB, t, region, nsample=24) -> NormalTrace:
     if not isinstance(region, (Disc, PolygonRegion)):
         raise TypeError(f"unsupported boundary {type(region)!r}")
     pieces = region.boundary()
-    pts, nus, vals, diag = [], [], [], []
+    pts, nus, vals, converged = [], [], [], True
     for curve, normal_at in pieces:
         ps, _ = curve.sample(max(2, nsample // len(pieces)))
         for p, nu in zip(ps, normal_at(ps)):
@@ -268,9 +258,8 @@ def normal_trace(field: FieldB, t, region, nsample=24) -> NormalTrace:
             pts.append(tuple(p))
             nus.append(tuple(nu))
             vals.append(res.value)
-            diag.append(res.converged)
-    return NormalTrace(tuple(pts), tuple(nus), tuple(vals),
-                       all(diag), tuple(diag))
+            converged = converged and res.converged
+    return NormalTrace(tuple(pts), tuple(nus), tuple(vals), converged)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +415,7 @@ def _representation_1d(field, u, tol, genuine_jumps):
             return float(_fast_q(field, np.array([x]), nu, ut)[0])
         return _required_cyl(field, ut, nu, np.array([x]))
 
-    return PairingMeasure(measure, theta, "representation")
+    return PairingMeasure(measure, theta)
 
 
 def _representation_2d(field, u, tol):
@@ -447,7 +436,7 @@ def _representation_2d(field, u, tol):
             n = np.hypot(g[..., 0], g[..., 1])
             nu = g / np.where(n > 0, n, 1.0)[..., None]
             return float(_fast_q(field, x, nu, u.evaluate(x)))
-        return PairingMeasure(measure, theta, "representation")
+        return PairingMeasure(measure, theta)
 
     if isinstance(u, PiecewiseConstantBv2D):
         def jump_density(normal_at, val):
@@ -480,7 +469,7 @@ def _representation_2d(field, u, tol):
             lo, hi = (0.0, val) if val >= 0 else (val, 0.0)
             return jump_theta(field, tuple(x), lo, hi, nu, tol=tol,
                               genuine=field.smooth_at(x))
-        return PairingMeasure(measure, theta, "representation")
+        return PairingMeasure(measure, theta)
     raise TypeError(f"unsupported BV function {type(u)!r}")
 
 
@@ -545,7 +534,7 @@ def pairing_by_traces(field: FieldB, u, tol=1e-9,
                 raise CrossValidationMismatch(
                     f"trace atom {w_t} vs representation atom {w_r} at "
                     f"x={x_t}")
-        return PairingMeasure(measure, rep.theta, "traces")
+        return PairingMeasure(measure, rep.theta)
     # 2D catalog scope: single-level indicators and smooth radial profiles,
     # for which the trace form coincides with the representation densities;
     # cross-validate the surface density against genuine traces at samples
@@ -559,7 +548,7 @@ def pairing_by_traces(field: FieldB, u, tol=1e-9,
                 if abs(v - float(want)) > 1e-5:
                     raise CrossValidationMismatch(
                         f"trace {v} vs density {float(want)} at {p}")
-    return PairingMeasure(rep.measure, rep.theta, "traces")
+    return PairingMeasure(rep.measure, rep.theta)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ receive arrays of shape (..., 2)).
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 from scipy.optimize import brentq
@@ -165,11 +166,21 @@ def aitken(seq):
 # 2D quadrature
 
 
-def _polar_value(f, center, r0, r1, r_edges, ntheta, nr, theta0=0.0,
-                 theta1=2.0 * np.pi):
+def _settled(values, tol, what):
+    """The first of the successive refinements ``values`` that lies within
+    tol * (1 + |value|) of the one before it."""
+    prev = None
+    for cur in values:
+        if prev is not None and abs(cur - prev) <= tol * (1.0 + abs(cur)):
+            return cur
+        prev = cur
+    raise ToleranceNotMet(f"{what} did not converge")
+
+
+def _polar_value(f, center, r_edges, ntheta, nr):
     gx, gw = _leggauss(8)
     # theta panels
-    tedges = np.linspace(theta0, theta1, ntheta + 1)
+    tedges = np.linspace(0.0, 2.0 * np.pi, ntheta + 1)
     tmid = 0.5 * (tedges[:-1] + tedges[1:])
     thalf = 0.5 * np.diff(tedges)
     tn = (tmid[:, None] + thalf[:, None] * gx[None, :]).ravel()
@@ -196,8 +207,7 @@ def _polar_value(f, center, r0, r1, r_edges, ntheta, nr, theta0=0.0,
     return float(np.einsum("i,j,ij->", tw, rw * rn, vals))
 
 
-def polar_quad(f, center, r0, r1, r_breaks=(), tol=1e-9, theta_range=None,
-               max_levels=7):
+def polar_quad(f, center, r0, r1, r_breaks=(), tol=1e-9):
     """Integrate f over the annulus r0 <= |x-center| <= r1 in polar form.
 
     ``f`` receives an array of points of shape (..., 2).
@@ -207,17 +217,8 @@ def polar_quad(f, center, r0, r1, r_breaks=(), tol=1e-9, theta_range=None,
     center = np.asarray(center, dtype=float)
     edges = [r0, r1] + [r for r in r_breaks if r0 < r < r1]
     edges = sorted(set(edges))
-    t0, t1 = (0.0, 2.0 * np.pi) if theta_range is None else theta_range
-    ntheta, nr = 4, 1
-    prev = _polar_value(f, center, r0, r1, edges, ntheta, nr, t0, t1)
-    for _ in range(max_levels):
-        ntheta *= 2
-        nr *= 2
-        cur = _polar_value(f, center, r0, r1, edges, ntheta, nr, t0, t1)
-        if abs(cur - prev) <= tol * (1.0 + abs(cur)):
-            return cur
-        prev = cur
-    raise ToleranceNotMet("polar quadrature did not converge")
+    return _settled((_polar_value(f, center, edges, 4 << k, 1 << k)
+                     for k in range(8)), tol, "polar quadrature")
 
 
 def _triangle_value(f, tris, n):
@@ -255,7 +256,7 @@ def _subdivide(tris):
     ])
 
 
-def polygon_quad(f, vertices, tol=1e-9, n=8, max_levels=5):
+def polygon_quad(f, vertices, tol=1e-9, n=8):
     """Integrate f over a simple polygon via fan triangulation + Duffy Gauss."""
     verts = np.asarray(vertices, dtype=float)
     centroid = verts.mean(axis=0)
@@ -264,14 +265,9 @@ def polygon_quad(f, vertices, tol=1e-9, n=8, max_levels=5):
         verts,
         np.roll(verts, -1, axis=0),
     ], axis=1)
-    prev = _triangle_value(f, tris, n)
-    for _ in range(max_levels):
-        tris = _subdivide(tris)
-        cur = _triangle_value(f, tris, n)
-        if abs(cur - prev) <= tol * (1.0 + abs(cur)):
-            return cur
-        prev = cur
-    raise ToleranceNotMet("polygon quadrature did not converge")
+    levels = accumulate(range(5), lambda t, _: _subdivide(t), initial=tris)
+    return _settled((_triangle_value(f, t, n) for t in levels), tol,
+                    "polygon quadrature")
 
 
 def _break_edges(a, b, breaks, npanels):
@@ -284,57 +280,38 @@ def _break_edges(a, b, breaks, npanels):
     return np.concatenate(parts + [np.asarray([b])])
 
 
-def circle_integral(g, center, radius, tol=1e-10, max_levels=10,
-                    theta_breaks=()):
-    """Line integral over a circle; ``g`` receives points of shape (..., 2)."""
-    center = np.asarray(center, dtype=float)
+def _line_integral(g, point_at, a, b, jacobian, breaks, npanels, tol, what):
+    """int_a^b g(point_at(s)) jacobian ds by panel Gauss, the panel count
+    doubling from ``npanels`` until two successive values agree."""
+    gx, gw = _leggauss(8)
 
     def value(npanels):
-        gx, gw = _leggauss(8)
-        edges = _break_edges(0.0, 2.0 * np.pi, theta_breaks, npanels)
+        edges = _break_edges(a, b, breaks, npanels)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * np.diff(edges)
-        th = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-        w = (half[:, None] * gw[None, :]).ravel() * radius
-        pts = np.stack([center[0] + radius * np.cos(th),
-                        center[1] + radius * np.sin(th)], axis=-1)
-        return float(np.dot(w, np.asarray(g(pts), dtype=float)))
+        s = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
+        w = (half[:, None] * gw[None, :]).ravel() * jacobian
+        return float(np.dot(w, np.asarray(g(point_at(s)), dtype=float)))
 
-    npanels = 4
-    prev = value(npanels)
-    for _ in range(max_levels):
-        npanels *= 2
-        cur = value(npanels)
-        if abs(cur - prev) <= tol * (1.0 + abs(cur)):
-            return cur
-        prev = cur
-    raise ToleranceNotMet("circle integral did not converge")
+    return _settled((value(npanels << k) for k in range(11)), tol, what)
 
 
-def segment_integral(g, p0, p1, tol=1e-10, max_levels=10, s_breaks=()):
+def circle_integral(g, center, radius, tol=1e-10, theta_breaks=()):
+    """Line integral over a circle; ``g`` receives points of shape (..., 2)."""
+    center = np.asarray(center, dtype=float)
+    return _line_integral(
+        g, lambda th: np.stack([center[0] + radius * np.cos(th),
+                                center[1] + radius * np.sin(th)], axis=-1),
+        0.0, 2.0 * np.pi, radius, theta_breaks, 4, tol, "circle integral")
+
+
+def segment_integral(g, p0, p1, tol=1e-10, s_breaks=()):
     """Line integral over the segment [p0, p1]."""
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
     length = float(np.linalg.norm(p1 - p0))
     if length == 0.0:
         return 0.0
-
-    def value(npanels):
-        gx, gw = _leggauss(8)
-        edges = _break_edges(0.0, 1.0, s_breaks, npanels)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * np.diff(edges)
-        s = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-        w = (half[:, None] * gw[None, :]).ravel() * length
-        pts = p0[None, :] + s[:, None] * (p1 - p0)[None, :]
-        return float(np.dot(w, np.asarray(g(pts), dtype=float)))
-
-    npanels = 1
-    prev = value(npanels)
-    for _ in range(max_levels):
-        npanels *= 2
-        cur = value(npanels)
-        if abs(cur - prev) <= tol * (1.0 + abs(cur)):
-            return cur
-        prev = cur
-    raise ToleranceNotMet("segment integral did not converge")
+    return _line_integral(
+        g, lambda s: p0[None, :] + s[:, None] * (p1 - p0)[None, :],
+        0.0, 1.0, length, s_breaks, 1, tol, "segment integral")

@@ -419,12 +419,11 @@ def _check_gauss_green(ctx, params, tol):
             "gauss_green", "u must be piecewise constant on 2D regions")
     rep = pairing.pairing_by_representation(ctx.field, ctx.u)
     lhs = rep.measure.total_mass()
-
-    def neg_div(p, t):
-        return -np.asarray(ctx.field.div_x(p, t), dtype=float)
-
-    rhs = sum(val * pairing._patch_for_region(region, None).integrate(
-        lambda p, _v=val: neg_div(p, np.full(np.shape(p)[:-1], _v)),
+    # Gauss-Green on each region R of value v: the jump across its boundary
+    # pairs to -int_R Div_x B(x, v) dx
+    rhs = sum(pairing._patch_for_region(region, None).integrate(
+        lambda p, _v=val: -np.asarray(ctx.field.div_primitive(
+            p, np.full(np.shape(p)[:-1], _v)), dtype=float),
         tol=1e-10) for region, val in ctx.u.regions)
     res = abs(lhs - rhs)
     return CheckOutcome(ctx.id, "gauss_green", lhs, rhs, res, tol, res <= tol)
@@ -542,11 +541,18 @@ def _check_relaxation(ctx, params, tol):
 
 def _check_blowup(ctx, params, tol):
     point = params.get("point", "jump")
+    jumps = getattr(ctx.u, "jumps", ())
     if point == "jump":
-        x0 = ctx.u.jumps[int(params.get("index", 0))].location
+        index = int(params.get("index", 0))
+        if not 0 <= index < len(jumps):
+            raise AssumptionViolation(
+                "blowup", f"u has no jump at index {index}")
+        x0 = jumps[index].location
         radii = tuple(params.get("radii",
                                  [0.02 * 0.5 ** i for i in range(6)]))
     elif point == "cantor":
+        if getattr(ctx.u, "cantor", None) is None:
+            raise AssumptionViolation("blowup", "u has no Cantor part")
         lad = ctx.u.cantor.ladder
         x0 = lad.interval[0]
         radii = tuple((lad.interval[1] - lad.interval[0]) * lad.side ** i

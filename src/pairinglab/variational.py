@@ -20,10 +20,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import (AssumptionViolation, GapAboveTolerance,
-                     InequalityViolated, NoApparentConvergence,
-                     PairingLabError)
-from .quadrature import (adaptive_simpson, aitken, find_sign_changes,
-                         gauss_nodes, integrate_abs, polar_quad)
+                     InequalityViolated, NoApparentConvergence)
+from .quadrature import (adaptive_simpson, aitken, gauss_nodes,
+                         integrate_abs, polar_quad)
 from .measures import SingularLadder
 from .bv import (BvFunction1D, Disc, JumpPoint, Piecewise1D,
                  PiecewiseConstantBv2D, SmoothRadialBv2D, gradient_measure)
@@ -192,21 +191,6 @@ class MollifiedBv1D:
             parts.append(np.linspace(*self.carrier_window, 2001))
         return np.unique(np.clip(np.concatenate(parts), a, b))
 
-    def l1_gap(self):
-        xs = self._monitor_grid()
-        return float(np.trapezoid(
-            np.abs(self.value(xs) - self.base.evaluate(xs)), xs))
-
-    def total_variation(self):
-        tv = sum(abs(s) for _, s in self._steps)
-        tv += abs(self.cantor_scale) * self.leaf_mass * (
-            0 if self.leaf_mids is None else self.leaf_mids.size)
-        if self._ac is not None:
-            a, b = self.domain
-            tv += integrate_abs(self._ac_deriv, a, b, tol=1e-7,
-                                breakpoints=self._ac.breaks[1:-1])
-        return tv
-
 
 @dataclass(frozen=True)
 class SmoothClosedForm1D:
@@ -215,8 +199,6 @@ class SmoothClosedForm1D:
     domain: tuple
     f: object
     df: object
-    feature_scale: float = 0.0
-    label: str = ""
 
     def value(self, x):
         return np.asarray(self.f(np.asarray(x, float)), dtype=float)
@@ -230,13 +212,6 @@ class SmoothClosedForm1D:
     def sup_norm(self):
         xs = np.linspace(*self.domain, 4001)
         return float(np.max(np.abs(self.value(xs))))
-
-    def l1_gap(self, base=None):
-        if base is None:
-            return 0.0
-        xs = np.linspace(*self.domain, 8001)
-        return float(np.trapezoid(
-            np.abs(self.value(xs) - base.evaluate(xs)), xs))
 
 
 @dataclass(frozen=True)
@@ -267,27 +242,9 @@ class MollifiedRadial2D:
     def sup_norm(self):
         return max(abs(self.inner), abs(self.outer))
 
-    def l1_gap(self):
-        # |u_eps - u| is supported on the ring of width 2 eps
-        h = abs(self.inner - self.outer)
-        r, w = gauss_nodes(self.r0 - self.epsilon, self.r0 + self.epsilon, 32)
-        y = (r - self.r0) / self.epsilon
-        gap = np.abs(_kernel_cdf(y) - (y > 0))
-        return float(2.0 * math.pi * np.sum(w * r * h * gap))
-
 
 # ---------------------------------------------------------------------------
 # Direct quadrature of the functionals on sequence elements
-
-
-def _apply_weight(vals, weight):
-    if weight == "id":
-        return vals
-    if weight == "abs":
-        return np.abs(vals)
-    if weight == "pos":
-        return np.maximum(vals, 0.0)
-    raise ValueError(f"unknown weight {weight!r}")
 
 
 def _element_integral_1d(field, elem, phi, window, weight, tol=1e-9):
@@ -303,7 +260,7 @@ def _element_integral_1d(field, elem, phi, window, weight, tol=1e-9):
 
     def integrand(x):
         q = field.eval(x, elem.value(x)) * elem.derivative(x)
-        out = _apply_weight(q, weight)
+        out = np.abs(q) if weight == "abs" else q
         if phi is not None:
             out = out * phi.evaluate(x)
         return out
@@ -327,13 +284,6 @@ def _element_integral_1d(field, elem, phi, window, weight, tol=1e-9):
         sub = tuple(p for p in bps if a < p < b)
         if weight == "abs":
             total += integrate_abs(integrand, a, b, tol=tol, breakpoints=sub)
-        elif weight == "pos":
-            raw = lambda x: (field.eval(x, elem.value(x))
-                             * elem.derivative(x)
-                             * (phi.evaluate(x) if phi is not None else 1.0))
-            roots = find_sign_changes(raw, a, b, breakpoints=sub)
-            total += adaptive_simpson(integrand, a, b, tol=tol,
-                                      breakpoints=sub + tuple(roots))
         else:
             total += adaptive_simpson(integrand, a, b, tol=tol,
                                       breakpoints=sub)
@@ -364,8 +314,9 @@ def _carrier_term(field, elem, phi, weight, n=12):
     s = elem.cantor_scale
     y, w = gauss_nodes(-elem.epsilon, elem.epsilon, n)
     pts = elem.leaf_mids[:, None] + y[None, :]
-    g = _apply_weight(s * np.asarray(field.eval(pts, np.zeros(pts.shape)),
-                                     dtype=float), weight)
+    g = s * np.asarray(field.eval(pts, np.zeros(pts.shape)), dtype=float)
+    if weight == "abs":
+        g = np.abs(g)
     if phi is not None:
         g = g * phi.evaluate(pts)
     return float(elem.leaf_mass * np.sum((w * elem._rho(y)) * g))
@@ -381,7 +332,7 @@ def _element_integral_radial(field, elem, phi, weight, tol=1e-10):
         er = d / r[..., None]
         b = np.asarray(field.eval(p, elem.profile(r)), dtype=float)
         q = np.sum(b * er, axis=-1) * elem.dprofile(r)
-        out = _apply_weight(q, weight)
+        out = np.abs(q) if weight == "abs" else q
         if phi is not None:
             out = out * phi.evaluate(p)
         return out
@@ -466,27 +417,23 @@ class ApproximatingSequence:
     """A finite prefix of an approximating sequence with a hypothesis mode.
 
     mode is one of "L1" (L^1 convergence with a uniform L^infty bound),
-    "weak*" (uniform BV bound recorded), or "L1loc" (local L^1 with a
-    locally bounded sigma).  The declared premise is monitored numerically
-    by :meth:`monitor` and stored in ``premise``.
+    "weak*" (a uniform BV bound), or "L1loc" (local L^1 with a locally
+    bounded sigma).  :meth:`monitor` measures the uniform L^infty bound,
+    the one premise the checks read, and stores it in ``premise``.
     """
 
     elements: tuple
     mode: str = "L1"
-    labels: tuple = ()
     premise: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
         if self.mode not in ("L1", "weak*", "L1loc"):
             raise ValueError(f"unknown sequence mode {self.mode!r}")
-        if not self.labels:
-            self.labels = tuple(f"n={i}" for i in range(len(self.elements)))
 
     @staticmethod
     def mollified(u, eps_schedule, mode="L1", n_ac=24):
         elems = tuple(MollifiedBv1D(u, e, n_ac=n_ac) for e in eps_schedule)
-        labels = tuple(f"eps={e:.6g}" for e in eps_schedule)
-        return ApproximatingSequence(elems, mode=mode, labels=labels)
+        return ApproximatingSequence(elems, mode=mode)
 
     @staticmethod
     def oscillation(u, n_values, amplitude=1.0, mode="L1"):
@@ -500,46 +447,18 @@ class ApproximatingSequence:
                  + (amplitude / n) * np.sin(n * x))
             df = (lambda x, n=n: u.ac_derivative(x)
                   + amplitude * np.cos(n * x))
-            elems.append(SmoothClosedForm1D(u.domain, f, df,
-                                            feature_scale=2 * math.pi / n,
-                                            label=f"n={n}"))
-        return ApproximatingSequence(tuple(elems), mode=mode,
-                                     labels=tuple(e.label for e in elems))
+            elems.append(SmoothClosedForm1D(u.domain, f, df))
+        return ApproximatingSequence(tuple(elems), mode=mode)
 
     @staticmethod
     def constant(u, count=6, mode="L1"):
         return ApproximatingSequence(tuple(u for _ in range(count)),
-                                     mode=mode,
-                                     labels=tuple("u" for _ in range(count)))
+                                     mode=mode)
 
     def monitor(self, u):
-        """Record the declared premise: sup norms, L1 gaps, TV bounds."""
-        sups, gaps, tvs = [], [], []
-        for e in self.elements:
-            if isinstance(e, _BV_TYPES):
-                sups.append(e.sup_norm())
-                gaps.append(0.0)
-                tvs.append(e.total_variation()
-                           if isinstance(e, BvFunction1D) else float("nan"))
-            elif isinstance(e, MollifiedRadial2D):
-                sups.append(e.sup_norm())
-                gaps.append(e.l1_gap())
-                tvs.append(2 * math.pi * e.r0 * abs(e.inner - e.outer))
-            elif isinstance(e, SmoothClosedForm1D):
-                sups.append(e.sup_norm())
-                gaps.append(e.l1_gap(u))
-                tvs.append(float("nan"))
-            else:
-                sups.append(e.sup_norm())
-                gaps.append(e.l1_gap())
-                tvs.append(e.total_variation())
-        self.premise = {
-            "mode": self.mode,
-            "sup_linf": max(sups),
-            "l1_gaps": tuple(gaps),
-            "tv_bound": max((t for t in tvs if not math.isnan(t)),
-                            default=float("nan")),
-        }
+        """Record the premise the checks read: the uniform sup bound."""
+        self.premise = {"mode": self.mode,
+                        "sup_linf": max(e.sup_norm() for e in self.elements)}
         if not math.isfinite(self.premise["sup_linf"]):
             raise AssumptionViolation(
                 "uniform-bound", "sequence is not uniformly bounded")
@@ -562,10 +481,6 @@ class ContinuityResult:
     gaps: tuple
     mode: str
     premise: dict
-
-    @property
-    def table(self):
-        return tuple(zip(self.values, self.gaps))
 
 
 def continuity_check_Gphi(b, phi, sequence, u, tol=1e-5, window=None):
@@ -650,9 +565,7 @@ def relaxation_check(b, u, phi, A, eps_sequence, tol=1e-4, mode="weak*",
         elements = tuple(
             MollifiedRadial2D(region.center, region.radius, inner + u.background,
                               u.background, e) for e in eps_sequence)
-        seq = ApproximatingSequence(elements, mode=mode,
-                                    labels=tuple(f"eps={e:.6g}"
-                                                 for e in eps_sequence))
+        seq = ApproximatingSequence(elements, mode=mode)
         fun = Functionals(b, None)
     else:
         raise AssumptionViolation(

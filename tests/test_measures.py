@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pairinglab.errors import ToleranceNotMet
 from pairinglab.measures import (Circle, DiscPatch, RadonMeasure1D,
                                  RadonMeasure2D, Segment, SingularLadder,
                                  TestFunction1D, TestFunction2D)
@@ -72,6 +73,28 @@ def test_circle_integral_constant_and_kinked():
 def test_segment_integral_linear_density():
     val = segment_integral(lambda p: p[..., 0], (0.0, 0.0), (3.0, 4.0))
     assert abs(val - 1.5 * 5.0) < 1e-10
+
+
+@pytest.mark.parametrize("driver, args, message, calls", [
+    (polar_quad, ((0.0, 0.0), 0.0, 1.0), "polar quadrature", 8),
+    (polygon_quad, (((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)),),
+     "polygon quadrature", 6),
+    (circle_integral, ((0.0, 0.0), 1.0), "circle integral", 11),
+    (segment_integral, ((0.0, 0.0), (1.0, 1.0)), "segment integral", 11),
+], ids=["polar", "polygon", "circle", "segment"])
+def test_planar_drivers_give_up_on_noise(driver, args, message, calls):
+    # fresh noise on every call never settles: each driver spends its whole
+    # refinement budget and then raises
+    rng = np.random.default_rng(3)
+    seen = []
+
+    def noise(p):
+        seen.append(1)
+        return rng.standard_normal(np.shape(p)[:-1])
+
+    with pytest.raises(ToleranceNotMet, match=f"^{message} did not converge$"):
+        driver(noise, *args)
+    assert len(seen) == calls
 
 
 # ---------------------------------------------------------------------------

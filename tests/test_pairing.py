@@ -182,6 +182,28 @@ def test_cyl_average_near_a_singular_point():
     assert abs(got.value - want) <= 1e-9
 
 
+@pytest.mark.parametrize("kind, nu, x, message, calls", [
+    ("xt", 1.0, 0.4, "inner limit did not settle within depth", 24),
+    ("linear2d", (1.0, 0.0), (0.3, -0.2),
+     "outer limit did not settle within depth", 24 * 24),
+])
+def test_cyl_average_unsettled_spends_full_depth(kind, nu, x, message, calls):
+    # a negative threshold can never be met: every limit runs to depth 24
+    field = field_catalog(kind)
+    seen = []
+
+    def counted(p, t):
+        seen.append(1)
+        return field.eval(p, t)
+
+    got = cylindrical_average(dataclasses.replace(field, eval=counted), 0.5,
+                              nu, x, threshold=-1.0)
+    assert not got.converged
+    assert got.message == message
+    assert math.isfinite(got.value)
+    assert len(seen) == calls
+
+
 def test_jump_theta_constant_field(field_const):
     th = jump_theta(field_const, 0.3, 0.2, 1.2, 1.0)
     assert abs(th - 1.0) < 1e-10

@@ -1,16 +1,19 @@
 """Scenario parsing, check registry, and the command line runner."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
 import shutil
 
+import numpy as np
 import pytest
 
 from pairinglab import pairing, scenarios
 from pairinglab.cli import main
 from pairinglab.errors import SpecError, UnknownCheck
+from pairinglab.fields import make_field
 from pairinglab.scenarios import (CHECKS, CheckSpec, build_bv, load_catalog,
                                   load_scenario_file, parse_scenario,
                                   run_check, run_scenario,
@@ -764,6 +767,51 @@ def test_gauss_green_on_square():
         "relaxation-radial"])
 def test_checks_needing_regions_fail_typed(check, spec):
     spec = dict(spec, checks=[{"name": check, "tolerance": 1e-6}])
+    (out,) = run_scenario(parse_scenario(spec))
+    assert not out.passed
+    assert out.diagnostics["error"].startswith("AssumptionViolation")
+
+
+def _shipped_with(stem, **changes):
+    with open(shipped_catalog_dir() / f"{stem}.json") as fh:
+        return dict(json.load(fh), **changes)
+
+
+def test_gauss_green_with_t_dependent_divergence():
+    # b = t x: div_x b = 2t, B = t^2 x / 2 and Div_x B = t^2.  The pairing
+    # of the unit disc with value 1 has total mass -int_disc Div_x B(x, 1)
+    # = -pi, not -int_disc div_x b(x, 1) = -2 pi
+    field = make_field(
+        name="tx2d", dim=2,
+        eval=lambda p, t: np.asarray(t, float)[..., None]
+        * np.asarray(p, float),
+        div_x=lambda p, t: 2.0 * np.asarray(t, float)
+        + np.zeros(np.shape(p)[:-1]),
+        primitive=lambda p, t: 0.5 * np.asarray(t, float)[..., None] ** 2
+        * np.asarray(p, float),
+        div_primitive=lambda p, t: np.asarray(t, float) ** 2
+        + np.zeros(np.shape(p)[:-1]),
+        sigma=lambda p: 4.0 * np.hypot(np.asarray(p, float)[..., 0],
+                                       np.asarray(p, float)[..., 1]),
+        lipschitz_t=3.0)
+    ctx = dataclasses.replace(
+        parse_scenario(_shipped_with("s15_disc_linear2d")).resolve(),
+        field=field)
+    out = run_check(ctx, CheckSpec("gauss_green", 1e-6))
+    assert abs(out.lhs + math.pi) < 1e-6
+    assert abs(out.rhs + math.pi) < 1e-9
+    assert out.passed
+
+
+@pytest.mark.parametrize("stem, params", [
+    ("s01_smooth_const", {}),
+    ("s03_jump_const", {"point": "cantor"}),
+    ("s03_jump_const", {"index": 3}),
+    ("s15_disc_linear2d", {}),
+], ids=["no-jump", "no-cantor", "jump-index", "2d"])
+def test_blowup_without_its_point_fails_typed(stem, params):
+    spec = _shipped_with(stem, checks=[
+        {"name": "blowup", "tolerance": 1e-6, "params": params}])
     (out,) = run_scenario(parse_scenario(spec))
     assert not out.passed
     assert out.diagnostics["error"].startswith("AssumptionViolation")
