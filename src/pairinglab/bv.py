@@ -9,14 +9,14 @@ quantity stays exactly representable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DegenerateLevel
 from .measures import (Circle, RadonMeasure1D, RadonMeasure2D, Segment,
                        DiscPatch, SingularLadder)
-from .quadrature import adaptive_simpson, _leggauss
+from .quadrature import _brent_roots, _leggauss, adaptive_simpson
 
 # Plateau and leaf intervals of a ladder are integrated this many at a time,
 # which bounds the arrays an integrand builds per node (for example a
@@ -55,30 +55,27 @@ class Piecewise1D:
         if len(self.pieces) != len(self.breaks) - 1:
             raise ValueError("need one piece per breakpoint gap")
 
-    def _bins(self, x):
-        idx = np.searchsorted(self.breaks, np.asarray(x, dtype=float),
-                              side="right") - 1
-        return np.clip(idx, 0, len(self.pieces) - 1)
+    def _apply(self, which, x):
+        """Entry ``which`` of each piece's (f, df) at x.  Piece i holds on
+        [breaks[i], breaks[i + 1]); the first piece also below the domain,
+        the last one above it and at NaN."""
+        x = np.asarray(x, dtype=float)
+        out = np.empty(x.shape)
+        if len(self.pieces) == 1:
+            out[...] = self.pieces[0][which](x)
+            return out
+        idx = np.searchsorted(self.breaks[1:-1], x, side="right")
+        for i, piece in enumerate(self.pieces):
+            m = idx == i
+            if m.any():
+                out[m] = np.asarray(piece[which](x[m]), dtype=float)
+        return out
 
     def evaluate(self, x):
-        x = np.asarray(x, dtype=float)
-        idx = self._bins(x)
-        out = np.empty(x.shape)
-        for i, (f, _) in enumerate(self.pieces):
-            m = idx == i
-            if m.any():
-                out[m] = np.asarray(f(x[m]), dtype=float)
-        return out
+        return self._apply(0, x)
 
     def derivative(self, x):
-        x = np.asarray(x, dtype=float)
-        idx = self._bins(x)
-        out = np.empty(x.shape)
-        for i, (_, df) in enumerate(self.pieces):
-            m = idx == i
-            if m.any():
-                out[m] = np.asarray(df(x[m]), dtype=float)
-        return out
+        return self._apply(1, x)
 
     @staticmethod
     def constant(domain, c):
@@ -242,9 +239,6 @@ class BvFunction1D:
                               ac_breakpoints=bps, atoms=atoms,
                               ladder=ladder, ladder_scale=scale)
 
-    def total_variation(self):
-        return self.gradient_measure().variation().total_mass()
-
     # -- level sets
 
     def level_breaks(self):
@@ -287,50 +281,85 @@ class BvFunction1D:
         ca, cb = self.cantor.ladder.interval
         return lo >= ca - 1e-12 and hi <= cb + 1e-12
 
-    def level_crossings(self, t):
-        """Sorted list of (x, nu) interior crossings of level t."""
-        crossings = []
-        for j in self.jumps:
-            if j.u_minus < t < j.u_plus:
-                crossings.append((j.location, j.nu))
+    @cached_property
+    def _level_grid(self):
+        """Per jump-free segment: (lo, hi, a 1201-point grid, u on it, the
+        jump offset), the grid that brackets level crossings."""
+        out = []
         for lo, hi in self._segments():
-            npts = 1201
-            xs = np.linspace(lo, hi, npts)
-            v = self._segment_values(xs, lo, hi) - t
-            flat = np.abs(v) < 1e-13
-            if flat.sum() > npts // 10:
-                raise DegenerateLevel(
-                    f"level {t} coincides with a plateau of u on [{lo}, {hi}]")
-            s = np.sign(v)
-            s[s == 0.0] = 1.0
-            idx = np.nonzero(s[:-1] * s[1:] < 0)[0]
+            xs = np.linspace(lo, hi, 1201)
             offset = sum((j.right_value - j.left_value)
                          for j in self.jumps if j.location <= lo)
+            out.append((lo, hi, xs, self._segment_values(xs, lo, hi),
+                        float(offset)))
+        return out
 
-            def g(x, _off=offset):
-                return float(self._base(np.array([x]))[0]) + _off - t
+    def level_crossings_many(self, ts):
+        """Interior crossings of every level of ``ts``: arrays (owner, x,
+        nu) sorted by owner (the index into ts), then x.  A grid cell where
+        u - t changes sign (0 counting as positive) brackets a crossing.
+        DegenerateLevel if u is within 1e-13 of a level on more than a
+        tenth of a segment's grid."""
+        ts = np.asarray(ts, dtype=float)
+        owner = [np.flatnonzero((j.u_minus < ts) & (ts < j.u_plus))
+                 for j in self.jumps]
+        x = [np.full(k.size, j.location) for k, j in zip(owner, self.jumps)]
+        nu = [np.full(k.size, j.nu) for k, j in zip(owner, self.jumps)]
+        brackets = []
+        for lo, hi, xs, v, offset in self._level_grid:
+            flat = np.count_nonzero(np.abs(v - ts[:, None]) < 1e-13, axis=1)
+            if np.any(flat > v.size // 10):
+                raise DegenerateLevel(
+                    f"level {ts[np.argmax(flat > v.size // 10)]} coincides "
+                    f"with a plateau of u on [{lo}, {hi}]")
+            above = v >= ts[:, None]
+            k, cell = np.nonzero(above[:, :-1] != above[:, 1:])
+            owner.append(k)
+            nu.append(np.where(above[k, cell], -1, 1))
+            brackets.append((xs[cell], xs[cell + 1], np.full(k.size, offset)))
+        lo_x, hi_x, offset = (np.concatenate(b) for b in zip(*brackets))
+        level = ts[np.concatenate(owner[len(self.jumps):])]
+        x.append(_brent_roots(
+            lambda z, i: self._base(z) + offset[i] - level[i],
+            lo_x, hi_x, xtol=1e-13))
+        if np.isnan(x[-1]).any():
+            raise DegenerateLevel("a level crossing bracket lost its sign "
+                                  "change: the level touches u")
+        owner, x, nu = (np.concatenate(a) for a in (owner, x, nu))
+        order = np.lexsort((nu, x, owner))
+        return owner[order], x[order], nu[order]
 
-            for i in idx:
-                x0 = brentq(g, xs[i], xs[i + 1], xtol=1e-13)
-                nu = 1 if v[i] < 0 else -1  # u increasing through t => set to the right
-                crossings.append((float(x0), nu))
-        return sorted(crossings)
+    def level_crossings(self, t):
+        """Sorted list of (x, nu) interior crossings of level t."""
+        _, x, nu = self.level_crossings_many(np.array([t], dtype=float))
+        return list(zip(x.tolist(), nu.tolist()))
+
+    def level_intervals(self, ts):
+        """The intervals whose union is {u > t}, for every level of ``ts``:
+        arrays (owner, lo, hi) sorted by owner, then lo."""
+        ts = np.asarray(ts, dtype=float)
+        a, b = self.domain
+        owner, hi, _ = self.level_crossings_many(ts)
+        # each crossing ends an interval, and b ends the last one of a level
+        owner = np.concatenate([owner, np.arange(ts.size)])
+        order = np.argsort(owner, kind="stable")
+        owner, hi = owner[order], np.append(hi, np.full(ts.size, b))[order]
+        lo = np.where(np.diff(owner, prepend=-1) != 0, a, np.roll(hi, 1))
+        eps = 1e-9 * (b - a)
+        keep = (hi - lo >= eps) & (self.evaluate(0.5 * (lo + hi)) > ts[owner])
+        owner, lo, hi = owner[keep], lo[keep], hi[keep]
+        # an interval that starts where the one before it ends (a
+        # degenerate split) merges into it
+        first = np.ones(lo.size + 1, dtype=bool)
+        first[1:-1] = (owner[1:] != owner[:-1]) | (np.abs(hi[:-1] - lo[1:])
+                                                    >= eps)
+        return owner[first[:-1]], lo[first[:-1]], hi[first[1:]]
 
     def level_regions(self, t):
         """((Interval, 1.0), ...) whose union is {u > t}."""
-        a, b = self.domain
-        pts = [a] + [x for x, _ in self.level_crossings(t)] + [b]
-        above = self.evaluate(0.5 * (np.array(pts[:-1]) + pts[1:])) > t
-        eps = 1e-9 * (b - a)
-        merged = []
-        for lo, hi, up in zip(pts[:-1], pts[1:], above):
-            if hi - lo < eps or not up:
-                continue
-            # merge adjacent intervals sharing an endpoint (degenerate split)
-            if merged and abs(merged[-1][1] - lo) < eps:
-                lo = merged.pop()[0]
-            merged.append((lo, hi))
-        return tuple((Interval(lo, hi), 1.0) for lo, hi in merged)
+        _, lo, hi = self.level_intervals(np.array([t], dtype=float))
+        return tuple((Interval(l, h), 1.0)
+                     for l, h in zip(lo.tolist(), hi.tolist()))
 
     # -- composed integration handling the ladder part
 
@@ -534,17 +563,27 @@ class SmoothRadialBv2D:
         return float(self.profile(0.0))
 
     def radius_of_level(self, t):
-        if not (0.0 < t < self.max_value()):
-            raise DegenerateLevel(f"level {t} outside the profile range")
-        return brentq(lambda r: float(self.profile(r)) - t,
-                      0.0, self.support_radius, xtol=1e-14)
+        return self.level_regions(t)[0][0].radius
 
     def level_breaks(self):
         return self.value_range()
 
+    def level_regions_many(self, ts):
+        """level_regions(t) for every level of ts, the radii of the discs
+        polished together."""
+        radii = _brent_roots(
+            lambda r, k: np.asarray(self.profile(r), dtype=float) - ts[k],
+            np.zeros(ts.size), np.full(ts.size, float(self.support_radius)),
+            xtol=1e-14)
+        # NaN: the profile does not cross t on [0, support_radius]
+        bad = ts[~((0.0 < ts) & (ts < self.max_value())) | np.isnan(radii)]
+        if bad.size:
+            raise DegenerateLevel(f"level {bad[0]} outside the profile range")
+        return [((Disc(self.center, r), 1.0),) for r in radii.tolist()]
+
     def level_regions(self, t):
         """((region, sign), ...) whose union, signed, is {u > t}."""
-        return ((Disc(self.center, self.radius_of_level(t)), 1.0),)
+        return self.level_regions_many(np.array([t], dtype=float))[0]
 
     def sup_norm(self, window=None):
         return abs(self.max_value())
@@ -587,6 +626,10 @@ class PiecewiseConstantBv2D:
     def level_breaks(self):
         return tuple(sorted({self.background, *(v for _, v in self.regions)}))
 
+    def level_regions_many(self, ts):
+        """level_regions(t) for every level of ts."""
+        return [self.level_regions(t) for t in ts.tolist()]
+
     def level_regions(self, t):
         """((region, sign), ...) for the regions whose jump range holds t:
         sign +1 where {u > t} is the region, -1 where it is the complement
@@ -626,12 +669,10 @@ def coarea_tv_check(u, g, tol=1e-8):
     if isinstance(u, BvFunction1D):
         lhs = u.gradient_measure().variation().integrate(g, tol=tol)
 
-        def slice_at(t):
-            xs = np.array([x for x, _ in u.level_crossings(t)])
-            return float(np.sum(np.asarray(g(xs), dtype=float))) \
-                if xs.size else 0.0
+        def boundary(xs, nu, ts):
+            return np.asarray(g(xs), dtype=float)
 
-        rhs = _coarea_rhs(u, slice_at, lambda xs, nu, ts: g(xs), tol)
+        rhs = _coarea_rhs(u, _crossing_slices(u, boundary), boundary, tol)
     elif isinstance(u, SmoothRadialBv2D):
         du = gradient_measure(u).variation()
         lhs = du.integrate(g, tol=tol)
@@ -655,13 +696,24 @@ def coarea_tv_check(u, g, tol=1e-8):
     return lhs, rhs, abs(lhs - rhs)
 
 
-def _coarea_rhs(u, slice_at, ladder_slice, tol):
+def _crossing_slices(u, boundary):
+    """The slicer of a 1D u that sums ``boundary(xs, nu, ts)`` over the
+    crossings of each level, in order."""
+    def slices(ts):
+        owner, xs, nu = u.level_crossings_many(ts)
+        out = np.zeros(ts.shape)
+        np.add.at(out, owner, boundary(xs, nu, ts[owner]))
+        return out
+    return slices
+
+
+def _coarea_rhs(u, slices, ladder_slice, tol):
     """int dt of a slice functional of {u > t} over the level range of u.
 
     The t-panels lie between consecutive ``u.level_breaks()`` (1D or 2D),
     each pulled in at both ends by 1e-10 times the span of the breaks.
-    ``slice_at(t)`` gives the slice at an ordinary level t and may raise
-    DegenerateLevel at a plateau level.  Over the level range of a 1D
+    ``slices(ts)`` gives the slices at an array of ordinary levels and may
+    raise DegenerateLevel at a plateau level.  Over the level range of a 1D
     ladder the single crossing x(t) jumps at every dyadic level, so those
     panels follow the dyadic grid and use 2-point Gauss in t;
     ``ladder_slice(xs, nu, ts)`` gets all of their nodes at once: the
@@ -701,11 +753,7 @@ def _coarea_rhs(u, slice_at, ladder_slice, tol):
                                 lo_val + fn * span)
             total += float(np.dot(wn, vals))
             continue
-
-        def integrand(ts):
-            return np.array([slice_at(float(t)) for t in np.atleast_1d(ts)])
-
-        total += adaptive_simpson(integrand, t0 + pad, t1 - pad, tol=tol)
+        total += adaptive_simpson(slices, t0 + pad, t1 - pad, tol=tol)
     return total
 
 

@@ -13,8 +13,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NonFiniteValue
-from .quadrature import (adaptive_simpson, circle_integral, find_sign_changes,
-                         polar_quad, polygon_quad, segment_integral)
+from .quadrature import (_brent_roots, adaptive_simpson, circle_integral,
+                         find_sign_changes, polar_quad, polygon_quad,
+                         segment_integral)
 
 __all__ = [
     "SingularLadder",
@@ -22,7 +23,6 @@ __all__ = [
     "RadonMeasure2D",
     "Circle",
     "Segment",
-    "IntervalPatch",
     "DiscPatch",
     "PolygonPatch",
     "TestFunction1D",
@@ -337,17 +337,6 @@ class Segment:
 
 
 @dataclass(frozen=True)
-class IntervalPatch:
-    lo: float
-    hi: float
-    breaks: tuple = ()
-
-    def integrate(self, g, tol=1e-9):
-        return adaptive_simpson(g, self.lo, self.hi, tol=tol,
-                                breakpoints=self.breaks)
-
-
-@dataclass(frozen=True)
 class DiscPatch:
     center: tuple
     r_outer: float
@@ -449,22 +438,16 @@ class RadonMeasure2D:
 
 def _density_sign_breaks(curve, dens, n=2048):
     """Parameters along a curve where a surface density changes sign."""
-    from scipy.optimize import brentq
     a, b = curve.param_range()
     s = np.linspace(a, b, n + 1)
     vals = np.asarray(dens(curve.point_at(s)), dtype=float)
-
-    def f(t):
-        return float(np.asarray(dens(curve.point_at(np.asarray([t]))))[0])
-
-    roots = []
     flips = np.nonzero((vals[:-1] < 0) != (vals[1:] < 0))[0]
-    for i in flips:
-        try:
-            roots.append(float(brentq(f, s[i], s[i + 1], xtol=1e-14)))
-        except ValueError:
-            roots.append(0.5 * (s[i] + s[i + 1]))
-    return tuple(roots)
+    lo, hi = s[flips], s[flips + 1]
+    r = _brent_roots(
+        lambda t, _: np.asarray(dens(curve.point_at(t)), dtype=float),
+        lo, hi, xtol=1e-14)
+    # a flip that the polish does not see again is taken at its midpoint
+    return tuple(np.where(np.isnan(r), 0.5 * (lo + hi), r).tolist())
 
 
 def _part_grid(part, n):

@@ -13,16 +13,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bv import (BvFunction1D, Disc, Interval, PiecewiseConstantBv2D,
-                 PolygonRegion, SmoothRadialBv2D, _coarea_rhs)
+from .bv import (BvFunction1D, Disc, PiecewiseConstantBv2D, PolygonRegion,
+                 SmoothRadialBv2D, _coarea_rhs, _crossing_slices)
 from .bv import gradient_measure as bv_gradient_measure
 from .errors import (BoundViolated, CylAverageDiverged, FormMismatch,
                      CrossValidationMismatch, NoApparentConvergence,
                      NonFiniteValue)
 from .fields import FieldB, _broadcast, _node_axis, _plus_dot, mollify
-from .measures import (DiscPatch, IntervalPatch, PolygonPatch,
-                       RadonMeasure1D, RadonMeasure2D, _density_sign_breaks)
-from .quadrature import _leggauss, adaptive_simpson, aitken, polar_quad
+from .measures import (DiscPatch, PolygonPatch, RadonMeasure1D,
+                       RadonMeasure2D, _density_sign_breaks)
+from .quadrature import (_leggauss, adaptive_simpson, adaptive_simpson_many,
+                         aitken, polar_quad)
 
 _T_BLOCK = 1 << 16   # t-nodes per integrand call in elementwise_t_integral
 
@@ -267,12 +268,9 @@ def normal_trace(field: FieldB, t, region, nsample=24) -> NormalTrace:
 
 
 def _patch_for_region(region, phi):
-    """Integration patch for an Interval, a PolygonRegion or a Disc, the
-    interval clipped to the support of phi, and the disc too when the
-    geometry allows it (concentric radial test functions)."""
-    if isinstance(region, Interval):
-        return IntervalPatch(max(region.lo, phi.support[0]),
-                             min(region.hi, phi.support[1]), phi.breakpoints)
+    """Integration patch for a PolygonRegion or a Disc, the disc clipped
+    to the support of phi when the geometry allows it (concentric radial
+    test functions)."""
     if isinstance(region, PolygonRegion):
         return PolygonPatch(tuple(tuple(v) for v in region.vertices))
     r_in = 0.0
@@ -496,19 +494,17 @@ def _trace_jump_avg_1d(field, u, j, tol):
     with the boundary point located by the level-set machinery at every
     quadrature node."""
     def integrand(ts):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        out = np.empty(ts.shape)
-        for i, t in enumerate(ts):
-            crossings = u.level_crossings(float(t))
-            x, nu = min(crossings, key=lambda c: abs(c[0] - j.location))
-            if abs(x - j.location) > 1e-9 or nu != j.nu:
-                raise CrossValidationMismatch(
-                    f"level set at t={t} does not cross the stored jump "
-                    f"at {j.location}")
-            out[i] = _fast_q(field, np.array([x]), nu, float(t))[0] \
-                if field.smooth_at(x) else _required_cyl(field, float(t),
-                                                         nu, x)
-        return out
+        owner, xs, nus = u.level_crossings_many(ts)
+        hit = np.zeros(ts.shape, dtype=bool)
+        hit[owner[(np.abs(xs - j.location) <= 1e-9) & (nus == j.nu)]] = True
+        if not hit.all():
+            raise CrossValidationMismatch(
+                f"level set at t={ts[np.argmin(hit)]} does not cross the "
+                f"stored jump at {j.location}")
+        if field.smooth_at(j.location):
+            return _fast_q(field, np.full(ts.shape, j.location), j.nu, ts)
+        return np.array([_required_cyl(field, t, j.nu, j.location)
+                         for t in ts.tolist()])
 
     pad = 1e-9 * j.height
     total = adaptive_simpson(integrand, j.u_minus + pad, j.u_plus - pad,
@@ -555,6 +551,14 @@ def pairing_by_traces(field: FieldB, u, tol=1e-9,
 # Coarea checks
 
 
+def _level_by_level(u, slice_at):
+    """The slicer of an array of levels from slice_at(t, regions), the
+    slice at one level given the regions of {u > t} (the 2D slices, whose
+    integrals are not batched)."""
+    return lambda ts: np.array([slice_at(t, regions) for t, regions in zip(
+        ts.tolist(), u.level_regions_many(ts))])
+
+
 def coarea_pairing_check(field: FieldB, u, phi, tol=1e-9, dist=None):
     """lhs = <(b(., u), Du), phi>; rhs = int_R <(b_t, D chi_{u>t}), phi> dt.
 
@@ -564,23 +568,37 @@ def coarea_pairing_check(field: FieldB, u, phi, tol=1e-9, dist=None):
         dist = pairing_distributional(field, u, phi, tol=tol)
     lhs = dist
 
-    def slice_at(t):
-        # -int_{u > t} [phi div b_t + b_t . grad phi] dx
-        def f(x):
-            return _plus_dot(field.dim, np.asarray(phi(x), float)
-                             * np.asarray(field.div_x(x, t), float),
-                             np.asarray(field.eval(x, t), float),
-                             phi.gradient(x))
-
-        return 0.0 - sum(sgn * _patch_for_region(region, phi).integrate(
-            f, tol=tol * 1e-2) for region, sgn in u.level_regions(t))
+    def integrand(x, t):
+        # phi div b_t + b_t . grad phi
+        return _plus_dot(field.dim, np.asarray(phi(x), float)
+                         * np.asarray(field.div_x(x, t), float),
+                         np.asarray(field.eval(x, t), float),
+                         phi.gradient(x))
 
     def ladder_slice(xs, nu, ts):
         # the boundary (Gauss-Green) form of the slice pairing, exact for
         # the catalog's x-smooth fields
         return np.asarray(phi(xs), dtype=float) * _fast_q(field, xs, nu, ts)
 
-    rhs = _coarea_rhs(u, slice_at, ladder_slice, max(tol, 1e-8))
+    if isinstance(u, BvFunction1D):
+        def slices(ts):
+            # -int_{u > t} integrand dx, every region of every level in
+            # one adaptive_simpson_many
+            owner, lo, hi = u.level_intervals(ts)
+            vals = adaptive_simpson_many(
+                lambda x, k: integrand(x, ts[owner[k]]),
+                np.maximum(lo, phi.support[0]), np.minimum(hi, phi.support[1]),
+                tol=tol * 1e-2, breakpoints=phi.breakpoints)
+            out = np.zeros(ts.shape)
+            np.add.at(out, owner, vals)
+            return 0.0 - out
+    else:
+        slices = _level_by_level(u, lambda t, regions: 0.0 - sum(
+            sgn * _patch_for_region(region, phi).integrate(
+                lambda x: integrand(x, t), tol=tol * 1e-2)
+            for region, sgn in regions))
+
+    rhs = _coarea_rhs(u, slices, ladder_slice, max(tol, 1e-8))
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -590,16 +608,17 @@ def coarea_variation_check(field: FieldB, u, phi, tol=1e-9,
     if rep is None:
         rep = pairing_by_representation(field, u, tol=tol)
     lhs = rep.measure.variation().integrate(phi, tol=tol)
-    if field.dim == 1:
-        def slice_at(t):
-            return sum(
-                float(phi(np.array([x]))[0])
-                * abs(float(_fast_q(field, np.array([x]), nu, t)[0]))
-                for x, nu in u.level_crossings(t))
+
+    def boundary(xs, nu, ts):
+        return np.asarray(phi(xs), dtype=float) \
+            * np.abs(_fast_q(field, xs, nu, ts))
+
+    if isinstance(u, BvFunction1D):
+        slices = _crossing_slices(u, boundary)
     else:
-        def slice_at(t):
+        def slice_at(t, regions):
             total = 0.0
-            for region, sgn in u.level_regions(t):
+            for region, sgn in regions:
                 for curve, normal_at in region.boundary():
                     def q(pts):
                         return _fast_q(field, pts, normal_at(pts) * sgn, t)
@@ -611,10 +630,9 @@ def coarea_variation_check(field: FieldB, u, phi, tol=1e-9,
                         * np.abs(q(pts)))
             return total
 
-    rhs = _coarea_rhs(
-        u, slice_at,
-        lambda xs, nu, ts: np.asarray(phi(xs), dtype=float)
-        * np.abs(_fast_q(field, xs, nu, ts)), max(tol, 1e-8))
+        slices = _level_by_level(u, slice_at)
+
+    rhs = _coarea_rhs(u, slices, boundary, max(tol, 1e-8))
     return lhs, rhs, abs(lhs - rhs)
 
 

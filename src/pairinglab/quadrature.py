@@ -11,12 +11,12 @@ from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NonFiniteValue, ToleranceNotMet
 
 __all__ = [
     "adaptive_simpson",
+    "adaptive_simpson_many",
     "find_sign_changes",
     "integrate_abs",
     "aitken",
@@ -108,6 +108,135 @@ def adaptive_simpson(f, a, b, tol=1e-9, breakpoints=(), max_nodes=2_000_000):
     return result
 
 
+def adaptive_simpson_many(f, a, b, tol=1e-9, breakpoints=(),
+                          max_nodes=2_000_000):
+    """Independent adaptive Simpson integrals over the intervals [a_k, b_k].
+
+    Owner k gets, to the bit, what ``adaptive_simpson`` gives on [a_k, b_k]
+    with the same arguments: the same initial panels and budget, and its
+    own node count against max_nodes.  ``f(x, owner)`` gets the nodes of
+    every owner still refining in one call.  An empty interval gives 0.0.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    result = np.zeros(a.shape)
+    panels = [(k, _clean_breakpoints(a[k], b[k], breakpoints))
+              for k in np.flatnonzero(b > a)]
+    if not panels:
+        return result
+    lo, hi, own = (np.concatenate(v) for v in zip(*(
+        (p[:-1], p[1:], np.full(p.size - 1, k)) for k, p in panels)))
+    span = b - a
+    mid = 0.5 * (lo + hi)
+    flo, fmid, fhi = np.asarray(f(np.concatenate([lo, mid, hi]), np.tile(
+        own, 3)), dtype=float).reshape(3, -1)
+    S = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
+    nodes_used = 3 * np.bincount(own, minlength=a.size)
+    if not np.all(np.isfinite([flo, fmid, fhi])):
+        raise NonFiniteValue("integrand produced non-finite values")
+    while lo.size:
+        m1 = 0.5 * (lo + mid)
+        m2 = 0.5 * (mid + hi)
+        f1, f2 = np.asarray(f(np.concatenate([m1, m2]), np.tile(own, 2)),
+                            dtype=float).reshape(2, -1)
+        if not np.all(np.isfinite([f1, f2])):
+            raise NonFiniteValue("integrand produced non-finite values")
+        nodes_used += 2 * np.bincount(own, minlength=a.size)
+        Sl = (mid - lo) / 6.0 * (flo + 4.0 * f1 + fmid)
+        Sr = (hi - mid) / 6.0 * (fmid + 4.0 * f2 + fhi)
+        err = np.abs(Sl + Sr - S)
+        budget = tol * np.maximum((hi - lo) / span[own], 1e-300)
+        done = (err <= budget) | (hi - lo < 1e-14 * span[own])
+        result += _owner_sums((Sl + Sr + (Sl + Sr - S) / 15.0)[done],
+                              own[done], a.size)
+        keep = ~done
+        over = np.flatnonzero(nodes_used > max_nodes)
+        if over.size:
+            k = over[0]
+            raise ToleranceNotMet(
+                f"adaptive Simpson stalled: {np.sum(keep & (own == k))} "
+                f"intervals above tolerance after {nodes_used[k]} "
+                f"evaluations")
+        # the left halves of the remaining intervals, then the right halves
+        lo, mid, hi, flo, fmid, fhi, S = np.concatenate(
+            [np.array([lo, m1, mid, flo, f1, fmid, Sl])[:, keep],
+             np.array([mid, m2, hi, fmid, f2, fhi, Sr])[:, keep]], axis=1)
+        own = np.tile(own[keep], 2)
+    return result
+
+
+def _owner_sums(vals, owner, n):
+    """Per owner, np.sum of its entries of vals in order: np.add.at for
+    fewer than 8 terms, which np.sum too adds left to right."""
+    out = np.zeros(n)
+    count = np.bincount(owner, minlength=n)
+    short = count[owner] < 8
+    np.add.at(out, owner[short], vals[short])
+    for k in np.flatnonzero(count >= 8):
+        out[k] = np.sum(vals[owner == k])
+    return out
+
+
+_BRENT_RTOL = 4 * np.finfo(float).eps   # scipy brentq's default rtol
+_BRENT_MAXITER = 100                     # and its default step cap
+
+
+def _brent_roots(g, a, b, xtol):
+    """Roots of g(., k) in the brackets [a_k, b_k], polished together.
+
+    Each open bracket takes the safeguarded secant / inverse quadratic
+    steps of Brent (1973), step for step as scipy's ``brentq``, and stops
+    within xtol + _BRENT_RTOL |x|.  A bracket whose ends, evaluated here,
+    have the same sign gets NaN; ToleranceNotMet if a bracket is still
+    open after _BRENT_MAXITER steps."""
+    n = a.size
+    if not n:
+        return np.zeros(0)
+    f = g(np.concatenate([a, b]), np.concatenate([np.arange(n)] * 2))
+    root = np.where(f[:n] == 0, a, b)
+    act = np.flatnonzero((f[:n] != 0) & (f[n:] != 0))
+    same = np.signbit(f[:n][act]) == np.signbit(f[n:][act])
+    root[act[same]] = np.nan
+    act = act[~same]
+    # rows xpre, xcur, xblk, fpre, fcur, fblk, spre, scur of open brackets
+    state = np.zeros((8, act.size))
+    state[[0, 1, 3, 4]] = a[act], b[act], f[:n][act], f[n:][act]
+    for _ in range(_BRENT_MAXITER):
+        xpre, xcur, xblk, fpre, fcur, fblk, spre, scur = state
+        flip = (fpre != 0) & (fcur != 0) \
+            & (np.signbit(fpre) != np.signbit(fcur))
+        xblk, fblk, spre, scur = np.where(
+            flip, [xpre, fpre, xcur - xpre, xcur - xpre],
+            [xblk, fblk, spre, scur])
+        # the better end becomes xcur, the other end of the bracket xblk
+        xpre, xcur, xblk, fpre, fcur, fblk = np.where(
+            np.abs(fblk) < np.abs(fcur), [xcur, xblk, xcur, fcur, fblk, fcur],
+            [xpre, xcur, xblk, fpre, fcur, fblk])
+        delta = (xtol + _BRENT_RTOL * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        done = (fcur == 0) | (np.abs(sbis) < delta)
+        root[act[done]] = xcur[done]
+        if done.all():
+            return root
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            stry = np.where(xpre == xblk,
+                            -fcur * (xcur - xpre) / (fcur - fpre),
+                            -fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+        good = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                & (2 * np.abs(stry)
+                   < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)))
+        spre, scur = np.where(good, [scur, stry], sbis)
+        step = np.where(np.abs(scur) > delta, scur,
+                        np.where(sbis > 0, delta, -delta))
+        act, state = act[~done], np.array(
+            [xcur, xcur + step, xblk, fcur, fcur, fblk, spre, scur])[:, ~done]
+        state[4] = g(state[1], act)
+    raise ToleranceNotMet(f"root polish: {act.size} brackets still open "
+                          f"after {_BRENT_MAXITER} steps")
+
+
 def find_sign_changes(f, a, b, breakpoints=(), grid=4001):
     """Locate the zeros of ``f`` by dense sampling plus Brent refinement."""
     pts = _clean_breakpoints(a, b, breakpoints)
@@ -115,15 +244,11 @@ def find_sign_changes(f, a, b, breakpoints=(), grid=4001):
     for lo, hi in zip(pts[:-1], pts[1:]):
         npts = max(16, int(grid * (hi - lo) / (b - a)))
         x = np.linspace(lo, hi, npts)
-        y = np.asarray(f(x), dtype=float)
-        s = np.sign(y)
+        s = np.sign(np.asarray(f(x), dtype=float))
         idx = np.nonzero(s[:-1] * s[1:] < 0)[0]
-        for i in idx:
-            try:
-                roots.append(brentq(lambda z: float(f(np.array([z]))[0]),
-                                    x[i], x[i + 1], xtol=1e-14))
-            except ValueError:
-                pass
+        r = _brent_roots(lambda z, _: np.asarray(f(z), dtype=float), x[idx],
+                         x[idx + 1], xtol=1e-14)
+        roots.extend(r[~np.isnan(r)].tolist())
     return sorted(roots)
 
 

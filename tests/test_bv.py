@@ -7,10 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.optimize import brentq
+
 from pairinglab.bv import (BvFunction1D, CantorPart, Disc, JumpPoint,
                            Piecewise1D, PiecewiseConstantBv2D, PolygonRegion,
                            SmoothRadialBv2D, coarea_tv_check, indicator_1d)
+from pairinglab.errors import DegenerateLevel, ToleranceNotMet
 from pairinglab.measures import SingularLadder
+from pairinglab import quadrature
+from pairinglab.quadrature import _brent_roots
+from pairinglab.scenarios import build_bv, load_catalog
+
+CATALOG = load_catalog()
 
 DOMAIN = (-2.0, 2.0)
 RECT = ((-2.0, 2.0), (-2.0, 2.0))
@@ -56,7 +64,8 @@ def test_jump_from_sides_round_trip(a, b):
 
 def test_bv_total_variation_decomposes(u_mixed):
     # ramp contributes 0.8, cantor part 0.5, jump 0.8
-    assert abs(u_mixed.total_variation() - 2.1) < 1e-9
+    tv = u_mixed.gradient_measure().variation().total_mass()
+    assert abs(tv - 2.1) < 1e-9
     g = u_mixed.gradient_measure()
     assert abs(g.total_mass() - 2.1) < 1e-9
     assert abs(g.variation().total_mass() - 2.1) < 1e-9
@@ -80,7 +89,8 @@ def test_bv_cantor_endpoint_values(u_cantor):
     assert vals[0] == 0.0 and vals[1] == 0.0
     assert abs(vals[2] - 0.5) < 1e-12
     assert vals[3] == 1.0 and vals[4] == 1.0
-    assert abs(u_cantor.total_variation() - 1.0) < 1e-12
+    tv = u_cantor.gradient_measure().variation().total_mass()
+    assert abs(tv - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("splits", [(), (0.2, 0.5, 0.8), (0.25, 0.5, 0.75),
@@ -102,6 +112,119 @@ def test_bv_level_crossings_staircase(u_stair):
     cs = u_stair.level_crossings(2.0)
     assert len(cs) == 1
     assert abs(cs[0][0] - 0.7) < 1e-12
+
+
+def _scalar_crossings(u, t):
+    """Reference: per segment, the 1201-point sign grid of level_crossings
+    and one scalar brentq per sign change."""
+    out = [(j.location, j.nu) for j in u.jumps if j.u_minus < t < j.u_plus]
+    for lo, hi in u._segments():
+        xs = np.linspace(lo, hi, 1201)
+        v = u._segment_values(xs, lo, hi) - t
+        s = np.where(v >= 0.0, 1.0, -1.0)
+        def g(x):
+            return float(u._segment_values(np.array([x]), lo, hi)[0]) - t
+
+        for i in np.flatnonzero(s[:-1] * s[1:] < 0):
+            out.append((brentq(g, xs[i], xs[i + 1], xtol=1e-13),
+                        1 if v[i] < 0 else -1))
+    return sorted(out)
+
+
+def _sine_with_jump():
+    ac = Piecewise1D.from_callables(DOMAIN,
+                                    lambda x: 0.5 + 0.4 * np.sin(2.0 * x),
+                                    lambda x: 0.8 * np.cos(2.0 * x))
+    left = 0.5 + 0.4 * math.sin(0.6)
+    return BvFunction1D(DOMAIN, ac=ac,
+                        jumps=(JumpPoint.from_sides(0.3, left, left + 0.7),))
+
+
+@pytest.mark.parametrize("u", [
+    build_bv(CATALOG["s01_smooth_const"].bv_spec),
+    build_bv(CATALOG["s12_smooth_sep"].bv_spec),
+    build_bv(CATALOG["s14_ramp_xt"].bv_spec),
+    _sine_with_jump(),
+], ids=["s01", "s12", "s14", "jump+sine"])
+def test_batched_crossings_match_scalar_brentq(u):
+    lo, hi = u.value_range()
+    ts = np.linspace(lo + 0.011, hi - 0.013, 61)
+    owner, xs, nus = u.level_crossings_many(ts)
+    assert np.all(np.diff(owner) >= 0)
+    for k, t in enumerate(ts):
+        ref = _scalar_crossings(u, t)
+        mine = owner == k
+        assert len(ref) == np.count_nonzero(mine) > 0
+        assert [nu for _, nu in ref] == nus[mine].tolist()
+        assert np.max(np.abs(xs[mine] - [x for x, _ in ref])) <= 1e-12
+        assert u.level_crossings(t) == list(zip(xs[mine].tolist(),
+                                                nus[mine].tolist()))
+
+
+def test_batched_crossings_raise_on_a_plateau_level():
+    u = build_bv(CATALOG["s14_ramp_xt"].bv_spec)
+    u.level_crossings_many(np.array([0.25, 0.5, 0.75]))
+    for level in (0.0, 1.0):
+        with pytest.raises(DegenerateLevel, match=f"level {level} "):
+            u.level_crossings_many(np.array([0.25, level, 0.75]))
+
+
+def test_batched_crossings_raise_when_a_bracket_loses_its_sign(monkeypatch):
+    u = _sine_with_jump()
+    u._level_grid  # the bracketing grid, cached before _base is shifted
+    monkeypatch.setattr(BvFunction1D, "_base",
+                        lambda self, z: np.full(np.shape(z), 10.0))
+    with pytest.raises(DegenerateLevel, match="lost its sign change"):
+        u.level_crossings_many(np.array([0.4, 0.6]))
+
+
+def test_root_polish_never_returns_an_open_bracket(monkeypatch):
+    g = lambda x, k: np.tan(x) - 1.0
+    a, b = np.array([0.1, 0.2]), np.array([1.4, 1.5])
+    assert np.allclose(_brent_roots(g, a, b, xtol=1e-13), math.pi / 4,
+                       atol=1e-13)
+    assert _brent_roots(g, a[:0], b[:0], xtol=1e-13).size == 0
+    # a bracket without a sign change is NaN, the others are still polished
+    r = _brent_roots(g, np.array([0.1, 0.2]), np.array([1.4, 0.3]),
+                     xtol=1e-13)
+    assert abs(r[0] - math.pi / 4) < 1e-13 and np.isnan(r[1])
+    monkeypatch.setattr(quadrature, "_BRENT_MAXITER", 3)
+    with pytest.raises(ToleranceNotMet, match="still open after 3 steps"):
+        _brent_roots(g, a, b, xtol=1e-13)
+
+
+def _binned_reference(pw, which, x):
+    """Piecewise1D evaluation with the clipped searchsorted binning."""
+    x = np.asarray(x, dtype=float)
+    idx = np.clip(np.searchsorted(pw.breaks, x, side="right") - 1,
+                  0, len(pw.pieces) - 1)
+    out = np.empty(x.shape)
+    for i, piece in enumerate(pw.pieces):
+        m = idx == i
+        if m.any():
+            out[m] = np.asarray(piece[which](x[m]), dtype=float)
+    return out
+
+
+@pytest.mark.parametrize("pw", [
+    Piecewise1D.from_callables(DOMAIN, lambda x: 0.5 + 0.4 * np.sin(2.0 * x),
+                               lambda x: 0.8 * np.cos(2.0 * x)),
+    Piecewise1D((-2.0, -0.5, 1.0, 2.0),
+                ((lambda x: x ** 2, lambda x: 2.0 * x),
+                 (lambda x: np.cos(x) - 0.627, lambda x: -np.sin(x)),
+                 (lambda x: np.exp(-x), lambda x: -np.exp(-x)))),
+], ids=["one-piece", "three-pieces"])
+def test_piecewise_binning_matches_the_clipped_reference(pw):
+    x = np.concatenate([np.array(pw.breaks), [-3.0, -2.0 - 1e-12, 2.5,
+                                              np.nan],
+                        np.linspace(-2.2, 2.2, 45)])
+    grid = np.linspace(-2.5, 2.5, 24).reshape(4, 6)
+    for pts in (x, grid, grid.T, np.float64(-0.5)):
+        for which, method in ((0, pw.evaluate), (1, pw.derivative)):
+            want = _binned_reference(pw, which, pts)
+            got = method(pts)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_bv_level_set_indicator(u_jump):
@@ -148,7 +271,8 @@ def test_coarea_tv_identity_smooth(u_smooth):
 
 def test_indicator_1d_perimeter():
     u = indicator_1d(((-1.0, 0.5),), DOMAIN)
-    assert abs(u.total_variation() - 2.0) < 1e-12
+    tv = u.gradient_measure().variation().total_mass()
+    assert abs(tv - 2.0) < 1e-12
     assert u.evaluate(np.array([0.0]))[0] == 1.0
     assert u.evaluate(np.array([1.0]))[0] == 0.0
 
@@ -268,4 +392,5 @@ def test_tv_additive_over_jumps(locs, height):
                   for x in sorted(locs))
     u = BvFunction1D(DOMAIN, ac=Piecewise1D.constant(DOMAIN, 0.0),
                      jumps=jumps)
-    assert abs(u.total_variation() - len(jumps) * height) < 1e-9
+    tv = u.gradient_measure().variation().total_mass()
+    assert abs(tv - len(jumps) * height) < 1e-9

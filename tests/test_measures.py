@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairinglab.errors import ToleranceNotMet
+from pairinglab.errors import NonFiniteValue, ToleranceNotMet
 from pairinglab.measures import (Circle, DiscPatch, RadonMeasure1D,
                                  RadonMeasure2D, Segment, SingularLadder,
-                                 TestFunction1D, TestFunction2D)
-from pairinglab.quadrature import (adaptive_simpson, aitken, circle_integral,
+                                 TestFunction1D, TestFunction2D,
+                                 _density_sign_breaks)
+from pairinglab import quadrature
+from pairinglab.quadrature import (adaptive_simpson, adaptive_simpson_many,
+                                   aitken, circle_integral,
                                    find_sign_changes, integrate_abs,
                                    polar_quad, polygon_quad, segment_integral)
 
@@ -31,8 +34,83 @@ def test_adaptive_simpson_with_kink_breakpoint():
                - exact) < 1e-12
 
 
+def _owned(x, k):
+    """Owner k integrates sin((k + 1) x) + |x - 0.3|."""
+    return np.sin((k + 1.0) * x) + np.abs(x - 0.3)
+
+
+def test_adaptive_simpson_many_matches_each_owner(monkeypatch):
+    a = np.array([0.0, -1.0, 0.25, 0.3, -2.0, 0.29])
+    b = np.array([1.0, 0.5, 0.26, 2.0, 3.0, 0.31])
+    bps = (0.3, -0.5, 1.5)
+    # per pass, how many panels each owner finishes: np.sum adds fewer
+    # than 8 terms left to right and more in blocks, and both must match
+    finished = []
+
+    def owner_sums(vals, owner, n):
+        finished.extend(np.bincount(owner).tolist())
+        return owner_sums_(vals, owner, n)
+
+    owner_sums_ = quadrature._owner_sums
+    monkeypatch.setattr(quadrature, "_owner_sums", owner_sums)
+    many = adaptive_simpson_many(_owned, a, b, tol=1e-10, breakpoints=bps)
+    assert min(c for c in finished if c) < 8 <= max(finished)
+    for k in range(a.size):
+        one = adaptive_simpson(lambda x: _owned(x, k), a[k], b[k], tol=1e-10,
+                               breakpoints=bps)
+        assert many[k] == one
+
+
+def test_adaptive_simpson_many_empty_intervals():
+    calls = []
+
+    def f(x, k):
+        calls.append(x.size)
+        return _owned(x, k)
+
+    out = adaptive_simpson_many(f, [1.0, 2.0, 0.5], [1.0, 0.0, 0.5])
+    assert out.tolist() == [0.0, 0.0, 0.0] and not calls
+    out = adaptive_simpson_many(_owned, [1.0, 0.0], [0.5, 1.0])
+    assert out[0] == 0.0
+    assert out[1] == adaptive_simpson(lambda x: _owned(x, 1), 0.0, 1.0)
+
+
+def test_adaptive_simpson_many_counts_nodes_per_owner():
+    # forty cheap owners spend far more than max_nodes between them
+    a, b = np.zeros(40), np.linspace(0.5, 1.0, 40)
+    cheap = lambda x, k: x ** 2
+    nodes = []
+    out = adaptive_simpson_many(
+        lambda x, k: nodes.append(x.size) or cheap(x, k), a, b,
+        max_nodes=60)
+    assert sum(nodes) > 60
+    assert out == pytest.approx(b ** 3 / 3.0, rel=1e-14)
+    # one stalling owner raises, however cheap the others are
+    rng = np.random.default_rng(3)
+    noisy = lambda x, k: np.where(k == 7, rng.standard_normal(x.size), x ** 2)
+    with pytest.raises(ToleranceNotMet, match="stalled"):
+        adaptive_simpson_many(noisy, a, b, max_nodes=2000)
+
+
+def test_adaptive_simpson_many_rejects_non_finite_values():
+    f = lambda x, k: np.where(k == 1, np.nan, x)
+    with pytest.raises(NonFiniteValue):
+        adaptive_simpson_many(f, [0.0, 0.0], [1.0, 1.0])
+
+
 def test_integrate_abs_sine_full_period():
     assert abs(integrate_abs(np.sin, 0.0, 2.0 * math.pi) - 4.0) < 1e-9
+
+
+def test_lost_sign_changes_are_dropped_or_taken_at_the_midpoint():
+    # the sampling grid sees a root at 0.5 that the polish, which evaluates
+    # the bracket ends in a smaller call, does not see again
+    f = lambda x: np.where(np.size(x) >= 16, x - 0.5001, 1.0)
+    assert find_sign_changes(f, 0.0, 1.0) == []
+    seg = Segment((0.0, 0.0), (1.0, 0.0))
+    dens = lambda p: np.where(len(p) > 8, p[..., 0] - 0.35, 1.0)
+    assert _density_sign_breaks(seg, dens, n=10) == pytest.approx((0.35,),
+                                                                 abs=1e-15)
 
 
 def test_find_sign_changes_locates_roots():

@@ -5,12 +5,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairinglab.bv import (BvFunction1D, Disc, JumpPoint, Piecewise1D,
                            PiecewiseConstantBv2D, PolygonRegion,
                            gradient_measure)
+from pairinglab import bv as bv_module
 from pairinglab import pairing
 from pairinglab.errors import AssumptionViolation, BoundViolated, FormMismatch
 from pairinglab.fields import FieldB, field_catalog, make_field
@@ -242,6 +244,42 @@ def test_coarea_checks_staircase(field_gt, u_stair, phi_bump):
     assert res < 1e-6
     lhs, rhs, res = coarea_variation_check(field_gt, u_stair, phi_bump)
     assert res < 1e-5
+
+
+def test_coarea_checks_batch_their_levels(monkeypatch):
+    """On s12 the two coarea checks find the crossings of all the levels of
+    an outer t-integrand call with one batched call, and never run a
+    scalar root finder."""
+    ctx = load_catalog()["s12_smooth_sep"].resolve()
+    dist = ctx.distributional()
+    rep = pairing_by_representation(ctx.field, ctx.u)
+    counts = {"outer": 0, "level_crossings": 0, "level_crossings_many": 0,
+              "brentq": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    simpson = bv_module.adaptive_simpson
+    monkeypatch.setattr(bv_module, "adaptive_simpson",
+                        lambda f, *a, **kw: simpson(counted("outer", f),
+                                                    *a, **kw))
+    for name in ("level_crossings", "level_crossings_many"):
+        if hasattr(BvFunction1D, name):
+            monkeypatch.setattr(BvFunction1D, name,
+                                counted(name, getattr(BvFunction1D, name)))
+    monkeypatch.setattr(bv_module, "brentq", counted(
+        "brentq", getattr(bv_module, "brentq", scipy.optimize.brentq)),
+        raising=False)
+    _, _, res = coarea_pairing_check(ctx.field, ctx.u, ctx.phi, dist=dist)
+    assert res < 1e-6
+    _, _, res = coarea_variation_check(ctx.field, ctx.u, ctx.phi, rep=rep)
+    assert res < 1e-5
+    assert counts["outer"] > 0
+    assert counts["level_crossings_many"] == counts["outer"]
+    assert counts["level_crossings"] == 0 and counts["brentq"] == 0
 
 
 def test_chain_rule_small_residual(field_gt, u_mixed, phi_bump):

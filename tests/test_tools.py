@@ -38,3 +38,22 @@ def test_time_catalog_one_scenario(time_catalog, capsys):
 def test_time_catalog_unknown_id(time_catalog):
     with pytest.raises(SystemExit, match="no_such_id"):
         time_catalog.main(["--only", "no_such_id"])
+    with pytest.raises(SystemExit, match="no_such_check"):
+        time_catalog.main(["--check", "no_such_check"])
+
+
+def test_time_catalog_check_filter(time_catalog, capsys):
+    sids = ["s05_jump2_xt", "s13_jumpneg_sep"]
+    wanted = ["coarea_variation", "two_route"]
+    argv = ["--only", *sids]
+    for name in wanted:
+        argv += ["--check", name]
+    assert time_catalog.main(argv) == 0
+    out = capsys.readouterr().out
+    catalog = load_catalog()
+    expect = [(sid, c.name) for sid in sids for c in catalog[sid].checks
+              if c.name in wanted]
+    rows = [tuple(line.split()[:2]) for line in out.splitlines()
+            if line.endswith("pass") or line.endswith("FAIL")]
+    assert rows == expect and len(expect) == 4
+    assert f"over {len(expect)} checks, 0 failed" in out

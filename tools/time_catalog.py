@@ -2,10 +2,11 @@
 
 Run from the repository root:
 
-    python3 tools/time_catalog.py [DIR] [--only ID ...]
+    python3 tools/time_catalog.py [DIR] [--only ID ...] [--check NAME ...]
 
 DIR is a directory of scenario JSON files (default: the shipped catalog);
-``--only`` keeps the named scenario ids.  The checks run as in
+``--only`` keeps the named scenario ids, and ``--check NAME`` (repeatable)
+keeps the checks of that name.  The checks run as in
 tests/test_acceptance.py::catalog_results: each scenario is resolved once,
 then each of its checks is run with ``run_check`` and timed with
 ``time.perf_counter``.  The output is one line per (scenario, check) with
@@ -21,22 +22,27 @@ from collections import defaultdict
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from pairinglab.scenarios import load_catalog, run_check  # noqa: E402
+from pairinglab.scenarios import (CHECKS, load_catalog,  # noqa: E402
+                                  run_check)
 
 
-def time_catalog(directory=None, only=()):
+def time_catalog(directory=None, only=(), checks=()):
     """[(scenario id, check name, seconds, passed), ...] in catalog order."""
     catalog = load_catalog(directory)
-    missing = set(only) - set(catalog)
-    if missing:
-        raise SystemExit("unknown scenario id(s): "
-                         + ", ".join(sorted(missing)))
+    for what, names, known in (("scenario id", only, catalog),
+                               ("check name", checks, CHECKS)):
+        missing = set(names) - set(known)
+        if missing:
+            raise SystemExit(f"unknown {what}(s): "
+                             + ", ".join(sorted(missing)))
     rows = []
     for sid, sc in catalog.items():
         if only and sid not in only:
             continue
         ctx = sc.resolve()
         for spec in sc.checks:
+            if checks and spec.name not in checks:
+                continue
             t0 = time.perf_counter()
             out = run_check(ctx, spec)
             rows.append((sid, spec.name, time.perf_counter() - t0,
@@ -55,8 +61,10 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("directory", nargs="?", default=None)
     parser.add_argument("--only", nargs="+", default=(), metavar="ID")
+    parser.add_argument("--check", action="append", default=[],
+                        metavar="NAME")
     args = parser.parse_args(argv)
-    rows = time_catalog(args.directory, args.only)
+    rows = time_catalog(args.directory, args.only, args.check)
     for sid, check, dt, passed in rows:
         print(f"{sid:24s} {check:18s} {dt:8.3f} s  "
               f"{'pass' if passed else 'FAIL'}")
