@@ -8,9 +8,9 @@ lower semicontinuity and relaxation of the induced functionals along
 approximating sequences.
 """
 
-from .bv import (BvFunction1D, CantorPart, Disc, Interval, JumpPoint,
-                 Piecewise1D, PiecewiseConstantBv2D, PolygonRegion,
-                 SmoothRadialBv2D, indicator_1d)
+from .bv import (BvFunction1D, CantorPart, Disc, JumpPoint, Piecewise1D,
+                 PiecewiseConstantBv2D, PolygonRegion, SmoothRadialBv2D,
+                 indicator_1d)
 from .errors import (AssumptionViolation, BoundViolated,
                      CrossValidationMismatch, CylAverageDiverged,
                      DegenerateLevel, FormMismatch, GapAboveTolerance,

@@ -15,8 +15,9 @@ import numpy as np
 
 from .errors import DegenerateLevel
 from .measures import (Circle, RadonMeasure1D, RadonMeasure2D, Segment,
-                       DiscPatch, SingularLadder)
-from .quadrature import _brent_roots, _leggauss, adaptive_simpson
+                       DiscPatch, SingularLadder, _per_kind)
+from .quadrature import (_brent_roots, _leggauss, adaptive_simpson,
+                         circle_integral_many)
 
 # Plateau and leaf intervals of a ladder are integrated this many at a time,
 # which bounds the arrays an integrand builds per node (for example a
@@ -32,7 +33,6 @@ __all__ = [
     "PiecewiseConstantBv2D",
     "Disc",
     "PolygonRegion",
-    "Interval",
     "indicator_1d",
     "gradient_measure",
     "coarea_tv_check",
@@ -355,12 +355,6 @@ class BvFunction1D:
                                                     >= eps)
         return owner[first[:-1]], lo[first[:-1]], hi[first[1:]]
 
-    def level_regions(self, t):
-        """((Interval, 1.0), ...) whose union is {u > t}."""
-        _, lo, hi = self.level_intervals(np.array([t], dtype=float))
-        return tuple((Interval(l, h), 1.0)
-                     for l, h in zip(lo.tolist(), hi.tolist()))
-
     # -- composed integration handling the ladder part
 
     def integrate_composed(self, h, lo=None, hi=None, tol=1e-9,
@@ -438,14 +432,6 @@ def indicator_1d(intervals, domain, value=1.0):
 # Regions
 
 
-@dataclass(frozen=True)
-class Interval:
-    """A 1D region, the open interval (lo, hi)."""
-
-    lo: float
-    hi: float
-
-
 # A 2D region describes its boundary as pieces (curve, normal_at): a Circle
 # or Segment from measures, and the interior unit normal at points of it.
 
@@ -462,11 +448,8 @@ class Disc:
         return 2.0 * np.pi * self.radius
 
     def interior_normal(self, pts):
-        p = np.asarray(pts, dtype=float)
-        d = p - np.asarray(self.center, dtype=float)
-        r = np.hypot(d[..., 0], d[..., 1])
-        safe = np.where(r > 0, r, 1.0)
-        return -d / safe[..., None]
+        return _disc_normal(np.asarray(pts, dtype=float),
+                            np.asarray(self.center, dtype=float))
 
     def boundary_distance(self, pts):
         d = np.asarray(pts, dtype=float) - np.asarray(self.center, float)
@@ -525,6 +508,28 @@ class PolygonRegion:
                                   np.asarray(self.vertices, dtype=float))
 
 
+def _disc_normal(p, center):
+    """The interior normal at points p of the discs centred at center."""
+    d = p - center
+    r = np.hypot(d[..., 0], d[..., 1])
+    safe = np.where(r > 0, r, 1.0)
+    return -d / safe[..., None]
+
+
+def _boundary_normals(pieces):
+    """normal(pts, k): the interior normal at the points pts of the
+    boundary pieces[k] of a Disc or PolygonRegion, for arrays pts and k
+    that broadcast together."""
+    circle = np.array([isinstance(c, Circle) for c, _ in pieces])
+    # a disc's center; an edge's normal, constant: taken at its start
+    data = np.array([c.center if isinstance(c, Circle)
+                     else normal_at(np.array([c.p0], dtype=float))[0]
+                     for c, normal_at in pieces], dtype=float)
+    return lambda pts, k: _per_kind(
+        circle, k, lambda: _disc_normal(pts, data[k]),
+        lambda: np.broadcast_to(data[k], pts.shape))
+
+
 # ---------------------------------------------------------------------------
 # 2D BV functions
 
@@ -563,14 +568,15 @@ class SmoothRadialBv2D:
         return float(self.profile(0.0))
 
     def radius_of_level(self, t):
-        return self.level_regions(t)[0][0].radius
+        ((disc, _),) = self.level_regions_many(np.array([t], dtype=float))[0]
+        return disc.radius
 
     def level_breaks(self):
         return self.value_range()
 
     def level_regions_many(self, ts):
-        """level_regions(t) for every level of ts, the radii of the discs
-        polished together."""
+        """For every level t of ts, ((region, sign), ...) whose union,
+        signed, is {u > t}: one disc, the radii polished together."""
         radii = _brent_roots(
             lambda r, k: np.asarray(self.profile(r), dtype=float) - ts[k],
             np.zeros(ts.size), np.full(ts.size, float(self.support_radius)),
@@ -580,10 +586,6 @@ class SmoothRadialBv2D:
         if bad.size:
             raise DegenerateLevel(f"level {bad[0]} outside the profile range")
         return [((Disc(self.center, r), 1.0),) for r in radii.tolist()]
-
-    def level_regions(self, t):
-        """((region, sign), ...) whose union, signed, is {u > t}."""
-        return self.level_regions_many(np.array([t], dtype=float))[0]
 
     def sup_norm(self, window=None):
         return abs(self.max_value())
@@ -627,16 +629,13 @@ class PiecewiseConstantBv2D:
         return tuple(sorted({self.background, *(v for _, v in self.regions)}))
 
     def level_regions_many(self, ts):
-        """level_regions(t) for every level of ts."""
-        return [self.level_regions(t) for t in ts.tolist()]
-
-    def level_regions(self, t):
-        """((region, sign), ...) for the regions whose jump range holds t:
-        sign +1 where {u > t} is the region, -1 where it is the complement
-        (a negative value)."""
-        return tuple((region, 1.0 if v >= 0 else -1.0)
-                     for region, v in self.regions
-                     if min(v, 0.0) < t < max(v, 0.0))
+        """For every level t of ts, ((region, sign), ...) for the regions
+        whose jump range holds t: sign +1 where {u > t} is the region, -1
+        where it is the complement (a negative value)."""
+        return [tuple((region, 1.0 if v >= 0 else -1.0)
+                      for region, v in self.regions
+                      if min(v, 0.0) < t < max(v, 0.0))
+                for t in ts.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -676,14 +675,12 @@ def coarea_tv_check(u, g, tol=1e-8):
     elif isinstance(u, SmoothRadialBv2D):
         du = gradient_measure(u).variation()
         lhs = du.integrate(g, tol=tol)
-        # parameterize the level by the disc radius
+        # parameterize the level by the disc radius: the circles of every
+        # radius of r in one batched line integral
         def integrand(r):
-            r = np.atleast_1d(np.asarray(r, dtype=float))
-            out = np.empty(r.shape)
-            for i, ri in enumerate(r):
-                circ = Circle(u.center, float(ri))
-                out[i] = circ.integrate(g) * abs(float(u.dprofile(ri)))
-            return out
+            return circle_integral_many(
+                lambda p, _: g(p), [u.center] * r.size, r, [()] * r.size) \
+                * np.abs(np.asarray(u.dprofile(r), dtype=float))
         rhs = adaptive_simpson(integrand, 1e-9, u.support_radius, tol=tol)
     elif isinstance(u, PiecewiseConstantBv2D):
         du = gradient_measure(u).variation()

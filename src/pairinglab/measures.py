@@ -13,9 +13,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NonFiniteValue
-from .quadrature import (_brent_roots, adaptive_simpson, circle_integral,
-                         find_sign_changes, polar_quad, polygon_quad,
-                         segment_integral)
+from .quadrature import (_T_BLOCK, _brent_roots, _circle_points,
+                         _segment_points, adaptive_simpson, circle_integral,
+                         circle_integral_many, find_sign_changes, polar_quad,
+                         polar_quad_many, polygon_quad, polygon_quad_many,
+                         segment_integral, segment_integral_many)
 
 __all__ = [
     "SingularLadder",
@@ -287,9 +289,8 @@ class Circle:
         return 2.0 * np.pi * self.radius
 
     def point_at(self, s):
-        s = np.asarray(s, dtype=float)
-        return np.stack([self.center[0] + self.radius * np.cos(s),
-                         self.center[1] + self.radius * np.sin(s)], axis=-1)
+        return _circle_points(np.asarray(self.center, dtype=float),
+                              self.radius, np.asarray(s, dtype=float))
 
     def param_range(self):
         return (0.0, 2.0 * np.pi)
@@ -300,9 +301,7 @@ class Circle:
 
     def sample(self, n):
         th = (np.arange(n) + 0.5) * (2.0 * np.pi / n)
-        pts = np.stack([self.center[0] + self.radius * np.cos(th),
-                        self.center[1] + self.radius * np.sin(th)], axis=-1)
-        return pts, np.full(n, self.length / n)
+        return self.point_at(th), np.full(n, self.length / n)
 
 
 @dataclass(frozen=True)
@@ -316,10 +315,9 @@ class Segment:
         return float(np.hypot(self.p1[0] - self.p0[0], self.p1[1] - self.p0[1]))
 
     def point_at(self, s):
-        s = np.asarray(s, dtype=float)
-        p0 = np.asarray(self.p0, float)
-        p1 = np.asarray(self.p1, float)
-        return p0 + s[..., None] * (p1 - p0)
+        return _segment_points(np.asarray(self.p0, float),
+                               np.asarray(self.p1, float),
+                               np.asarray(s, dtype=float))
 
     def param_range(self):
         return (0.0, 1.0)
@@ -330,10 +328,7 @@ class Segment:
 
     def sample(self, n):
         s = (np.arange(n) + 0.5) / n
-        p0 = np.asarray(self.p0, float)
-        p1 = np.asarray(self.p1, float)
-        pts = p0[None, :] + s[:, None] * (p1 - p0)[None, :]
-        return pts, np.full(n, self.length / n)
+        return self.point_at(s), np.full(n, self.length / n)
 
 
 @dataclass(frozen=True)
@@ -354,6 +349,30 @@ class PolygonPatch:
 
     def integrate(self, g, tol=1e-9):
         return polygon_quad(g, self.vertices, tol=tol)
+
+
+# the batched driver of each kind of part, and the fields it takes per part
+_BATCHED = {
+    DiscPatch: (polar_quad_many, ("center", "r_inner", "r_outer", "r_breaks")),
+    PolygonPatch: (polygon_quad_many, ("vertices",)),
+    Circle: (circle_integral_many, ("center", "radius", "param_breaks")),
+    Segment: (segment_integral_many, ("p0", "p1", "param_breaks")),
+}
+
+
+def _integrate_parts(g, parts, tol):
+    """[part.integrate(lambda p: g(p, k), tol) for k, part in
+    enumerate(parts)] over patches and curves: the parts of each kind in
+    one batched driver, whose g(points, owner) gets the points of many."""
+    out = np.zeros(len(parts))
+    kinds = [type(part) for part in parts]
+    for kind in dict.fromkeys(kinds):
+        driver, names = _BATCHED[kind]
+        idx = np.array([k for k, t in enumerate(kinds) if t is kind])
+        out[idx] = driver(lambda x, j, idx=idx: g(x, idx[j]),
+                          *([getattr(parts[k], name) for k in idx]
+                            for name in names), tol)
+    return out
 
 
 @dataclass(frozen=True)
@@ -436,18 +455,64 @@ class RadonMeasure2D:
         return [next(found) if self._meets_rect(E) else 0.0 for E in boxes]
 
 
-def _density_sign_breaks(curve, dens, n=2048):
-    """Parameters along a curve where a surface density changes sign."""
-    a, b = curve.param_range()
-    s = np.linspace(a, b, n + 1)
-    vals = np.asarray(dens(curve.point_at(s)), dtype=float)
-    flips = np.nonzero((vals[:-1] < 0) != (vals[1:] < 0))[0]
-    lo, hi = s[flips], s[flips + 1]
+def _per_kind(circle, k, on_circle, on_segment):
+    """on_circle() where circle[k], on_segment() elsewhere, for points of
+    the Circles and Segments k; each called only if some k needs it."""
+    if circle.all():
+        return on_circle()
+    if not circle.any():
+        return on_segment()
+    return np.where(circle[k][..., None], on_circle(), on_segment())
+
+
+def _points_on(curves):
+    """point_at(s, k): the points at the parameters s of the Circles and
+    Segments curves[k], for arrays s and k that broadcast together."""
+    circle = np.array([isinstance(c, Circle) for c in curves])
+    a = np.array([c.center if isinstance(c, Circle) else c.p0
+                  for c in curves], dtype=float)
+    b = np.array([(c.radius, 0.0) if isinstance(c, Circle) else c.p1
+                  for c in curves], dtype=float)
+    return lambda s, k: _per_kind(
+        circle, k, lambda: _circle_points(a[k], b[k, 0], s),
+        lambda: _segment_points(a[k], b[k], s))
+
+
+def _density_sign_breaks_many(curves, dens, n=2048):
+    """_density_sign_breaks of each curve k for the density dens(pts, k):
+    one sign scan over the (n + 1)-point parameter grids of all the curves,
+    in blocks of whole grids (with k as a column, one owner per grid), and
+    one polish of all their brackets."""
+    if not curves:
+        return []
+    point_at = _points_on(curves)
+    a, b = np.array([c.param_range() for c in curves], dtype=float).T
+    s = np.linspace(a, b, n + 1, axis=-1)
+    # curves of one kind share their grid, broadcast against the owners
+    shared = (a == a[0]).all() and (b == b[0]).all()
+    vals = np.empty(s.shape)
+    step = max(1, _T_BLOCK // (n + 1))
+    for i in range(0, len(curves), step):
+        k = np.arange(i, min(i + step, len(curves)))
+        if k.size == 1:      # a lone curve: its grid as it is, (n + 1, 2)
+            rows = i
+        else:
+            rows, k = slice(i, i + step), k[:, None]
+        vals[rows] = dens(point_at(s[0] if shared else s[rows], k), k)
+    k, i = np.nonzero((vals[:, :-1] < 0) != (vals[:, 1:] < 0))
+    lo, hi = s[k, i], s[k, i + 1]
     r = _brent_roots(
-        lambda t, _: np.asarray(dens(curve.point_at(t)), dtype=float),
+        lambda t, j: np.asarray(dens(point_at(t, k[j]), k[j]), dtype=float),
         lo, hi, xtol=1e-14)
     # a flip that the polish does not see again is taken at its midpoint
-    return tuple(np.where(np.isnan(r), 0.5 * (lo + hi), r).tolist())
+    r = np.where(np.isnan(r), 0.5 * (lo + hi), r)
+    return [tuple(b.tolist()) for b in np.split(
+        r, np.cumsum(np.bincount(k, minlength=len(curves)))[:-1])]
+
+
+def _density_sign_breaks(curve, dens, n=2048):
+    """Parameters along a curve where a surface density changes sign."""
+    return _density_sign_breaks_many([curve], lambda p, _: dens(p), n)[0]
 
 
 def _part_grid(part, n):

@@ -14,18 +14,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bv import (BvFunction1D, Disc, PiecewiseConstantBv2D, PolygonRegion,
-                 SmoothRadialBv2D, _coarea_rhs, _crossing_slices)
+                 SmoothRadialBv2D, _boundary_normals, _coarea_rhs,
+                 _crossing_slices)
 from .bv import gradient_measure as bv_gradient_measure
 from .errors import (BoundViolated, CylAverageDiverged, FormMismatch,
                      CrossValidationMismatch, NoApparentConvergence,
                      NonFiniteValue)
 from .fields import FieldB, _broadcast, _node_axis, _plus_dot, mollify
 from .measures import (DiscPatch, PolygonPatch, RadonMeasure1D,
-                       RadonMeasure2D, _density_sign_breaks)
-from .quadrature import (_leggauss, adaptive_simpson, adaptive_simpson_many,
-                         aitken, polar_quad)
-
-_T_BLOCK = 1 << 16   # t-nodes per integrand call in elementwise_t_integral
+                       RadonMeasure2D, _density_sign_breaks_many,
+                       _integrate_parts)
+from .quadrature import (_T_BLOCK, _leggauss, adaptive_simpson,
+                         adaptive_simpson_many, aitken, polar_quad)
 
 __all__ = [
     "CylAverage",
@@ -551,12 +551,14 @@ def pairing_by_traces(field: FieldB, u, tol=1e-9,
 # Coarea checks
 
 
-def _level_by_level(u, slice_at):
-    """The slicer of an array of levels from slice_at(t, regions), the
-    slice at one level given the regions of {u > t} (the 2D slices, whose
-    integrals are not batched)."""
-    return lambda ts: np.array([slice_at(t, regions) for t, regions in zip(
-        ts.tolist(), u.level_regions_many(ts))])
+def _level_pieces(u, ts, pieces):
+    """(level, sign, parts): every part of pieces(region) for every region
+    of {u > t}, signed, for every level t of ts, with the level's index."""
+    parts = [(i, sgn, part)
+             for i, regions in enumerate(u.level_regions_many(ts))
+             for region, sgn in regions for part in pieces(region)]
+    return (np.array([i for i, _, _ in parts], dtype=int),
+            np.array([sgn for _, sgn, _ in parts]), [p for *_, p in parts])
 
 
 def coarea_pairing_check(field: FieldB, u, phi, tol=1e-9, dist=None):
@@ -593,10 +595,16 @@ def coarea_pairing_check(field: FieldB, u, phi, tol=1e-9, dist=None):
             np.add.at(out, owner, vals)
             return 0.0 - out
     else:
-        slices = _level_by_level(u, lambda t, regions: 0.0 - sum(
-            sgn * _patch_for_region(region, phi).integrate(
-                lambda x: integrand(x, t), tol=tol * 1e-2)
-            for region, sgn in regions))
+        def slices(ts):
+            # the same, the patches of every region of every level in one
+            # batched planar driver
+            level, sgn, patches = _level_pieces(
+                u, ts, lambda region: (_patch_for_region(region, phi),))
+            vals = _integrate_parts(lambda x, k: integrand(x, ts[level[k]]),
+                                    patches, tol * 1e-2)
+            out = np.zeros(ts.shape)
+            np.add.at(out, level, sgn * vals)
+            return 0.0 - out
 
     rhs = _coarea_rhs(u, slices, ladder_slice, max(tol, 1e-8))
     return lhs, rhs, abs(lhs - rhs)
@@ -616,21 +624,25 @@ def coarea_variation_check(field: FieldB, u, phi, tol=1e-9,
     if isinstance(u, BvFunction1D):
         slices = _crossing_slices(u, boundary)
     else:
-        def slice_at(t, regions):
-            total = 0.0
-            for region, sgn in regions:
-                for curve, normal_at in region.boundary():
-                    def q(pts):
-                        return _fast_q(field, pts, normal_at(pts) * sgn, t)
+        def slices(ts):
+            # the boundary pieces of every region of every level: one sign
+            # scan of q and root polish, then one batched line integral
+            level, sgn, pieces = _level_pieces(u, ts, lambda r: r.boundary())
+            normal = _boundary_normals(pieces)
 
-                    curve = replace(curve, param_breaks=_density_sign_breaks(
-                        curve, q))
-                    total += curve.integrate(
-                        lambda pts: np.asarray(phi(pts), float)
-                        * np.abs(q(pts)))
-            return total
+            def q(pts, k):
+                return _fast_q(field, pts, normal(pts, k) * sgn[k][..., None],
+                               ts[level[k]])
 
-        slices = _level_by_level(u, slice_at)
+            curves = [curve for curve, _ in pieces]
+            curves = [replace(curve, param_breaks=breaks) for curve, breaks
+                      in zip(curves, _density_sign_breaks_many(curves, q))]
+            vals = _integrate_parts(
+                lambda pts, k: np.asarray(phi(pts), float) * np.abs(q(pts, k)),
+                curves, 1e-10)
+            out = np.zeros(ts.shape)
+            np.add.at(out, level, vals)
+            return out
 
     rhs = _coarea_rhs(u, slices, boundary, max(tol, 1e-8))
     return lhs, rhs, abs(lhs - rhs)

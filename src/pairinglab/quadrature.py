@@ -7,7 +7,7 @@ receive arrays of shape (..., 2)).
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate
 
 import numpy as np
@@ -21,9 +21,13 @@ __all__ = [
     "integrate_abs",
     "aitken",
     "polar_quad",
+    "polar_quad_many",
     "polygon_quad",
+    "polygon_quad_many",
     "circle_integral",
+    "circle_integral_many",
     "segment_integral",
+    "segment_integral_many",
 ]
 
 
@@ -291,45 +295,139 @@ def aitken(seq):
 # 2D quadrature
 
 
-def _settled(values, tol, what):
-    """The first of the successive refinements ``values`` that lies within
-    tol * (1 + |value|) of the one before it."""
-    prev = None
-    for cur in values:
-        if prev is not None and abs(cur - prev) <= tol * (1.0 + abs(cur)):
-            return cur
-        prev = cur
-    raise ToleranceNotMet(f"{what} did not converge")
+_T_BLOCK = 1 << 16   # points per integrand call of a planar batch (and
+                     # t-nodes per call in pairing.elementwise_t_integral)
 
 
-def _polar_value(f, center, r_edges, ntheta, nr):
+def _estimates(f, steps):
+    """(owner, value(f at its points)) for the steps (owner, (points,
+    value)), in order.  f is called once per run of consecutive owners with
+    at most _T_BLOCK points together, or of one owner with more, and a
+    run's points are let go before the next run is built."""
+    run, size = [], 0
+    for k, (pts, value) in steps:
+        if run and size + pts.size // 2 > _T_BLOCK:
+            yield from _evaluate(f, run)
+            run, size = [], 0
+        run.append((k, pts, value))
+        size += pts.size // 2
+    if run:
+        yield from _evaluate(f, run)
+
+
+def _evaluate(f, run):
+    """(owner, value(f at its points)) for a run of (owner, points, value),
+    from one call of f.  Several owners get their points flattened and
+    concatenated, with one owner per point; a lone owner gets its points as
+    they are, with its owner in an array that broadcasts against them."""
+    if len(run) == 1:
+        ((k, pts, value),) = run
+        yield k, value(np.asarray(f(pts, np.full((1,) * (pts.ndim - 1), k)),
+                                  dtype=float))
+        return
+    sizes = [pts.size // 2 for _, pts, _ in run]
+    v = np.asarray(f(np.concatenate([pts.reshape(-1, 2) for _, pts, _ in run]),
+                     np.repeat([k for k, _, _ in run], sizes)), dtype=float)
+    for (k, pts, value), x in zip(run, np.split(v, np.cumsum(sizes)[:-1])):
+        yield k, value(x.reshape(pts.shape[:-1]))
+
+
+def _settle_many(f, refine, todo, n, tol):
+    """The settled values of n owners' successive refinements.
+
+    refine(j, ks) gives refinement j of each owner of ks, in order, as
+    (points of shape (..., 2), value), where value maps f at the points to
+    the estimate; it raises ToleranceNotMet when there is no refinement j.
+    The owners not in todo get 0.0.  Each pass evaluates f on the points of
+    the owners still refining (_estimates).  An owner settles at the first
+    value within tol * (1 + |value|) of the one before it and drops out of
+    later passes."""
+    out = np.zeros(n)
+    prev = {}
+    todo, j = list(todo), 0
+    while todo:
+        rest = []
+        for k, cur in _estimates(f, zip(todo, refine(j, todo))):
+            if k in prev and abs(cur - prev[k]) <= tol * (1.0 + abs(cur)):
+                out[k] = cur
+            else:
+                prev[k] = cur
+                rest.append(k)
+        todo, j = rest, j + 1
+    return out
+
+
+def _owned(owner, ks):
+    """The mask of the rows whose owner (owner[i] for row i) is in ks."""
+    keep = np.zeros(owner.max() + 1, dtype=bool)
+    keep[ks] = True
+    return keep[owner]
+
+
+def _spans(owner, ks, size):
+    """(start, end) of the entries of each owner of ks, in order, when the
+    rows (owner[i] for row i, sorted) hold size entries each."""
+    ends = np.cumsum(np.bincount(owner)[ks] * size).tolist()
+    return zip([0, *ends[:-1]], ends)
+
+
+def _area_value(spec, *operands):
+    """einsum(spec, *operands), the integrand values last."""
+    if not np.all(np.isfinite(operands[-1])):
+        raise NonFiniteValue("2D integrand produced non-finite values")
+    return float(np.einsum(spec, *operands))
+
+
+@lru_cache(maxsize=16)
+def _theta_nodes(ntheta):
+    """8-point Gauss weights on ntheta equal panels of [0, 2 pi], and the
+    cosines and sines of the nodes as columns."""
     gx, gw = _leggauss(8)
-    # theta panels
     tedges = np.linspace(0.0, 2.0 * np.pi, ntheta + 1)
     tmid = 0.5 * (tedges[:-1] + tedges[1:])
     thalf = 0.5 * np.diff(tedges)
     tn = (tmid[:, None] + thalf[:, None] * gx[None, :]).ravel()
     tw = (thalf[:, None] * gw[None, :]).ravel()
-    # radial panels
-    redges = []
-    for lo, hi in zip(r_edges[:-1], r_edges[1:]):
-        redges.append(np.linspace(lo, hi, nr + 1))
-    rn_list, rw_list = [], []
-    for e in redges:
-        lo, hi = e[:-1], e[1:]
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        rn_list.append((mid[:, None] + half[:, None] * gx[None, :]).ravel())
-        rw_list.append((half[:, None] * gw[None, :]).ravel())
-    rn = np.concatenate(rn_list)
-    rw = np.concatenate(rw_list)
-    pts = np.empty((tn.size, rn.size, 2))
-    pts[..., 0] = center[0] + rn[None, :] * np.cos(tn)[:, None]
-    pts[..., 1] = center[1] + rn[None, :] * np.sin(tn)[:, None]
-    vals = np.asarray(f(pts), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteValue("2D integrand produced non-finite values")
-    return float(np.einsum("i,j,ij->", tw, rw * rn, vals))
+    return tw, np.cos(tn)[:, None], np.sin(tn)[:, None]
+
+
+def _polar_points(center, rn, cos, sin):
+    pts = np.empty((cos.size, rn.size, 2))
+    pts[..., 0] = center[0] + rn[None, :] * cos
+    pts[..., 1] = center[1] + rn[None, :] * sin
+    return pts
+
+
+def polar_quad_many(f, center, r0, r1, r_breaks, tol=1e-9):
+    """polar_quad over the annuli r0[k] <= |x - center[k]| <= r1[k], each
+    with its radial breaks r_breaks[k], settled together (_settle_many):
+    f(points, owner) gets the points of many annuli in one call."""
+    center = np.asarray(center, dtype=float).reshape(-1, 2)
+    gx, gw = _leggauss(8)
+    # (owner, lo, hi) of the radial segments between each annulus' edges
+    seg = np.array([(k, lo, hi) for k, (a, b, br)
+                    in enumerate(zip(r0, r1, r_breaks)) if a < b
+                    for e in [sorted({a, b, *(r for r in br if a < r < b)})]
+                    for lo, hi in zip(e, e[1:])]).reshape(-1, 3)
+    own = seg[:, 0].astype(int)
+
+    def refine(j, ks):
+        if j == 8:
+            raise ToleranceNotMet("polar quadrature did not converge")
+        tw, cos, sin = _theta_nodes(4 << j)
+        on = _owned(own, ks)
+        # 1 << j radial panels on each segment, 8 Gauss nodes on a panel
+        e = np.linspace(seg[on, 1], seg[on, 2], (1 << j) + 1, axis=-1)
+        mid = 0.5 * (e[:, :-1] + e[:, 1:])
+        half = 0.5 * (e[:, 1:] - e[:, :-1])
+        rn = (mid[..., None] + half[..., None] * gx).ravel()
+        rw = (half[..., None] * gw).ravel()
+        return ((_polar_points(center[k], rn[i0:i1], cos, sin),
+                 partial(_area_value, "i,j,ij->", tw, rw[i0:i1] * rn[i0:i1]))
+                for k, (i0, i1) in zip(ks, _spans(own[on], ks, 8 << j)))
+
+    return _settle_many(f, refine, dict.fromkeys(own.tolist()), len(center),
+                        tol)
 
 
 def polar_quad(f, center, r0, r1, r_breaks=(), tol=1e-9):
@@ -337,16 +435,11 @@ def polar_quad(f, center, r0, r1, r_breaks=(), tol=1e-9):
 
     ``f`` receives an array of points of shape (..., 2).
     """
-    if r1 <= r0:
-        return 0.0
-    center = np.asarray(center, dtype=float)
-    edges = [r0, r1] + [r for r in r_breaks if r0 < r < r1]
-    edges = sorted(set(edges))
-    return _settled((_polar_value(f, center, edges, 4 << k, 1 << k)
-                     for k in range(8)), tol, "polar quadrature")
+    return float(polar_quad_many(lambda p, _: f(p), [center], [r0], [r1],
+                                 [r_breaks], tol)[0])
 
 
-def _triangle_value(f, tris, n):
+def _triangle_grid(tris, n):
     # Duffy transform on each triangle: collapsed tensor Gauss
     gx, gw = _leggauss(n)
     xi = 0.5 * (gx + 1.0)
@@ -362,10 +455,7 @@ def _triangle_value(f, tris, n):
     pts = (v0[:, None, None, :]
            + u[None, :, :, None] * e1[:, None, None, :]
            + v[None, :, :, None] * e2[:, None, None, :])
-    vals = np.asarray(f(pts), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteValue("2D integrand produced non-finite values")
-    return float(np.einsum("t,ij,tij->", area2, W, vals))
+    return pts, partial(_area_value, "t,ij,tij->", area2, W)
 
 
 def _subdivide(tris):
@@ -381,62 +471,110 @@ def _subdivide(tris):
     ])
 
 
-def polygon_quad(f, vertices, tol=1e-9, n=8):
-    """Integrate f over a simple polygon via fan triangulation + Duffy Gauss."""
+def _fan(vertices):
     verts = np.asarray(vertices, dtype=float)
     centroid = verts.mean(axis=0)
-    tris = np.stack([
+    return np.stack([
         np.broadcast_to(centroid, (verts.shape[0], 2)),
         verts,
         np.roll(verts, -1, axis=0),
     ], axis=1)
-    levels = accumulate(range(5), lambda t, _: _subdivide(t), initial=tris)
-    return _settled((_triangle_value(f, t, n) for t in levels), tol,
-                    "polygon quadrature")
 
 
-def _break_edges(a, b, breaks, npanels):
-    """Panel edges on [a, b] honoring interior breakpoints."""
-    cuts = [a] + sorted(p for p in breaks if a < p < b) + [b]
-    parts = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        n = max(1, int(round(npanels * (hi - lo) / (b - a))))
-        parts.append(np.linspace(lo, hi, n + 1)[:-1])
-    return np.concatenate(parts + [np.asarray([b])])
+def polygon_quad_many(f, polygons, tol=1e-9, n=8):
+    """polygon_quad over each of the vertex lists polygons, settled
+    together: fan triangles, subdivided up to five times."""
+    levels = [accumulate(range(5), lambda t, _: _subdivide(t),
+                         initial=_fan(v)) for v in polygons]
+
+    def refine(j, ks):
+        if j == 6:
+            raise ToleranceNotMet("polygon quadrature did not converge")
+        return (_triangle_grid(next(levels[k]), n) for k in ks)
+
+    return _settle_many(f, refine, range(len(polygons)), len(polygons), tol)
 
 
-def _line_integral(g, point_at, a, b, jacobian, breaks, npanels, tol, what):
-    """int_a^b g(point_at(s)) jacobian ds by panel Gauss, the panel count
-    doubling from ``npanels`` until two successive values agree."""
+def polygon_quad(f, vertices, tol=1e-9, n=8):
+    """Integrate f over a simple polygon via fan triangulation + Duffy Gauss."""
+    return float(polygon_quad_many(lambda p, _: f(p), [vertices], tol, n)[0])
+
+
+def _line_many(g, point_at, a, b, jacobian, breaks, npanels, tol, what,
+               todo):
+    """int_a^b g(point_at(s, k), k) jacobian[k] ds for the owners k of todo,
+    by 8-point Gauss on panels that honor the breakpoints breaks[k], the
+    panel count doubling from ``npanels``, settled together."""
     gx, gw = _leggauss(8)
+    # (owner, lo, width) of the pieces of [a, b] between each owner's breaks
+    piece = np.array([(k, lo, hi - lo) for k in todo
+                      for cuts in [[a, *sorted(p for p in breaks[k]
+                                               if a < p < b), b]]
+                      for lo, hi in zip(cuts, cuts[1:])]).reshape(-1, 3)
+    own = piece[:, 0].astype(int)
 
-    def value(npanels):
-        edges = _break_edges(a, b, breaks, npanels)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * np.diff(edges)
+    def refine(j, ks):
+        if j == 11:
+            raise ToleranceNotMet(f"{what} did not converge")
+        on = _owned(own, ks)
+        lo, width = piece[on, 1], piece[on, 2]
+        # on each piece the first n of np.linspace(lo, hi, n + 1), n in
+        # proportion to its width, and b after an owner's last piece
+        n = np.maximum(1, np.rint((npanels << j) * width / (b - a)))
+        n = n.astype(int)
+        i = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+        edge = i * np.repeat(width / n, n) + np.repeat(lo, n)
+        k = np.repeat(own[on], n)
+        nxt = np.where(np.append(k[1:] != k[:-1], True), b,
+                       np.append(edge[1:], b))
+        mid = 0.5 * (edge + nxt)
+        half = 0.5 * (nxt - edge)
         s = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-        w = (half[:, None] * gw[None, :]).ravel() * jacobian
-        return float(np.dot(w, np.asarray(g(point_at(s)), dtype=float)))
+        w = (half[:, None] * gw[None, :]).ravel() * np.repeat(jacobian[k], 8)
+        return ((point_at(s[i0:i1], kk),
+                 lambda vals, w=w[i0:i1]: float(np.dot(w, vals)))
+                for kk, (i0, i1) in zip(ks, _spans(k, ks, 8)))
 
-    return _settled((value(npanels << k) for k in range(11)), tol, what)
+    return _settle_many(g, refine, todo, len(breaks), tol)
+
+
+def _circle_points(center, radius, theta):
+    return np.stack([center[..., 0] + radius * np.cos(theta),
+                     center[..., 1] + radius * np.sin(theta)], axis=-1)
+
+
+def _segment_points(p0, p1, s):
+    return p0 + s[..., None] * (p1 - p0)
+
+
+def circle_integral_many(g, center, radius, theta_breaks, tol=1e-10):
+    """circle_integral over the circles (center[k], radius[k]), each with
+    its breaks theta_breaks[k], settled together: g(points, owner)."""
+    center = np.asarray(center, dtype=float).reshape(-1, 2)
+    radius = np.asarray(radius, dtype=float).reshape(-1)
+    return _line_many(g, lambda s, k: _circle_points(center[k], radius[k], s),
+                      0.0, 2.0 * np.pi, radius, theta_breaks, 4, tol,
+                      "circle integral", range(radius.size))
+
+
+def segment_integral_many(g, p0, p1, s_breaks, tol=1e-10):
+    """segment_integral over the segments [p0[k], p1[k]], each with its
+    breaks s_breaks[k], settled together: g(points, owner)."""
+    p0 = np.asarray(p0, dtype=float).reshape(-1, 2)
+    p1 = np.asarray(p1, dtype=float).reshape(-1, 2)
+    length = np.array([float(np.linalg.norm(q - p)) for p, q in zip(p0, p1)])
+    return _line_many(g, lambda s, k: _segment_points(p0[k], p1[k], s),
+                      0.0, 1.0, length, s_breaks, 1, tol, "segment integral",
+                      np.flatnonzero(length > 0.0))
 
 
 def circle_integral(g, center, radius, tol=1e-10, theta_breaks=()):
     """Line integral over a circle; ``g`` receives points of shape (..., 2)."""
-    center = np.asarray(center, dtype=float)
-    return _line_integral(
-        g, lambda th: np.stack([center[0] + radius * np.cos(th),
-                                center[1] + radius * np.sin(th)], axis=-1),
-        0.0, 2.0 * np.pi, radius, theta_breaks, 4, tol, "circle integral")
+    return float(circle_integral_many(lambda p, _: g(p), [center], [radius],
+                                      [theta_breaks], tol)[0])
 
 
 def segment_integral(g, p0, p1, tol=1e-10, s_breaks=()):
     """Line integral over the segment [p0, p1]."""
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    length = float(np.linalg.norm(p1 - p0))
-    if length == 0.0:
-        return 0.0
-    return _line_integral(
-        g, lambda s: p0[None, :] + s[:, None] * (p1 - p0)[None, :],
-        0.0, 1.0, length, s_breaks, 1, tol, "segment integral")
+    return float(segment_integral_many(lambda p, _: g(p), [p0], [p1],
+                                       [s_breaks], tol)[0])

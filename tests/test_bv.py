@@ -229,9 +229,9 @@ def test_piecewise_binning_matches_the_clipped_reference(pw):
 
 def test_bv_level_set_indicator(u_jump):
     # {u > 0.7} = [0.3, 2]; its reduced boundary is the single point 0.3
-    ((iv, sgn),) = u_jump.level_regions(0.7)
-    assert sgn == 1.0
-    assert abs(iv.lo - 0.3) < 1e-9 and iv.hi == 2.0
+    owner, lo, hi = u_jump.level_intervals(np.array([0.7]))
+    assert owner.tolist() == [0]
+    assert abs(lo[0] - 0.3) < 1e-9 and hi[0] == 2.0
 
 
 def test_bv_rejects_unordered_jumps():
@@ -309,7 +309,8 @@ def test_smooth_radial_2d_levels():
     lo, hi = u.value_range()
     assert lo == 0.0 and hi == pytest.approx(1.0)
     assert u.level_breaks() == (lo, hi)
-    assert u.level_regions(0.25) == ((Disc((0.0, 0.0), r), 1.0),)
+    assert u.level_regions_many(np.array([0.25])) == [
+        ((Disc((0.0, 0.0), r), 1.0),)]
     pts = np.array([[0.3, 0.4]])
     h = 1e-6
     gx = (u.evaluate(pts + [[h, 0.0]]) - u.evaluate(pts - [[h, 0.0]])) \
@@ -349,13 +350,14 @@ def test_polygon_interior_normal_is_nearest_edge_normal(region):
 def test_piecewise_constant_level_regions():
     neg = PiecewiseConstantBv2D(RECT, ((SQUARE, -0.6),))
     # {u > t} for t in (-0.6, 0) is the complement of the square
-    assert neg.level_regions(-0.3) == ((SQUARE, -1.0),)
-    assert neg.level_regions(0.3) == ()
-    assert neg.level_regions(-0.9) == ()
+    assert neg.level_regions_many(np.array([-0.3])) == [((SQUARE, -1.0),)]
+    assert neg.level_regions_many(np.array([0.3])) == [()]
+    assert neg.level_regions_many(np.array([-0.9])) == [()]
     assert neg.level_breaks() == (-0.6, 0.0)
     pos = PiecewiseConstantBv2D(RECT, ((Disc((0.0, 0.0), 1.0), 0.7),))
-    assert pos.level_regions(0.3) == ((Disc((0.0, 0.0), 1.0), 1.0),)
-    assert pos.level_regions(-0.1) == ()
+    assert pos.level_regions_many(np.array([0.3])) == [
+        ((Disc((0.0, 0.0), 1.0), 1.0),)]
+    assert pos.level_regions_many(np.array([-0.1])) == [()]
     assert pos.level_breaks() == (0.0, 0.7)
 
 

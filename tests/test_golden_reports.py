@@ -1,10 +1,12 @@
 """Byte-identity of `pairinglab run --stable` reports on a catalog subset.
 
-The five scenarios cover the 1D jump path under the t-dependent ``xt`` and
-``sep`` fields (s05, s07) and the disc, exact-zero and square 2D pairings
-(s15, s16, s19).  A refactor that is meant to keep the numbers must keep
-these files byte for byte; a change that moves a number on purpose
-regenerates ``tests/golden/`` and says which values moved and why.
+The seven scenarios cover the 1D jump path under the t-dependent ``xt`` and
+``sep`` fields (s05, s07), the disc, exact-zero and square 2D pairings
+(s15, s16, s19), and the smooth radial 2D u under the linear and gt fields
+(s20, s21), whose coarea checks slice the disc levels of u.  A refactor
+that is meant to keep the numbers must keep these files byte for byte; a
+change that moves a number on purpose regenerates ``tests/golden/`` and
+says which values moved and why.
 """
 
 import pathlib
@@ -15,7 +17,8 @@ from pairinglab.scenarios import shipped_catalog_dir
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SCENARIOS = ("s05_jump2_xt", "s07_stair_sep", "s15_disc_linear2d",
-             "s16_disc_const2d", "s19_square_linear2d")
+             "s16_disc_const2d", "s19_square_linear2d",
+             "s20_smoothdisc_linear2d", "s21_smoothdisc_gt2d")
 
 
 def test_stable_reports_match_golden_bytes(tmp_path):

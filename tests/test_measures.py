@@ -8,15 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairinglab.errors import NonFiniteValue, ToleranceNotMet
+from pairinglab import measures
 from pairinglab.measures import (Circle, DiscPatch, RadonMeasure1D,
                                  RadonMeasure2D, Segment, SingularLadder,
                                  TestFunction1D, TestFunction2D,
-                                 _density_sign_breaks)
+                                 _density_sign_breaks,
+                                 _density_sign_breaks_many)
 from pairinglab import quadrature
 from pairinglab.quadrature import (adaptive_simpson, adaptive_simpson_many,
                                    aitken, circle_integral,
-                                   find_sign_changes, integrate_abs,
-                                   polar_quad, polygon_quad, segment_integral)
+                                   circle_integral_many, find_sign_changes,
+                                   integrate_abs, polar_quad, polar_quad_many,
+                                   polygon_quad, polygon_quad_many,
+                                   segment_integral, segment_integral_many)
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +177,122 @@ def test_planar_drivers_give_up_on_noise(driver, args, message, calls):
     with pytest.raises(ToleranceNotMet, match=f"^{message} did not converge$"):
         driver(noise, *args)
     assert len(seen) == calls
+
+
+def _planar(p, k):
+    """Owner k integrates a wave that takes longer to settle as k grows."""
+    k = np.broadcast_to(k, np.shape(p)[:-1])
+    return np.cos(3.0 * (k + 1.0) * p[..., 0]) * np.exp(0.3 * p[..., 1])
+
+
+CENTERS = ((0.0, 0.0), (0.5, -0.2), (1.0, 1.0), (0.2, 0.3))
+# per driver: the batched driver, the scalar one taking the same arguments,
+# and the arguments of each owner
+DRIVERS = {
+    "polar": (polar_quad_many, polar_quad,
+              [(CENTERS[0], 0.0, 1.0, ()), (CENTERS[1], 0.2, 0.9, (0.5,)),
+               (CENTERS[2], 0.5, 0.5, (0.1, 0.7)),        # empty annulus
+               (CENTERS[3], 0.4, 1.3, (0.6, 0.9, 2.0))]),
+    "polygon": (polygon_quad_many, polygon_quad,
+                [(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)),),
+                 (((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)),),
+                 (((0.0, 0.0), (2.0, 0.5), (1.0, 2.0)),)]),
+    "circle": (circle_integral_many,
+               lambda g, c, r, b: circle_integral(g, c, r, theta_breaks=b),
+               [(CENTERS[0], 1.0, ()), (CENTERS[1], 0.5, (1.0,)),
+                (CENTERS[2], 2.0, (0.5, 3.0)), (CENTERS[3], 0.3, (2.0,))]),
+    "segment": (segment_integral_many,
+                lambda g, p, q, b: segment_integral(g, p, q, s_breaks=b),
+                [(CENTERS[0], (1.0, 2.0), (0.4,)),
+                 (CENTERS[1], (0.0, 1.5), ()),
+                 (CENTERS[2], CENTERS[2], ()),            # a point
+                 (CENTERS[3], (3.0, 0.3), (0.1, 0.9))]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DRIVERS))
+@pytest.mark.parametrize("block", [None, 2000])
+def test_batched_planar_drivers_match_each_owner(name, block, monkeypatch):
+    # mixed geometry and breaks per owner, an empty annulus and a point
+    # segment among them; owners settle after different passes; with a
+    # small block the owners of a pass are split over several calls
+    many, one, owners = DRIVERS[name]
+    if block is not None:
+        monkeypatch.setattr(quadrature, "_T_BLOCK", block)
+    passes, sizes = {}, []
+
+    def f(p, k):
+        k = np.broadcast_to(k, p.shape[:-1])
+        sizes.append((k.size, np.unique(k).size))
+        for owner in np.unique(k).tolist():
+            passes[owner] = passes.get(owner, 0) + 1
+        return _planar(p, k)
+
+    out = many(f, *zip(*owners))
+    for k, args in enumerate(owners):
+        assert out[k] == one(lambda p: _planar(p, k), *args)
+    assert len(set(passes.values())) > 1
+    limit = quadrature._T_BLOCK
+    assert all(n <= limit or m == 1 for n, m in sizes)
+    assert any(m > 1 for _, m in sizes)
+
+
+@pytest.mark.parametrize("name, message, calls", [
+    ("polar", "polar quadrature", 8), ("polygon", "polygon quadrature", 6),
+    ("circle", "circle integral", 11), ("segment", "segment integral", 11),
+])
+def test_batched_planar_drivers_give_up_on_a_noisy_owner(name, message,
+                                                         calls):
+    # owner 1 never settles: the others settle and drop out, and owner 1
+    # spends the scalar driver's whole budget before the same error
+    many, _, owners = DRIVERS[name]
+    rng = np.random.default_rng(3)
+    seen = []
+
+    def f(p, k):
+        k = np.broadcast_to(k, p.shape[:-1])
+        seen.append(bool((k == 1).any()))
+        return np.where(k == 1, rng.standard_normal(k.shape), _planar(p, k))
+
+    with pytest.raises(ToleranceNotMet, match=f"^{message} did not converge$"):
+        many(f, *zip(*owners))
+    assert sum(seen) == calls
+
+
+@pytest.mark.parametrize("name", ["polar", "polygon"])
+def test_batched_area_drivers_reject_a_non_finite_owner(name):
+    many, _, owners = DRIVERS[name]
+    f = lambda p, k: np.where(np.broadcast_to(k, p.shape[:-1]) == 1, np.nan,
+                              _planar(p, k))
+    with pytest.raises(NonFiniteValue):
+        many(f, *zip(*owners))
+
+
+def test_batched_line_drivers_treat_a_nan_owner_as_the_scalar_one():
+    # the line drivers have no finite check: NaN never settles
+    f = lambda p, k: np.where(np.broadcast_to(k, p.shape[:-1]) == 1, np.nan,
+                              _planar(p, k))
+    with pytest.raises(ToleranceNotMet, match="^circle integral did not"):
+        circle_integral(lambda p: f(p, 1), (0.0, 0.0), 1.0)
+    with pytest.raises(ToleranceNotMet, match="^circle integral did not"):
+        circle_integral_many(f, CENTERS, (1.0, 0.5, 2.0, 0.3), [()] * 4)
+
+
+@pytest.mark.parametrize("curves", [
+    (Circle((0.0, 0.0), 1.0), Circle((0.3, 0.1), 0.5),
+     Circle((-1.0, 0.5), 2.0)),
+    (Circle((0.0, 0.0), 1.0), Segment((0.0, 0.0), (1.0, 1.0)),
+     Circle((0.3, 0.1), 0.5), Segment((1.0, 0.0), (0.0, 2.0))),
+], ids=["circles", "mixed"])
+@pytest.mark.parametrize("block", [None, 4000])
+def test_batched_sign_breaks_match_each_curve(curves, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(measures, "_T_BLOCK", block)
+    dens = lambda p, k: np.sin(3.0 * p[..., 0] + k) - 0.2 * p[..., 1]
+    many = _density_sign_breaks_many(list(curves), dens)
+    assert [len(b) for b in many] != [0] * len(curves)
+    for k, curve in enumerate(curves):
+        assert many[k] == _density_sign_breaks(curve, lambda p: dens(p, k))
 
 
 # ---------------------------------------------------------------------------

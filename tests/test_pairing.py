@@ -13,7 +13,7 @@ from pairinglab.bv import (BvFunction1D, Disc, JumpPoint, Piecewise1D,
                            PiecewiseConstantBv2D, PolygonRegion,
                            gradient_measure)
 from pairinglab import bv as bv_module
-from pairinglab import pairing
+from pairinglab import measures, pairing, quadrature
 from pairinglab.errors import AssumptionViolation, BoundViolated, FormMismatch
 from pairinglab.fields import FieldB, field_catalog, make_field
 from pairinglab.measures import TestFunction1D, TestFunction2D
@@ -280,6 +280,72 @@ def test_coarea_checks_batch_their_levels(monkeypatch):
     assert counts["outer"] > 0
     assert counts["level_crossings_many"] == counts["outer"]
     assert counts["level_crossings"] == 0 and counts["brentq"] == 0
+
+
+@pytest.mark.parametrize("sid, check, batched, points", [
+    ("s20_smoothdisc_linear2d", "pairing", ("_settle_many",), 1219840),
+    ("s21_smoothdisc_gt2d", "variation",
+     ("_settle_many", "_density_sign_breaks_many"), 3082383),
+])
+def test_2d_coarea_slices_batch_their_levels(sid, check, batched, points,
+                                             monkeypatch):
+    """Every outer t-integrand call of a 2D coarea slice makes one call of
+    each batched driver (quadrature._settle_many settles every planar
+    driver's owners) and no scalar driver call; the field is evaluated
+    at as many (level, point) pairs as the level-by-level slices did (the
+    recorded ``points``), never at more than the block in one call."""
+    ctx = load_catalog()[sid].resolve()
+    work = {"points": 0, "largest": 0}
+    counts = dict.fromkeys(batched, 0)
+    slicing = []    # the counted calls under way
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            if "outer" in slicing or name == "outer":
+                counts[name] = counts.get(name, 0) + 1
+            slicing.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                slicing.pop()
+        return wrapper
+
+    simpson = bv_module.adaptive_simpson
+    monkeypatch.setattr(bv_module, "adaptive_simpson",
+                        lambda f, *a, **kw: simpson(counted("outer", f),
+                                                    *a, **kw))
+    for module, name in ((quadrature, "_settle_many"),
+                         (pairing, "_density_sign_breaks_many"),
+                         (measures, "polar_quad"), (pairing, "polar_quad"),
+                         (quadrature, "polar_quad"),
+                         (measures, "polygon_quad"),
+                         (measures, "circle_integral"),
+                         (measures, "segment_integral"),
+                         (measures, "_density_sign_breaks")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    evaluate = ctx.field.eval
+
+    def field_eval(x, t):
+        n = np.broadcast(np.asarray(x)[..., 0], t).size
+        work["points"] += n if "outer" in slicing else 0
+        work["largest"] = max(work["largest"], n)
+        return evaluate(x, t)
+
+    field = dataclasses.replace(ctx.field, eval=field_eval)
+    if check == "pairing":
+        _, _, res = coarea_pairing_check(field, ctx.u, ctx.phi,
+                                         dist=ctx.distributional())
+    else:
+        rep = pairing_by_representation(ctx.field, ctx.u)
+        _, _, res = coarea_variation_check(field, ctx.u, ctx.phi, rep=rep)
+    assert res < 1e-6
+    outer = counts.pop("outer")
+    assert outer > 0
+    assert {name: counts.pop(name) for name in batched} \
+        == dict.fromkeys(batched, outer)
+    assert not any(counts.values()), counts
+    assert work["points"] == points
+    assert work["largest"] <= quadrature._T_BLOCK
 
 
 def test_chain_rule_small_residual(field_gt, u_mixed, phi_bump):
