@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateLevel
 from .measures import (Circle, RadonMeasure1D, RadonMeasure2D, Segment,
-                       DiscPatch, SingularLadder, _per_kind)
+                       DiscPatch, PolygonPatch, SingularLadder)
 from .quadrature import (_brent_roots, _leggauss, adaptive_simpson,
                          circle_integral_many)
 
@@ -329,11 +329,6 @@ class BvFunction1D:
         order = np.lexsort((nu, x, owner))
         return owner[order], x[order], nu[order]
 
-    def level_crossings(self, t):
-        """Sorted list of (x, nu) interior crossings of level t."""
-        _, x, nu = self.level_crossings_many(np.array([t], dtype=float))
-        return list(zip(x.tolist(), nu.tolist()))
-
     def level_intervals(self, ts):
         """The intervals whose union is {u > t}, for every level of ``ts``:
         arrays (owner, lo, hi) sorted by owner, then lo."""
@@ -432,8 +427,8 @@ def indicator_1d(intervals, domain, value=1.0):
 # Regions
 
 
-# A 2D region describes its boundary as pieces (curve, normal_at): a Circle
-# or Segment from measures, and the interior unit normal at points of it.
+# A 2D region gives its boundary as curves of measures (Circles or
+# Segments), each with its interior_normal, and its integration patch.
 
 
 @dataclass(frozen=True)
@@ -442,14 +437,26 @@ class Disc:
     radius: float
 
     def boundary(self):
-        return ((Circle(self.center, self.radius), self.interior_normal),)
+        return (Circle(self.center, self.radius),)
+
+    def patch(self, phi=None):
+        """The disc's DiscPatch, cut to a concentric radial phi's support."""
+        r_in = 0.0
+        r_out = self.radius
+        breaks = ()
+        if phi is not None and phi.support[0] in ("disc", "annulus") \
+                and tuple(phi.support[1]) == tuple(self.center):
+            if phi.support[0] == "annulus":
+                r_in = min(phi.support[2], r_out)
+            r_out = min(r_out, phi.support[-1])
+            breaks = tuple(b for b in phi.radial_breaks if r_in < b < r_out)
+        return DiscPatch(self.center, r_out, r_inner=r_in, r_breaks=breaks)
 
     def perimeter(self):
         return 2.0 * np.pi * self.radius
 
     def interior_normal(self, pts):
-        return _disc_normal(np.asarray(pts, dtype=float),
-                            np.asarray(self.center, dtype=float))
+        return Circle(self.center, self.radius).interior_normal(pts)
 
     def boundary_distance(self, pts):
         d = np.asarray(pts, dtype=float) - np.asarray(self.center, float)
@@ -466,19 +473,17 @@ class PolygonRegion:
     vertices: tuple  # counter-clockwise
 
     def boundary(self):
+        """The edges, counter-clockwise: the interior is on their left."""
         v = np.asarray(self.vertices, dtype=float)
-        pieces = []
-        for p0, p1 in zip(v, np.roll(v, -1, axis=0)):
-            # ccw orientation: interior lies to the left of each edge
-            d = p1 - p0
-            n = np.array([-d[1], d[0]])
-            n = n / np.linalg.norm(n)
-            normal_at = (lambda pts, _n=n: np.broadcast_to(_n, np.shape(pts)))
-            pieces.append((Segment(tuple(p0), tuple(p1)), normal_at))
-        return tuple(pieces)
+        return tuple(Segment(tuple(p0), tuple(p1))
+                     for p0, p1 in zip(v, np.roll(v, -1, axis=0)))
+
+    def patch(self, phi=None):
+        """The PolygonPatch of the polygon, whatever phi is."""
+        return PolygonPatch(tuple(tuple(v) for v in self.vertices))
 
     def perimeter(self):
-        return sum(seg.length for seg, _ in self.boundary())
+        return sum(seg.length for seg in self.boundary())
 
     def interior_normal(self, pts):
         """Interior normal of the edge nearest to each point."""
@@ -492,42 +497,20 @@ class PolygonRegion:
         p = np.asarray(pts, dtype=float)
         best = np.full(p.shape[:-1], np.inf)
         out = np.zeros(p.shape)
-        for seg, normal_at in self.boundary():
+        for seg in self.boundary():
             p0 = np.asarray(seg.p0)
             d = np.asarray(seg.p1) - p0
             s = np.clip(np.dot(p - p0, d) / np.dot(d, d), 0, 1)
             dist = np.linalg.norm(p - (p0 + s[..., None] * d), axis=-1)
             closer = dist < best
             best = np.where(closer, dist, best)
-            out = np.where(closer[..., None], normal_at(p), out)
+            out = np.where(closer[..., None], seg.interior_normal(p), out)
         return best, out
 
     def contains(self, pts):
         from .measures import _points_in_polygon
         return _points_in_polygon(np.asarray(pts, dtype=float),
                                   np.asarray(self.vertices, dtype=float))
-
-
-def _disc_normal(p, center):
-    """The interior normal at points p of the discs centred at center."""
-    d = p - center
-    r = np.hypot(d[..., 0], d[..., 1])
-    safe = np.where(r > 0, r, 1.0)
-    return -d / safe[..., None]
-
-
-def _boundary_normals(pieces):
-    """normal(pts, k): the interior normal at the points pts of the
-    boundary pieces[k] of a Disc or PolygonRegion, for arrays pts and k
-    that broadcast together."""
-    circle = np.array([isinstance(c, Circle) for c, _ in pieces])
-    # a disc's center; an edge's normal, constant: taken at its start
-    data = np.array([c.center if isinstance(c, Circle)
-                     else normal_at(np.array([c.p0], dtype=float))[0]
-                     for c, normal_at in pieces], dtype=float)
-    return lambda pts, k: _per_kind(
-        circle, k, lambda: _disc_normal(pts, data[k]),
-        lambda: np.broadcast_to(data[k], pts.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +641,7 @@ def gradient_measure(u):
         parts = tuple(
             (curve, lambda p, _h=abs(val - u.background):
              np.full(np.shape(p)[:-1], _h))
-            for region, val in u.regions for curve, _ in region.boundary())
+            for region, val in u.regions for curve in region.boundary())
         return RadonMeasure2D(u.rect, surface_parts=parts)
     raise TypeError(f"unsupported BV function {type(u)!r}")
 
@@ -687,7 +670,7 @@ def coarea_tv_check(u, g, tol=1e-8):
         lhs = du.integrate(g, tol=tol)
         rhs = sum(abs(val - u.background) * curve.integrate(g)
                   for region, val in u.regions
-                  for curve, _ in region.boundary())
+                  for curve in region.boundary())
     else:
         raise TypeError(f"unsupported BV function {type(u)!r}")
     return lhs, rhs, abs(lhs - rhs)

@@ -1,12 +1,14 @@
 """Command line runner for the scenario catalog.
 
     pairinglab run [PATH] [--keep-going] [--stable] [--jobs N] [--out DIR]
-    pairinglab list
+    pairinglab list [PATH]
     pairinglab series SCENARIO CHECK OUT.CSV
 
 ``run`` executes every check of every scenario found at PATH (a JSON file or
 a directory of them; default: the shipped catalog), writes one report JSON
 per scenario plus an aggregate CSV, and exits 0 only if everything passed.
+``list`` prints the ids of the scenarios found at PATH, read as ``run``
+reads them.
 Exit code 2 flags scenario files that could not be parsed, among them
 files that name an unknown check or give a check parameter that would leave
 it nothing to test (``windows``, ``points`` or ``count`` not an integer
@@ -45,9 +47,8 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 from .errors import PairingLabError, SpecError
-from .scenarios import (CHECKS, CheckSpec, _error_outcome, claim_id,
-                        load_catalog, load_scenario_file, run_check,
-                        run_scenario, shipped_catalog_dir)
+from .scenarios import (CHECKS, CheckSpec, _error_outcome, load_catalog,
+                        load_scenarios, run_check, run_scenario)
 
 
 def _tol_scale():
@@ -65,30 +66,6 @@ def _tol_scale():
         raise SpecError(
             f"LAB_TOL_SCALE must be a finite number > 0, got {raw!r}")
     return scale
-
-
-def _collect_scenarios(path, keep_going):
-    """(scenarios, skipped) where skipped is [(path, reason), ...]."""
-    if path is None:
-        base = shipped_catalog_dir()
-        files = sorted(str(p) for p in base.glob("*.json"))
-    else:
-        p = pathlib.Path(path)
-        if p.is_dir():
-            files = sorted(str(q) for q in p.glob("*.json"))
-        else:
-            files = [str(p)]
-    scenarios, skipped, owners = [], [], {}
-    for f in files:
-        try:
-            sc = load_scenario_file(f)
-            claim_id(owners, sc, f)
-            scenarios.append(sc)
-        except SpecError as exc:
-            if not keep_going:
-                raise
-            skipped.append((f, str(exc)))
-    return scenarios, skipped
 
 
 def _scenario_report(scenario, tol_scale, stable):
@@ -168,7 +145,7 @@ def _write_atomic(path, text):
 
 def cmd_run(args):
     try:
-        scenarios, skipped = _collect_scenarios(args.path, args.keep_going)
+        scenarios, skipped = load_scenarios(args.path, args.keep_going)
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2

@@ -299,6 +299,10 @@ class Circle:
         return circle_integral(g, self.center, self.radius, tol=tol,
                                theta_breaks=self.param_breaks)
 
+    def interior_normal(self, pts):
+        """The unit normal at points pts of the circle, into its disc."""
+        return _disc_normal(np.asarray(pts, dtype=float), self.center)
+
     def sample(self, n):
         th = (np.arange(n) + 0.5) * (2.0 * np.pi / n)
         return self.point_at(th), np.full(n, self.length / n)
@@ -322,9 +326,20 @@ class Segment:
     def param_range(self):
         return (0.0, 1.0)
 
+    @property
+    def normal(self):
+        """The left unit normal of p0 -> p1, inward on a ccw polygon."""
+        d = np.asarray(self.p1, dtype=float) - np.asarray(self.p0, dtype=float)
+        n = np.array([-d[1], d[0]])
+        return n / np.linalg.norm(n)
+
     def integrate(self, g, tol=1e-10):
         return segment_integral(g, self.p0, self.p1, tol=tol,
                                 s_breaks=self.param_breaks)
+
+    def interior_normal(self, pts):
+        """``normal`` at each of the points pts."""
+        return np.broadcast_to(self.normal, np.shape(pts))
 
     def sample(self, n):
         s = (np.arange(n) + 0.5) / n
@@ -386,14 +401,10 @@ class RadonMeasure2D:
         if self.mask is not None:
             return self._masked_integrals(g, (self.mask,), nsurf, narea)[0]
         value = 0.0
-        for patch, dens in self.ac_parts:
+        for part, dens in self.ac_parts + self.surface_parts:
             f = lambda p, _d=dens: (np.asarray(g(p), dtype=float)
                                     * np.asarray(_d(p), dtype=float))
-            value += patch.integrate(f, tol=tol)
-        for curve, dens in self.surface_parts:
-            f = lambda p, _d=dens: (np.asarray(g(p), dtype=float)
-                                    * np.asarray(_d(p), dtype=float))
-            value += curve.integrate(f, tol=tol)
+            value += part.integrate(f, tol=tol)
         if not np.isfinite(value):
             raise NonFiniteValue("non-finite 2D integral")
         return value
@@ -465,17 +476,33 @@ def _per_kind(circle, k, on_circle, on_segment):
     return np.where(circle[k][..., None], on_circle(), on_segment())
 
 
-def _points_on(curves):
-    """point_at(s, k): the points at the parameters s of the Circles and
-    Segments curves[k], for arrays s and k that broadcast together."""
+def _disc_normal(p, center):
+    """The interior normal at points p of the discs centred at center."""
+    d = p - center
+    r = np.hypot(d[..., 0], d[..., 1])
+    safe = np.where(r > 0, r, 1.0)
+    return -d / safe[..., None]
+
+
+def _on_curves(curves):
+    """(point_at, normal) on the Circles and Segments curves: point_at(s, k)
+    gives the points at the parameters s of curves[k], normal(pts, k) the
+    interior normal at its points pts, for arrays s or pts and k that
+    broadcast together."""
     circle = np.array([isinstance(c, Circle) for c in curves])
     a = np.array([c.center if isinstance(c, Circle) else c.p0
                   for c in curves], dtype=float)
     b = np.array([(c.radius, 0.0) if isinstance(c, Circle) else c.p1
                   for c in curves], dtype=float)
-    return lambda s, k: _per_kind(
-        circle, k, lambda: _circle_points(a[k], b[k, 0], s),
-        lambda: _segment_points(a[k], b[k], s))
+    # a segment's interior normal is constant
+    n = np.array([(0.0, 0.0) if isinstance(c, Circle) else c.normal
+                  for c in curves], dtype=float)
+    return (lambda s, k: _per_kind(
+                circle, k, lambda: _circle_points(a[k], b[k, 0], s),
+                lambda: _segment_points(a[k], b[k], s)),
+            lambda pts, k: _per_kind(
+                circle, k, lambda: _disc_normal(pts, a[k]),
+                lambda: np.broadcast_to(n[k], pts.shape)))
 
 
 def _density_sign_breaks_many(curves, dens, n=2048):
@@ -485,7 +512,7 @@ def _density_sign_breaks_many(curves, dens, n=2048):
     one polish of all their brackets."""
     if not curves:
         return []
-    point_at = _points_on(curves)
+    point_at, _ = _on_curves(curves)
     a, b = np.array([c.param_range() for c in curves], dtype=float).T
     s = np.linspace(a, b, n + 1, axis=-1)
     # curves of one kind share their grid, broadcast against the owners
@@ -577,6 +604,18 @@ def _points_in_polygon(pts, verts):
 # Test functions
 
 
+def _smooth(t):
+    """The C^1 ramp 3t^2 - 2t^3 of t clipped to [0, 1]."""
+    t = np.clip(t, 0.0, 1.0)
+    return 3.0 * t * t - 2.0 * t ** 3
+
+
+def _dsmooth(t):
+    """The derivative of _smooth, 0 outside (0, 1)."""
+    inside = (t > 0.0) & (t < 1.0)
+    return np.where(inside, 6.0 * t * (1.0 - t), 0.0)
+
+
 @dataclass(frozen=True)
 class TestFunction1D:
     evaluate: object
@@ -611,24 +650,16 @@ class TestFunction1D:
         """C^1 bump equal to 1 on [p, q], supported on (a, b)."""
         assert a < p <= q < b
 
-        def smooth(t):
-            t = np.clip(t, 0.0, 1.0)
-            return 3.0 * t * t - 2.0 * t ** 3
-
-        def dsmooth(t):
-            inside = (t > 0.0) & (t < 1.0)
-            return np.where(inside, 6.0 * t * (1.0 - t), 0.0)
-
         def ev(x):
             x = np.asarray(x, dtype=float)
-            up = smooth((x - a) / (p - a))
-            down = smooth((b - x) / (b - q))
+            up = _smooth((x - a) / (p - a))
+            down = _smooth((b - x) / (b - q))
             return np.where(x < p, up, np.where(x > q, down, 1.0))
 
         def gr(x):
             x = np.asarray(x, dtype=float)
-            up = dsmooth((x - a) / (p - a)) / (p - a)
-            down = -dsmooth((b - x) / (b - q)) / (b - q)
+            up = _dsmooth((x - a) / (p - a)) / (p - a)
+            down = -_dsmooth((b - x) / (b - q)) / (b - q)
             return np.where(x < p, up, np.where(x > q, down, 0.0))
 
         gmax = 1.5 * max(1.0 / (p - a), 1.0 / (b - q))
@@ -639,21 +670,13 @@ class TestFunction1D:
 def _radial_profile(r0, r1, r2, r3):
     """C^1 profile of r: rises on [r0,r1], 1 on [r1,r2], falls on [r2,r3]."""
 
-    def smooth(t):
-        t = np.clip(t, 0.0, 1.0)
-        return 3.0 * t * t - 2.0 * t ** 3
-
-    def dsmooth(t):
-        inside = (t > 0.0) & (t < 1.0)
-        return np.where(inside, 6.0 * t * (1.0 - t), 0.0)
-
     def psi(r):
         r = np.asarray(r, dtype=float)
         if r0 == r1:
             up = np.ones_like(r)
         else:
-            up = smooth((r - r0) / (r1 - r0))
-        down = smooth((r3 - r) / (r3 - r2))
+            up = _smooth((r - r0) / (r1 - r0))
+        down = _smooth((r3 - r) / (r3 - r2))
         out = np.where(r < r1, up, np.where(r > r2, down, 1.0))
         return np.where((r < r0) | (r > r3), 0.0, out)
 
@@ -662,8 +685,8 @@ def _radial_profile(r0, r1, r2, r3):
         if r0 == r1:
             up = np.zeros_like(r)
         else:
-            up = dsmooth((r - r0) / (r1 - r0)) / (r1 - r0)
-        down = -dsmooth((r3 - r) / (r3 - r2)) / (r3 - r2)
+            up = _dsmooth((r - r0) / (r1 - r0)) / (r1 - r0)
+        down = -_dsmooth((r3 - r) / (r3 - r2)) / (r3 - r2)
         out = np.where(r < r1, up, np.where(r > r2, down, 0.0))
         return np.where((r < r0) | (r > r3), 0.0, out)
 

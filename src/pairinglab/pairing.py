@@ -14,16 +14,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bv import (BvFunction1D, Disc, PiecewiseConstantBv2D, PolygonRegion,
-                 SmoothRadialBv2D, _boundary_normals, _coarea_rhs,
-                 _crossing_slices)
+                 SmoothRadialBv2D, _coarea_rhs, _crossing_slices)
 from .bv import gradient_measure as bv_gradient_measure
 from .errors import (BoundViolated, CylAverageDiverged, FormMismatch,
                      CrossValidationMismatch, NoApparentConvergence,
                      NonFiniteValue)
 from .fields import FieldB, _broadcast, _node_axis, _plus_dot, mollify
-from .measures import (DiscPatch, PolygonPatch, RadonMeasure1D,
-                       RadonMeasure2D, _density_sign_breaks_many,
-                       _integrate_parts)
+from .measures import (DiscPatch, RadonMeasure1D, RadonMeasure2D,
+                       _density_sign_breaks_many, _integrate_parts,
+                       _on_curves)
 from .quadrature import (_T_BLOCK, _leggauss, adaptive_simpson,
                          adaptive_simpson_many, aitken, polar_quad)
 
@@ -252,9 +251,9 @@ def normal_trace(field: FieldB, t, region, nsample=24) -> NormalTrace:
         raise TypeError(f"unsupported boundary {type(region)!r}")
     pieces = region.boundary()
     pts, nus, vals, converged = [], [], [], True
-    for curve, normal_at in pieces:
+    for curve in pieces:
         ps, _ = curve.sample(max(2, nsample // len(pieces)))
-        for p, nu in zip(ps, normal_at(ps)):
+        for p, nu in zip(ps, curve.interior_normal(ps)):
             res = cylindrical_average(field, t, nu, p)
             pts.append(tuple(p))
             nus.append(tuple(nu))
@@ -265,24 +264,6 @@ def normal_trace(field: FieldB, t, region, nsample=24) -> NormalTrace:
 
 # ---------------------------------------------------------------------------
 # Distributional route
-
-
-def _patch_for_region(region, phi):
-    """Integration patch for a PolygonRegion or a Disc, the disc clipped
-    to the support of phi when the geometry allows it (concentric radial
-    test functions)."""
-    if isinstance(region, PolygonRegion):
-        return PolygonPatch(tuple(tuple(v) for v in region.vertices))
-    r_in = 0.0
-    r_out = region.radius
-    breaks = ()
-    if phi is not None and phi.support[0] in ("disc", "annulus") \
-            and tuple(phi.support[1]) == tuple(region.center):
-        if phi.support[0] == "annulus":
-            r_in = min(phi.support[2], r_out)
-        r_out = min(r_out, phi.support[-1])
-        breaks = tuple(b for b in phi.radial_breaks if r_in < b < r_out)
-    return DiscPatch(region.center, r_out, r_inner=r_in, r_breaks=breaks)
 
 
 def _composed_integral(u, phi, h, tol):
@@ -300,7 +281,7 @@ def _composed_integral(u, phi, h, tol):
     else:
         parts = ((region, lambda p, _v=val: np.full(np.shape(p)[:-1], _v))
                  for region, val in u.regions)
-    return sum(_patch_for_region(region, phi).integrate(
+    return sum(region.patch(phi).integrate(
         lambda p: h(p, u_of(p)), tol=tol) for region, u_of in parts)
 
 
@@ -437,7 +418,7 @@ def _representation_2d(field, u, tol):
         return PairingMeasure(measure, theta)
 
     if isinstance(u, PiecewiseConstantBv2D):
-        def jump_density(normal_at, val):
+        def jump_density(curve, val):
             # u+ = val, u- = 0 on the interior side of the boundary when
             # val > 0; nu_u is then the interior normal.  The density is the
             # integral of q(b_t, nu_u) over the jump range between 0 and val.
@@ -445,7 +426,7 @@ def _representation_2d(field, u, tol):
 
             def density(pts):
                 pts = np.asarray(pts, dtype=float)
-                nu = normal_at(pts) * sgn
+                nu = curve.interior_normal(pts) * sgn
                 return sgn * elementwise_t_integral(
                     lambda ts, p, n: _fast_q(field, p[..., None, :],
                                              n[..., None, :], ts),
@@ -453,9 +434,9 @@ def _representation_2d(field, u, tol):
                     kinks=field.t_kinks)
             return density
 
-        parts = tuple((curve, jump_density(normal_at, val))
+        parts = tuple((curve, jump_density(curve, val))
                       for region, val in u.regions
-                      for curve, normal_at in region.boundary())
+                      for curve in region.boundary())
         measure = RadonMeasure2D(u.rect, surface_parts=parts)
 
         def theta(x):
@@ -599,7 +580,7 @@ def coarea_pairing_check(field: FieldB, u, phi, tol=1e-9, dist=None):
             # the same, the patches of every region of every level in one
             # batched planar driver
             level, sgn, patches = _level_pieces(
-                u, ts, lambda region: (_patch_for_region(region, phi),))
+                u, ts, lambda region: (region.patch(phi),))
             vals = _integrate_parts(lambda x, k: integrand(x, ts[level[k]]),
                                     patches, tol * 1e-2)
             out = np.zeros(ts.shape)
@@ -627,14 +608,13 @@ def coarea_variation_check(field: FieldB, u, phi, tol=1e-9,
         def slices(ts):
             # the boundary pieces of every region of every level: one sign
             # scan of q and root polish, then one batched line integral
-            level, sgn, pieces = _level_pieces(u, ts, lambda r: r.boundary())
-            normal = _boundary_normals(pieces)
+            level, sgn, curves = _level_pieces(u, ts, lambda r: r.boundary())
+            _, normal = _on_curves(curves)
 
             def q(pts, k):
                 return _fast_q(field, pts, normal(pts, k) * sgn[k][..., None],
                                ts[level[k]])
 
-            curves = [curve for curve, _ in pieces]
             curves = [replace(curve, param_breaks=breaks) for curve, breaks
                       in zip(curves, _density_sign_breaks_many(curves, q))]
             vals = _integrate_parts(

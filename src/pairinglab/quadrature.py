@@ -55,71 +55,20 @@ def _clean_breakpoints(a, b, breakpoints):
 
 
 def adaptive_simpson(f, a, b, tol=1e-9, breakpoints=(), max_nodes=2_000_000):
-    """Adaptive composite Simpson with interval bisection.
-
-    Mandatory breakpoints seed the initial panels so that known kinks never
-    sit inside a panel.  Intervals are processed in batches so that ``f``
-    is always called on arrays.
-    """
-    if b <= a:
-        return 0.0
-    pts = _clean_breakpoints(a, b, breakpoints)
-    lo = pts[:-1]
-    hi = pts[1:]
-    mid = 0.5 * (lo + hi)
-    all_x = np.concatenate([lo, mid, hi])
-    vals = np.asarray(f(all_x), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteValue("integrand produced non-finite values")
-    n = lo.size
-    flo, fmid, fhi = vals[:n], vals[n : 2 * n], vals[2 * n :]
-    S = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
-    total_len = b - a
-    result = 0.0
-    nodes_used = all_x.size
-    # state arrays for pending intervals
-    while lo.size:
-        m1 = 0.5 * (lo + mid)
-        m2 = 0.5 * (mid + hi)
-        fm = np.asarray(f(np.concatenate([m1, m2])), dtype=float)
-        if not np.all(np.isfinite(fm)):
-            raise NonFiniteValue("integrand produced non-finite values")
-        nodes_used += fm.size
-        k = lo.size
-        f1, f2 = fm[:k], fm[k:]
-        Sl = (mid - lo) / 6.0 * (flo + 4.0 * f1 + fmid)
-        Sr = (hi - mid) / 6.0 * (fmid + 4.0 * f2 + fhi)
-        err = np.abs(Sl + Sr - S)
-        budget = tol * np.maximum((hi - lo) / total_len, 1e-300)
-        done = (err <= budget) | (hi - lo < 1e-14 * total_len)
-        result += float(np.sum((Sl + Sr + (Sl + Sr - S) / 15.0)[done]))
-        keep = ~done
-        if nodes_used > max_nodes:
-            raise ToleranceNotMet(
-                f"adaptive Simpson stalled: {int(keep.sum())} intervals above "
-                f"tolerance after {nodes_used} evaluations"
-            )
-        # split the remaining intervals
-        lo2 = np.concatenate([lo[keep], mid[keep]])
-        hi2 = np.concatenate([mid[keep], hi[keep]])
-        mid2 = np.concatenate([m1[keep], m2[keep]])
-        flo2 = np.concatenate([flo[keep], fmid[keep]])
-        fhi2 = np.concatenate([fmid[keep], fhi[keep]])
-        fmid2 = np.concatenate([f1[keep], f2[keep]])
-        S2 = np.concatenate([Sl[keep], Sr[keep]])
-        lo, mid, hi, flo, fmid, fhi, S = lo2, mid2, hi2, flo2, fmid2, fhi2, S2
-    return result
+    """Adaptive Simpson over [a, b]: adaptive_simpson_many with one owner."""
+    return float(adaptive_simpson_many(lambda x, _: f(x), [a], [b], tol,
+                                       breakpoints, max_nodes)[0])
 
 
 def adaptive_simpson_many(f, a, b, tol=1e-9, breakpoints=(),
                           max_nodes=2_000_000):
     """Independent adaptive Simpson integrals over the intervals [a_k, b_k].
 
-    Owner k gets, to the bit, what ``adaptive_simpson`` gives on [a_k, b_k]
-    with the same arguments: the same initial panels and budget, and its
-    own node count against max_nodes.  ``f(x, owner)`` gets the nodes of
-    every owner still refining in one call.  An empty interval gives 0.0.
+    Owner k bisects the panels between the breakpoints inside [a_k, b_k]
+    until each meets its share tol * width / (b_k - a_k) of the budget or
+    is narrower than 1e-14 (b_k - a_k), and counts its own nodes against
+    max_nodes.  ``f(x, owner)`` gets the nodes of every owner still
+    refining in one call.  An empty interval gives 0.0.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     result = np.zeros(a.shape)
@@ -129,48 +78,61 @@ def adaptive_simpson_many(f, a, b, tol=1e-9, breakpoints=(),
         return result
     lo, hi, own = (np.concatenate(v) for v in zip(*(
         (p[:-1], p[1:], np.full(p.size - 1, k)) for k, p in panels)))
-    span = b - a
+    span = (b - a)[own]
     mid = 0.5 * (lo + hi)
-    flo, fmid, fhi = np.asarray(f(np.concatenate([lo, mid, hi]), np.tile(
-        own, 3)), dtype=float).reshape(3, -1)
+    flo, fmid, fhi = _simpson_values(f, (lo, mid, hi), own)
     S = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-    nodes_used = 3 * np.bincount(own, minlength=a.size)
-    if not np.all(np.isfinite([flo, fmid, fhi])):
-        raise NonFiniteValue("integrand produced non-finite values")
+    # the total bounds each owner's count: count owners past max_nodes
+    total, uncounted = 3 * own.size, [own] * 3
+    count = np.zeros(a.size, dtype=int)
     while lo.size:
         m1 = 0.5 * (lo + mid)
         m2 = 0.5 * (mid + hi)
-        f1, f2 = np.asarray(f(np.concatenate([m1, m2]), np.tile(own, 2)),
-                            dtype=float).reshape(2, -1)
-        if not np.all(np.isfinite([f1, f2])):
-            raise NonFiniteValue("integrand produced non-finite values")
-        nodes_used += 2 * np.bincount(own, minlength=a.size)
+        f1, f2 = _simpson_values(f, (m1, m2), own)
+        total += 2 * own.size
+        uncounted += [own, own]
         Sl = (mid - lo) / 6.0 * (flo + 4.0 * f1 + fmid)
         Sr = (hi - mid) / 6.0 * (fmid + 4.0 * f2 + fhi)
         err = np.abs(Sl + Sr - S)
-        budget = tol * np.maximum((hi - lo) / span[own], 1e-300)
-        done = (err <= budget) | (hi - lo < 1e-14 * span[own])
+        budget = tol * np.maximum((hi - lo) / span, 1e-300)
+        done = (err <= budget) | (hi - lo < 1e-14 * span)
         result += _owner_sums((Sl + Sr + (Sl + Sr - S) / 15.0)[done],
                               own[done], a.size)
         keep = ~done
-        over = np.flatnonzero(nodes_used > max_nodes)
-        if over.size:
-            k = over[0]
-            raise ToleranceNotMet(
-                f"adaptive Simpson stalled: {np.sum(keep & (own == k))} "
-                f"intervals above tolerance after {nodes_used[k]} "
-                f"evaluations")
-        # the left halves of the remaining intervals, then the right halves
-        lo, mid, hi, flo, fmid, fhi, S = np.concatenate(
-            [np.array([lo, m1, mid, flo, f1, fmid, Sl])[:, keep],
-             np.array([mid, m2, hi, fmid, f2, fhi, Sr])[:, keep]], axis=1)
-        own = np.tile(own[keep], 2)
+        if total > max_nodes:
+            count += np.bincount(np.concatenate(uncounted), minlength=a.size)
+            uncounted = []
+            over = np.flatnonzero(count > max_nodes)
+            if over.size:
+                k = over[0]
+                raise ToleranceNotMet(
+                    f"adaptive Simpson stalled: "
+                    f"{np.count_nonzero(keep & (own == k))} intervals above "
+                    f"tolerance after {count[k]} evaluations")
+        # per row: [left halves, right halves] of the remaining intervals
+        lo, mid, hi, flo, fmid, fhi, S, span, own = np.array(
+            [[lo, mid], [m1, m2], [mid, hi], [flo, fmid], [f1, f2],
+             [fmid, fhi], [Sl, Sr], [span, span], [own, own]])[..., keep] \
+            .reshape(9, -1)
+        own = own.astype(int)
     return result
+
+
+def _simpson_values(f, nodes, own):
+    """The rows f(node, owner) of the node arrays, the owners of each row
+    own; NonFiniteValue if any is not finite."""
+    vals = np.asarray(f(np.concatenate(nodes), np.concatenate(
+        [own] * len(nodes))), dtype=float)
+    if not np.isfinite(vals).all():
+        raise NonFiniteValue("integrand produced non-finite values")
+    return vals.reshape(len(nodes), -1)
 
 
 def _owner_sums(vals, owner, n):
     """Per owner, np.sum of its entries of vals in order: np.add.at for
     fewer than 8 terms, which np.sum too adds left to right."""
+    if n == 1:
+        return vals.sum()
     out = np.zeros(n)
     count = np.bincount(owner, minlength=n)
     short = count[owner] < 8

@@ -280,25 +280,34 @@ def shipped_catalog_dir():
     return resources.files("pairinglab") / "data" / "scenarios"
 
 
-def claim_id(owners, scenario, path):
-    """Record path as the file of scenario's id in owners (id -> path);
-    SpecError naming both files if an earlier file has the same id."""
-    if scenario.id in owners:
-        raise SpecError(f"duplicate scenario id {scenario.id!r} in "
-                        f"{owners[scenario.id]} and {path}")
-    owners[scenario.id] = path
-
-
-def load_catalog(directory=None):
-    """All scenarios in a directory (default: the shipped catalog), by id."""
+def load_scenarios(path=None, keep_going=False):
+    """(scenarios, skipped) of the JSON file path, or of the JSON files of
+    the directory path (default: the shipped catalog), in file order.  A
+    file that does not parse or repeats an earlier id raises SpecError, or
+    with keep_going goes to skipped as (file, reason)."""
     import pathlib
-    base = pathlib.Path(directory) if directory else shipped_catalog_dir()
-    out, owners = {}, {}
-    for p in sorted(base.glob("*.json")):
-        s = load_scenario_file(p)
-        claim_id(owners, s, p)
-        out[s.id] = s
-    return out
+    base = shipped_catalog_dir() if path is None else pathlib.Path(path)
+    files = sorted(str(p) for p in base.glob("*.json")) if base.is_dir() \
+        else [str(base)]
+    scenarios, skipped, owners = [], [], {}
+    for f in files:
+        try:
+            sc = load_scenario_file(f)
+            if sc.id in owners:
+                raise SpecError(f"duplicate scenario id {sc.id!r} in "
+                                f"{owners[sc.id]} and {f}")
+            owners[sc.id] = f
+            scenarios.append(sc)
+        except SpecError as exc:
+            if not keep_going:
+                raise
+            skipped.append((f, str(exc)))
+    return scenarios, skipped
+
+
+def load_catalog(path=None):
+    """The scenarios at path (load_scenarios), by id."""
+    return {s.id: s for s in load_scenarios(path)[0]}
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +430,7 @@ def _check_gauss_green(ctx, params, tol):
     lhs = rep.measure.total_mass()
     # Gauss-Green on each region R of value v: the jump across its boundary
     # pairs to -int_R Div_x B(x, v) dx
-    rhs = sum(pairing._patch_for_region(region, None).integrate(
+    rhs = sum(region.patch().integrate(
         lambda p, _v=val: -np.asarray(ctx.field.div_primitive(
             p, np.full(np.shape(p)[:-1], _v)), dtype=float),
         tol=1e-10) for region, val in ctx.u.regions)

@@ -13,7 +13,7 @@ from pairinglab.bv import (BvFunction1D, CantorPart, Disc, JumpPoint,
                            Piecewise1D, PiecewiseConstantBv2D, PolygonRegion,
                            SmoothRadialBv2D, coarea_tv_check, indicator_1d)
 from pairinglab.errors import DegenerateLevel, ToleranceNotMet
-from pairinglab.measures import SingularLadder
+from pairinglab.measures import SingularLadder, _on_curves
 from pairinglab import quadrature
 from pairinglab.quadrature import _brent_roots
 from pairinglab.scenarios import build_bv, load_catalog
@@ -105,18 +105,24 @@ def test_bv_cantor_composed_integral_is_half(u_cantor, splits):
     assert abs(total - 0.5) <= 1e-14
 
 
+def _crossings(u, t):
+    """Sorted list of the (x, nu) crossings of the one level t."""
+    _, x, nu = u.level_crossings_many(np.array([t]))
+    return list(zip(x.tolist(), nu.tolist()))
+
+
 def test_bv_level_crossings_staircase(u_stair):
-    cs = u_stair.level_crossings(0.5)
+    cs = _crossings(u_stair, 0.5)
     assert len(cs) == 1
     assert abs(cs[0][0] + 0.5) < 1e-12
-    cs = u_stair.level_crossings(2.0)
+    cs = _crossings(u_stair, 2.0)
     assert len(cs) == 1
     assert abs(cs[0][0] - 0.7) < 1e-12
 
 
 def _scalar_crossings(u, t):
-    """Reference: per segment, the 1201-point sign grid of level_crossings
-    and one scalar brentq per sign change."""
+    """Reference: per segment, the 1201-point sign grid of
+    level_crossings_many and one scalar brentq per sign change."""
     out = [(j.location, j.nu) for j in u.jumps if j.u_minus < t < j.u_plus]
     for lo, hi in u._segments():
         xs = np.linspace(lo, hi, 1201)
@@ -157,8 +163,8 @@ def test_batched_crossings_match_scalar_brentq(u):
         assert len(ref) == np.count_nonzero(mine) > 0
         assert [nu for _, nu in ref] == nus[mine].tolist()
         assert np.max(np.abs(xs[mine] - [x for x, _ in ref])) <= 1e-12
-        assert u.level_crossings(t) == list(zip(xs[mine].tolist(),
-                                                nus[mine].tolist()))
+        assert _crossings(u, t) == list(zip(xs[mine].tolist(),
+                                            nus[mine].tolist()))
 
 
 def test_batched_crossings_raise_on_a_plateau_level():
@@ -324,10 +330,11 @@ def test_smooth_radial_2d_levels():
 def test_region_boundary_pieces(region, npieces):
     pieces = region.boundary()
     assert len(pieces) == npieces
-    assert abs(sum(c.length for c, _ in pieces) - region.perimeter()) < 1e-12
-    for curve, normal_at in pieces:
+    assert abs(sum(c.length for c in pieces) - region.perimeter()) < 1e-12
+    for k, curve in enumerate(pieces):
         pts, _ = curve.sample(7)
-        nu = normal_at(pts)
+        nu = curve.interior_normal(pts)
+        assert np.array_equal(_on_curves(pieces)[1](pts, np.array(k)), nu)
         assert np.allclose(np.hypot(nu[:, 0], nu[:, 1]), 1.0)
         # the interior normal points into the region
         assert region.contains(pts + 1e-6 * nu).all()
@@ -338,11 +345,12 @@ def test_region_boundary_pieces(region, npieces):
                          ids=["square", "triangle"])
 def test_polygon_interior_normal_is_nearest_edge_normal(region):
     mids, normals = [], []
-    for seg, normal_at in region.boundary():
+    for seg in region.boundary():
         mid = seg.point_at(np.array(0.5))
-        assert np.array_equal(region.interior_normal(mid), normal_at(mid))
+        assert np.array_equal(region.interior_normal(mid),
+                              seg.interior_normal(mid))
         mids.append(mid)
-        normals.append(normal_at(mid))
+        normals.append(seg.interior_normal(mid))
     assert np.array_equal(region.interior_normal(np.array(mids)),
                           np.array(normals))
 

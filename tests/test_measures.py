@@ -38,15 +38,58 @@ def test_adaptive_simpson_with_kink_breakpoint():
                - exact) < 1e-12
 
 
+# float.hex of adaptive_simpson as the scalar Simpson loop gave it, before
+# that loop became the one-owner case of adaptive_simpson_many
+_SIN7 = lambda x: np.abs(np.sin(7.0 * x)) * np.exp(-x)
+PINNED_SIMPSON = [
+    (lambda x: np.abs(x - 0.3), 0.0, 1.0, dict(breakpoints=(0.3,)),
+     "0x1.28f5c28f5c28ep-2"),
+    (_SIN7, 0.0, 3.0, dict(tol=1e-9), "0x1.352b7e88b1667p-1"),
+    (_SIN7, 0.0, 3.0, dict(tol=1e-11), "0x1.352b7e88b1629p-1"),
+    (lambda x: np.sqrt(np.abs(x - 0.3)), 0.0, 1.0, {},
+     "0x1.fffc4ae4d639bp-2"),
+    (lambda x: x, 1.0, 1.0, {}, "0x0.0p+0"),
+]
+
+
+@pytest.mark.parametrize("f, a, b, kw, bits", PINNED_SIMPSON,
+                         ids=["kink", "sin7-1e-9", "sin7-1e-11", "cusp",
+                              "empty"])
+def test_adaptive_simpson_keeps_its_bits(f, a, b, kw, bits):
+    value = adaptive_simpson(f, a, b, **kw)
+    assert type(value) is float and value.hex() == bits
+
+
+def test_adaptive_simpson_stalls_and_rejects_non_finite_values():
+    with pytest.raises(ToleranceNotMet) as err:
+        adaptive_simpson(lambda x: np.sign(x - 1.0 / 3.0), 0.0, 1.0,
+                         max_nodes=60)
+    assert str(err.value) == ("adaptive Simpson stalled: 1 intervals above "
+                              "tolerance after 61 evaluations")
+    for f in (lambda x: np.where(x > 0.5, np.nan, x),
+              lambda x: np.where(x > 0.74, np.inf, x)):
+        with pytest.raises(NonFiniteValue,
+                           match="^integrand produced non-finite values$"):
+            adaptive_simpson(f, 0.0, 1.0)
+
+
 def _owned(x, k):
     """Owner k integrates sin((k + 1) x) + |x - 0.3|."""
     return np.sin((k + 1.0) * x) + np.abs(x - 0.3)
 
 
+# float.hex of the scalar Simpson loop on owner k of _owned over
+# [OWNED_A[k], OWNED_B[k]] with tol 1e-10 and breakpoints OWNED_BPS
+OWNED_A = [0.0, -1.0, 0.25, 0.3, -2.0, 0.29]
+OWNED_B = [1.0, 0.5, 0.26, 2.0, 3.0, 0.31]
+OWNED_BPS = (0.3, -0.5, 1.5)
+OWNED_BITS = ["0x1.7fd8604c5dabcp-1", "0x1.8c0edba63cfcfp-2",
+              "0x1.e355d17ce2d79p-8", "0x1.926c4312a5638p+0",
+              "0x1.918b3c5b2f734p+2", "0x1.408eaf23a2a42p-6"]
+
+
 def test_adaptive_simpson_many_matches_each_owner(monkeypatch):
-    a = np.array([0.0, -1.0, 0.25, 0.3, -2.0, 0.29])
-    b = np.array([1.0, 0.5, 0.26, 2.0, 3.0, 0.31])
-    bps = (0.3, -0.5, 1.5)
+    a, b, bps = np.array(OWNED_A), np.array(OWNED_B), OWNED_BPS
     # per pass, how many panels each owner finishes: np.sum adds fewer
     # than 8 terms left to right and more in blocks, and both must match
     finished = []
@@ -59,6 +102,7 @@ def test_adaptive_simpson_many_matches_each_owner(monkeypatch):
     monkeypatch.setattr(quadrature, "_owner_sums", owner_sums)
     many = adaptive_simpson_many(_owned, a, b, tol=1e-10, breakpoints=bps)
     assert min(c for c in finished if c) < 8 <= max(finished)
+    assert [v.hex() for v in many.tolist()] == OWNED_BITS
     for k in range(a.size):
         one = adaptive_simpson(lambda x: _owned(x, k), a[k], b[k], tol=1e-10,
                                breakpoints=bps)
@@ -76,7 +120,7 @@ def test_adaptive_simpson_many_empty_intervals():
     assert out.tolist() == [0.0, 0.0, 0.0] and not calls
     out = adaptive_simpson_many(_owned, [1.0, 0.0], [0.5, 1.0])
     assert out[0] == 0.0
-    assert out[1] == adaptive_simpson(lambda x: _owned(x, 1), 0.0, 1.0)
+    assert out[1].hex() == "0x1.ff037aa4fbdc5p-1"   # the scalar loop gave it
 
 
 def test_adaptive_simpson_many_counts_nodes_per_owner():

@@ -253,8 +253,7 @@ def test_coarea_checks_batch_their_levels(monkeypatch):
     ctx = load_catalog()["s12_smooth_sep"].resolve()
     dist = ctx.distributional()
     rep = pairing_by_representation(ctx.field, ctx.u)
-    counts = {"outer": 0, "level_crossings": 0, "level_crossings_many": 0,
-              "brentq": 0}
+    counts = {"outer": 0, "level_crossings_many": 0, "brentq": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -266,10 +265,8 @@ def test_coarea_checks_batch_their_levels(monkeypatch):
     monkeypatch.setattr(bv_module, "adaptive_simpson",
                         lambda f, *a, **kw: simpson(counted("outer", f),
                                                     *a, **kw))
-    for name in ("level_crossings", "level_crossings_many"):
-        if hasattr(BvFunction1D, name):
-            monkeypatch.setattr(BvFunction1D, name,
-                                counted(name, getattr(BvFunction1D, name)))
+    monkeypatch.setattr(BvFunction1D, "level_crossings_many", counted(
+        "level_crossings_many", BvFunction1D.level_crossings_many))
     monkeypatch.setattr(bv_module, "brentq", counted(
         "brentq", getattr(bv_module, "brentq", scipy.optimize.brentq)),
         raising=False)
@@ -279,7 +276,8 @@ def test_coarea_checks_batch_their_levels(monkeypatch):
     assert res < 1e-5
     assert counts["outer"] > 0
     assert counts["level_crossings_many"] == counts["outer"]
-    assert counts["level_crossings"] == 0 and counts["brentq"] == 0
+    assert not hasattr(BvFunction1D, "level_crossings")
+    assert counts["brentq"] == 0
 
 
 @pytest.mark.parametrize("sid, check, batched, points", [

@@ -275,6 +275,21 @@ def test_cli_list(capsys):
     assert len(out) == 21
 
 
+def test_cli_list_of_a_file_prints_its_id(capsys):
+    assert main(["list", str(S03_PATH)]) == 0
+    assert capsys.readouterr().out.split() == ["s03_jump_const"]
+
+
+def test_cli_list_of_a_missing_path_is_a_spec_error(tmp_path, capsys):
+    missing = tmp_path / "nonexistent"
+    assert main(["list", str(missing)]) == 2
+    listed = capsys.readouterr()
+    assert listed.out == ""
+    assert main(["run", str(missing), "--out", str(tmp_path / "r")]) == 2
+    assert listed.err == capsys.readouterr().err
+    assert listed.err.startswith(f"spec error: cannot read {missing}")
+
+
 def test_cli_run_single_scenario(tmp_path, capsys):
     p = _write_fast(tmp_path)
     outdir = tmp_path / "reports"
