@@ -11,10 +11,8 @@ approximating sequences.
 from .bv import (BvFunction1D, CantorPart, Disc, JumpPoint, Piecewise1D,
                  PiecewiseConstantBv2D, PolygonRegion, SmoothRadialBv2D,
                  indicator_1d)
-from .errors import (AssumptionViolation, BoundViolated,
-                     CrossValidationMismatch, CylAverageDiverged,
-                     DegenerateLevel, FormMismatch, GapAboveTolerance,
-                     InequalityViolated, NoApparentConvergence,
+from .errors import (AssumptionViolation, CrossValidationMismatch,
+                     CylAverageDiverged, DegenerateLevel, FormMismatch,
                      PairingLabError, SpecError, ToleranceNotMet,
                      UnknownCheck, WindowTooLarge)
 from .fields import FieldB, field_catalog, make_field, mollify, sigma_k, \

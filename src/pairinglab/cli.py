@@ -19,8 +19,10 @@ reason instead.  A scenario that parses but does not resolve fails each of
 its checks with the error, and the other scenarios are still run.  Reports
 are strict JSON: a non-finite number is written as null.
 
-``series`` writes the check's table even when the check fails; it then
-prints the failure to stderr and exits 1, as ``run`` does.
+Each verdict, mass_bound's too, compares a check's ``residual`` or ``lhs``
+with the ``tolerance`` in its report, once, in ``scenarios``, so a failing
+check keeps its numbers; ``series`` writes its table, prints the failure
+to stderr and exits 1, as ``run`` does.
 
 ``--jobs N`` runs the scenarios in N worker processes (N must be an
 integer >= 1; the default 1 runs them in this process) and writes the same

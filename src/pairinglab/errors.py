@@ -37,14 +37,6 @@ class CrossValidationMismatch(PairingLabError):
     """Two independent constructions of the same measure disagree."""
 
 
-class BoundViolated(PairingLabError):
-    """A proven inequality failed numerically; indicates an implementation bug."""
-
-
-class InequalityViolated(PairingLabError):
-    """A semicontinuity inequality failed beyond tolerance."""
-
-
 class NoConvergence(PairingLabError):
     """A limiting procedure did not settle within the allowed depth.
 
@@ -54,14 +46,6 @@ class NoConvergence(PairingLabError):
 
 class CylAverageDiverged(NoConvergence):
     """A cylindrical average required by a construction did not converge."""
-
-
-class NoApparentConvergence(PairingLabError):
-    """A convergence table ends above the requested final-gap tolerance."""
-
-
-class GapAboveTolerance(PairingLabError):
-    """The relaxation gap exceeds the scenario tolerance."""
 
 
 class UnknownCheck(PairingLabError):

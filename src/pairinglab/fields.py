@@ -141,13 +141,13 @@ def _check_field(f: FieldB, box):
     dB = (np.asarray(f.primitive(xs, ts + h), float)
           - np.asarray(f.primitive(xs, ts - h), float)) / (2 * h)
     bv = np.asarray(f.eval(xs, ts), float)
-    if np.max(np.abs(dB - bv)) > 1e-7 * (1.0 + np.max(np.abs(bv))):
+    if not np.max(np.abs(dB - bv)) <= 1e-7 * (1.0 + np.max(np.abs(bv))):
         raise AssumptionViolation(
             "primitive", f"{f.name}: dB/dt does not match b")
 
     # B(x, 0) = 0
     B0 = np.asarray(f.primitive(xs, np.zeros_like(ts)), float)
-    if np.max(np.abs(B0)) > 1e-10:
+    if not np.max(np.abs(B0)) <= 1e-10:
         raise AssumptionViolation(
             "primitive", f"{f.name}: B(x, 0) is not zero")
 
@@ -171,7 +171,7 @@ def _check_field(f: FieldB, box):
         got = np.asarray(formula(xs, ts), float)
         want = num_div(target)
         scale = 1.0 + np.max(np.abs(want))
-        if np.max(np.abs(got - want)) > 1e-5 * scale:
+        if not np.max(np.abs(got - want)) <= 1e-5 * scale:
             raise AssumptionViolation(
                 clause, f"{f.name}: closed form disagrees with finite "
                         f"differences")
@@ -180,7 +180,7 @@ def _check_field(f: FieldB, box):
     xrep = _node_axis(xs, f.dim)
     mags = f.magnitude(xrep, np.linspace(t0, t1, 33)[None, :])
     sig = np.asarray(f.sigma(xs), float)
-    if np.any(mags > sig[:, None] * (1 + 1e-9) + 1e-12):
+    if not np.all(mags <= sig[:, None] * (1 + 1e-9) + 1e-12):
         raise AssumptionViolation(
             "local bound", f"{f.name}: |b| exceeds sigma on the t-range")
 
@@ -190,7 +190,7 @@ def _check_field(f: FieldB, box):
     diff = _norm(np.asarray(f.eval(xrep, t_a), float)
                  - np.asarray(f.eval(xrep, t_b), float), f.dim)
     gap = np.abs(t_a - t_b)
-    if np.any(diff > f.lipschitz_t * gap * (1 + 1e-9) + 1e-12):
+    if not np.all(diff <= f.lipschitz_t * gap * (1 + 1e-9) + 1e-12):
         raise AssumptionViolation(
             "lipschitz", f"{f.name}: declared Lipschitz constant too small")
     return f

@@ -396,7 +396,7 @@ def _windows_for(ctx, count):
 def _check_mass_bound(ctx, params, tol):
     count = params.get("windows", 20)
     results = pairing.mass_bound_check(ctx.field, ctx.u,
-                                       _windows_for(ctx, count))
+                                       _windows_for(ctx, count), slack=tol)
     worst = max((r["lhs"] - r["bound"] for r in results), default=0.0)
     violations = sum(not r["ok"] for r in results)
     return CheckOutcome(ctx.id, "mass_bound", worst, 0.0, max(worst, 0.0),
@@ -415,7 +415,7 @@ def _check_lipschitz(ctx, params, tol):
     for tau in taus:
         lhs, rhs = pairing.lipschitz_comparison_check(ctx.field, ctx.u,
                                                       float(tau), ctx.phi,
-                                                      tol=tol, dist=dist)
+                                                      dist=dist)
         pairs.append((float(tau), lhs, rhs))
         worst = max(worst, lhs - rhs)
     return CheckOutcome(ctx.id, "lipschitz", worst, 0.0, max(worst, 0.0),
@@ -482,7 +482,7 @@ def _eps_schedule(params, eps0=0.04, count=7):
 
 def _check_approximation(ctx, params, tol):
     table = pairing.approximation_convergence_check(
-        ctx.field, ctx.u, ctx.phi, _eps_schedule(params), tol=tol,
+        ctx.field, ctx.u, ctx.phi, _eps_schedule(params),
         dist=ctx.distributional(1e-10, form_check=False))
     res = table[-1][1]
     return CheckOutcome(ctx.id, "approximation", res, 0.0, res, tol,
@@ -510,7 +510,7 @@ def _sequence_for(ctx, params):
 def _check_continuity(ctx, params, tol):
     seq = _sequence_for(ctx, params)
     res = variational.continuity_check_Gphi(ctx.field, ctx.phi, seq, ctx.u,
-                                            tol=tol, window=ctx.window)
+                                            window=ctx.window)
     gap = res.gaps[-1]
     return CheckOutcome(ctx.id, "continuity", res.values[-1], res.target,
                         gap, tol, gap <= tol,
@@ -521,10 +521,11 @@ def _check_continuity(ctx, params, tol):
 def _check_lsc(ctx, params, tol):
     functional = params.get("functional", "F")
     seq = _sequence_for(ctx, params)
-    res = variational.lsc_check(ctx.field, functional, seq, ctx.u, tol=tol,
+    res = variational.lsc_check(ctx.field, functional, seq, ctx.u,
                                 window=ctx.window)
     return CheckOutcome(ctx.id, "lsc", res.liminf, res.target,
-                        max(0.0, -res.margin), tol, res.margin >= -tol,
+                        max(0.0, -res.margin, res.truncation_residual), tol,
+                        res.margin >= -tol and res.truncation_residual <= tol,
                         {"functional": functional, "margin": res.margin,
                          "truncation_k": res.truncation_k,
                          "truncation_residual": res.truncation_residual,
@@ -537,7 +538,7 @@ def _check_relaxation(ctx, params, tol):
     res = variational.relaxation_check(
         ctx.field, ctx.u, ctx.phi,
         ctx.window if isinstance(ctx.u, BvFunction1D) else None,
-        eps, tol=tol, mode=params.get("mode", "weak*"))
+        eps, mode=params.get("mode", "weak*"))
     diag = {"mode": res.mode}
     for label, reports in (("jump", res.jump_report),
                            ("cantor", res.cantor_report)):
@@ -550,26 +551,13 @@ def _check_relaxation(ctx, params, tol):
 
 def _check_blowup(ctx, params, tol):
     point = params.get("point", "jump")
-    jumps = getattr(ctx.u, "jumps", ())
-    if point == "jump":
-        index = int(params.get("index", 0))
-        if not 0 <= index < len(jumps):
-            raise AssumptionViolation(
-                "blowup", f"u has no jump at index {index}")
-        x0 = jumps[index].location
-        radii = tuple(params.get("radii",
-                                 [0.02 * 0.5 ** i for i in range(6)]))
-    elif point == "cantor":
-        if getattr(ctx.u, "cantor", None) is None:
-            raise AssumptionViolation("blowup", "u has no Cantor part")
-        lad = ctx.u.cantor.ladder
-        x0 = lad.interval[0]
-        radii = tuple((lad.interval[1] - lad.interval[0]) * lad.side ** i
-                      for i in range(2, 8))
+    if point in ("jump", "cantor"):
+        x0, radii = variational.blowup_site(ctx.u, point,
+                                            int(params.get("index", 0)))
     else:
-        x0 = point
-        radii = tuple(params.get("radii",
-                                 [0.02 * 0.5 ** i for i in range(6)]))
+        x0, radii = point, variational.JUMP_BLOWUP_RADII
+    if point != "cantor":
+        radii = tuple(params.get("radii", radii))
     br = variational.blowup_density(ctx.field, ctx.u, x0, radii)
     return CheckOutcome(ctx.id, "blowup", br.extrapolated,
                         br.theta_reference, br.mismatch, tol,

@@ -98,6 +98,16 @@ def test_make_field_rejects_wrong_primitive():
                    lipschitz_t=base.lipschitz_t, t_range=base.t_range)
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("const", {"c": math.nan}), ("const", {"c": math.inf}),
+    ("tanh", {"delta": math.nan}), ("const2d", {"vx": math.nan})])
+def test_make_field_rejects_non_finite_fields(kind, params):
+    # a NaN error compares False with every bound, so each consistency gate
+    # must be written to fail on it rather than to pass
+    with pytest.raises(AssumptionViolation):
+        field_catalog(kind, **params)
+
+
 def test_sigma_k_profile():
     ts = np.array([0.0, 1.0, 1.5, 2.0, 3.0, -2.5])
     np.testing.assert_allclose(sigma_k(ts, 2.0),

@@ -14,10 +14,11 @@ from pairinglab.bv import (BvFunction1D, Disc, JumpPoint, Piecewise1D,
                            gradient_measure)
 from pairinglab import bv as bv_module
 from pairinglab import measures, pairing, quadrature
-from pairinglab.errors import AssumptionViolation, BoundViolated, FormMismatch
+from pairinglab.errors import AssumptionViolation, FormMismatch
 from pairinglab.fields import FieldB, field_catalog, make_field
 from pairinglab.measures import TestFunction1D, TestFunction2D
-from pairinglab.scenarios import _windows_for, load_catalog
+from pairinglab.scenarios import (CheckSpec, _windows_for, load_catalog,
+                                  run_check)
 from pairinglab.pairing import (approximation_convergence_check,
                                 chain_rule_check, coarea_pairing_check,
                                 coarea_variation_check, cylindrical_average,
@@ -357,11 +358,16 @@ def test_lipschitz_comparison_holds(field_gt, u_jump, phi_bump):
         assert lhs <= rhs + 1e-8
 
 
-def test_lipschitz_comparison_raises_on_forced_violation(field_gt, u_jump,
-                                                         phi_bump):
-    with pytest.raises(BoundViolated):
-        lipschitz_comparison_check(field_gt, u_jump, 0.5, phi_bump,
-                                   tol=-10.0)
+def test_lipschitz_comparison_fails_on_forced_violation(field_gt, u_jump,
+                                                        phi_bump):
+    # at tol = -10 the bound lhs <= rhs + tol cannot hold: the function
+    # returns its numbers, and the check's one verdict fails on them
+    lhs, rhs = lipschitz_comparison_check(field_gt, u_jump, 0.5, phi_bump)
+    assert lhs > rhs - 10.0
+    ctx = load_catalog()["s04_jump_gt"].resolve()  # the same b, u and phi
+    out = run_check(ctx, CheckSpec("lipschitz", -10.0, {"taus": [0.5]}))
+    assert out.passed is False and "error" not in out.diagnostics
+    assert out.lhs == lhs - rhs and math.isfinite(out.residual)
 
 
 def test_mass_bound_windows(field_gt, u_mixed):

@@ -13,7 +13,7 @@ import pytest
 from pairinglab import pairing, scenarios
 from pairinglab.cli import main
 from pairinglab.errors import SpecError, UnknownCheck
-from pairinglab.fields import make_field
+from pairinglab.fields import FieldB, make_field
 from pairinglab.scenarios import (CHECKS, CheckSpec, build_bv, load_catalog,
                                   load_scenario_file, parse_scenario,
                                   run_check, run_scenario,
@@ -248,6 +248,46 @@ def test_run_scenario_that_does_not_resolve_fails_each_check():
     for o in outs:
         assert o.scenario == "tiny_jump"
         assert o.diagnostics["error"].startswith("SpecError: bad field spec")
+
+
+def test_non_finite_field_in_a_spec_fails_at_resolve():
+    # json reads a bare NaN; the field must be rejected as such, not fail
+    # each check later with an unrelated numerical error
+    sc = parse_scenario(json.loads(json.dumps(dict(
+        FAST_SCENARIO, field={"kind": "const", "params": {"c": math.nan}}))))
+    for o in run_scenario(sc):
+        assert o.diagnostics["error"].startswith("AssumptionViolation")
+
+
+@pytest.mark.parametrize("sid, check, tol, rows", [
+    ("s01_smooth_const", "approximation", 1e-18, 7),
+    ("s03_jump_const", "continuity", 1e-18, 8),
+    ("s03_jump_const", "lsc", 1e-18, 8),
+    ("s03_jump_const", "relaxation", 1e-18, 12),
+    ("s04_jump_gt", "lipschitz", -10.0, 0)])
+def test_failing_check_keeps_its_numbers(sid, check, tol, rows):
+    # the adapter's comparison is the check's one verdict: below its
+    # residual the check fails with finite numbers and its table, no error
+    sc = load_catalog()[sid]
+    spec = next(c for c in sc.checks if c.name == check)
+    out = run_check(sc.resolve(), dataclasses.replace(spec, tolerance=tol))
+    assert out.passed is False and "error" not in out.diagnostics
+    assert all(math.isfinite(v) for v in (out.lhs, out.rhs, out.residual))
+    assert len(out.table) == rows
+
+
+def test_mass_bound_verdict_follows_its_tolerance(monkeypatch):
+    # halve the field's sampled sup: the bound |mu|(E) <= ||b|| |Du|(E) then
+    # fails by |Du|(E)/2, within a loose tolerance but not a strict one
+    ctx = load_catalog()["s03_jump_const"].resolve()
+    real = FieldB.sup_norm
+    monkeypatch.setattr(FieldB, "sup_norm",
+                        lambda self, *a, **kw: 0.5 * real(self, *a, **kw))
+    spec = CheckSpec("mass_bound", 1e-9, {"windows": 5})
+    strict = run_check(ctx, spec)
+    loose = run_check(ctx, dataclasses.replace(spec, tolerance=10.0))
+    assert (strict.passed, loose.passed) == (False, True)
+    assert strict.residual == loose.residual > 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -753,6 +793,19 @@ def test_cli_series_failed_check_exits_1(tmp_path, capsys):
         assert list(csv.reader(fh)) == [["parameter", "value"]]
     err = capsys.readouterr().err
     assert "s01_smooth_const blowup FAIL" in err and "error=" in err
+
+
+def test_cli_series_writes_the_table_of_a_failing_check(tmp_path,
+                                                        monkeypatch, capsys):
+    monkeypatch.setenv("LAB_TOL_SCALE", "1e-12")
+    out = tmp_path / "series.csv"
+    assert main(["series", "s03_jump_const", "lsc", str(out)]) == 1
+    with open(out) as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["parameter", "value"]
+    assert [r[0] for r in rows[1:]] == [str(i) for i in range(8)]
+    err = capsys.readouterr().err
+    assert "s03_jump_const lsc FAIL" in err and "error=" not in err
 
 
 def test_cli_series_unknown_inputs(tmp_path, capsys):

@@ -1,11 +1,13 @@
 """Smoke test of tools/time_catalog.py on one fast scenario."""
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
 
-from pairinglab.scenarios import load_catalog
+from pairinglab.scenarios import (load_catalog, parse_scenario, run_check,
+                                  shipped_catalog_dir)
 
 TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" \
     / "time_catalog.py"
@@ -54,6 +56,22 @@ def test_time_catalog_check_filter(time_catalog, capsys):
     expect = [(sid, c.name) for sid in sids for c in catalog[sid].checks
               if c.name in wanted]
     rows = [tuple(line.split()[:2]) for line in out.splitlines()
-            if line.endswith("pass") or line.endswith("FAIL")]
+            if line.endswith("pass") or " FAIL " in line]
     assert rows == expect and len(expect) == 4
     assert f"over {len(expect)} checks, 0 failed" in out
+
+
+def test_time_catalog_fail_row_shows_residual_and_tolerance(time_catalog,
+                                                            tmp_path, capsys):
+    with open(shipped_catalog_dir() / "s03_jump_const.json") as fh:
+        spec = dict(json.load(fh),
+                    checks=[{"name": "continuity", "tolerance": 1e-18}])
+    (tmp_path / "s03.json").write_text(json.dumps(spec))
+    assert time_catalog.main([str(tmp_path)]) == 1
+    want = run_check(parse_scenario(spec).resolve(),
+                     parse_scenario(spec).checks[0])
+    row = next(line.split() for line in capsys.readouterr().out.splitlines()
+               if line.startswith("s03_jump_const "))
+    assert row[1:2] + row[4:] == [
+        "continuity", "FAIL", f"residual={want.residual:.3e}",
+        "tolerance=1.000e-18"]

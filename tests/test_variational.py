@@ -1,5 +1,6 @@
 """Functionals, recovery sequences, continuity, lsc, relaxation, blow-ups."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairinglab.errors import (AssumptionViolation, GapAboveTolerance,
-                               InequalityViolated)
+from pairinglab import variational
+from pairinglab.errors import AssumptionViolation
 from pairinglab.fields import field_catalog
 from pairinglab.quadrature import integrate_abs
-from pairinglab.scenarios import load_catalog
+from pairinglab.scenarios import CheckSpec, load_catalog, run_check
 from pairinglab.variational import (ApproximatingSequence, Functionals,
                                     MollifiedBv1D, _kernel_cdf, _kernel_rho,
                                     blowup_density, continuity_check_Gphi,
@@ -201,11 +202,40 @@ def test_lsc_oscillation_rejects_jumpy_base(u_jump):
         ApproximatingSequence.oscillation(u_jump, (4, 8))
 
 
-def test_lsc_raises_on_impossible_tolerance(u_jump):
+def test_lsc_fails_at_impossible_tolerance(u_jump):
     b = field_catalog("const", c=1.0)
     seq = ApproximatingSequence.mollified(u_jump, (0.2, 0.1))
-    with pytest.raises(InequalityViolated):
-        lsc_check(b, "F", seq, u_jump, tol=-1.0)
+    res = lsc_check(b, "F", seq, u_jump)
+    assert res.margin < 1.0  # margin >= -tol cannot hold at tol = -1
+    # s03 is the same b and u; eps0 and count give the same sequence
+    ctx = load_catalog()["s03_jump_const"].resolve()
+    out = run_check(ctx, CheckSpec("lsc", -1.0, {"eps0": 0.2, "count": 2}))
+    assert out.passed is False and "error" not in out.diagnostics
+    assert (out.lhs, out.rhs) == (res.liminf, res.target)
+    assert out.residual == max(0.0, -res.margin)
+
+
+def test_lsc_judges_its_truncation_residual(monkeypatch):
+    # truncating b above every |u_n| must leave F(u) alone; a truncation
+    # that moves it by 1% fails the check, not just its diagnostics
+    real = variational.truncate
+
+    def times(g):
+        return lambda x, t: 1.01 * np.asarray(g(x, t))
+
+    def scaled(b, k):
+        bk = real(b, k)
+        return dataclasses.replace(
+            bk, eval=times(bk.eval), div_x=times(bk.div_x),
+            primitive=times(bk.primitive),
+            div_primitive=times(bk.div_primitive))
+
+    monkeypatch.setattr(variational, "truncate", scaled)
+    sc = load_catalog()["s03_jump_const"]
+    out = run_check(sc.resolve(), next(c for c in sc.checks
+                                       if c.name == "lsc"))
+    assert out.passed is False and "error" not in out.diagnostics
+    assert out.residual == out.diagnostics["truncation_residual"] > 1e-3
 
 
 def test_relaxation_jump_scenario(u_jump, phi_bump):
@@ -221,7 +251,7 @@ def test_relaxation_carrier_needs_t_independent_field(u_cantor, phi_plateau):
     eps = tuple(0.04 * 0.5 ** i for i in range(12))
     with pytest.raises(AssumptionViolation):
         relaxation_check(field_catalog("gt"), u_cantor, phi_plateau,
-                         DOMAIN, eps, with_blowups=False)
+                         DOMAIN, eps)
 
 
 def test_relaxation_requires_long_schedule(u_jump, phi_bump):

@@ -10,8 +10,9 @@ keeps the checks of that name.  The checks run as in
 tests/test_acceptance.py::catalog_results: each scenario is resolved once,
 then each of its checks is run with ``run_check`` and timed with
 ``time.perf_counter``.  The output is one line per (scenario, check) with
-its wall time and outcome, then the totals per check and per scenario, and
-the overall total.  Exit code 0 if every check passed, 1 otherwise.
+its wall time and outcome (a FAIL also shows the check's residual and
+tolerance), then the totals per check and per scenario, and the overall
+total.  Exit code 0 if every check passed, 1 otherwise.
 """
 
 import argparse
@@ -27,7 +28,8 @@ from pairinglab.scenarios import (CHECKS, load_catalog,  # noqa: E402
 
 
 def time_catalog(directory=None, only=(), checks=()):
-    """[(scenario id, check name, seconds, passed), ...] in catalog order."""
+    """[(scenario id, check name, seconds, CheckOutcome), ...] in catalog
+    order."""
     catalog = load_catalog(directory)
     for what, names, known in (("scenario id", only, catalog),
                                ("check name", checks, CHECKS)):
@@ -45,8 +47,7 @@ def time_catalog(directory=None, only=(), checks=()):
                 continue
             t0 = time.perf_counter()
             out = run_check(ctx, spec)
-            rows.append((sid, spec.name, time.perf_counter() - t0,
-                         out.passed))
+            rows.append((sid, spec.name, time.perf_counter() - t0, out))
     return rows
 
 
@@ -65,16 +66,17 @@ def main(argv=None):
                         metavar="NAME")
     args = parser.parse_args(argv)
     rows = time_catalog(args.directory, args.only, args.check)
-    for sid, check, dt, passed in rows:
-        print(f"{sid:24s} {check:18s} {dt:8.3f} s  "
-              f"{'pass' if passed else 'FAIL'}")
+    for sid, check, dt, out in rows:
+        status = "pass" if out.passed else (
+            f"FAIL  residual={out.residual:.3e} tolerance={out.tolerance:.3e}")
+        print(f"{sid:24s} {check:18s} {dt:8.3f} s  {status}")
     for title, key in (("check", 1), ("scenario", 0)):
         print(f"\ntotal by {title}")
         for name, dt in _totals(rows, key):
             print(f"{name:24s} {dt:8.3f} s")
     print(f"\ntotal {sum(r[2] for r in rows):.3f} s over {len(rows)} checks, "
-          f"{sum(not r[3] for r in rows)} failed")
-    return 0 if all(r[3] for r in rows) else 1
+          f"{sum(not r[3].passed for r in rows)} failed")
+    return 0 if all(r[3].passed for r in rows) else 1
 
 
 if __name__ == "__main__":
