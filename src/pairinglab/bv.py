@@ -16,8 +16,8 @@ import numpy as np
 from .errors import DegenerateLevel
 from .measures import (Circle, RadonMeasure1D, RadonMeasure2D, Segment,
                        DiscPatch, PolygonPatch, SingularLadder)
-from .quadrature import (_brent_roots, _leggauss, adaptive_simpson,
-                         circle_integral_many)
+from .quadrature import (_brent_roots, _leggauss, _weighted_sum,
+                         adaptive_simpson, circle_integral_many)
 
 # Plateau and leaf intervals of a ladder are integrated this many at a time,
 # which bounds the arrays an integrand builds per node (for example a
@@ -731,7 +731,7 @@ def _coarea_rhs(u, slices, ladder_slice, tol):
             xs = u.cantor.ladder.inverse(fn if increasing else 1.0 - fn)
             vals = ladder_slice(xs, 1.0 if increasing else -1.0,
                                 lo_val + fn * span)
-            total += float(np.dot(wn, vals))
+            total += _weighted_sum(wn, vals)
             continue
         total += adaptive_simpson(slices, t0 + pad, t1 - pad, tol=tol)
     return total

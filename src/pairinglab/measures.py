@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import NonFiniteValue
 from .quadrature import (_T_BLOCK, _brent_roots, _circle_points,
-                         _segment_points, adaptive_simpson, circle_integral,
+                         _segment_points, _weighted_sum, adaptive_simpson,
+                         circle_integral,
                          circle_integral_many, find_sign_changes, polar_quad,
                          polar_quad_many, polygon_quad, polygon_quad_many,
                          segment_integral, segment_integral_many)
@@ -104,6 +105,7 @@ class SingularLadder:
         self._cache["knots"] = (
             np.stack([llo, lhi], axis=1).ravel(),
             np.stack([mid - 0.5 * mass, mid + 0.5 * mass], axis=1).ravel())
+        self._cache["midpoints"] = 0.5 * (llo + lhi)
         # set last: _build() tests for this key
         self._cache["increments"] = (llo, lhi, mid, mass)
 
@@ -111,6 +113,11 @@ class SingularLadder:
         """(lo, hi, mid_value, mass) arrays for the 2^depth retained intervals."""
         self._build()
         return self._cache["increments"]
+
+    def midpoints(self):
+        """Midpoints 0.5 (lo + hi) of the 2^depth retained intervals."""
+        self._build()
+        return self._cache["midpoints"]
 
     def plateaus(self):
         """(lo, hi, value) arrays for all removed plateau intervals, in order
@@ -150,15 +157,12 @@ class RadonMeasure1D:
 
     # -- integration
 
-    def _ladder_terms(self, window=None):
+    def _ladder_terms(self):
+        """(leaf midpoints, their weights) of the ladder part, or None."""
         if self.ladder is None or self.ladder_scale == 0.0:
             return None
-        lo, hi, _, mass = self.ladder.increments()
-        mid = 0.5 * (lo + hi)
-        if window is not None:
-            keep = (mid >= window[0]) & (mid < window[1])
-            mid = mid[keep]
-        w = np.full(mid.shape, mass * self.ladder_scale)
+        mid = self.ladder.midpoints()
+        w = np.full(mid.shape, self.ladder.increments()[3] * self.ladder_scale)
         if self.ladder_density is not None:
             w = w * np.asarray(self.ladder_density(mid), dtype=float)
         return mid, w
@@ -189,7 +193,7 @@ class RadonMeasure1D:
             gv = np.asarray(g(mid), dtype=float)
             if not np.all(np.isfinite(gv)):
                 raise NonFiniteValue("g non-finite on the ladder carrier")
-            value += float(np.dot(gv, w))
+            value += _weighted_sum(gv, w)
             # analytic tail bound for Lipschitz g: halving-interval argument
             span = self.ladder.interval[1] - self.ladder.interval[0]
             err += abs(self.ladder_scale) * span * \
@@ -270,8 +274,31 @@ class RadonMeasure1D:
                                   r for r in self.ac_sign_roots if lo <= r <= hi))
 
     def variation_masses(self, windows):
-        """|mu|(E) for each window E, as restrict(E).variation()."""
-        return [self.restrict(E).variation().total_mass() for E in windows]
+        """|mu|(E) for each window E, as restrict(E).variation().total_mass().
+
+        The ac part and the atoms go window by window; the |ladder density|
+        is evaluated once at the leaf midpoints and summed under each
+        window's [lo, hi) mask, with the bits the restricted measure gives.
+        """
+        lt = self._ladder_terms()
+        if lt is None:
+            return [self.restrict(E).variation().total_mass()
+                    for E in windows]
+        mid, w = lt
+        w = np.abs(w)
+        rest = replace(self, ladder=None, ladder_scale=0.0,
+                       ladder_density=None)
+        out = []
+        for E in windows:
+            lo = max(E[0], self.interval[0])
+            hi = min(E[1], self.interval[1])
+            keep = (mid >= lo) & (mid < hi)
+            value = rest.restrict(E).variation().total_mass() \
+                + float(np.sum(np.where(keep, w, 0.0)))
+            if not np.isfinite(value):
+                raise NonFiniteValue("non-finite integral value")
+            out.append(value)
+        return out
 
 
 # ---------------------------------------------------------------------------

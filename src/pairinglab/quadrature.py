@@ -45,6 +45,14 @@ def gauss_nodes(a, b, n):
     return mid + half * x, half * w
 
 
+def _weighted_sum(w, v):
+    """sum(w * v) by numpy's pairwise summation.  Unlike np.dot, it never
+    calls BLAS, whose threaded dot product (above ~10^4 terms) wakes a
+    helper thread and splits the sum by the thread count, so the bits
+    would depend on the machine's cores."""
+    return float(np.sum(w * v))
+
+
 def _clean_breakpoints(a, b, breakpoints):
     pts = [a, b]
     for p in breakpoints:

@@ -85,9 +85,8 @@ class MollifiedBv1D:
             while width * side ** d > self.epsilon / 4.0 and d < max_depth:
                 d += 1
             fine = SingularLadder(lad.interval, lad.removed, depth=d)
-            lo, hi, _, mass = fine.increments()
-            self.leaf_mids = 0.5 * (lo + hi)
-            self.leaf_mass = float(mass)
+            self.leaf_mids = fine.midpoints()
+            self.leaf_mass = float(fine.increments()[3])
             self.cantor_scale = u.cantor.scale
             self.carrier_window = (lad.interval[0] - self.epsilon,
                                    lad.interval[1] + self.epsilon)
