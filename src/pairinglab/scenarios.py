@@ -396,11 +396,13 @@ def _windows_for(ctx, count):
 def _check_mass_bound(ctx, params, tol):
     count = params.get("windows", 20)
     results = pairing.mass_bound_check(ctx.field, ctx.u,
-                                       _windows_for(ctx, count), slack=tol)
+                                       _windows_for(ctx, count))
     worst = max((r["lhs"] - r["bound"] for r in results), default=0.0)
-    violations = sum(not r["ok"] for r in results)
-    return CheckOutcome(ctx.id, "mass_bound", worst, 0.0, max(worst, 0.0),
-                        tol, violations == 0,
+    excess = [r["excess"] for r in results]
+    residual = max([0.0, *excess])
+    violations = sum(e > tol for e in excess)
+    return CheckOutcome(ctx.id, "mass_bound", worst, 0.0, residual, tol,
+                        residual <= tol,
                         {"windows": count, "violations": violations})
 
 
@@ -582,12 +584,9 @@ def _check_sigma_k(ctx, params, tol):
 
 
 def _check_order_relations(ctx, params, tol):
-    d = variational.order_relation_check(ctx.field, ctx.u, ctx.window,
-                                         slack=tol)
-    gap = max(d["Gplus"] - d["F"], max(d["G"], 0.0) - d["Gplus"],
-              abs(d["G"]) - d["F"])
+    d = variational.order_relation_check(ctx.field, ctx.u, ctx.window)
     return CheckOutcome(ctx.id, "order_relations", d["F"], d["Gplus"],
-                        max(0.0, gap), tol, d["ok"],
+                        d["residual"], tol, d["residual"] <= tol,
                         {"F": d["F"], "G": d["G"], "Gplus": d["Gplus"]})
 
 

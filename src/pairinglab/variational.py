@@ -396,14 +396,15 @@ class Functionals:
         return _element_integral_1d(self.field, u, phi, win, "id")
 
 
-def order_relation_check(field, u, window=None, slack=1e-9):
-    """F >= G+ >= max(G, 0) and F >= |G|, with a small numerical slack."""
+def order_relation_check(field, u, window=None):
+    """F >= G+ >= max(G, 0) and F >= |G|.  ``residual`` is the largest
+    violation relative to 1 + |F|, or 0.0 when all three hold."""
     fun = Functionals(field, window)
     g, f = fun._pair(u)
     gp = 0.5 * (g + f)
-    eps = slack * (1.0 + abs(f))
-    ok = (f >= gp - eps and gp >= max(g, 0.0) - eps and f >= abs(g) - eps)
-    return {"F": f, "G": g, "Gplus": gp, "ok": bool(ok)}
+    gap = max(gp - f, max(g, 0.0) - gp, abs(g) - f)
+    return {"F": f, "G": g, "Gplus": gp,
+            "residual": max(0.0, gap) / (1.0 + abs(f))}
 
 
 # ---------------------------------------------------------------------------

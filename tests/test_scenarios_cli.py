@@ -10,7 +10,7 @@ import shutil
 import numpy as np
 import pytest
 
-from pairinglab import pairing, scenarios
+from pairinglab import pairing, scenarios, variational
 from pairinglab.cli import main
 from pairinglab.errors import SpecError, UnknownCheck
 from pairinglab.fields import FieldB, make_field
@@ -288,6 +288,43 @@ def test_mass_bound_verdict_follows_its_tolerance(monkeypatch):
     loose = run_check(ctx, dataclasses.replace(spec, tolerance=10.0))
     assert (strict.passed, loose.passed) == (False, True)
     assert strict.residual == loose.residual > 0.1
+
+
+@pytest.mark.parametrize("shrink,passed", [(1.5e-9, True), (1e-6, False)])
+def test_mass_bound_report_shows_the_tolerance_it_uses(monkeypatch, shrink,
+                                                       passed):
+    # a sup just below the true one breaks the bound by ~shrink |bound|:
+    # the residual is relative to 1 + |bound|, so the verdict is exactly
+    # residual <= tolerance (an absolute residual of 1.5e-9 used to pass
+    # at tolerance 1e-9)
+    ctx = load_catalog()["s03_jump_const"].resolve()
+    real = FieldB.sup_norm
+    monkeypatch.setattr(FieldB, "sup_norm",
+                        lambda self, *a, **kw: (1.0 - shrink)
+                        * real(self, *a, **kw))
+    out = run_check(ctx, CheckSpec("mass_bound", 1e-9, {"windows": 20}))
+    assert out.passed is passed
+    assert out.passed == (out.residual <= out.tolerance)
+    assert out.residual > 0.0 and out.lhs > 0.0
+    assert (out.diagnostics["violations"] == 0) is passed
+
+
+def test_order_relations_residual_is_relative_to_F(monkeypatch):
+    # G just above F breaks F >= |G| by 1.5e-9 F; relative to 1 + |F| the
+    # residual stays below a tolerance of 1e-9 and the verdict says so
+    ctx = load_catalog()["s03_jump_const"].resolve()
+    real = variational.Functionals._pair
+    monkeypatch.setattr(variational.Functionals, "_pair",
+                        lambda self, u: (lambda g, f: (f * (1 + 1.5e-9), f))(
+                            *real(self, u)))
+    spec = CheckSpec("order_relations", 1e-9, {})
+    out = run_check(ctx, spec)
+    assert 0.0 < out.residual <= out.tolerance and out.passed
+    assert out.residual == pytest.approx(1.5e-9 * out.lhs / (1 + out.lhs),
+                                         rel=1e-3)
+    strict = run_check(ctx, dataclasses.replace(spec, tolerance=1e-10))
+    assert strict.passed is False
+    assert strict.residual == out.residual
 
 
 # ---------------------------------------------------------------------------

@@ -28,13 +28,23 @@ def test_time_catalog_one_scenario(time_catalog, capsys):
     checks = [c.name for c in load_catalog()[sid].checks]
     rows = [line.split() for line in out.splitlines()
             if line.startswith(sid + " ")]
-    # one line per check, then one total for the scenario
+    # one line per check (wall, then CPU seconds), then one total for the
+    # scenario
     assert [r[1] for r in rows[:-1]] == checks
-    assert all(r[3] == "s" and r[4] == "pass" for r in rows[:-1])
+    assert all(r[3] == "s" and r[4] == "cpu" and r[6] == "s"
+               and r[7] == "pass" for r in rows[:-1])
     assert rows[-1][0] == sid and len(rows) == len(checks) + 1
+    assert rows[-1][2::3] == ["s", "s"] and rows[-1][3] == "cpu"
     assert f"over {len(checks)} checks, 0 failed" in out
-    total = sum(float(r[2]) for r in rows[:-1])
-    assert total == pytest.approx(float(rows[-1][1]), abs=1e-3 * len(checks))
+    for col, total_col in ((2, 1), (5, 4)):
+        total = sum(float(r[col]) for r in rows[:-1])
+        assert total == pytest.approx(float(rows[-1][total_col]),
+                                      abs=1e-3 * len(checks))
+    cpu = float(rows[-1][4])
+    assert cpu > 0.0
+    last = out.splitlines()[-1].split()
+    assert last[0] == "total" and last[3] == "cpu"
+    assert float(last[4]) == pytest.approx(cpu, abs=1e-3)
 
 
 def test_time_catalog_unknown_id(time_catalog):
@@ -72,6 +82,6 @@ def test_time_catalog_fail_row_shows_residual_and_tolerance(time_catalog,
                      parse_scenario(spec).checks[0])
     row = next(line.split() for line in capsys.readouterr().out.splitlines()
                if line.startswith("s03_jump_const "))
-    assert row[1:2] + row[4:] == [
+    assert row[1:2] + row[7:] == [
         "continuity", "FAIL", f"residual={want.residual:.3e}",
         "tolerance=1.000e-18"]

@@ -133,7 +133,7 @@ def test_functionals_g_phi_oracle(u_jump, phi_bump):
 def test_order_relations_mixed(u_mixed):
     for kind in ("const", "gt", "sep"):
         d = order_relation_check(field_catalog(kind), u_mixed)
-        assert d["ok"]
+        assert d["residual"] <= 1e-9
         assert d["F"] >= d["Gplus"] - 1e-9
         assert d["Gplus"] >= max(d["G"], 0.0) - 1e-9
 
@@ -142,7 +142,7 @@ def test_order_relations_mixed(u_mixed):
 @settings(max_examples=12, deadline=None)
 def test_order_relation_constant_fields(c, u_stair):
     d = order_relation_check(field_catalog("const", c=c), u_stair)
-    assert d["ok"]
+    assert d["residual"] <= 1e-9
     assert d["F"] >= abs(d["G"]) - 1e-9
 
 

@@ -9,10 +9,13 @@ DIR is a directory of scenario JSON files (default: the shipped catalog);
 keeps the checks of that name.  The checks run as in
 tests/test_acceptance.py::catalog_results: each scenario is resolved once,
 then each of its checks is run with ``run_check`` and timed with
-``time.perf_counter``.  The output is one line per (scenario, check) with
-its wall time and outcome (a FAIL also shows the check's residual and
-tolerance), then the totals per check and per scenario, and the overall
-total.  Exit code 0 if every check passed, 1 otherwise.
+``time.perf_counter`` (wall) and ``time.process_time`` (CPU of every
+thread of the process).  The output is one line per (scenario, check) with
+its wall time, CPU time and outcome (a FAIL also shows the check's residual
+and tolerance), then the totals per check and per scenario, and the
+overall total.  A CPU time above the wall time means some library ran
+helper threads (a BLAS thread pool, say).  Exit code 0 if every check
+passed, 1 otherwise.
 """
 
 import argparse
@@ -28,8 +31,8 @@ from pairinglab.scenarios import (CHECKS, load_catalog,  # noqa: E402
 
 
 def time_catalog(directory=None, only=(), checks=()):
-    """[(scenario id, check name, seconds, CheckOutcome), ...] in catalog
-    order."""
+    """[(scenario id, check name, wall seconds, CPU seconds, CheckOutcome),
+    ...] in catalog order."""
     catalog = load_catalog(directory)
     for what, names, known in (("scenario id", only, catalog),
                                ("check name", checks, CHECKS)):
@@ -45,17 +48,21 @@ def time_catalog(directory=None, only=(), checks=()):
         for spec in sc.checks:
             if checks and spec.name not in checks:
                 continue
-            t0 = time.perf_counter()
+            t0, c0 = time.perf_counter(), time.process_time()
             out = run_check(ctx, spec)
-            rows.append((sid, spec.name, time.perf_counter() - t0, out))
+            rows.append((sid, spec.name, time.perf_counter() - t0,
+                         time.process_time() - c0, out))
     return rows
 
 
 def _totals(rows, key):
-    acc = defaultdict(float)
+    """[(name, wall, cpu), ...] summed over the rows of each row[key],
+    slowest wall time first."""
+    acc = defaultdict(lambda: [0.0, 0.0])
     for row in rows:
-        acc[row[key]] += row[2]
-    return sorted(acc.items(), key=lambda kv: -kv[1])
+        acc[row[key]][0] += row[2]
+        acc[row[key]][1] += row[3]
+    return sorted(((k, *v) for k, v in acc.items()), key=lambda r: -r[1])
 
 
 def main(argv=None):
@@ -66,17 +73,18 @@ def main(argv=None):
                         metavar="NAME")
     args = parser.parse_args(argv)
     rows = time_catalog(args.directory, args.only, args.check)
-    for sid, check, dt, out in rows:
+    for sid, check, dt, cpu, out in rows:
         status = "pass" if out.passed else (
             f"FAIL  residual={out.residual:.3e} tolerance={out.tolerance:.3e}")
-        print(f"{sid:24s} {check:18s} {dt:8.3f} s  {status}")
+        print(f"{sid:24s} {check:18s} {dt:8.3f} s  cpu {cpu:8.3f} s  {status}")
     for title, key in (("check", 1), ("scenario", 0)):
         print(f"\ntotal by {title}")
-        for name, dt in _totals(rows, key):
-            print(f"{name:24s} {dt:8.3f} s")
-    print(f"\ntotal {sum(r[2] for r in rows):.3f} s over {len(rows)} checks, "
-          f"{sum(not r[3].passed for r in rows)} failed")
-    return 0 if all(r[3].passed for r in rows) else 1
+        for name, dt, cpu in _totals(rows, key):
+            print(f"{name:24s} {dt:8.3f} s  cpu {cpu:8.3f} s")
+    print(f"\ntotal {sum(r[2] for r in rows):.3f} s  "
+          f"cpu {sum(r[3] for r in rows):.3f} s over {len(rows)} checks, "
+          f"{sum(not r[4].passed for r in rows)} failed")
+    return 0 if all(r[4].passed for r in rows) else 1
 
 
 if __name__ == "__main__":
