@@ -15,10 +15,10 @@ import numpy as np
 from .errors import NonFiniteValue
 from .quadrature import (_T_BLOCK, _brent_roots, _circle_points,
                          _segment_points, _weighted_sum, adaptive_simpson,
-                         circle_integral,
-                         circle_integral_many, find_sign_changes, polar_quad,
-                         polar_quad_many, polygon_quad, polygon_quad_many,
-                         segment_integral, segment_integral_many)
+                         circle_integral, circle_integral_many,
+                         find_sign_changes, polar_quad, polar_quad_many,
+                         polygon_quad, polygon_quad_many, segment_integral,
+                         segment_integral_many)
 
 __all__ = [
     "SingularLadder",
