@@ -9,8 +9,7 @@ approximating sequences.
 """
 
 from .bv import (BvFunction1D, CantorPart, Disc, JumpPoint, Piecewise1D,
-                 PiecewiseConstantBv2D, PolygonRegion, SmoothRadialBv2D,
-                 indicator_1d)
+                 PiecewiseConstantBv2D, PolygonRegion, SmoothRadialBv2D)
 from .errors import (AssumptionViolation, CrossValidationMismatch,
                      CylAverageDiverged, DegenerateLevel, FormMismatch,
                      PairingLabError, SpecError, ToleranceNotMet,

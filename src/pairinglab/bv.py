@@ -33,7 +33,6 @@ __all__ = [
     "PiecewiseConstantBv2D",
     "Disc",
     "PolygonRegion",
-    "indicator_1d",
     "gradient_measure",
     "coarea_tv_check",
 ]
@@ -215,9 +214,10 @@ class BvFunction1D:
 
     # -- precise representatives
 
-    def jump_at(self, x, atol=1e-12):
+    def jump_at(self, x):
+        """The jump within 1e-12 of x, or None."""
         for j in self.jumps:
-            if abs(j.location - x) <= atol:
+            if abs(j.location - x) <= 1e-12:
                 return j
         return None
 
@@ -376,7 +376,7 @@ class BvFunction1D:
                 total += adaptive_simpson(fn, s0, s1, tol=tol)
         return total
 
-    def _cantor_segment_integral(self, h, s0, s1, n_plateau=6):
+    def _cantor_segment_integral(self, h, s0, s1):
         cp = self.cantor
         lad = cp.ladder
         offset = sum((j.right_value - j.left_value)
@@ -389,16 +389,17 @@ class BvFunction1D:
             return out
 
         total = 0.0
+        xk, vk = lad.knots()
+        ck = np.clip(xk, s0, s1)
         # plateaus: u is smooth there (base + constant ladder value), so
-        # n_plateau-point Gauss; leaves: midpoint rule (1-point Gauss),
-        # error O(side^depth)
-        rules = ((*lad.plateaus(), _leggauss(n_plateau)),
-                 (*lad.increments()[:3], (np.zeros(1), np.full(1, 2.0))))
-        for lo, hi, val, (gx, gw) in rules:
-            clo = np.clip(lo, s0, s1)
-            chi = np.clip(hi, s0, s1)
+        # 6-point Gauss; leaves: midpoint rule (1-point Gauss) at the
+        # value of the leaf midpoint, error O(side^depth)
+        rules = ((ck[1:-1:2], ck[2::2], vk[1:-1:2], 0.0, _leggauss(6)),
+                 (ck[0::2], ck[1::2], vk[0::2], 0.5 * lad.mass,
+                  (np.zeros(1), np.full(1, 2.0))))
+        for clo, chi, val, shift, (gx, gw) in rules:
             keep = chi > clo
-            clo, chi, val = clo[keep], chi[keep], val[keep]
+            clo, chi, val = clo[keep], chi[keep], val[keep] + shift
             for i in range(0, clo.size, _CANTOR_BLOCK):
                 blk = slice(i, i + _CANTOR_BLOCK)
                 mid = 0.5 * (clo[blk] + chi[blk])[:, None]
@@ -408,19 +409,6 @@ class BvFunction1D:
                 hv = np.asarray(h(xs, uvals), dtype=float)
                 total += float(np.sum(hv * (half * gw)))
         return total
-
-
-def indicator_1d(intervals, domain, value=1.0):
-    """BV indicator value*chi of a finite union of intervals."""
-    jumps = []
-    a, b = domain
-    for lo, hi in intervals:
-        if lo > a:
-            jumps.append(JumpPoint.from_sides(lo, 0.0, value))
-        if hi < b:
-            jumps.append(JumpPoint.from_sides(hi, value, 0.0))
-    jumps.sort(key=lambda j: j.location)
-    return BvFunction1D(domain, ac=None, jumps=tuple(jumps))
 
 
 # ---------------------------------------------------------------------------

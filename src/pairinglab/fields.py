@@ -78,10 +78,11 @@ class FieldB:
     reference_box: object = None
     t_kinks: tuple = ()  # t-values where b(x, .) is only Lipschitz
 
-    def smooth_at(self, x, radius=1e-6):
+    def smooth_at(self, x):
+        """False within 1e-6 of a singular point."""
         x = np.asarray(x, dtype=float)
         return not any(
-            np.any(_norm(x - np.asarray(p, dtype=float), self.dim) < radius)
+            np.any(_norm(x - np.asarray(p, dtype=float), self.dim) < 1e-6)
             for p in self.singular_points)
 
     def magnitude(self, x, t):
@@ -196,11 +197,11 @@ def _check_field(f: FieldB, box):
     return f
 
 
-def make_field(check_box=None, **kwargs) -> FieldB:
+def make_field(**kwargs) -> FieldB:
+    """FieldB(**kwargs), checked for consistency on [-2, 2]^dim, which is
+    also its reference_box unless one is given."""
     f = FieldB(**kwargs)
-    box = check_box
-    if box is None:
-        box = (-2.0, 2.0) if f.dim == 1 else ((-2.0, 2.0), (-2.0, 2.0))
+    box = (-2.0, 2.0) if f.dim == 1 else ((-2.0, 2.0), (-2.0, 2.0))
     if f.reference_box is None:
         f = replace(f, reference_box=box)
     return _check_field(f, box)

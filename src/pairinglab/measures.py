@@ -61,10 +61,14 @@ class SingularLadder:
     def side(self):
         return 0.5 * (1.0 - self.removed)
 
+    @property
+    def mass(self):
+        """The ladder's rise 2^-depth over each retained interval."""
+        return 0.5 ** self.depth
+
     def evaluate(self, x):
         """Ladder value in [0, 1]; clamps outside the carrier."""
-        self._build()
-        xk, vk = self._cache["knots"]
+        xk, vk = self.knots()
         return np.interp(np.asarray(x, dtype=float), xk, vk)
 
     def inverse(self, t):
@@ -83,7 +87,7 @@ class SingularLadder:
         return a0 + y * (b0 - a0)
 
     def _build(self):
-        if "increments" in self._cache:
+        if "midpoints" in self._cache:
             return
         s = self.side
         lo = np.array([0.0])
@@ -97,22 +101,36 @@ class SingularLadder:
             mass *= 0.5
         a0, b0 = self.interval
         w = b0 - a0
-        llo, lhi, mid = a0 + w * lo, a0 + w * (lo + length), val + 0.5 * mass
-        # the plateaus are the gaps between consecutive leaves, so leaves and
-        # plateaus tile the carrier exactly; evaluate() interpolates between
-        # the leaf ends: linear on each leaf, constant on each plateau
-        self._cache["plateaus"] = (lhi[:-1], llo[1:], mid[:-1] + 0.5 * mass)
-        self._cache["knots"] = (
-            np.stack([llo, lhi], axis=1).ravel(),
-            np.stack([mid - 0.5 * mass, mid + 0.5 * mass], axis=1).ravel())
-        self._cache["midpoints"] = 0.5 * (llo + lhi)
+        # the leaf ends and their values, interleaved: the leaves are
+        # [x[2i], x[2i + 1]] and the plateaus, the gaps between consecutive
+        # leaves, [x[2i + 1], x[2i + 2]], so together they tile the carrier;
+        # the values k mass and (k + 1) mass are exact dyadic rationals.
+        # Built in place, so that at most one 2^depth temporary is alive.
+        xk = np.empty(2 * lo.size)
+        xk[0::2] = lo
+        xk[1::2] = lo + length
+        del lo
+        xk *= w
+        xk += a0
+        vk = np.empty(xk.size)
+        vk[0::2] = val
+        vk[1::2] = val + mass
+        del val
+        self._cache["knots"] = (xk, vk)
         # set last: _build() tests for this key
-        self._cache["increments"] = (llo, lhi, mid, mass)
+        self._cache["midpoints"] = 0.5 * (xk[0::2] + xk[1::2])
+
+    def knots(self):
+        """(x, F(x)) at the ends of the 2^depth retained intervals
+        (leaves), interleaved in order along the carrier.  F is linear on
+        each leaf and constant on each plateau between two leaves."""
+        self._build()
+        return self._cache["knots"]
 
     def increments(self):
         """(lo, hi, mid_value, mass) arrays for the 2^depth retained intervals."""
-        self._build()
-        return self._cache["increments"]
+        xk, vk = self.knots()
+        return xk[0::2], xk[1::2], vk[0::2] + 0.5 * self.mass, self.mass
 
     def midpoints(self):
         """Midpoints 0.5 (lo + hi) of the 2^depth retained intervals."""
@@ -122,8 +140,8 @@ class SingularLadder:
     def plateaus(self):
         """(lo, hi, value) arrays for all removed plateau intervals, in order
         along the carrier."""
-        self._build()
-        return self._cache["plateaus"]
+        xk, vk = self.knots()
+        return xk[1:-1:2], xk[2::2], vk[1:-1:2]
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +180,7 @@ class RadonMeasure1D:
         if self.ladder is None or self.ladder_scale == 0.0:
             return None
         mid = self.ladder.midpoints()
-        w = np.full(mid.shape, self.ladder.increments()[3] * self.ladder_scale)
+        w = np.full(mid.shape, self.ladder.mass * self.ladder_scale)
         if self.ladder_density is not None:
             w = w * np.asarray(self.ladder_density(mid), dtype=float)
         return mid, w
@@ -234,18 +252,16 @@ class RadonMeasure1D:
             ac_sign_roots=roots,
         )
 
-    def restrict(self, window, closed_left=True, closed_right=False):
+    def restrict(self, window, closed_right=False):
+        """The measure on [lo, hi), or on [lo, hi] if closed_right, for
+        window (lo, hi) cut to the interval.  The ladder part is kept by
+        leaf midpoint in [lo, hi)."""
         lo = max(window[0], self.interval[0])
         hi = min(window[1], self.interval[1])
-        if hi < lo or (hi == lo and not (closed_left and closed_right)):
+        if hi < lo or (hi == lo and not closed_right):
             return RadonMeasure1D(self.interval)
-        atoms = []
-        for x, w in self.atoms:
-            inside = lo < x < hi
-            inside = inside or (x == lo and closed_left)
-            inside = inside or (x == hi and closed_right)
-            if inside:
-                atoms.append((x, w))
+        atoms = [(x, w) for x, w in self.atoms
+                 if lo <= x < hi or (closed_right and x == hi)]
         dens = self.ac_density
         masked = None if dens is None else (
             lambda x, _d=dens: np.where((np.asarray(x) >= lo)
@@ -424,9 +440,9 @@ class RadonMeasure2D:
     surface_parts: tuple = ()  # ((curve, density(pts)), ...)
     mask: object = None        # optional box ((x0,x1),(y0,y1)) restriction
 
-    def integrate(self, g, tol=1e-9, nsurf=8192, narea=256):
+    def integrate(self, g, tol=1e-9):
         if self.mask is not None:
-            return self._masked_integrals(g, (self.mask,), nsurf, narea)[0]
+            return self._masked_integrals(g, (self.mask,))[0]
         value = 0.0
         for part, dens in self.ac_parts + self.surface_parts:
             f = lambda p, _d=dens: (np.asarray(g(p), dtype=float)
@@ -436,15 +452,15 @@ class RadonMeasure2D:
             raise NonFiniteValue("non-finite 2D integral")
         return value
 
-    def _masked_integrals(self, g, boxes, nsurf=8192, narea=256):
+    def _masked_integrals(self, g, boxes):
         """Fixed-grid integrals of g over each half-open box
-        ((x0,x1),(y0,y1)).  Each part's integrand is evaluated once on its
-        grid and then summed under every box; the shared scheme keeps
-        mass-bound comparisons consistent between a measure and its
-        variation."""
+        ((x0,x1),(y0,y1)): 256 grid lines per patch, 8192 points per
+        curve.  Each part's integrand is evaluated once on its grid and
+        then summed under every box; the shared scheme keeps mass-bound
+        comparisons consistent between a measure and its variation."""
         values = [0.0] * len(boxes)
-        parts = [(p, d, narea) for p, d in self.ac_parts] + \
-            [(c, d, nsurf) for c, d in self.surface_parts]
+        parts = [(p, d, 256) for p, d in self.ac_parts] + \
+            [(c, d, 8192) for c, d in self.surface_parts]
         for part, dens, n in parts:
             pts, inside, total = _part_grid(part, n)
             vals = np.asarray(g(pts), dtype=float) \

@@ -153,19 +153,21 @@ def _aitken_limit(term, depth, threshold, first):
     return prev, False
 
 
-def cylindrical_average(field: FieldB, t, nu, x, r0=0.25, rho0=0.25,
-                        depth=24, threshold=1e-7) -> CylAverage:
+def cylindrical_average(field: FieldB, t, nu, x,
+                        threshold=1e-7) -> CylAverage:
     """Double-limit average of b_t . nu over shrinking cylinders at x.
 
     The inner radius r shrinks first at fixed rho, then rho shrinks; both
-    run over geometric sequences of ratio 1/2 with Aitken acceleration of
-    the last five terms only: the first cylinders may still contain a
-    singular point of the field, and their terms would bias the limit.
+    run over the geometric sequences 0.25 * 0.5**i, i < 24, with Aitken
+    acceleration of the last five terms only: the first cylinders may
+    still contain a singular point of the field, and their terms would
+    bias the limit.
     """
+    depth = 24
     if field.dim == 1:
         x = float(np.asarray(x).reshape(()))
         value, settled = _aitken_limit(
-            lambda i: _interval_average(field, t, x, r0 * 0.5 ** i),
+            lambda i: _interval_average(field, t, x, 0.25 * 0.5 ** i),
             depth, threshold, 3)
         return CylAverage(value * float(nu), settled,
                           "" if settled else
@@ -174,9 +176,9 @@ def cylindrical_average(field: FieldB, t, nu, x, r0=0.25, rho0=0.25,
     x = np.asarray(x, dtype=float).reshape(2)
 
     def inner(j):
-        rho = rho0 * 0.5 ** j
+        rho = 0.25 * 0.5 ** j
         return _aitken_limit(
-            lambda i: _cylinder_average(field, t, nu, x, r0 * 0.5 ** i, rho),
+            lambda i: _cylinder_average(field, t, nu, x, 0.25 * 0.5 ** i, rho),
             depth, 0.1 * threshold, 3)[0]
 
     value, settled = _aitken_limit(inner, depth, threshold, 2)
@@ -185,14 +187,13 @@ def cylindrical_average(field: FieldB, t, nu, x, r0=0.25, rho0=0.25,
                       "outer limit did not settle within depth")
 
 
-def _required_cyl(field, t, nu, x, threshold=1e-10):
-    res = cylindrical_average(field, t, nu, x, threshold=threshold)
+def _required_cyl(field, t, nu, x):
+    """cylindrical_average at threshold 1e-10; CylAverageDiverged if it
+    does not settle."""
+    res = cylindrical_average(field, t, nu, x, threshold=1e-10)
     if not res.converged:
-        # fall back to the looser default threshold before giving up
-        res = cylindrical_average(field, t, nu, x)
-        if not res.converged:
-            raise CylAverageDiverged(
-                f"average at x={x}, t={t} did not converge: {res.message}")
+        raise CylAverageDiverged(
+            f"average at x={x}, t={t} did not converge: {res.message}")
     return res.value
 
 
@@ -492,13 +493,11 @@ def _trace_jump_avg_1d(field, u, j, tol):
     return total / (j.height - 2.0 * pad)
 
 
-def pairing_by_traces(field: FieldB, u, tol=1e-9,
-                      compare_with=None) -> PairingMeasure:
+def pairing_by_traces(field: FieldB, u, rep, tol=1e-9) -> PairingMeasure:
     """Same measure as pairing_by_representation, built from normal traces
-    on level-set boundaries; raises CrossValidationMismatch if the two
-    constructions disagree."""
-    rep = compare_with if compare_with is not None \
-        else pairing_by_representation(field, u, tol=tol)
+    on level-set boundaries; raises CrossValidationMismatch if it
+    disagrees with ``rep``, which is pairing_by_representation(field, u,
+    tol)."""
     if field.dim == 1:
         atoms = []
         for j in u.jumps:
@@ -541,13 +540,11 @@ def _level_pieces(u, ts, pieces):
             np.array([sgn for _, sgn, _ in parts]), [p for *_, p in parts])
 
 
-def coarea_pairing_check(field: FieldB, u, phi, tol=1e-9, dist=None):
+def coarea_pairing_check(field: FieldB, u, phi, dist, tol=1e-9):
     """lhs = <(b(., u), Du), phi>; rhs = int_R <(b_t, D chi_{u>t}), phi> dt.
 
-    ``dist``, if given, is pairing_distributional(field, u, phi, tol).
+    ``dist`` is the lhs, pairing_distributional(field, u, phi, tol).
     """
-    if dist is None:
-        dist = pairing_distributional(field, u, phi, tol=tol)
     lhs = dist
 
     def integrand(x, t):
@@ -590,11 +587,11 @@ def coarea_pairing_check(field: FieldB, u, phi, tol=1e-9, dist=None):
     return lhs, rhs, abs(lhs - rhs)
 
 
-def coarea_variation_check(field: FieldB, u, phi, tol=1e-9,
-                           rep=None):
-    """Same identity for the variations |.| of both measures; phi >= 0."""
-    if rep is None:
-        rep = pairing_by_representation(field, u, tol=tol)
+def coarea_variation_check(field: FieldB, u, phi, rep, tol=1e-9):
+    """Same identity for the variations |.| of both measures; phi >= 0.
+
+    ``rep`` is pairing_by_representation(field, u, tol).
+    """
     lhs = rep.measure.variation().integrate(phi, tol=tol)
 
     def boundary(xs, nu, ts):
@@ -631,11 +628,11 @@ def coarea_variation_check(field: FieldB, u, phi, tol=1e-9,
 # Chain rule
 
 
-def chain_rule_check(field: FieldB, u, phi, tol=1e-10, dist=None):
+def chain_rule_check(field: FieldB, u, phi, dist, tol=1e-10):
     """Residual of Div v = (Div_x B)(x, u) L^N + (b(., u), Du) against phi,
     where v(x) = B(x, u(x)).  Each term is integrated independently.
 
-    ``dist``, if given, is pairing_distributional(field, u, phi, tol,
+    ``dist`` is pairing_distributional(field, u, phi, tol,
     form_check=False).
     """
     div_v = 0.0 - _composed_integral(
@@ -645,9 +642,6 @@ def chain_rule_check(field: FieldB, u, phi, tol=1e-10, dist=None):
     ac_term = _composed_integral(
         u, phi, lambda x, uv: phi(x)
         * np.asarray(field.div_primitive(x, uv), float), tol)
-    if dist is None:
-        dist = pairing_distributional(field, u, phi, tol=tol,
-                                      form_check=False)
     return abs(div_v - ac_term - dist)
 
 
@@ -670,17 +664,14 @@ def _diffuse_variation_1d(u, window):
     return dd.restrict(window).variation()
 
 
-def lipschitz_comparison_check(field: FieldB, u, tau, phi, dist=None):
+def lipschitz_comparison_check(field: FieldB, u, tau, phi, dist):
     """lhs = |<mu_b, phi> - <mu_{b_tau}, phi>| against the Lipschitz bound
     L ||phi||_inf [ int |u~ - tau| d|D^d u| + sum_jumps int |t - tau| dt ].
 
-    ``dist``, if given, is pairing_distributional(field, u, phi, 1e-10,
+    ``dist`` is <mu_b, phi>, pairing_distributional(field, u, phi, 1e-10,
     form_check=False).
     """
     tau = float(tau)
-    if dist is None:
-        dist = pairing_distributional(field, u, phi, tol=1e-10,
-                                      form_check=False)
     lhs = abs(dist - _frozen_pairing(field, u, phi, tau, tol=1e-10))
 
     L = field.lipschitz_t
@@ -733,15 +724,12 @@ def _abs_linear_integral(a, b, tau):
 
 
 def approximation_convergence_check(field: FieldB, u, phi, eps_sequence,
-                                    dist=None):
+                                    dist):
     """Gap table |<mu_eps, phi> - <mu, phi>| for mollified fields b_eps.
 
-    ``dist``, if given, is the target pairing_distributional(field, u, phi,
+    ``dist`` is the target <mu, phi>, pairing_distributional(field, u, phi,
     1e-10, form_check=False).
     """
-    if dist is None:
-        dist = pairing_distributional(field, u, phi, tol=1e-10,
-                                      form_check=False)
     if field.dim == 1:
         window = phi.support
     elif phi.support[0] in ("disc", "annulus"):
@@ -761,14 +749,13 @@ def approximation_convergence_check(field: FieldB, u, phi, eps_sequence,
 # Mass bound over Borel windows
 
 
-def mass_bound_check(field: FieldB, u, windows, rep=None):
-    """|mu|(E) against ||b||_{L_inf(E x [-M, M])} |Du|(E) for each window E.
+def mass_bound_check(field: FieldB, u, windows, rep):
+    """|mu|(E) against ||b||_{L_inf(E x [-M, M])} |Du|(E) for each window E,
+    mu the measure of ``rep``, pairing_by_representation(field, u, 1e-9).
 
     Each window's ``excess`` is (lhs - bound) / (1 + |bound|): the bound
     holds to a relative tolerance tol when excess <= tol.
     """
-    if rep is None:
-        rep = pairing_by_representation(field, u, tol=1e-9)
     du = bv_gradient_measure(u)
     M = u.sup_norm()
     windows = list(windows)

@@ -211,12 +211,13 @@ def _brent_roots(g, a, b, xtol):
                           f"after {_BRENT_MAXITER} steps")
 
 
-def find_sign_changes(f, a, b, breakpoints=(), grid=4001):
-    """Locate the zeros of ``f`` by dense sampling plus Brent refinement."""
+def find_sign_changes(f, a, b, breakpoints=()):
+    """Locate the zeros of ``f`` by dense sampling (4001 points over [a, b],
+    at least 16 per piece between breakpoints) plus Brent refinement."""
     pts = _clean_breakpoints(a, b, breakpoints)
     roots = []
     for lo, hi in zip(pts[:-1], pts[1:]):
-        npts = max(16, int(grid * (hi - lo) / (b - a)))
+        npts = max(16, int(4001 * (hi - lo) / (b - a)))
         x = np.linspace(lo, hi, npts)
         s = np.sign(np.asarray(f(x), dtype=float))
         idx = np.nonzero(s[:-1] * s[1:] < 0)[0]
@@ -226,9 +227,9 @@ def find_sign_changes(f, a, b, breakpoints=(), grid=4001):
     return sorted(roots)
 
 
-def integrate_abs(f, a, b, tol=1e-9, breakpoints=(), grid=4001):
+def integrate_abs(f, a, b, tol=1e-9, breakpoints=()):
     """Integrate ``|f|`` by splitting at sign changes of ``f``."""
-    roots = find_sign_changes(f, a, b, breakpoints=breakpoints, grid=grid)
+    roots = find_sign_changes(f, a, b, breakpoints=breakpoints)
     bps = list(breakpoints) + roots
     val = adaptive_simpson(lambda x: np.abs(f(x)), a, b, tol=tol,
                            breakpoints=bps)

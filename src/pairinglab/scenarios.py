@@ -196,17 +196,25 @@ class ResolvedScenario:
     u: object
     phi: object
     window: tuple
-    _dist: dict = dc_field(default_factory=dict, compare=False, repr=False)
+    _memo: dict = dc_field(default_factory=dict, compare=False, repr=False)
 
     def distributional(self, tol=1e-9, form_check=True):
         """pairing_distributional(field, u, phi, tol, form_check), computed
         once per (tol, form_check).  Only values are kept: an error, such as
         a FormMismatch, is raised again on every call."""
         key = (tol, form_check)
-        if key not in self._dist:
-            self._dist[key] = pairing.pairing_distributional(
+        if key not in self._memo:
+            self._memo[key] = pairing.pairing_distributional(
                 self.field, self.u, self.phi, tol=tol, form_check=form_check)
-        return self._dist[key]
+        return self._memo[key]
+
+    def representation(self):
+        """pairing_by_representation(field, u), computed once.  As for
+        distributional, an error is raised again on every call."""
+        if "representation" not in self._memo:
+            self._memo["representation"] = \
+                pairing.pairing_by_representation(self.field, self.u)
+        return self._memo["representation"]
 
 
 def _is_real(v):
@@ -339,8 +347,7 @@ def _rng(ctx, label):
 
 def _check_two_route(ctx, params, tol):
     v1 = ctx.distributional()
-    rep = pairing.pairing_by_representation(ctx.field, ctx.u)
-    v2 = rep.integrate(ctx.phi)
+    v2 = ctx.representation().integrate(ctx.phi)
     res = abs(v1 - v2)
     eff = tol * (1.0 + abs(v1))
     return CheckOutcome(ctx.id, "two_route", v1, v2, res, eff, res <= eff,
@@ -349,7 +356,7 @@ def _check_two_route(ctx, params, tol):
 
 def _check_traces_route(ctx, params, tol):
     v1 = ctx.distributional()
-    tr = pairing.pairing_by_traces(ctx.field, ctx.u)
+    tr = pairing.pairing_by_traces(ctx.field, ctx.u, ctx.representation())
     v2 = tr.integrate(ctx.phi)
     res = abs(v1 - v2)
     eff = tol * (1.0 + abs(v1))
@@ -358,21 +365,21 @@ def _check_traces_route(ctx, params, tol):
 
 def _check_coarea_pairing(ctx, params, tol):
     lhs, rhs, res = pairing.coarea_pairing_check(
-        ctx.field, ctx.u, ctx.phi, dist=ctx.distributional())
+        ctx.field, ctx.u, ctx.phi, ctx.distributional())
     return CheckOutcome(ctx.id, "coarea_pairing", lhs, rhs, res, tol,
                         res <= tol)
 
 
 def _check_coarea_variation(ctx, params, tol):
-    lhs, rhs, res = pairing.coarea_variation_check(ctx.field, ctx.u, ctx.phi)
+    lhs, rhs, res = pairing.coarea_variation_check(
+        ctx.field, ctx.u, ctx.phi, ctx.representation())
     return CheckOutcome(ctx.id, "coarea_variation", lhs, rhs, res, tol,
                         res <= tol)
 
 
 def _check_chain_rule(ctx, params, tol):
     res = pairing.chain_rule_check(
-        ctx.field, ctx.u, ctx.phi,
-        dist=ctx.distributional(1e-10, form_check=False))
+        ctx.field, ctx.u, ctx.phi, ctx.distributional(1e-10, form_check=False))
     return CheckOutcome(ctx.id, "chain_rule", res, 0.0, res, tol, res <= tol)
 
 
@@ -396,7 +403,8 @@ def _windows_for(ctx, count):
 def _check_mass_bound(ctx, params, tol):
     count = params.get("windows", 20)
     results = pairing.mass_bound_check(ctx.field, ctx.u,
-                                       _windows_for(ctx, count))
+                                       _windows_for(ctx, count),
+                                       ctx.representation())
     worst = max((r["lhs"] - r["bound"] for r in results), default=0.0)
     excess = [r["excess"] for r in results]
     residual = max([0.0, *excess])
@@ -417,7 +425,7 @@ def _check_lipschitz(ctx, params, tol):
     for tau in taus:
         lhs, rhs = pairing.lipschitz_comparison_check(ctx.field, ctx.u,
                                                       float(tau), ctx.phi,
-                                                      dist=dist)
+                                                      dist)
         pairs.append((float(tau), lhs, rhs))
         worst = max(worst, lhs - rhs)
     return CheckOutcome(ctx.id, "lipschitz", worst, 0.0, max(worst, 0.0),
@@ -428,8 +436,7 @@ def _check_gauss_green(ctx, params, tol):
     if not isinstance(ctx.u, PiecewiseConstantBv2D):
         raise AssumptionViolation(
             "gauss_green", "u must be piecewise constant on 2D regions")
-    rep = pairing.pairing_by_representation(ctx.field, ctx.u)
-    lhs = rep.measure.total_mass()
+    lhs = ctx.representation().measure.total_mass()
     # Gauss-Green on each region R of value v: the jump across its boundary
     # pairs to -int_R Div_x B(x, v) dx
     rhs = sum(region.patch().integrate(
@@ -485,7 +492,7 @@ def _eps_schedule(params, eps0=0.04, count=7):
 def _check_approximation(ctx, params, tol):
     table = pairing.approximation_convergence_check(
         ctx.field, ctx.u, ctx.phi, _eps_schedule(params),
-        dist=ctx.distributional(1e-10, form_check=False))
+        ctx.distributional(1e-10, form_check=False))
     res = table[-1][1]
     return CheckOutcome(ctx.id, "approximation", res, 0.0, res, tol,
                         res <= tol, {"eps_final": table[-1][0]},

@@ -62,17 +62,18 @@ class MollifiedBv1D:
 
     Jump steps and the Cantor part are smoothed with the quartic kernel at
     radius ``epsilon`` (the Cantor measure is first discretized into leaf
-    point masses no wider than epsilon/4), while the absolutely continuous
-    part is convolved with a point-mass discretization of the same kernel.
-    Values and derivatives are consistent by construction.
+    point masses no wider than epsilon/4, at ladder depth at most 14), while
+    the absolutely continuous part is convolved with a 24-point point-mass
+    discretization of the same kernel.  Values and derivatives are
+    consistent by construction.
     """
 
-    def __init__(self, u: BvFunction1D, epsilon, n_ac=24, max_depth=14):
+    def __init__(self, u: BvFunction1D, epsilon):
         self.base = u
         self.epsilon = float(epsilon)
         self.domain = u.domain
         self._ac = u.ac
-        self._ac_nodes, self._ac_weights = _discrete_kernel(n_ac)
+        self._ac_nodes, self._ac_weights = _discrete_kernel()
         self._steps = tuple((j.location, j.right_value - j.left_value)
                             for j in u.jumps)
         self.jump_windows = tuple(
@@ -82,11 +83,11 @@ class MollifiedBv1D:
             width = lad.interval[1] - lad.interval[0]
             side = lad.side
             d = 1
-            while width * side ** d > self.epsilon / 4.0 and d < max_depth:
+            while width * side ** d > self.epsilon / 4.0 and d < 14:
                 d += 1
             fine = SingularLadder(lad.interval, lad.removed, depth=d)
             self.leaf_mids = fine.midpoints()
-            self.leaf_mass = float(fine.increments()[3])
+            self.leaf_mass = fine.mass
             self.cantor_scale = u.cantor.scale
             self.carrier_window = (lad.interval[0] - self.epsilon,
                                    lad.interval[1] + self.epsilon)
@@ -356,10 +357,9 @@ class Functionals:
 
     field: FieldB
     window: tuple = None
-    tol: float = 1e-9
 
     def _restricted(self, u):
-        rep = pairing_by_representation(self.field, u, tol=self.tol)
+        rep = pairing_by_representation(self.field, u)
         mu = rep.measure
         if self.window is not None:
             mu = mu.restrict(self.window)
@@ -430,22 +430,20 @@ class ApproximatingSequence:
             raise ValueError(f"unknown sequence mode {self.mode!r}")
 
     @staticmethod
-    def mollified(u, eps_schedule, mode="L1", n_ac=24):
-        elems = tuple(MollifiedBv1D(u, e, n_ac=n_ac) for e in eps_schedule)
+    def mollified(u, eps_schedule, mode="L1"):
+        elems = tuple(MollifiedBv1D(u, e) for e in eps_schedule)
         return ApproximatingSequence(elems, mode=mode)
 
     @staticmethod
-    def oscillation(u, n_values, amplitude=1.0, mode="L1"):
-        """u + (amplitude/n) sin(n x) for a smooth base u."""
+    def oscillation(u, n_values, mode="L1"):
+        """u + sin(n x) / n for a smooth base u."""
         if u.jumps or u.cantor is not None:
             raise AssumptionViolation(
                 "smooth-base", "oscillation sequences need a W^{1,1} base")
         elems = []
         for n in n_values:
-            f = (lambda x, n=n: u.evaluate(x)
-                 + (amplitude / n) * np.sin(n * x))
-            df = (lambda x, n=n: u.ac_derivative(x)
-                  + amplitude * np.cos(n * x))
+            f = (lambda x, n=n: u.evaluate(x) + (1.0 / n) * np.sin(n * x))
+            df = (lambda x, n=n: u.ac_derivative(x) + np.cos(n * x))
             elems.append(SmoothClosedForm1D(u.domain, f, df))
         return ApproximatingSequence(tuple(elems), mode=mode)
 
@@ -464,9 +462,9 @@ class ApproximatingSequence:
         return self.premise
 
 
-def liminf_tail(values, tail=5):
-    vals = list(values)
-    return min(vals[-min(tail, len(vals)):])
+def liminf_tail(values):
+    """The least of the last five values: the liminf of a finite prefix."""
+    return min(list(values)[-5:])
 
 
 # ---------------------------------------------------------------------------
@@ -667,13 +665,15 @@ def truncate_bv(u: BvFunction1D, k):
                         jumps=tuple(jumps))
 
 
-def sigma_k_identity_check(b, u, k, phi=None, n_diffuse=20):
+def sigma_k_identity_check(b, u, k, phi=None):
     """Representation and functional identities for the truncated field.
 
     Checks Theta(b^k) = sigma_k(u) Theta(b) on the diffuse part, the
     sigma_k-weighted average on jump atoms, and G^k_phi(u) = G^k_phi(T_k u).
-    Returns the maximal residual of each identity.
+    The diffuse identity is sampled at the first 20 of 200 grid points
+    where u' != 0.  Returns the maximal residual of each identity.
     """
+    n_diffuse = 20
     k = float(k)
     bk = truncate(b, k)
     rep = pairing_by_representation(b, u, genuine_jumps=False)

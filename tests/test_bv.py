@@ -11,7 +11,7 @@ from scipy.optimize import brentq
 
 from pairinglab.bv import (BvFunction1D, CantorPart, Disc, JumpPoint,
                            Piecewise1D, PiecewiseConstantBv2D, PolygonRegion,
-                           SmoothRadialBv2D, coarea_tv_check, indicator_1d)
+                           SmoothRadialBv2D, coarea_tv_check)
 from pairinglab.errors import DegenerateLevel, ToleranceNotMet
 from pairinglab.measures import SingularLadder, _on_curves
 from pairinglab import quadrature
@@ -276,7 +276,9 @@ def test_coarea_tv_identity_smooth(u_smooth):
 
 
 def test_indicator_1d_perimeter():
-    u = indicator_1d(((-1.0, 0.5),), DOMAIN)
+    # the indicator of (-1, 0.5): up by 1 at -1, down by 1 at 0.5
+    u = BvFunction1D(DOMAIN, jumps=(JumpPoint.from_sides(-1.0, 0.0, 1.0),
+                                    JumpPoint.from_sides(0.5, 1.0, 0.0)))
     tv = u.gradient_measure().variation().total_mass()
     assert abs(tv - 2.0) < 1e-12
     assert u.evaluate(np.array([0.0]))[0] == 1.0

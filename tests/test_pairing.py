@@ -14,7 +14,8 @@ from pairinglab.bv import (BvFunction1D, Disc, JumpPoint, Piecewise1D,
                            gradient_measure)
 from pairinglab import bv as bv_module
 from pairinglab import measures, pairing, quadrature
-from pairinglab.errors import AssumptionViolation, FormMismatch
+from pairinglab.errors import (AssumptionViolation, CylAverageDiverged,
+                              FormMismatch)
 from pairinglab.fields import FieldB, field_catalog, make_field
 from pairinglab.measures import TestFunction1D, TestFunction2D
 from pairinglab.scenarios import (CheckSpec, _windows_for, load_catalog,
@@ -90,8 +91,9 @@ def test_xt_field_smooth_oracle(field_xt, u_smooth, phi_plateau):
 def test_three_routes_agree_on_staircase(kind, u_stair, phi_bump):
     f = field_catalog(kind)
     v1 = pairing_distributional(f, u_stair, phi_bump)
-    v2 = pairing_by_representation(f, u_stair).integrate(phi_bump)
-    v3 = pairing_by_traces(f, u_stair).integrate(phi_bump)
+    rep = pairing_by_representation(f, u_stair)
+    v2 = rep.integrate(phi_bump)
+    v3 = pairing_by_traces(f, u_stair, rep).integrate(phi_bump)
     tol = 1e-6 * (1.0 + abs(v1))
     assert abs(v1 - v2) < tol
     assert abs(v1 - v3) < tol
@@ -116,7 +118,7 @@ def test_routes_agree_on_negative_2d_values(region, value, phi_radial):
     v1 = pairing_distributional(f, u, phi_radial)
     rep = pairing_by_representation(f, u)
     v2 = rep.integrate(phi_radial)
-    v3 = pairing_by_traces(f, u).integrate(phi_radial)
+    v3 = pairing_by_traces(f, u, rep).integrate(phi_radial)
     assert abs(v1) > 1.0
     tol = 1e-6 * (1.0 + abs(v1))
     assert abs(v1 - v2) < tol
@@ -207,6 +209,23 @@ def test_cyl_average_unsettled_spends_full_depth(kind, nu, x, message, calls):
     assert len(seen) == calls
 
 
+def test_a_strict_average_that_does_not_settle_raises(field_gt,
+                                                      monkeypatch):
+    # converged at the default threshold 1e-7 but not at the 1e-10 that
+    # the representation asks for: no looser retry may turn it into a value
+    asked = []
+
+    def average(field, t, nu, x, threshold=1e-7):
+        asked.append(threshold)
+        return pairing.CylAverage(1.0, threshold >= 1e-7,
+                                  "" if threshold >= 1e-7 else "unsettled")
+
+    monkeypatch.setattr(pairing, "cylindrical_average", average)
+    with pytest.raises(CylAverageDiverged, match="unsettled"):
+        jump_theta(field_gt, 0.3, 0.7, 0.7, 1.0)
+    assert asked == [1e-10]
+
+
 def test_jump_theta_constant_field(field_const):
     th = jump_theta(field_const, 0.3, 0.2, 1.2, 1.0)
     assert abs(th - 1.0) < 1e-10
@@ -241,9 +260,11 @@ def test_normal_trace_on_square():
 
 
 def test_coarea_checks_staircase(field_gt, u_stair, phi_bump):
-    lhs, rhs, res = coarea_pairing_check(field_gt, u_stair, phi_bump)
+    dist = pairing_distributional(field_gt, u_stair, phi_bump)
+    lhs, rhs, res = coarea_pairing_check(field_gt, u_stair, phi_bump, dist)
     assert res < 1e-6
-    lhs, rhs, res = coarea_variation_check(field_gt, u_stair, phi_bump)
+    rep = pairing_by_representation(field_gt, u_stair)
+    lhs, rhs, res = coarea_variation_check(field_gt, u_stair, phi_bump, rep)
     assert res < 1e-5
 
 
@@ -347,14 +368,21 @@ def test_2d_coarea_slices_batch_their_levels(sid, check, batched, points,
     assert work["largest"] <= quadrature._T_BLOCK
 
 
+def _dist_1e10(field, u, phi):
+    """The dist that chain_rule, lipschitz and approximation take."""
+    return pairing_distributional(field, u, phi, tol=1e-10, form_check=False)
+
+
 def test_chain_rule_small_residual(field_gt, u_mixed, phi_bump):
-    assert chain_rule_check(field_gt, u_mixed, phi_bump) < 1e-8
+    dist = _dist_1e10(field_gt, u_mixed, phi_bump)
+    assert chain_rule_check(field_gt, u_mixed, phi_bump, dist) < 1e-8
 
 
 def test_lipschitz_comparison_holds(field_gt, u_jump, phi_bump):
+    dist = _dist_1e10(field_gt, u_jump, phi_bump)
     for tau in (-0.1, 0.5, 0.7, 1.0, 1.5):
         lhs, rhs = lipschitz_comparison_check(field_gt, u_jump, tau,
-                                              phi_bump)
+                                              phi_bump, dist)
         assert lhs <= rhs + 1e-8
 
 
@@ -362,7 +390,9 @@ def test_lipschitz_comparison_fails_on_forced_violation(field_gt, u_jump,
                                                         phi_bump):
     # at tol = -10 the bound lhs <= rhs + tol cannot hold: the function
     # returns its numbers, and the check's one verdict fails on them
-    lhs, rhs = lipschitz_comparison_check(field_gt, u_jump, 0.5, phi_bump)
+    dist = _dist_1e10(field_gt, u_jump, phi_bump)
+    lhs, rhs = lipschitz_comparison_check(field_gt, u_jump, 0.5, phi_bump,
+                                          dist)
     assert lhs > rhs - 10.0
     ctx = load_catalog()["s04_jump_gt"].resolve()  # the same b, u and phi
     out = run_check(ctx, CheckSpec("lipschitz", -10.0, {"taus": [0.5]}))
@@ -372,7 +402,8 @@ def test_lipschitz_comparison_fails_on_forced_violation(field_gt, u_jump,
 
 def test_mass_bound_windows(field_gt, u_mixed):
     windows = [(-2.0 + 0.4 * i, -1.6 + 0.4 * i) for i in range(10)]
-    out = mass_bound_check(field_gt, u_mixed, windows)
+    out = mass_bound_check(field_gt, u_mixed, windows,
+                           pairing_by_representation(field_gt, u_mixed))
     assert len(out) == 10
     assert all(r["excess"] <= 1e-9 for r in out)
 
@@ -381,7 +412,8 @@ def test_mass_bound_windows(field_gt, u_mixed):
 @settings(max_examples=25, deadline=None)
 def test_mass_bound_random_windows(lo, width, field_gt, u_stair):
     hi = min(lo + width, 2.0)
-    out = mass_bound_check(field_gt, u_stair, [(lo, hi)])
+    out = mass_bound_check(field_gt, u_stair, [(lo, hi)],
+                           pairing_by_representation(field_gt, u_stair))
     assert out[0]["excess"] <= 1e-9
     assert out[0]["lhs"] <= out[0]["bound"] + 1e-9
 
@@ -411,7 +443,8 @@ def test_mass_bound_2d_values_are_pinned(sid, lhs, bound):
     # of the catalog must not move when the fixed grids are reorganised
     ctx = load_catalog()[sid].resolve()
     window = _windows_for(ctx, 2)[1]
-    (out,) = mass_bound_check(ctx.field, ctx.u, [window])
+    (out,) = mass_bound_check(ctx.field, ctx.u, [window],
+                              ctx.representation())
     assert (out["lhs"], out["bound"]) == (lhs, bound)
 
 
@@ -445,7 +478,8 @@ def test_approximation_gap_decreases(u_smooth, phi_bump):
     # sep has genuine x-curvature, so the mollification gap is O(eps^2)
     f = field_catalog("sep")
     eps = tuple(0.04 * 0.5 ** i for i in range(7))
-    table = approximation_convergence_check(f, u_smooth, phi_bump, eps)
+    table = approximation_convergence_check(
+        f, u_smooth, phi_bump, eps, _dist_1e10(f, u_smooth, phi_bump))
     gaps = [g for _, g in table]
     assert gaps[-1] < 1e-8
     assert gaps[-1] < 1e-3 * gaps[0]

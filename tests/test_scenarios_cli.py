@@ -235,6 +235,29 @@ def test_resolved_scenarios_share_no_memo(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("sid, names", [
+    ("s04_jump_gt", ("two_route", "traces_route", "coarea_variation",
+                     "mass_bound")),
+    ("s15_disc_linear2d", ("two_route", "traces_route", "coarea_variation",
+                           "mass_bound", "gauss_green")),
+])
+def test_representation_is_built_once_per_scenario(sid, names, monkeypatch):
+    calls = []
+    real = pairing.pairing_by_representation
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pairing, "pairing_by_representation", counted)
+    sc = load_catalog()[sid]
+    ctx = sc.resolve()
+    specs = [c for c in sc.checks if c.name in names]
+    assert [c.name for c in specs] == list(names)
+    assert all(run_check(ctx, c).passed for c in specs)
+    assert len(calls) == 1
+
+
 def test_run_scenario_overall(tmp_path):
     outs = run_scenario(parse_scenario(FAST_SCENARIO))
     assert all(o.passed for o in outs)

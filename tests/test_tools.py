@@ -42,9 +42,12 @@ def test_time_catalog_one_scenario(time_catalog, capsys):
                                       abs=1e-3 * len(checks))
     cpu = float(rows[-1][4])
     assert cpu > 0.0
-    last = out.splitlines()[-1].split()
-    assert last[0] == "total" and last[3] == "cpu"
-    assert float(last[4]) == pytest.approx(cpu, abs=1e-3)
+    total, peak = (line.split() for line in out.splitlines()[-2:])
+    assert total[0] == "total" and total[3] == "cpu"
+    assert float(total[4]) == pytest.approx(cpu, abs=1e-3)
+    # the process's peak RSS comes last, and no Python process fits in 1 MB
+    assert peak[:2] == ["peak", "RSS"] and peak[3] == "MB"
+    assert float(peak[2]) > 1.0
 
 
 def test_time_catalog_unknown_id(time_catalog):

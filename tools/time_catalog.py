@@ -12,14 +12,16 @@ then each of its checks is run with ``run_check`` and timed with
 ``time.perf_counter`` (wall) and ``time.process_time`` (CPU of every
 thread of the process).  The output is one line per (scenario, check) with
 its wall time, CPU time and outcome (a FAIL also shows the check's residual
-and tolerance), then the totals per check and per scenario, and the
-overall total.  A CPU time above the wall time means some library ran
-helper threads (a BLAS thread pool, say).  Exit code 0 if every check
+and tolerance), then the totals per check and per scenario, the overall
+total, and the peak resident set size of the process (``ru_maxrss``).  A
+CPU time above the wall time means some library ran helper threads (a
+BLAS thread pool, say).  Exit code 0 if every check
 passed, 1 otherwise.
 """
 
 import argparse
 import pathlib
+import resource
 import sys
 import time
 from collections import defaultdict
@@ -84,6 +86,9 @@ def main(argv=None):
     print(f"\ntotal {sum(r[2] for r in rows):.3f} s  "
           f"cpu {sum(r[3] for r in rows):.3f} s over {len(rows)} checks, "
           f"{sum(not r[4].passed for r in rows)} failed")
+    # ru_maxrss is in kilobytes on Linux
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    print(f"peak RSS {peak:.1f} MB")
     return 0 if all(r[4].passed for r in rows) else 1
 
 
