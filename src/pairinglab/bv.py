@@ -17,7 +17,8 @@ from .errors import DegenerateLevel
 from .measures import (Circle, RadonMeasure1D, RadonMeasure2D, Segment,
                        DiscPatch, PolygonPatch, SingularLadder)
 from .quadrature import (_brent_roots, _leggauss, _weighted_sum,
-                         adaptive_simpson, circle_integral_many)
+                         adaptive_simpson, adaptive_simpson_many,
+                         circle_integral_many)
 
 # Plateau and leaf intervals of a ladder are integrated this many at a time,
 # which bounds the arrays an integrand builds per node (for example a
@@ -275,12 +276,6 @@ class BvFunction1D:
                 v = v + (j.right_value - j.left_value)
         return v
 
-    def _cantor_covers(self, lo, hi):
-        if self.cantor is None:
-            return False
-        ca, cb = self.cantor.ladder.interval
-        return lo >= ca - 1e-12 and hi <= cb + 1e-12
-
     @cached_property
     def _level_grid(self):
         """Per jump-free segment: (lo, hi, a 1201-point grid, u on it, the
@@ -352,31 +347,47 @@ class BvFunction1D:
 
     # -- composed integration handling the ladder part
 
-    def integrate_composed(self, h, lo=None, hi=None, tol=1e-9,
-                           extra_breaks=()):
-        """Integral of h(x, u(x)) dx, exact over ladder plateaus.
-
-        ``h`` must broadcast over numpy arrays in both arguments.
-        """
+    def integrate_composed(self, hs, lo=None, hi=None, tol=1e-9,
+                           extra_breaks=(), share=lambda x: ()):
+        """[int h(x, u(x), *share(x)) dx for h in hs], exact over ladder
+        plateaus; each h broadcasts over numpy arrays.  u and ``share`` (phi
+        and its gradient, say) are evaluated once per node set for the whole
+        stack, each h only at the nodes of its own integrals."""
         a, b = self.domain
         lo = a if lo is None else max(lo, a)
         hi = b if hi is None else min(hi, b)
         if hi <= lo:
-            return 0.0
+            return [0.0] * len(hs)
         pts = sorted(set([lo, hi] + [p for p in self.breakpoints()
                                      if lo < p < hi]
                          + [p for p in extra_breaks if lo < p < hi]))
-        total = 0.0
-        for s0, s1 in zip(pts[:-1], pts[1:]):
-            if self._cantor_covers(s0, s1):
-                total += self._cantor_segment_integral(h, s0, s1)
-            else:
-                fn = lambda x: np.asarray(
-                    h(x, self.evaluate(x)), dtype=float)
-                total += adaptive_simpson(fn, s0, s1, tol=tol)
-        return total
+        ca, cb = (self.cantor.ladder.interval if self.cantor is not None
+                  else (np.inf, -np.inf))
+        segs = [(s0, s1, s0 >= ca - 1e-12 and s1 <= cb + 1e-12)
+                for s0, s1 in zip(pts[:-1], pts[1:])]
+        k = len(hs)
 
-    def _cantor_segment_integral(self, h, s0, s1):
+        def fn(x, own):
+            # owner j integrates hs[j % k] over Simpson segment j // k
+            which, uv, shared = own % k, self.evaluate(x), share(x)
+            out = np.empty(x.shape)
+            for i, h in enumerate(hs):
+                m = which == i
+                out[m] = h(x[m], uv[m], *(s[m] for s in shared))
+            return out
+
+        ends = np.repeat([(s0, s1) for s0, s1, c in segs if not c], k,
+                         axis=0).reshape(-1, 2)
+        simpson = iter(adaptive_simpson_many(fn, ends[:, 0], ends[:, 1],
+                                             tol).reshape(-1, k))
+        totals = [0.0] * k
+        for s0, s1, cantor in segs:
+            seg = self._cantor_segment_integral(hs, s0, s1, share) \
+                if cantor else next(simpson)
+            totals = [t + float(v) for t, v in zip(totals, seg)]
+        return totals
+
+    def _cantor_segment_integral(self, hs, s0, s1, share):
         cp = self.cantor
         lad = cp.ladder
         offset = sum((j.right_value - j.left_value)
@@ -388,7 +399,7 @@ class BvFunction1D:
                 out = out + self.ac.evaluate(x)
             return out
 
-        total = 0.0
+        totals = [0.0] * len(hs)
         xk, vk = lad.knots()
         ck = np.clip(xk, s0, s1)
         # plateaus: u is smooth there (base + constant ladder value), so
@@ -406,9 +417,12 @@ class BvFunction1D:
                 half = 0.5 * (chi[blk] - clo[blk])[:, None]
                 xs = mid + half * gx
                 uvals = base(xs) + cp.scale * val[blk, None]
-                hv = np.asarray(h(xs, uvals), dtype=float)
-                total += float(np.sum(hv * (half * gw)))
-        return total
+                shared = share(xs)
+                w = half * gw
+                for j, h in enumerate(hs):
+                    hv = np.asarray(h(xs, uvals, *shared), dtype=float)
+                    totals[j] += float(np.sum(hv * w))
+        return totals
 
 
 # ---------------------------------------------------------------------------

@@ -266,49 +266,53 @@ def normal_trace(field: FieldB, t, region, nsample=24) -> NormalTrace:
 # Distributional route
 
 
-def _composed_integral(u, phi, h, tol):
-    """int h(x, u(x)) dx over the support of phi.
+def _composed_integral(u, phi, hs, tol):
+    """[int h(x, u(x), phi(x), grad phi(x)) dx over the support of phi for
+    h in hs], a 1D u in one walk for the whole stack.
 
     A 2D u is integrated patch by patch over its regions (the support disc
-    of a smooth radial u): outside them u = 0, and every integrand
-    h(x, u(x)) built on the primitive B(x, 0) = 0 vanishes there.
+    of a smooth radial u), per integrand: outside them u = 0, and every
+    integrand built on the primitive B(x, 0) = 0 vanishes there.
     """
+    share = lambda x: (phi(x), phi.gradient(x))
     if isinstance(u, BvFunction1D):
-        return u.integrate_composed(h, *phi.support, tol=tol,
-                                    extra_breaks=phi.breakpoints)
+        return u.integrate_composed(hs, *phi.support, tol=tol,
+                                    extra_breaks=phi.breakpoints,
+                                    share=share)
     if isinstance(u, SmoothRadialBv2D):
         parts = ((Disc(u.center, u.support_radius), u.evaluate),)
     else:
-        parts = ((region, lambda p, _v=val: np.full(np.shape(p)[:-1], _v))
-                 for region, val in u.regions)
-    return sum(region.patch(phi).integrate(
-        lambda p: h(p, u_of(p)), tol=tol) for region, u_of in parts)
+        parts = tuple((region, lambda p, _v=val: np.full(np.shape(p)[:-1], _v))
+                      for region, val in u.regions)
+    return [sum(region.patch(phi).integrate(
+        lambda p: h(p, u_of(p), *share(p)), tol=tol)
+        for region, u_of in parts) for h in hs]
 
 
-def _dist_value(field, u, phi, tol, numeric_t):
+def _dist_values(field, u, phi, tol, form_check):
     """<(b(., u), Du), phi> = -int [phi Div_x B + B . grad phi](x, u(x)) dx,
-    with B by its closed form or (``numeric_t``) by t-quadrature of b."""
+    with B by its closed form and, if ``form_check``, also by t-quadrature
+    of b: one value per form, from one walk."""
     dim = field.dim
-    if numeric_t:
-        def integrand(ts, x, f, grad):
-            x = _node_axis(x, dim)
-            return _plus_dot(dim, f[..., None] * field.div_x(x, ts),
-                             np.asarray(field.eval(x, ts), dtype=float),
-                             _node_axis(grad, dim))
 
-        def h(x, uv):
-            x = np.asarray(x, dtype=float)
-            return elementwise_t_integral(integrand, uv, x, phi(x),
-                                          phi.gradient(x),
-                                          kinks=field.t_kinks)
-    else:
-        def h(x, uv):
-            return _plus_dot(dim, phi(x) * field.div_primitive(x, uv),
-                             np.asarray(field.primitive(x, uv), dtype=float),
-                             phi.gradient(x))
+    def closed(x, uv, f, grad):
+        return _plus_dot(dim, f * field.div_primitive(x, uv),
+                         np.asarray(field.primitive(x, uv), dtype=float),
+                         grad)
 
+    def integrand(ts, x, f, grad):
+        x = _node_axis(x, dim)
+        return _plus_dot(dim, f[..., None] * field.div_x(x, ts),
+                         np.asarray(field.eval(x, ts), dtype=float),
+                         _node_axis(grad, dim))
+
+    def numeric(x, uv, f, grad):
+        return elementwise_t_integral(integrand, uv, x, f, grad,
+                                      kinks=field.t_kinks)
+
+    forms = (closed, numeric) if form_check else (closed,)
     # 0.0 - I, not -I: an exactly cancelling I gives +0.0, never -0.0
-    return 0.0 - _composed_integral(u, phi, h, tol)
+    return [0.0 - v for v in _composed_integral(u, phi, forms, tol)]
 
 
 def pairing_distributional(field: FieldB, u, phi, tol=1e-9,
@@ -316,19 +320,17 @@ def pairing_distributional(field: FieldB, u, phi, tol=1e-9,
     """<(b(., u), Du), phi> by the distributional definition.
 
     Also evaluates the equivalent double-integral form (t-quadrature of b
-    and div b instead of the closed-form primitive) and requires agreement
-    within 10x the quadrature tolerance.
+    and div b instead of the closed-form primitive), in the same walk, and
+    requires agreement within 10x the quadrature tolerance.
     """
-    value = _dist_value(field, u, phi, tol, numeric_t=False)
-    if form_check:
-        other = _dist_value(field, u, phi, tol, numeric_t=True)
+    value, *other = _dist_values(field, u, phi, tol, form_check)
     if not np.isfinite(value):
         raise NonFiniteValue("distributional pairing is not finite")
-    if form_check:
-        gap = abs(value - other)
+    if other:
+        gap = abs(value - other[0])
         if gap > 10.0 * tol * (1.0 + abs(value)) + 1e-12:
             raise FormMismatch(
-                f"primitive form {value} vs double-integral form {other} "
+                f"primitive form {value} vs double-integral form {other[0]} "
                 f"(gap {gap:.3e})")
     return value
 
@@ -635,27 +637,26 @@ def chain_rule_check(field: FieldB, u, phi, dist, tol=1e-10):
     ``dist`` is pairing_distributional(field, u, phi, tol,
     form_check=False).
     """
-    div_v = 0.0 - _composed_integral(
-        u, phi, lambda x, uv: _plus_dot(
-            field.dim, 0.0, np.asarray(field.primitive(x, uv), float),
-            phi.gradient(x)), tol)
-    ac_term = _composed_integral(
-        u, phi, lambda x, uv: phi(x)
-        * np.asarray(field.div_primitive(x, uv), float), tol)
-    return abs(div_v - ac_term - dist)
+    # div_v = -grad_term: both terms come from one walk
+    grad_term, ac_term = _composed_integral(u, phi, (
+        lambda x, uv, f, grad: _plus_dot(
+            field.dim, 0.0, np.asarray(field.primitive(x, uv), float), grad),
+        lambda x, uv, f, grad: f
+        * np.asarray(field.div_primitive(x, uv), float)), tol)
+    return abs(0.0 - grad_term - ac_term - dist)
 
 
 # ---------------------------------------------------------------------------
 # Lipschitz comparison
 
 
-def _frozen_pairing(field, u, phi, tau, tol):
-    """<(b_tau, Du), phi> for the t-frozen field: primitive is b(x,tau)*s."""
-    def h(x, uv):
-        bt = np.asarray(field.eval(x, float(tau)), float)
-        dt = np.asarray(field.div_x(x, float(tau)), float)
-        return uv * _plus_dot(field.dim, phi(x) * dt, bt, phi.gradient(x))
-    return 0.0 - _composed_integral(u, phi, h, tol)
+def _frozen_pairings(field, u, phi, taus, tol):
+    """[<(b_tau, Du), phi> for tau in taus], b_tau the t-frozen field, from
+    one walk: the primitive of b_tau is b(x, tau) s."""
+    hs = [lambda x, uv, f, grad, _t=tau: uv * _plus_dot(
+        field.dim, f * np.asarray(field.div_x(x, _t), float),
+        np.asarray(field.eval(x, _t), float), grad) for tau in taus]
+    return [0.0 - v for v in _composed_integral(u, phi, hs, tol)]
 
 
 def _diffuse_variation_1d(u, window):
@@ -664,16 +665,23 @@ def _diffuse_variation_1d(u, window):
     return dd.restrict(window).variation()
 
 
-def lipschitz_comparison_check(field: FieldB, u, tau, phi, dist):
-    """lhs = |<mu_b, phi> - <mu_{b_tau}, phi>| against the Lipschitz bound
-    L ||phi||_inf [ int |u~ - tau| d|D^d u| + sum_jumps int |t - tau| dt ].
+def lipschitz_comparison_check(field: FieldB, u, taus, phi, dist):
+    """[(lhs, rhs), ...] per tau of taus: lhs = |<mu_b, phi> - <mu_{b_tau},
+    phi>| against the Lipschitz bound rhs = L ||phi||_inf [ int |u~ - tau|
+    d|D^d u| + sum_jumps int |t - tau| dt ].  The pairings of every b_tau
+    come from one walk.
 
     ``dist`` is <mu_b, phi>, pairing_distributional(field, u, phi, 1e-10,
     form_check=False).
     """
-    tau = float(tau)
-    lhs = abs(dist - _frozen_pairing(field, u, phi, tau, tol=1e-10))
+    taus = [float(tau) for tau in taus]
+    return [(abs(dist - frozen), _lipschitz_bound(field, u, tau, phi))
+            for tau, frozen in zip(taus, _frozen_pairings(
+                field, u, phi, taus, tol=1e-10))]
 
+
+def _lipschitz_bound(field, u, tau, phi):
+    """The rhs of lipschitz_comparison_check at one tau."""
     L = field.lipschitz_t
     if field.dim == 1:
         var = _diffuse_variation_1d(u, phi.support)
@@ -708,8 +716,7 @@ def lipschitz_comparison_check(field: FieldB, u, tau, phi, dist):
                 lo, hi = (0.0, val) if val >= 0 else (val, 0.0)
                 jump_term += region.perimeter() \
                     * _abs_linear_integral(lo, hi, tau)
-    rhs_bound = L * phi.sup_norm * (diffuse + jump_term)
-    return lhs, rhs_bound
+    return L * phi.sup_norm * (diffuse + jump_term)
 
 
 def _abs_linear_integral(a, b, tau):

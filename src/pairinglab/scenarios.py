@@ -419,17 +419,13 @@ def _check_lipschitz(ctx, params, tol):
     taus = params.get("taus")
     if taus is None:
         taus = np.linspace(lo - 0.3, hi + 0.3, 5)
-    worst = -math.inf
-    pairs = []
-    dist = ctx.distributional(1e-10, form_check=False)
-    for tau in taus:
-        lhs, rhs = pairing.lipschitz_comparison_check(ctx.field, ctx.u,
-                                                      float(tau), ctx.phi,
-                                                      dist)
-        pairs.append((float(tau), lhs, rhs))
-        worst = max(worst, lhs - rhs)
+    taus = [float(tau) for tau in taus]
+    pairs = pairing.lipschitz_comparison_check(
+        ctx.field, ctx.u, taus, ctx.phi,
+        ctx.distributional(1e-10, form_check=False))
+    worst = max([-math.inf, *(lhs - rhs for lhs, rhs in pairs)])
     return CheckOutcome(ctx.id, "lipschitz", worst, 0.0, max(worst, 0.0),
-                        tol, worst <= tol, {"taus": [p[0] for p in pairs]})
+                        tol, worst <= tol, {"taus": taus})
 
 
 def _check_gauss_green(ctx, params, tol):

@@ -100,9 +100,30 @@ def test_bv_cantor_composed_integral_is_half(u_cantor, splits):
     # rule and the leaf midpoint rule are exact for u itself
     h = lambda x, uv: uv
     pts = (0.0,) + splits + (1.0,)
-    total = sum(u_cantor.integrate_composed(h, lo, hi)
+    total = sum(u_cantor.integrate_composed((h,), lo, hi)[0]
                 for lo, hi in zip(pts[:-1], pts[1:]))
     assert abs(total - 0.5) <= 1e-14
+
+
+@pytest.mark.parametrize("u_name, window", [
+    ("u_cantor", (0.0, 1.0)),      # the depth-18 ladder alone (s09)
+    ("u_mixed", (-1.5, -0.5)),     # the ladder of ramp + jump + ladder (s10)
+    ("u_mixed", (-0.5, 1.8)),      # its Simpson segments: ramp and jump
+    ("u_mixed", (-1.8, 1.8)),      # both kinds in one call
+])
+def test_bv_composed_stack_keeps_each_integrands_bits(
+        request, field_xt, phi_bump, u_name, window):
+    # one walk for a 3-stack gives each integrand the bits of its own walk
+    u = request.getfixturevalue(u_name)
+    hs = (lambda x, uv, f, g: field_xt.primitive(x, uv) * g,
+          lambda x, uv, f, g: f * field_xt.div_primitive(x, uv),
+          lambda x, uv, f, g: uv * field_xt.eval(x, 0.5) * g)
+    kw = dict(tol=1e-10, extra_breaks=phi_bump.breakpoints,
+              share=lambda x: (phi_bump(x), phi_bump.gradient(x)))
+    stacked = u.integrate_composed(hs, *window, **kw)
+    single = [u.integrate_composed((h,), *window, **kw)[0] for h in hs]
+    assert len(stacked) == 3 and all(v != 0.0 for v in single)
+    assert [v.hex() for v in stacked] == [v.hex() for v in single]
 
 
 def _crossings(u, t):

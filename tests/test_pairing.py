@@ -380,9 +380,8 @@ def test_chain_rule_small_residual(field_gt, u_mixed, phi_bump):
 
 def test_lipschitz_comparison_holds(field_gt, u_jump, phi_bump):
     dist = _dist_1e10(field_gt, u_jump, phi_bump)
-    for tau in (-0.1, 0.5, 0.7, 1.0, 1.5):
-        lhs, rhs = lipschitz_comparison_check(field_gt, u_jump, tau,
-                                              phi_bump, dist)
+    for lhs, rhs in lipschitz_comparison_check(
+            field_gt, u_jump, (-0.1, 0.5, 0.7, 1.0, 1.5), phi_bump, dist):
         assert lhs <= rhs + 1e-8
 
 
@@ -391,13 +390,31 @@ def test_lipschitz_comparison_fails_on_forced_violation(field_gt, u_jump,
     # at tol = -10 the bound lhs <= rhs + tol cannot hold: the function
     # returns its numbers, and the check's one verdict fails on them
     dist = _dist_1e10(field_gt, u_jump, phi_bump)
-    lhs, rhs = lipschitz_comparison_check(field_gt, u_jump, 0.5, phi_bump,
-                                          dist)
+    [(lhs, rhs)] = lipschitz_comparison_check(field_gt, u_jump, (0.5,),
+                                              phi_bump, dist)
     assert lhs > rhs - 10.0
     ctx = load_catalog()["s04_jump_gt"].resolve()  # the same b, u and phi
     out = run_check(ctx, CheckSpec("lipschitz", -10.0, {"taus": [0.5]}))
     assert out.passed is False and "error" not in out.diagnostics
     assert out.lhs == lhs - rhs and math.isfinite(out.residual)
+
+
+# (tau, <(b_tau, Du), phi>) of s09 at its five lipschitz taus, as float.hex,
+# from one walk per tau before the taus shared one walk
+S09_FROZEN = (("-0x1.3333333333333p-2", "0x1.5aa437217b0b0p-1"),
+              ("0x1.999999999999cp-4", "0x1.ab0b7bee9a2a5p-1"),
+              ("0x1.0000000000000p-1", "0x1.f83e29b3626e2p-1"),
+              ("0x1.ccccccccccccep-1", "0x1.1b061462e710cp+0"),
+              ("0x1.4cccccccccccdp+0", "0x1.2d59c3923eff3p+0"))
+
+
+def test_s09_frozen_pairings_keep_their_bits():
+    ctx = load_catalog()["s09_cantor_gt"].resolve()
+    lo, hi = ctx.u.value_range()
+    taus = [float.fromhex(t) for t, _ in S09_FROZEN]
+    assert taus == np.linspace(lo - 0.3, hi + 0.3, 5).tolist()
+    vals = pairing._frozen_pairings(ctx.field, ctx.u, ctx.phi, taus, 1e-10)
+    assert [v.hex() for v in vals] == [v for _, v in S09_FROZEN]
 
 
 def test_mass_bound_windows(field_gt, u_mixed):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from pairinglab import pairing, scenarios, variational
+from pairinglab.bv import BvFunction1D
 from pairinglab.cli import main
 from pairinglab.errors import SpecError, UnknownCheck
 from pairinglab.fields import FieldB, make_field
@@ -198,16 +199,16 @@ CANTOR_SCENARIO = dict(
 def _count_form_checks(monkeypatch, shift=0.0):
     """Count the double-integral form evaluations; ``shift`` perturbs them."""
     calls = []
-    real = pairing._dist_value
+    real = pairing._dist_values
 
-    def counted(field, u, phi, tol, numeric_t):
-        value = real(field, u, phi, tol, numeric_t)
-        if numeric_t:
+    def counted(field, u, phi, tol, form_check):
+        values = real(field, u, phi, tol, form_check)
+        if form_check:
             calls.append(tol)
-            value += shift
-        return value
+            values[1] += shift
+        return values
 
-    monkeypatch.setattr(pairing, "_dist_value", counted)
+    monkeypatch.setattr(pairing, "_dist_values", counted)
     return calls
 
 
@@ -224,6 +225,32 @@ def test_form_mismatch_fails_every_check_that_needs_it(monkeypatch):
     assert [o.passed for o in outs] == [False, False, False]
     assert all("FormMismatch" in o.diagnostics["error"] for o in outs)
     assert len(calls) == 3  # a mismatch is not memoized
+
+
+def test_ladder_walks_once_per_node_set(monkeypatch):
+    # s09's ladder walks per check, its checks run in order on one
+    # resolved scenario: two_route walks once for both forms, chain_rule
+    # once for the 1e-10 dist and once for div_v and ac_term, and lipschitz
+    # once for all five taus (its dist is chain_rule's)
+    walks = []
+    real = BvFunction1D._cantor_segment_integral
+
+    def counted(self, hs, *args):
+        walks.append(len(hs))
+        return real(self, hs, *args)
+
+    monkeypatch.setattr(BvFunction1D, "_cantor_segment_integral", counted)
+    sc = load_catalog()["s09_cantor_gt"]
+    ctx = sc.resolve()
+    per_check = {}
+    for spec in sc.checks:
+        before = len(walks)
+        assert run_check(ctx, spec).passed, spec.name
+        per_check[spec.name] = walks[before:]
+    assert per_check == {
+        "two_route": [2], "traces_route": [], "chain_rule": [1, 2],
+        "coarea_pairing": [], "coarea_variation": [], "mass_bound": [],
+        "lipschitz": [5], "order_relations": []}
 
 
 def test_resolved_scenarios_share_no_memo(monkeypatch):

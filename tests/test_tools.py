@@ -74,6 +74,17 @@ def test_time_catalog_check_filter(time_catalog, capsys):
     assert f"over {len(expect)} checks, 0 failed" in out
 
 
+def test_time_catalog_only_flags_accumulate(time_catalog, capsys):
+    sids = ["s05_jump2_xt", "s13_jumpneg_sep"]
+    argv = ["--check", "two_route"]
+    for sid in sids:
+        argv += ["--only", sid]
+    assert time_catalog.main(argv) == 0
+    rows = [line.split()[:2] for line in capsys.readouterr().out.splitlines()
+            if line.endswith("pass")]
+    assert rows == [[sid, "two_route"] for sid in sids]
+
+
 def test_time_catalog_fail_row_shows_residual_and_tolerance(time_catalog,
                                                             tmp_path, capsys):
     with open(shipped_catalog_dir() / "s03_jump_const.json") as fh:
@@ -88,3 +99,33 @@ def test_time_catalog_fail_row_shows_residual_and_tolerance(time_catalog,
     assert row[1:2] + row[7:] == [
         "continuity", "FAIL", f"residual={want.residual:.3e}",
         "tolerance=1.000e-18"]
+
+
+def _load_tool(name):
+    path = TOOL.parent / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_bench_pairs_summary_on_synthetic_samples():
+    summarize = _load_tool("bench_pairs").summarize
+    parent = [5.0, 4.0, 6.0, 5.5, 4.5]
+    change = [4.0, 4.0, 5.0, 6.0, 3.0]    # one tie, one loss, three wins
+    samples = [{"parent": {"run_s": p, "rate": -p},
+                "change": {"run_s": c, "rate": -c}}
+               for p, c in zip(parent, change)]
+    out = summarize(samples, {"run_s": "lower", "rate": "higher"})
+    run = out["run_s"]
+    assert run["pairs"] == 5 and run["change_wins"] == 3
+    assert run["parent"] == {"median": 5.0, "q1": 4.5, "q3": 5.5,
+                             "iqr": 1.0}
+    assert run["change"]["median"] == 4.0
+    assert run["change"]["iqr"] == pytest.approx(1.0)
+    # a higher-is-better metric wins where its value rises
+    assert out["rate"]["change_wins"] == 3
+    assert out["rate"]["parent"]["median"] == -5.0
+    one = summarize(samples[:1], {"run_s": "lower"})["run_s"]
+    assert one["parent"] == {"median": 5.0, "q1": 5.0, "q3": 5.0, "iqr": 0.0}
+    assert one["change_wins"] == 1

@@ -1,0 +1,137 @@
+"""Benchmark a change against its parent in alternating perfbench pairs.
+
+Run from the repository root:
+
+    python3 tools/bench_pairs.py --label NAME [--base REV] [--head REV]
+        [--workload NAME ...] [--pairs N] [--seconds S] [--seed N]
+
+Both commits are exported with ``git archive`` into fresh temporary
+directories, so each side runs its own committed ``perfbench/run.py`` on its
+own committed sources, and nothing is registered in the repository.  Pair i
+runs ``perfbench/run.py --workload W --seed N --seconds S`` once on each
+side, the parent first in even pairs and the change first in odd ones, so
+slow drift of the machine falls on both sides alike.
+
+The record goes to ``BENCH_<label>.json``: the two commits, the machine
+(nproc, Python, platform), the settings, and per workload the samples of
+every pair and, for each end-to-end metric of ``BENCHMARK.json``, each
+side's median and quartiles and the number of pairs the change wins (ties
+count for neither side).  Exit code 0 if every run was correct, 1
+otherwise.
+"""
+
+import argparse
+import io
+import json
+import os
+import pathlib
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+WORKLOADS = ("cantor1d", "jumps1d", "plane2d", "pool_jobs2")
+
+
+def export(rev, dest):
+    """The committed tree of ``rev`` in the directory dest; its full sha."""
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
+                         check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
+        tf.extractall(dest, filter="data")
+    return subprocess.run(["git", "-C", str(ROOT), "rev-parse", rev],
+                          check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def perfbench(tree, workload, seed, seconds):
+    """The JSON result line of one perfbench run in the source tree."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds)],
+        cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if not lines:
+        raise RuntimeError(f"perfbench {workload} in {tree} printed nothing:"
+                           f"\n{proc.stderr[-2000:]}")
+    return json.loads(lines[-1])
+
+
+def _quartiles(values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") \
+        if len(values) > 1 else [values[0]] * 3
+    return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def summarize(samples, metrics):
+    """Per metric (name -> "lower" or "higher" is better) of the samples
+    [{"parent": {name: value}, "change": {name: value}}, ...]: each side's
+    median, quartiles and IQR, and the pairs the change wins."""
+    out = {}
+    for name, better in metrics.items():
+        parent = [s["parent"][name] for s in samples]
+        change = [s["change"][name] for s in samples]
+        sign = 1.0 if better == "lower" else -1.0
+        out[name] = {"parent": _quartiles(parent),
+                     "change": _quartiles(change),
+                     "change_wins": sum(sign * (c - p) < 0
+                                        for p, c in zip(parent, change)),
+                     "pairs": len(samples)}
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--base", default="HEAD~1")
+    parser.add_argument("--head", default="HEAD")
+    parser.add_argument("--workload", action="append", choices=WORKLOADS)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    metrics = {m["name"]: m["better"] for m in json.loads(
+        (ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    record = {"label": args.label,
+              "machine": {"nproc": os.cpu_count(),
+                          "python": platform.python_version(),
+                          "platform": platform.platform()},
+              "settings": {"pairs": args.pairs, "seconds": args.seconds,
+                           "seed": args.seed},
+              "workloads": {}}
+    correct = True
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {side: pathlib.Path(tmp) / side
+                 for side in ("parent", "change")}
+        record["commits"] = {side: export(rev, trees[side]) for side, rev
+                             in (("parent", args.base),
+                                 ("change", args.head))}
+        for workload in args.workload or WORKLOADS:
+            samples = []
+            for i in range(args.pairs):
+                order = ("parent", "change") if i % 2 == 0 \
+                    else ("change", "parent")
+                sample = {"first": order[0]}
+                for side in order:
+                    res = perfbench(trees[side], workload, args.seed,
+                                    args.seconds)
+                    correct = correct and res["correct"]
+                    sample[side] = {k: v["value"]
+                                    for k, v in res["metrics"].items()}
+                    sample[side]["failed"] = res["failed"]
+                samples.append(sample)
+                print(workload, i, {s: sample[s]["run_s"]
+                                    for s in order}, flush=True)
+            record["workloads"][workload] = {
+                "samples": samples, "summary": summarize(samples, metrics)}
+    out = ROOT / f"BENCH_{args.label}.json"
+    out.write_text(json.dumps(record, indent=1) + "\n")
+    print(f"wrote {out}")
+    return 0 if correct else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -5,8 +5,8 @@ Run from the repository root:
     python3 tools/time_catalog.py [DIR] [--only ID ...] [--check NAME ...]
 
 DIR is a directory of scenario JSON files (default: the shipped catalog);
-``--only`` keeps the named scenario ids, and ``--check NAME`` (repeatable)
-keeps the checks of that name.  The checks run as in
+``--only`` (repeatable) keeps the named scenario ids, and ``--check NAME``
+(repeatable) keeps the checks of that name.  The checks run as in
 tests/test_acceptance.py::catalog_results: each scenario is resolved once,
 then each of its checks is run with ``run_check`` and timed with
 ``time.perf_counter`` (wall) and ``time.process_time`` (CPU of every
@@ -70,7 +70,8 @@ def _totals(rows, key):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("directory", nargs="?", default=None)
-    parser.add_argument("--only", nargs="+", default=(), metavar="ID")
+    parser.add_argument("--only", nargs="+", action="extend", default=[],
+                        metavar="ID")
     parser.add_argument("--check", action="append", default=[],
                         metavar="NAME")
     args = parser.parse_args(argv)
