@@ -228,10 +228,11 @@ def test_form_mismatch_fails_every_check_that_needs_it(monkeypatch):
 
 
 def test_ladder_walks_once_per_node_set(monkeypatch):
-    # s09's ladder walks per check, its checks run in order on one
-    # resolved scenario: two_route walks once for both forms, chain_rule
-    # once for the 1e-10 dist and once for div_v and ac_term, and lipschitz
-    # once for all five taus (its dist is chain_rule's)
+    # the stack size of each ladder walk of each s09 check, the checks run
+    # in catalog order on one resolved scenario: two_route walks once for
+    # both forms, chain_rule once for the 1e-10 dist and once for div_v and
+    # ac_term, and lipschitz once for all five taus (its dist is
+    # chain_rule's)
     walks = []
     real = BvFunction1D._cantor_segment_integral
 

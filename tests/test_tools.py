@@ -1,4 +1,5 @@
-"""Smoke test of tools/time_catalog.py on one fast scenario."""
+"""Tests of the scripts in tools/: time_catalog.py on fast scenarios,
+bench_pairs.py on synthetic samples."""
 
 import importlib.util
 import json
@@ -9,16 +10,19 @@ import pytest
 from pairinglab.scenarios import (load_catalog, parse_scenario, run_check,
                                   shipped_catalog_dir)
 
-TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" \
-    / "time_catalog.py"
+TOOLS = pathlib.Path(__file__).resolve().parents[1] / "tools"
+
+
+def _load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 @pytest.fixture(scope="module")
 def time_catalog():
-    spec = importlib.util.spec_from_file_location("time_catalog", TOOL)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+    return _load_tool("time_catalog")
 
 
 def test_time_catalog_one_scenario(time_catalog, capsys):
@@ -99,14 +103,6 @@ def test_time_catalog_fail_row_shows_residual_and_tolerance(time_catalog,
     assert row[1:2] + row[7:] == [
         "continuity", "FAIL", f"residual={want.residual:.3e}",
         "tolerance=1.000e-18"]
-
-
-def _load_tool(name):
-    path = TOOL.parent / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
 
 
 def test_bench_pairs_summary_on_synthetic_samples():
