@@ -15,10 +15,10 @@ import numpy as np
 
 from .errors import DegenerateLevel
 from .measures import (Circle, RadonMeasure1D, RadonMeasure2D, Segment,
-                       DiscPatch, PolygonPatch, SingularLadder)
+                       DiscPatch, PolygonPatch, SingularLadder,
+                       _integrate_parts)
 from .quadrature import (_brent_roots, _leggauss, _weighted_sum,
-                         adaptive_simpson, adaptive_simpson_many,
-                         circle_integral_many)
+                         adaptive_simpson, adaptive_simpson_many)
 
 # Plateau and leaf intervals of a ladder are integrated this many at a time,
 # which bounds the arrays an integrand builds per node (for example a
@@ -663,16 +663,17 @@ def coarea_tv_check(u, g, tol=1e-8):
         # parameterize the level by the disc radius: the circles of every
         # radius of r in one batched line integral
         def integrand(r):
-            return circle_integral_many(
-                lambda p, _: g(p), [u.center] * r.size, r, [()] * r.size) \
-                * np.abs(np.asarray(u.dprofile(r), dtype=float))
+            return _integrate_parts(
+                lambda p, _: g(p), [Circle(u.center, x) for x in r.tolist()],
+                1e-10) * np.abs(np.asarray(u.dprofile(r), dtype=float))
         rhs = adaptive_simpson(integrand, 1e-9, u.support_radius, tol=tol)
     elif isinstance(u, PiecewiseConstantBv2D):
         du = gradient_measure(u).variation()
         lhs = du.integrate(g, tol=tol)
-        rhs = sum(abs(val - u.background) * curve.integrate(g)
-                  for region, val in u.regions
-                  for curve in region.boundary())
+        jumps = [(abs(val - u.background), curve) for region, val in u.regions
+                 for curve in region.boundary()]
+        rhs = sum(h * v for (h, _), v in zip(jumps, _integrate_parts(
+            lambda p, _: g(p), [c for _, c in jumps], 1e-10).tolist()))
     else:
         raise TypeError(f"unsupported BV function {type(u)!r}")
     return lhs, rhs, abs(lhs - rhs)

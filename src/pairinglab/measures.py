@@ -15,9 +15,8 @@ import numpy as np
 from .errors import NonFiniteValue
 from .quadrature import (_T_BLOCK, _brent_roots, _circle_points,
                          _segment_points, _weighted_sum, adaptive_simpson,
-                         circle_integral, circle_integral_many,
-                         find_sign_changes, polar_quad, polar_quad_many,
-                         polygon_quad, polygon_quad_many, segment_integral,
+                         circle_integral_many, find_sign_changes,
+                         polar_quad_many, polygon_quad_many,
                          segment_integral_many)
 
 __all__ = [
@@ -338,10 +337,6 @@ class Circle:
     def param_range(self):
         return (0.0, 2.0 * np.pi)
 
-    def integrate(self, g, tol=1e-10):
-        return circle_integral(g, self.center, self.radius, tol=tol,
-                               theta_breaks=self.param_breaks)
-
     def interior_normal(self, pts):
         """The unit normal at points pts of the circle, into its disc."""
         return _disc_normal(np.asarray(pts, dtype=float), self.center)
@@ -376,10 +371,6 @@ class Segment:
         n = np.array([-d[1], d[0]])
         return n / np.linalg.norm(n)
 
-    def integrate(self, g, tol=1e-10):
-        return segment_integral(g, self.p0, self.p1, tol=tol,
-                                s_breaks=self.param_breaks)
-
     def interior_normal(self, pts):
         """``normal`` at each of the points pts."""
         return np.broadcast_to(self.normal, np.shape(pts))
@@ -396,17 +387,10 @@ class DiscPatch:
     r_inner: float = 0.0
     r_breaks: tuple = ()
 
-    def integrate(self, g, tol=1e-9):
-        return polar_quad(g, self.center, self.r_inner, self.r_outer,
-                          r_breaks=self.r_breaks, tol=tol)
-
 
 @dataclass(frozen=True)
 class PolygonPatch:
     vertices: tuple
-
-    def integrate(self, g, tol=1e-9):
-        return polygon_quad(g, self.vertices, tol=tol)
 
 
 # the batched driver of each kind of part, and the fields it takes per part
@@ -419,9 +403,10 @@ _BATCHED = {
 
 
 def _integrate_parts(g, parts, tol):
-    """[part.integrate(lambda p: g(p, k), tol) for k, part in
-    enumerate(parts)] over patches and curves: the parts of each kind in
-    one batched driver, whose g(points, owner) gets the points of many."""
+    """The integrals of g(., k) over the patches and curves parts[k]: the
+    one way the package integrates over 2D parts.  The parts of each kind
+    go to one batched driver, whose g(points, owner) gets the points of
+    many parts in one call, or a lone part's points in their grid shape."""
     out = np.zeros(len(parts))
     kinds = [type(part) for part in parts]
     for kind in dict.fromkeys(kinds):
@@ -431,6 +416,22 @@ def _integrate_parts(g, parts, tol):
                           *([getattr(parts[k], name) for k in idx]
                             for name in names), tol)
     return out
+
+
+def _per_owner(fs):
+    """g(points, owner) = fs[owner](points), for parts that carry their own
+    integrand: a call with one owner passes its points as they are (a lone
+    owner's grid keeps its shape), and one with several passes each run of
+    points of one owner, in order, as a view."""
+    def g(p, k):
+        k = np.broadcast_to(k, p.shape[:-1])
+        if (k == k.flat[0]).all():
+            return fs[k.flat[0]](p)
+        shape, k, p = k.shape, k.ravel(), p.reshape(-1, 2)
+        ends = [*(np.flatnonzero(k[1:] != k[:-1]) + 1).tolist(), k.size]
+        return np.concatenate([fs[k[i]](p[i:j]) for i, j in zip(
+            [0, *ends[:-1]], ends)]).reshape(shape)
+    return g
 
 
 @dataclass(frozen=True)
@@ -443,11 +444,12 @@ class RadonMeasure2D:
     def integrate(self, g, tol=1e-9):
         if self.mask is not None:
             return self._masked_integrals(g, (self.mask,))[0]
-        value = 0.0
-        for part, dens in self.ac_parts + self.surface_parts:
-            f = lambda p, _d=dens: (np.asarray(g(p), dtype=float)
-                                    * np.asarray(_d(p), dtype=float))
-            value += part.integrate(f, tol=tol)
+        parts = self.ac_parts + self.surface_parts
+        dens = _per_owner([d for _, d in parts])
+        value = sum(_integrate_parts(
+            lambda p, k: (np.asarray(g(p), dtype=float)
+                          * np.asarray(dens(p, k), dtype=float)),
+            [part for part, _ in parts], tol).tolist(), 0.0)
         if not np.isfinite(value):
             raise NonFiniteValue("non-finite 2D integral")
         return value
@@ -478,16 +480,17 @@ class RadonMeasure2D:
         return self.integrate(lambda p: np.ones(np.shape(p)[:-1]), tol=tol)
 
     def variation(self):
-        ac = tuple((patch, (lambda p, _d=d: np.abs(np.asarray(_d(p), float))))
-                   for patch, d in self.ac_parts)
-        surf = []
-        for c, d in self.surface_parts:
-            # absolute densities kink where the signed density vanishes;
-            # record those parameters so the line quadrature can split there
-            breaks = c.param_breaks or _density_sign_breaks(c, d)
-            surf.append((replace(c, param_breaks=tuple(breaks)),
-                         (lambda p, _d=d: np.abs(np.asarray(_d(p), float)))))
-        return replace(self, ac_parts=ac, surface_parts=tuple(surf))
+        absolute = lambda d: lambda p: np.abs(np.asarray(d(p), float))
+        ac = tuple((patch, absolute(d)) for patch, d in self.ac_parts)
+        # absolute densities kink where the signed density vanishes; record
+        # those parameters so the line quadrature can split there: one scan
+        # over every curve that has no breaks yet
+        scan = [(c, d) for c, d in self.surface_parts if not c.param_breaks]
+        found = iter(_density_sign_breaks_many(
+            [c for c, _ in scan], _per_owner([d for _, d in scan])))
+        surf = tuple((replace(c, param_breaks=c.param_breaks or next(found)),
+                      absolute(d)) for c, d in self.surface_parts)
+        return replace(self, ac_parts=ac, surface_parts=surf)
 
     def _meets_rect(self, box):
         (x0, x1), (y0, y1) = box
@@ -549,10 +552,10 @@ def _on_curves(curves):
 
 
 def _density_sign_breaks_many(curves, dens, n=2048):
-    """_density_sign_breaks of each curve k for the density dens(pts, k):
-    one sign scan over the (n + 1)-point parameter grids of all the curves,
-    in blocks of whole grids (with k as a column, one owner per grid), and
-    one polish of all their brackets."""
+    """The parameters along each curve k where the density dens(pts, k)
+    changes sign: one sign scan over the (n + 1)-point parameter grids of
+    all the curves, in blocks of whole grids (with k as a column, one owner
+    per grid), and one polish of all their brackets."""
     if not curves:
         return []
     point_at, _ = _on_curves(curves)
@@ -578,11 +581,6 @@ def _density_sign_breaks_many(curves, dens, n=2048):
     r = np.where(np.isnan(r), 0.5 * (lo + hi), r)
     return [tuple(b.tolist()) for b in np.split(
         r, np.cumsum(np.bincount(k, minlength=len(curves)))[:-1])]
-
-
-def _density_sign_breaks(curve, dens, n=2048):
-    """Parameters along a curve where a surface density changes sign."""
-    return _density_sign_breaks_many([curve], lambda p, _: dens(p), n)[0]
 
 
 def _part_grid(part, n):

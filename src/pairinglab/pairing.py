@@ -21,9 +21,9 @@ from .errors import (CylAverageDiverged, FormMismatch,
 from .fields import FieldB, _broadcast, _node_axis, _plus_dot, mollify
 from .measures import (DiscPatch, RadonMeasure1D, RadonMeasure2D,
                        _density_sign_breaks_many, _integrate_parts,
-                       _on_curves)
+                       _on_curves, _per_owner)
 from .quadrature import (_T_BLOCK, _leggauss, adaptive_simpson,
-                         adaptive_simpson_many, aitken, polar_quad)
+                         adaptive_simpson_many, aitken)
 
 __all__ = [
     "CylAverage",
@@ -270,9 +270,10 @@ def _composed_integral(u, phi, hs, tol):
     """[int h(x, u(x), phi(x), grad phi(x)) dx over the support of phi for
     h in hs], a 1D u in one walk for the whole stack.
 
-    A 2D u is integrated patch by patch over its regions (the support disc
-    of a smooth radial u), per integrand: outside them u = 0, and every
-    integrand built on the primitive B(x, 0) = 0 vanishes there.
+    A 2D u is integrated over the patches of its regions (the support disc
+    of a smooth radial u), every (integrand, region) pair of the stack in
+    one batched call: outside them u = 0, and every integrand built on the
+    primitive B(x, 0) = 0 vanishes there.
     """
     share = lambda x: (phi(x), phi.gradient(x))
     if isinstance(u, BvFunction1D):
@@ -284,9 +285,12 @@ def _composed_integral(u, phi, hs, tol):
     else:
         parts = tuple((region, lambda p, _v=val: np.full(np.shape(p)[:-1], _v))
                       for region, val in u.regions)
-    return [sum(region.patch(phi).integrate(
-        lambda p: h(p, u_of(p), *share(p)), tol=tol)
-        for region, u_of in parts) for h in hs]
+    vals = _integrate_parts(
+        _per_owner([lambda p, h=h, u_of=u_of: h(p, u_of(p), *share(p))
+                    for h in hs for _, u_of in parts]),
+        [region.patch(phi) for region, _ in parts] * len(hs), tol).tolist()
+    return [sum(vals[i:i + len(parts)])
+            for i in range(0, len(vals), len(parts))]
 
 
 def _dist_values(field, u, phi, tol, form_check):
@@ -675,48 +679,42 @@ def lipschitz_comparison_check(field: FieldB, u, taus, phi, dist):
     form_check=False).
     """
     taus = [float(tau) for tau in taus]
-    return [(abs(dist - frozen), _lipschitz_bound(field, u, tau, phi))
-            for tau, frozen in zip(taus, _frozen_pairings(
-                field, u, phi, taus, tol=1e-10))]
+    return [(abs(dist - frozen), bound) for frozen, bound in zip(
+        _frozen_pairings(field, u, phi, taus, tol=1e-10),
+        _lipschitz_bounds(field, u, taus, phi))]
 
 
-def _lipschitz_bound(field, u, tau, phi):
-    """The rhs of lipschitz_comparison_check at one tau."""
-    L = field.lipschitz_t
+def _lipschitz_bounds(field, u, taus, phi):
+    """The rhs of lipschitz_comparison_check at each tau of taus."""
     if field.dim == 1:
         var = _diffuse_variation_1d(u, phi.support)
-        diffuse = var.integrate(
-            lambda x: np.abs(u.evaluate(x) - tau), tol=1e-10)
-        jump_term = 0.0
-        for j in u.jumps:
-            if phi.support[0] <= j.location <= phi.support[1]:
-                jump_term += _abs_linear_integral(j.u_minus, j.u_plus, tau)
+        diffuse = [var.integrate(lambda x: np.abs(u.evaluate(x) - tau),
+                                 tol=1e-10) for tau in taus]
+        ranges = [(1.0, j.u_minus, j.u_plus) for j in u.jumps
+                  if phi.support[0] <= j.location <= phi.support[1]]
+    elif isinstance(u, SmoothRadialBv2D):
+        # |u - tau| kinks on the circle where u crosses tau; split the
+        # radial quadrature there.  Each tau owns its disc of one call.
+        lo_v, hi_v = u.value_range()
+        tau = np.array(taus)
+
+        def f(p, k):
+            r = np.linalg.norm(p - np.asarray(u.center), axis=-1)
+            return np.abs(u.evaluate(p) - tau[k]) * np.abs(u.dprofile(r))
+
+        diffuse = _integrate_parts(f, [DiscPatch(
+            u.center, u.support_radius, 0.0,
+            (u.radius_of_level(t),) if lo_v < t < hi_v else ())
+            for t in taus], 1e-10).tolist()
+        ranges = []
     else:
-        if isinstance(u, SmoothRadialBv2D):
-            # |u - tau| kinks on the circle where u crosses tau; split the
-            # radial quadrature there
-            lo_v, hi_v = u.value_range()
-            breaks = ()
-            if lo_v < tau < hi_v:
-                breaks = (u.radius_of_level(tau),)
-
-            def f(pts):
-                p = np.asarray(pts, dtype=float)
-                r = np.linalg.norm(p - np.asarray(u.center), axis=-1)
-                return (np.abs(u.evaluate(p) - tau)
-                        * np.abs(u.dprofile(r)))
-
-            diffuse = polar_quad(f, u.center, 0.0, u.support_radius,
-                                 r_breaks=breaks, tol=1e-10)
-            jump_term = 0.0
-        else:
-            diffuse = 0.0
-            jump_term = 0.0
-            for region, val in u.regions:
-                lo, hi = (0.0, val) if val >= 0 else (val, 0.0)
-                jump_term += region.perimeter() \
-                    * _abs_linear_integral(lo, hi, tau)
-    return L * phi.sup_norm * (diffuse + jump_term)
+        diffuse = [0.0] * len(taus)
+        ranges = [(region.perimeter(), *sorted((0.0, val)))
+                  for region, val in u.regions]
+    # int |t - tau| dt over each jump range (lo, hi), times its weight w
+    return [field.lipschitz_t * phi.sup_norm * (d + sum(
+        (w * _abs_linear_integral(lo, hi, tau) for w, lo, hi in ranges), 0.0))
+        for tau, d in zip(taus, diffuse)]
 
 
 def _abs_linear_integral(a, b, tau):

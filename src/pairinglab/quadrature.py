@@ -1,8 +1,9 @@
 """Quadrature utilities used across the package.
 
 All integrand callables are expected to be numpy-vectorized: they receive
-arrays of abscissae and return arrays of the same shape (2D integrands
-receive arrays of shape (..., 2)).
+arrays of abscissae and return arrays of the same shape.  The batched
+drivers call f(x, owner) with the owner of each abscissa; 2D integrands
+receive points of shape (..., 2).
 """
 
 from __future__ import annotations
@@ -20,13 +21,9 @@ __all__ = [
     "find_sign_changes",
     "integrate_abs",
     "aitken",
-    "polar_quad",
     "polar_quad_many",
-    "polygon_quad",
     "polygon_quad_many",
-    "circle_integral",
     "circle_integral_many",
-    "segment_integral",
     "segment_integral_many",
 ]
 
@@ -370,9 +367,11 @@ def _polar_points(center, rn, cos, sin):
 
 
 def polar_quad_many(f, center, r0, r1, r_breaks, tol=1e-9):
-    """polar_quad over the annuli r0[k] <= |x - center[k]| <= r1[k], each
-    with its radial breaks r_breaks[k], settled together (_settle_many):
-    f(points, owner) gets the points of many annuli in one call."""
+    """The integrals of f over the annuli r0[k] <= |x - center[k]| <= r1[k]
+    in polar form, 8-point Gauss on equal theta panels and on radial panels
+    between each annulus' breaks r_breaks[k], both doubling until settled
+    (_settle_many): f(points, owner) gets the points of many annuli in one
+    call."""
     center = np.asarray(center, dtype=float).reshape(-1, 2)
     gx, gw = _leggauss(8)
     # (owner, lo, hi) of the radial segments between each annulus' edges
@@ -399,15 +398,6 @@ def polar_quad_many(f, center, r0, r1, r_breaks, tol=1e-9):
 
     return _settle_many(f, refine, dict.fromkeys(own.tolist()), len(center),
                         tol)
-
-
-def polar_quad(f, center, r0, r1, r_breaks=(), tol=1e-9):
-    """Integrate f over the annulus r0 <= |x-center| <= r1 in polar form.
-
-    ``f`` receives an array of points of shape (..., 2).
-    """
-    return float(polar_quad_many(lambda p, _: f(p), [center], [r0], [r1],
-                                 [r_breaks], tol)[0])
 
 
 def _triangle_grid(tris, n):
@@ -453,8 +443,9 @@ def _fan(vertices):
 
 
 def polygon_quad_many(f, polygons, tol=1e-9, n=8):
-    """polygon_quad over each of the vertex lists polygons, settled
-    together: fan triangles, subdivided up to five times."""
+    """The integrals of f over the simple polygons with the vertex lists
+    polygons, settled together: Duffy-transformed Gauss on fan triangles,
+    subdivided up to five times."""
     levels = [accumulate(range(5), lambda t, _: _subdivide(t),
                          initial=_fan(v)) for v in polygons]
 
@@ -464,11 +455,6 @@ def polygon_quad_many(f, polygons, tol=1e-9, n=8):
         return (_triangle_grid(next(levels[k]), n) for k in ks)
 
     return _settle_many(f, refine, range(len(polygons)), len(polygons), tol)
-
-
-def polygon_quad(f, vertices, tol=1e-9, n=8):
-    """Integrate f over a simple polygon via fan triangulation + Duffy Gauss."""
-    return float(polygon_quad_many(lambda p, _: f(p), [vertices], tol, n)[0])
 
 
 def _line_many(g, point_at, a, b, jacobian, breaks, npanels, tol, what,
@@ -519,8 +505,9 @@ def _segment_points(p0, p1, s):
 
 
 def circle_integral_many(g, center, radius, theta_breaks, tol=1e-10):
-    """circle_integral over the circles (center[k], radius[k]), each with
-    its breaks theta_breaks[k], settled together: g(points, owner)."""
+    """The line integrals of g over the circles (center[k], radius[k]),
+    each with its angle breaks theta_breaks[k], settled together:
+    g(points, owner)."""
     center = np.asarray(center, dtype=float).reshape(-1, 2)
     radius = np.asarray(radius, dtype=float).reshape(-1)
     return _line_many(g, lambda s, k: _circle_points(center[k], radius[k], s),
@@ -529,8 +516,9 @@ def circle_integral_many(g, center, radius, theta_breaks, tol=1e-10):
 
 
 def segment_integral_many(g, p0, p1, s_breaks, tol=1e-10):
-    """segment_integral over the segments [p0[k], p1[k]], each with its
-    breaks s_breaks[k], settled together: g(points, owner)."""
+    """The line integrals of g over the segments [p0[k], p1[k]], each with
+    its breaks s_breaks[k] in (0, 1), settled together: g(points, owner).
+    A segment of length 0 gives 0.0."""
     p0 = np.asarray(p0, dtype=float).reshape(-1, 2)
     p1 = np.asarray(p1, dtype=float).reshape(-1, 2)
     length = np.array([float(np.linalg.norm(q - p)) for p, q in zip(p0, p1)])
@@ -538,14 +526,3 @@ def segment_integral_many(g, p0, p1, s_breaks, tol=1e-10):
                       0.0, 1.0, length, s_breaks, 1, tol, "segment integral",
                       np.flatnonzero(length > 0.0))
 
-
-def circle_integral(g, center, radius, tol=1e-10, theta_breaks=()):
-    """Line integral over a circle; ``g`` receives points of shape (..., 2)."""
-    return float(circle_integral_many(lambda p, _: g(p), [center], [radius],
-                                      [theta_breaks], tol)[0])
-
-
-def segment_integral(g, p0, p1, tol=1e-10, s_breaks=()):
-    """Line integral over the segment [p0, p1]."""
-    return float(segment_integral_many(lambda p, _: g(p), [p0], [p1],
-                                       [s_breaks], tol)[0])

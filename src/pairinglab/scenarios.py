@@ -28,7 +28,8 @@ import numpy as np
 
 from .errors import (AssumptionViolation, PairingLabError, SpecError,
                      UnknownCheck)
-from .measures import SingularLadder, TestFunction1D, TestFunction2D
+from .measures import (SingularLadder, TestFunction1D, TestFunction2D,
+                       _integrate_parts, _per_owner)
 from .bv import (BvFunction1D, CantorPart, Disc, JumpPoint, Piecewise1D,
                  PiecewiseConstantBv2D, PolygonRegion, SmoothRadialBv2D)
 from .fields import field_catalog
@@ -341,6 +342,14 @@ class CheckOutcome:
                 "diagnostics": self.diagnostics}
 
 
+def _worst(values):
+    """The largest of values, or NaN if one of them is NaN: the builtin max
+    keeps its running value against a NaN, so a NaN could never fail a
+    gate."""
+    values = list(values)
+    return math.nan if any(map(math.isnan, values)) else max(values)
+
+
 def _rng(ctx, label):
     return np.random.default_rng(zlib.crc32(f"{ctx.id}:{label}".encode()))
 
@@ -405,10 +414,10 @@ def _check_mass_bound(ctx, params, tol):
     results = pairing.mass_bound_check(ctx.field, ctx.u,
                                        _windows_for(ctx, count),
                                        ctx.representation())
-    worst = max((r["lhs"] - r["bound"] for r in results), default=0.0)
+    worst = _worst([r["lhs"] - r["bound"] for r in results] or [0.0])
     excess = [r["excess"] for r in results]
-    residual = max([0.0, *excess])
-    violations = sum(e > tol for e in excess)
+    residual = _worst([0.0, *excess])
+    violations = sum(not e <= tol for e in excess)
     return CheckOutcome(ctx.id, "mass_bound", worst, 0.0, residual, tol,
                         residual <= tol,
                         {"windows": count, "violations": violations})
@@ -423,8 +432,8 @@ def _check_lipschitz(ctx, params, tol):
     pairs = pairing.lipschitz_comparison_check(
         ctx.field, ctx.u, taus, ctx.phi,
         ctx.distributional(1e-10, form_check=False))
-    worst = max([-math.inf, *(lhs - rhs for lhs, rhs in pairs)])
-    return CheckOutcome(ctx.id, "lipschitz", worst, 0.0, max(worst, 0.0),
+    worst = _worst([-math.inf, *(lhs - rhs for lhs, rhs in pairs)])
+    return CheckOutcome(ctx.id, "lipschitz", worst, 0.0, _worst([worst, 0.0]),
                         tol, worst <= tol, {"taus": taus})
 
 
@@ -435,10 +444,11 @@ def _check_gauss_green(ctx, params, tol):
     lhs = ctx.representation().measure.total_mass()
     # Gauss-Green on each region R of value v: the jump across its boundary
     # pairs to -int_R Div_x B(x, v) dx
-    rhs = sum(region.patch().integrate(
+    rhs = sum(_integrate_parts(_per_owner([
         lambda p, _v=val: -np.asarray(ctx.field.div_primitive(
-            p, np.full(np.shape(p)[:-1], _v)), dtype=float),
-        tol=1e-10) for region, val in ctx.u.regions)
+            p, np.full(np.shape(p)[:-1], _v)), dtype=float)
+        for _, val in ctx.u.regions]),
+        [region.patch() for region, _ in ctx.u.regions], 1e-10).tolist())
     res = abs(lhs - rhs)
     return CheckOutcome(ctx.id, "gauss_green", lhs, rhs, res, tol, res <= tol)
 
@@ -474,7 +484,7 @@ def _check_cyl_average(ctx, params, tol):
             got = pairing.cylindrical_average(ctx.field, t, tuple(nu),
                                               tuple(x))
         converged = converged and got.converged
-        worst = max(worst, abs(got.value - want))
+        worst = _worst([worst, abs(got.value - want)])
     return CheckOutcome(ctx.id, "cyl_average", worst, 0.0, worst, tol,
                         converged and worst <= tol, {"points": n})
 
@@ -529,7 +539,8 @@ def _check_lsc(ctx, params, tol):
     res = variational.lsc_check(ctx.field, functional, seq, ctx.u,
                                 window=ctx.window)
     return CheckOutcome(ctx.id, "lsc", res.liminf, res.target,
-                        max(0.0, -res.margin, res.truncation_residual), tol,
+                        _worst([0.0, -res.margin, res.truncation_residual]),
+                        tol,
                         res.margin >= -tol and res.truncation_residual <= tol,
                         {"functional": functional, "margin": res.margin,
                          "truncation_k": res.truncation_k,
@@ -580,17 +591,22 @@ def _check_sigma_k(ctx, params, tol):
         d = variational.sigma_k_identity_check(
             ctx.field, ctx.u, k, phi=ctx.phi if use_phi else None)
         diag[f"k={k:g}"] = d
-        worst = max(worst, d["diffuse"], d["jump"],
-                    0.0 if math.isnan(d["g_invariance"]) else d["g_invariance"])
+        # without the g_invariance param, d["g_invariance"] is a NaN that
+        # stands for "not computed"
+        worst = _worst([worst, d["diffuse"], d["jump"],
+                        d["g_invariance"] if use_phi else 0.0])
     return CheckOutcome(ctx.id, "sigma_k", worst, 0.0, worst, tol,
                         worst <= tol, diag)
 
 
 def _check_order_relations(ctx, params, tol):
     d = variational.order_relation_check(ctx.field, ctx.u, ctx.window)
-    return CheckOutcome(ctx.id, "order_relations", d["F"], d["Gplus"],
-                        d["residual"], tol, d["residual"] <= tol,
-                        {"F": d["F"], "G": d["G"], "Gplus": d["Gplus"]})
+    f, g, gp = d["F"], d["G"], d["Gplus"]
+    # the largest violation of F >= G+ >= max(G, 0) and F >= |G|
+    residual = _worst([0.0, gp - f, _worst([g, 0.0]) - gp, abs(g) - f]) \
+        / (1.0 + abs(f))
+    return CheckOutcome(ctx.id, "order_relations", f, gp, residual, tol,
+                        residual <= tol, {"F": f, "G": g, "Gplus": gp})
 
 
 CHECKS = {

@@ -9,18 +9,16 @@ from hypothesis import strategies as st
 
 from pairinglab.errors import NonFiniteValue, ToleranceNotMet
 from pairinglab import measures
-from pairinglab.measures import (Circle, DiscPatch, RadonMeasure1D,
-                                 RadonMeasure2D, Segment, SingularLadder,
-                                 TestFunction1D, TestFunction2D,
-                                 _density_sign_breaks,
-                                 _density_sign_breaks_many)
+from pairinglab.measures import (Circle, DiscPatch, PolygonPatch,
+                                 RadonMeasure1D, RadonMeasure2D, Segment,
+                                 SingularLadder, TestFunction1D,
+                                 TestFunction2D, _density_sign_breaks_many)
 from pairinglab import quadrature
 from pairinglab.quadrature import (adaptive_simpson, adaptive_simpson_many,
-                                   aitken, circle_integral,
-                                   circle_integral_many, find_sign_changes,
-                                   integrate_abs, polar_quad, polar_quad_many,
-                                   polygon_quad, polygon_quad_many,
-                                   segment_integral, segment_integral_many)
+                                   aitken, circle_integral_many,
+                                   find_sign_changes, integrate_abs,
+                                   polar_quad_many, polygon_quad_many,
+                                   segment_integral_many)
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +154,9 @@ def test_lost_sign_changes_are_dropped_or_taken_at_the_midpoint():
     f = lambda x: np.where(np.size(x) >= 16, x - 0.5001, 1.0)
     assert find_sign_changes(f, 0.0, 1.0) == []
     seg = Segment((0.0, 0.0), (1.0, 0.0))
-    dens = lambda p: np.where(len(p) > 8, p[..., 0] - 0.35, 1.0)
-    assert _density_sign_breaks(seg, dens, n=10) == pytest.approx((0.35,),
-                                                                 abs=1e-15)
+    dens = lambda p, _: np.where(len(p) > 8, p[..., 0] - 0.35, 1.0)
+    assert _density_sign_breaks_many([seg], dens, n=10)[0] == pytest.approx(
+        (0.35,), abs=1e-15)
 
 
 def test_find_sign_changes_locates_roots():
@@ -173,40 +171,49 @@ def test_aitken_accelerates_geometric_tail():
     assert abs(aitken(list(partial)) - 2.0) < 1e-12
 
 
+def _one(many, g, *args):
+    """The integral of g(points) by the batched driver many, called with
+    one owner whose arguments are args."""
+    return float(many(lambda p, _: g(p), *([a] for a in args))[0])
+
+
 def test_polar_quad_area_and_moment():
-    assert abs(polar_quad(lambda p: np.ones(p.shape[:-1]),
-                          (0.0, 0.0), 0.0, 1.0) - math.pi) < 1e-10
+    assert abs(_one(polar_quad_many, lambda p: np.ones(p.shape[:-1]),
+                    (0.0, 0.0), 0.0, 1.0, ()) - math.pi) < 1e-10
     # int over unit disc of x^2 = pi/4
-    val = polar_quad(lambda p: p[..., 0] ** 2, (0.0, 0.0), 0.0, 1.0)
+    val = _one(polar_quad_many, lambda p: p[..., 0] ** 2, (0.0, 0.0), 0.0,
+               1.0, ())
     assert abs(val - math.pi / 4.0) < 1e-9
 
 
 def test_polygon_quad_unit_square():
     verts = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
-    val = polygon_quad(lambda p: p[..., 0] * p[..., 1], verts)
+    val = _one(polygon_quad_many, lambda p: p[..., 0] * p[..., 1], verts)
     assert abs(val - 0.25) < 1e-10
 
 
 def test_circle_integral_constant_and_kinked():
-    assert abs(circle_integral(lambda p: np.ones(p.shape[:-1]),
-                               (0.0, 0.0), 2.0) - 4.0 * math.pi) < 1e-9
+    assert abs(_one(circle_integral_many, lambda p: np.ones(p.shape[:-1]),
+                    (0.0, 0.0), 2.0, ()) - 4.0 * math.pi) < 1e-9
     # |cos theta| has kinks at pi/2 and 3pi/2; breaks make it converge
-    val = circle_integral(lambda p: np.abs(p[..., 0]), (0.0, 0.0), 1.0,
-                          theta_breaks=(math.pi / 2.0, 3.0 * math.pi / 2.0))
+    val = _one(circle_integral_many, lambda p: np.abs(p[..., 0]), (0.0, 0.0),
+               1.0, (math.pi / 2.0, 3.0 * math.pi / 2.0))
     assert abs(val - 4.0) < 1e-9
 
 
 def test_segment_integral_linear_density():
-    val = segment_integral(lambda p: p[..., 0], (0.0, 0.0), (3.0, 4.0))
+    val = _one(segment_integral_many, lambda p: p[..., 0], (0.0, 0.0),
+               (3.0, 4.0), ())
     assert abs(val - 1.5 * 5.0) < 1e-10
 
 
 @pytest.mark.parametrize("driver, args, message, calls", [
-    (polar_quad, ((0.0, 0.0), 0.0, 1.0), "polar quadrature", 8),
-    (polygon_quad, (((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)),),
+    (polar_quad_many, ((0.0, 0.0), 0.0, 1.0, ()), "polar quadrature", 8),
+    (polygon_quad_many, (((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)),),
      "polygon quadrature", 6),
-    (circle_integral, ((0.0, 0.0), 1.0), "circle integral", 11),
-    (segment_integral, ((0.0, 0.0), (1.0, 1.0)), "segment integral", 11),
+    (circle_integral_many, ((0.0, 0.0), 1.0, ()), "circle integral", 11),
+    (segment_integral_many, ((0.0, 0.0), (1.0, 1.0), ()), "segment integral",
+     11),
 ], ids=["polar", "polygon", "circle", "segment"])
 def test_planar_drivers_give_up_on_noise(driver, args, message, calls):
     # fresh noise on every call never settles: each driver spends its whole
@@ -219,7 +226,7 @@ def test_planar_drivers_give_up_on_noise(driver, args, message, calls):
         return rng.standard_normal(np.shape(p)[:-1])
 
     with pytest.raises(ToleranceNotMet, match=f"^{message} did not converge$"):
-        driver(noise, *args)
+        _one(driver, noise, *args)
     assert len(seen) == calls
 
 
@@ -230,23 +237,20 @@ def _planar(p, k):
 
 
 CENTERS = ((0.0, 0.0), (0.5, -0.2), (1.0, 1.0), (0.2, 0.3))
-# per driver: the batched driver, the scalar one taking the same arguments,
-# and the arguments of each owner
+# per driver: the batched driver and the arguments of each owner
 DRIVERS = {
-    "polar": (polar_quad_many, polar_quad,
+    "polar": (polar_quad_many,
               [(CENTERS[0], 0.0, 1.0, ()), (CENTERS[1], 0.2, 0.9, (0.5,)),
                (CENTERS[2], 0.5, 0.5, (0.1, 0.7)),        # empty annulus
                (CENTERS[3], 0.4, 1.3, (0.6, 0.9, 2.0))]),
-    "polygon": (polygon_quad_many, polygon_quad,
+    "polygon": (polygon_quad_many,
                 [(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)),),
                  (((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)),),
                  (((0.0, 0.0), (2.0, 0.5), (1.0, 2.0)),)]),
     "circle": (circle_integral_many,
-               lambda g, c, r, b: circle_integral(g, c, r, theta_breaks=b),
                [(CENTERS[0], 1.0, ()), (CENTERS[1], 0.5, (1.0,)),
                 (CENTERS[2], 2.0, (0.5, 3.0)), (CENTERS[3], 0.3, (2.0,))]),
     "segment": (segment_integral_many,
-                lambda g, p, q, b: segment_integral(g, p, q, s_breaks=b),
                 [(CENTERS[0], (1.0, 2.0), (0.4,)),
                  (CENTERS[1], (0.0, 1.5), ()),
                  (CENTERS[2], CENTERS[2], ()),            # a point
@@ -259,8 +263,9 @@ DRIVERS = {
 def test_batched_planar_drivers_match_each_owner(name, block, monkeypatch):
     # mixed geometry and breaks per owner, an empty annulus and a point
     # segment among them; owners settle after different passes; with a
-    # small block the owners of a pass are split over several calls
-    many, one, owners = DRIVERS[name]
+    # small block the owners of a pass are split over several calls; each
+    # owner gets the bits of a call with it alone
+    many, owners = DRIVERS[name]
     if block is not None:
         monkeypatch.setattr(quadrature, "_T_BLOCK", block)
     passes, sizes = {}, []
@@ -274,7 +279,7 @@ def test_batched_planar_drivers_match_each_owner(name, block, monkeypatch):
 
     out = many(f, *zip(*owners))
     for k, args in enumerate(owners):
-        assert out[k] == one(lambda p: _planar(p, k), *args)
+        assert out[k] == _one(many, lambda p: _planar(p, k), *args)
     assert len(set(passes.values())) > 1
     limit = quadrature._T_BLOCK
     assert all(n <= limit or m == 1 for n, m in sizes)
@@ -288,8 +293,8 @@ def test_batched_planar_drivers_match_each_owner(name, block, monkeypatch):
 def test_batched_planar_drivers_give_up_on_a_noisy_owner(name, message,
                                                          calls):
     # owner 1 never settles: the others settle and drop out, and owner 1
-    # spends the scalar driver's whole budget before the same error
-    many, _, owners = DRIVERS[name]
+    # spends a lone owner's whole budget before the same error
+    many, owners = DRIVERS[name]
     rng = np.random.default_rng(3)
     seen = []
 
@@ -305,7 +310,7 @@ def test_batched_planar_drivers_give_up_on_a_noisy_owner(name, message,
 
 @pytest.mark.parametrize("name", ["polar", "polygon"])
 def test_batched_area_drivers_reject_a_non_finite_owner(name):
-    many, _, owners = DRIVERS[name]
+    many, owners = DRIVERS[name]
     f = lambda p, k: np.where(np.broadcast_to(k, p.shape[:-1]) == 1, np.nan,
                               _planar(p, k))
     with pytest.raises(NonFiniteValue):
@@ -313,11 +318,12 @@ def test_batched_area_drivers_reject_a_non_finite_owner(name):
 
 
 def test_batched_line_drivers_treat_a_nan_owner_as_the_scalar_one():
-    # the line drivers have no finite check: NaN never settles
+    # the line drivers have no finite check: NaN never settles, for an
+    # owner alone or among others
     f = lambda p, k: np.where(np.broadcast_to(k, p.shape[:-1]) == 1, np.nan,
                               _planar(p, k))
     with pytest.raises(ToleranceNotMet, match="^circle integral did not"):
-        circle_integral(lambda p: f(p, 1), (0.0, 0.0), 1.0)
+        _one(circle_integral_many, lambda p: f(p, 1), (0.0, 0.0), 1.0, ())
     with pytest.raises(ToleranceNotMet, match="^circle integral did not"):
         circle_integral_many(f, CENTERS, (1.0, 0.5, 2.0, 0.3), [()] * 4)
 
@@ -336,7 +342,8 @@ def test_batched_sign_breaks_match_each_curve(curves, block, monkeypatch):
     many = _density_sign_breaks_many(list(curves), dens)
     assert [len(b) for b in many] != [0] * len(curves)
     for k, curve in enumerate(curves):
-        assert many[k] == _density_sign_breaks(curve, lambda p: dens(p, k))
+        assert many[k] == _density_sign_breaks_many(
+            [curve], lambda p, _: dens(p, k))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +510,51 @@ def test_measure2d_segment_part():
         surface_parts=((seg, lambda p: p[..., 0] - 1.0),))
     assert abs(m.total_mass()) < 1e-10
     assert abs(m.variation().total_mass() - 1.0) < 1e-8
+
+
+RECT = ((-2.0, 2.0), (-2.0, 2.0))
+SQUARE = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
+
+
+def test_measure2d_parts_keep_their_bits_in_one_call():
+    # two parts of each kind, so that the batched drivers flatten several
+    # owners into one integrand call; the sum keeps the order of the parts
+    ac = ((DiscPatch((0.0, 0.0), 1.0, 0.2, (0.5,)),
+           lambda p: np.cos(p[..., 0]) + p[..., 1]),
+          (PolygonPatch(SQUARE), lambda p: p[..., 0] * p[..., 1] - 0.1),
+          (DiscPatch((0.5, -0.2), 0.7), lambda p: np.exp(-p[..., 0])),
+          (PolygonPatch(((0.0, 0.0), (2.0, 0.5), (1.0, 2.0))),
+           lambda p: np.sin(p[..., 1])))
+    surf = ((Circle((0.0, 0.0), 1.0), lambda p: p[..., 0] - 0.3),
+            (Segment((0.0, 0.0), (1.0, 1.0), (0.4,)),
+             lambda p: np.abs(p[..., 0] - 0.4)),
+            (Circle((0.3, 0.1), 0.5, (1.0,)), lambda p: np.sin(3 * p[..., 1])),
+            (Segment((1.0, 0.0), (0.0, 2.0)), lambda p: p[..., 1] ** 2))
+    g = lambda p: 1.0 + p[..., 0] ** 2 - 0.5 * p[..., 1]
+    whole = RadonMeasure2D(RECT, ac_parts=ac, surface_parts=surf)
+    one_by_one = 0.0
+    for part in ac:
+        one_by_one += RadonMeasure2D(RECT, ac_parts=(part,)).integrate(g)
+    for part in surf:
+        one_by_one += RadonMeasure2D(RECT, surface_parts=(part,)).integrate(g)
+    assert whole.integrate(g).hex() == one_by_one.hex()
+
+
+@pytest.mark.parametrize("patch, ndim", [
+    (DiscPatch((0.0, 0.0), 1.0), 3),     # (theta nodes, radial nodes, 2)
+    (PolygonPatch(SQUARE), 4),            # (triangles, nodes, nodes, 2)
+], ids=["disc", "polygon"])
+def test_measure2d_lone_part_gets_its_points_in_grid_shape(patch, ndim):
+    # a lone owner's density sees the driver's grid, not flattened points
+    shapes = []
+
+    def dens(p):
+        shapes.append(p.shape)
+        return np.ones(p.shape[:-1])
+
+    m = RadonMeasure2D(RECT, ac_parts=((patch, dens),))
+    assert m.integrate(lambda p: 1.0 + p[..., 0] ** 2) > 0.0
+    assert shapes and all(len(s) == ndim and s[-1] == 2 for s in shapes)
 
 
 # ---------------------------------------------------------------------------

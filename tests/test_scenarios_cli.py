@@ -12,7 +12,7 @@ import pytest
 
 from pairinglab import pairing, scenarios, variational
 from pairinglab.bv import BvFunction1D
-from pairinglab.cli import main
+from pairinglab.cli import _finite_or_null, main
 from pairinglab.errors import SpecError, UnknownCheck
 from pairinglab.fields import FieldB, make_field
 from pairinglab.scenarios import (CHECKS, CheckSpec, build_bv, load_catalog,
@@ -376,6 +376,44 @@ def test_order_relations_residual_is_relative_to_F(monkeypatch):
     strict = run_check(ctx, dataclasses.replace(spec, tolerance=1e-10))
     assert strict.passed is False
     assert strict.residual == out.residual
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize("check, module, name, fake", [
+    ("lipschitz", pairing, "lipschitz_comparison_check",
+     lambda *a, **kw: [(NAN, 0.0), (0.0, 1.0)]),
+    ("mass_bound", pairing, "mass_bound_check",
+     lambda *a, **kw: [{"window": (0.0, 1.0), "lhs": NAN, "bound": 1.0,
+                        "excess": NAN},
+                       {"window": (1.0, 2.0), "lhs": 0.5, "bound": 1.0,
+                        "excess": -0.25}]),
+    ("order_relations", variational.Functionals, "_pair",
+     lambda self, u: (NAN, 1.0)),
+    ("sigma_k", variational, "sigma_k_identity_check",
+     lambda b, u, k, phi=None: {"k": k, "diffuse": NAN, "jump": 0.0,
+                                "g_invariance": 0.0}),
+    ("lsc", variational, "lsc_check",
+     lambda *a, **kw: variational.LscResult(NAN, 1.0, NAN, (NAN,), 3.0,
+                                            0.0)),
+    ("cyl_average", pairing, "cylindrical_average",
+     lambda *a, **kw: pairing.CylAverage(NAN, True)),
+], ids=["lipschitz", "mass_bound", "order_relations", "sigma_k", "lsc",
+        "cyl_average"])
+def test_a_nan_fails_the_gate_and_reports_null(check, module, name, fake,
+                                               monkeypatch):
+    # the builtin max drops a NaN that is not its first argument: each gate
+    # must fail on a NaN from its producer and report the NaN, which the
+    # report writes as null.  The check runs on the first shipped scenario
+    # that has it.
+    scenario, spec = next((sc, c) for sc in load_catalog().values()
+                          for c in sc.checks if c.name == check)
+    monkeypatch.setattr(module, name, fake)
+    out = run_check(scenario.resolve(), spec)
+    assert out.passed is False and "error" not in out.diagnostics
+    assert math.isnan(out.residual)
+    assert _finite_or_null(out.to_report())["residual"] is None
 
 
 # ---------------------------------------------------------------------------
