@@ -193,16 +193,9 @@ class BvFunction1D:
             pts.extend(self.cantor.ladder.interval)
         return tuple(sorted(set(pts)))
 
-    def sup_norm(self, window=None):
-        a, b = window if window is not None else self.domain
-        xs = np.linspace(a, b, 4001)
-        xs = np.unique(np.concatenate(
-            [xs, [p for p in self.breakpoints() if a <= p <= b]]))
-        vals = [float(np.abs(self.evaluate(xs)).max())]
-        for j in self.jumps:
-            if a <= j.location <= b:
-                vals.append(max(abs(j.u_minus), abs(j.u_plus)))
-        return max(vals)
+    def sup_norm(self):
+        lo, hi = self.value_range()
+        return max(abs(lo), abs(hi))
 
     def value_range(self):
         xs = np.linspace(self.domain[0], self.domain[1], 4001)
@@ -572,7 +565,7 @@ class SmoothRadialBv2D:
             raise DegenerateLevel(f"level {bad[0]} outside the profile range")
         return [((Disc(self.center, r), 1.0),) for r in radii.tolist()]
 
-    def sup_norm(self, window=None):
+    def sup_norm(self):
         return abs(self.max_value())
 
     def value_range(self):
@@ -602,7 +595,7 @@ class PiecewiseConstantBv2D:
         p = np.asarray(pts, dtype=float)
         return np.zeros(p.shape[:-1] + (2,))
 
-    def sup_norm(self, window=None):
+    def sup_norm(self):
         return max([abs(self.background)] +
                    [abs(v) for _, v in self.regions])
 

@@ -37,14 +37,7 @@ class CrossValidationMismatch(PairingLabError):
     """Two independent constructions of the same measure disagree."""
 
 
-class NoConvergence(PairingLabError):
-    """A limiting procedure did not settle within the allowed depth.
-
-    Carried as a diagnostic by some results instead of being raised.
-    """
-
-
-class CylAverageDiverged(NoConvergence):
+class CylAverageDiverged(PairingLabError):
     """A cylindrical average required by a construction did not converge."""
 
 

@@ -19,7 +19,6 @@ __all__ = [
     "adaptive_simpson",
     "adaptive_simpson_many",
     "find_sign_changes",
-    "integrate_abs",
     "aitken",
     "polar_quad_many",
     "polygon_quad_many",
@@ -222,15 +221,6 @@ def find_sign_changes(f, a, b, breakpoints=()):
                          x[idx + 1], xtol=1e-14)
         roots.extend(r[~np.isnan(r)].tolist())
     return sorted(roots)
-
-
-def integrate_abs(f, a, b, tol=1e-9, breakpoints=()):
-    """Integrate ``|f|`` by splitting at sign changes of ``f``."""
-    roots = find_sign_changes(f, a, b, breakpoints=breakpoints)
-    bps = list(breakpoints) + roots
-    val = adaptive_simpson(lambda x: np.abs(f(x)), a, b, tol=tol,
-                           breakpoints=bps)
-    return val
 
 
 def aitken(seq):

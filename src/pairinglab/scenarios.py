@@ -524,8 +524,9 @@ def _sequence_for(ctx, params):
 
 def _check_continuity(ctx, params, tol):
     seq = _sequence_for(ctx, params)
-    res = variational.continuity_check_Gphi(ctx.field, ctx.phi, seq, ctx.u,
-                                            window=ctx.window)
+    res = variational.continuity_check_Gphi(
+        ctx.field, ctx.phi, seq, ctx.u, ctx.representation(),
+        window=ctx.window)
     gap = res.gaps[-1]
     return CheckOutcome(ctx.id, "continuity", res.values[-1], res.target,
                         gap, tol, gap <= tol,
@@ -537,7 +538,7 @@ def _check_lsc(ctx, params, tol):
     functional = params.get("functional", "F")
     seq = _sequence_for(ctx, params)
     res = variational.lsc_check(ctx.field, functional, seq, ctx.u,
-                                window=ctx.window)
+                                ctx.representation(), window=ctx.window)
     return CheckOutcome(ctx.id, "lsc", res.liminf, res.target,
                         _worst([0.0, -res.margin, res.truncation_residual]),
                         tol,
@@ -554,7 +555,7 @@ def _check_relaxation(ctx, params, tol):
     res = variational.relaxation_check(
         ctx.field, ctx.u, ctx.phi,
         ctx.window if isinstance(ctx.u, BvFunction1D) else None,
-        eps, mode=params.get("mode", "weak*"))
+        eps, ctx.representation(), mode=params.get("mode", "weak*"))
     diag = {"mode": res.mode}
     for label, reports in (("jump", res.jump_report),
                            ("cantor", res.cantor_report)):
@@ -574,7 +575,7 @@ def _check_blowup(ctx, params, tol):
         x0, radii = point, variational.JUMP_BLOWUP_RADII
     if point != "cantor":
         radii = tuple(params.get("radii", radii))
-    br = variational.blowup_density(ctx.field, ctx.u, x0, radii)
+    br = variational.blowup_density(ctx.u, x0, radii, ctx.representation())
     return CheckOutcome(ctx.id, "blowup", br.extrapolated,
                         br.theta_reference, br.mismatch, tol,
                         br.converged and br.mismatch <= tol,
@@ -589,7 +590,8 @@ def _check_sigma_k(ctx, params, tol):
     diag = {}
     for k in ks:
         d = variational.sigma_k_identity_check(
-            ctx.field, ctx.u, k, phi=ctx.phi if use_phi else None)
+            ctx.field, ctx.u, k, ctx.representation(),
+            phi=ctx.phi if use_phi else None)
         diag[f"k={k:g}"] = d
         # without the g_invariance param, d["g_invariance"] is a NaN that
         # stands for "not computed"
@@ -600,7 +602,8 @@ def _check_sigma_k(ctx, params, tol):
 
 
 def _check_order_relations(ctx, params, tol):
-    d = variational.order_relation_check(ctx.field, ctx.u, ctx.window)
+    d = variational.order_relation_check(ctx.field, ctx.representation(),
+                                         ctx.window)
     f, g, gp = d["F"], d["G"], d["Gplus"]
     # the largest violation of F >= G+ >= max(G, 0) and F >= |G|
     residual = _worst([0.0, gp - f, _worst([g, 0.0]) - gp, abs(g) - f]) \

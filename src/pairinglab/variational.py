@@ -7,11 +7,12 @@ The functionals
     G+(u)   = int_A  (b(x,u), Du)^+
     G_phi(u)= int_A  phi d(b(x,u), Du)
 
-are evaluated through the ``pairing`` module for BV arguments, and by direct
-quadrature for the smooth elements of an approximating sequence.  Recovery
-sequences mollify the singular parts of a BV function with a polynomial
-kernel whose antiderivative is available in closed form, so every element
-carries an exactly consistent (value, derivative) pair.
+are read from the pairing measure of a BV argument, which the caller passes
+in (pairing_by_representation), and computed by direct quadrature for the
+smooth elements of an approximating sequence.  Recovery sequences mollify
+the singular parts of a BV function with a polynomial kernel whose
+antiderivative is available in closed form, so every element carries an
+exactly consistent (value, derivative) pair.
 """
 
 import math
@@ -20,12 +21,12 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import AssumptionViolation
-from .quadrature import adaptive_simpson, aitken, gauss_nodes, integrate_abs
+from .quadrature import adaptive_simpson, aitken, gauss_nodes
 from .measures import DiscPatch, SingularLadder, _integrate_parts
 from .bv import (BvFunction1D, Disc, JumpPoint, Piecewise1D,
-                 PiecewiseConstantBv2D, SmoothRadialBv2D, gradient_measure)
+                 PiecewiseConstantBv2D, gradient_measure)
 from .fields import FieldB, sigma_k, truncate
-from .pairing import pairing_by_representation
+from .pairing import PairingMeasure, pairing_by_representation
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +246,9 @@ class MollifiedRadial2D:
 # Direct quadrature of the functionals on sequence elements
 
 
-def _element_integral_1d(field, elem, phi, window, weight, tol=1e-9):
-    """int over the window of phi(x) w(b(x, u_eps) u_eps'(x)) dx."""
+def _element_integrals_1d(field, elem, phi, window, weights, tol=1e-9):
+    """[int over the window of phi(x) w(b(x, u_eps) u_eps'(x)) dx for w in
+    weights], each weight "id" or "abs"."""
     lo, hi = window
     lo = max(lo, elem.domain[0])
     hi = min(hi, elem.domain[1])
@@ -254,16 +256,16 @@ def _element_integral_1d(field, elem, phi, window, weight, tol=1e-9):
         lo = max(lo, phi.support[0])
         hi = min(hi, phi.support[1])
     if hi <= lo:
-        return 0.0
+        return [0.0] * len(weights)
 
-    def integrand(x):
+    def integrand(x, weight):
         q = field.eval(x, elem.value(x)) * elem.derivative(x)
         out = np.abs(q) if weight == "abs" else q
         if phi is not None:
             out = out * phi.evaluate(x)
         return out
 
-    total = 0.0
+    totals = [0.0] * len(weights)
     regions = [(lo, hi)]
     cw = getattr(elem, "carrier_window", None)
     if cw is not None and cw[1] > lo and cw[0] < hi:
@@ -271,25 +273,23 @@ def _element_integral_1d(field, elem, phi, window, weight, tol=1e-9):
             raise AssumptionViolation(
                 "carrier-window", "the smoothed Cantor carrier must lie "
                 "entirely inside the integration window")
-        total += _carrier_term(field, elem, phi, weight)
+        totals = _carrier_terms(field, elem, phi, weights)
         regions = [(lo, cw[0]), (cw[1], hi)]
     bps = [p for p in elem.breakpoints() if lo < p < hi]
     if phi is not None:
         bps.extend(p for p in phi.breakpoints if lo < p < hi)
-    for a, b in regions:
-        if b <= a:
-            continue
-        sub = tuple(p for p in bps if a < p < b)
-        if weight == "abs":
-            total += integrate_abs(integrand, a, b, tol=tol, breakpoints=sub)
-        else:
-            total += adaptive_simpson(integrand, a, b, tol=tol,
-                                      breakpoints=sub)
-    return total
+    for i, weight in enumerate(weights):
+        for a, b in regions:
+            if b > a:
+                totals[i] += adaptive_simpson(
+                    lambda x: integrand(x, weight), a, b, tol=tol,
+                    breakpoints=tuple(p for p in bps if a < p < b))
+    return totals
 
 
-def _carrier_term(field, elem, phi, weight, n=12):
-    """Dual-form integral over the smoothed Cantor carrier.
+def _carrier_terms(field, elem, phi, weights, n=12):
+    """[dual-form integral over the smoothed Cantor carrier for w in
+    weights], from one evaluation of the field.
 
     Requires a t-independent field there; the integrand is then linear in
     the derivative and the x-integral against each leaf kernel collapses to
@@ -313,11 +313,15 @@ def _carrier_term(field, elem, phi, weight, n=12):
     y, w = gauss_nodes(-elem.epsilon, elem.epsilon, n)
     pts = elem.leaf_mids[:, None] + y[None, :]
     g = s * np.asarray(field.eval(pts, np.zeros(pts.shape)), dtype=float)
-    if weight == "abs":
-        g = np.abs(g)
-    if phi is not None:
-        g = g * phi.evaluate(pts)
-    return float(elem.leaf_mass * np.sum((w * elem._rho(y)) * g))
+    phi_at = None if phi is None else phi.evaluate(pts)
+    kernel = w * elem._rho(y)
+    out = []
+    for weight in weights:
+        v = np.abs(g) if weight == "abs" else g
+        if phi is not None:
+            v = v * phi_at
+        out.append(float(elem.leaf_mass * np.sum(kernel * v)))
+    return out
 
 
 def _element_integrals_radial(field, elem, phi, weights, tol=1e-10):
@@ -347,32 +351,27 @@ def _element_integrals_radial(field, elem, phi, weights, tol=1e-10):
 # Functionals
 
 
-_BV_TYPES = (BvFunction1D, SmoothRadialBv2D, PiecewiseConstantBv2D)
-
-
 @dataclass(frozen=True)
 class Functionals:
-    """F, G, G+ and G_phi on an open window, all routed through the pairing.
+    """F, G, G+ and G_phi on an open window.
 
-    ``window`` is a 1D interval, a 2D box, or None for the full reference
-    rectangle of a 2D function.
+    A BV argument is passed as its pairing measure, the PairingMeasure of
+    pairing_by_representation(field, u), and read through the pairing; a
+    sequence element is integrated directly.  ``window`` is a 1D
+    interval, a 2D box, or None for the full reference rectangle of a 2D
+    function.
     """
 
     field: FieldB
     window: tuple = None
 
-    def _restricted(self, u):
-        rep = pairing_by_representation(self.field, u)
-        mu = rep.measure
-        if self.window is not None:
-            mu = mu.restrict(self.window)
-        return mu
-
     def _integrals(self, u, weights, phi=None):
         """[int_A phi w((b(x, u), Du)) for w in weights], w "id" or "abs"
         and phi = 1 if None, for any supported argument."""
-        if isinstance(u, _BV_TYPES):
-            mu = self._restricted(u)
+        if isinstance(u, PairingMeasure):
+            mu = u.measure
+            if self.window is not None:
+                mu = mu.restrict(self.window)
             value = (lambda m: m.total_mass()) if phi is None \
                 else (lambda m: m.integrate(phi))
             return [value(mu.variation() if w == "abs" else mu)
@@ -380,8 +379,7 @@ class Functionals:
         if isinstance(u, MollifiedRadial2D):
             return _element_integrals_radial(self.field, u, phi, weights)
         win = self.window if self.window is not None else u.domain
-        return [_element_integral_1d(self.field, u, phi, win, w)
-                for w in weights]
+        return _element_integrals_1d(self.field, u, phi, win, weights)
 
     def _pair(self, u):
         """(G, F) for any supported argument."""
@@ -401,10 +399,12 @@ class Functionals:
         return self._integrals(u, ("id",), phi)[0]
 
 
-def order_relation_check(field, u, window=None):
-    """The values F, G and G+ of u, which satisfy F >= G+ >= max(G, 0) and
-    F >= |G|; the order_relations check measures how far they miss."""
-    g, f = Functionals(field, window)._pair(u)
+def order_relation_check(field, rep, window=None):
+    """The values F, G and G+ of u, read from rep, which is
+    pairing_by_representation(field, u); they satisfy F >= G+ >= max(G, 0)
+    and F >= |G|, and the order_relations check measures how far they
+    miss."""
+    g, f = Functionals(field, window)._pair(rep)
     return {"F": f, "G": g, "Gplus": 0.5 * (g + f)}
 
 
@@ -463,6 +463,12 @@ class ApproximatingSequence:
         return self.premise
 
 
+def _arguments(sequence, u, rep):
+    """The elements of sequence as Functionals arguments: an element that
+    is u itself, as in a constant sequence, is read as its measure rep."""
+    return tuple(rep if e is u else e for e in sequence.elements)
+
+
 def liminf_tail(values):
     """The least of the last five values: the liminf of a finite prefix."""
     return min(list(values)[-5:])
@@ -481,15 +487,16 @@ class ContinuityResult:
     premise: dict
 
 
-def continuity_check_Gphi(b, phi, sequence, u, window=None):
-    """G_phi(u_n) -> G_phi(u) along the declared sequence."""
+def continuity_check_Gphi(b, phi, sequence, u, rep, window=None):
+    """G_phi(u_n) -> G_phi(u) along the declared sequence, G_phi(u) read
+    from rep, pairing_by_representation(b, u)."""
     win = window
     if win is None:
         win = u.domain if isinstance(u, BvFunction1D) else None
     fun = Functionals(b, win)
     sequence.monitor(u)
-    target = fun.G_phi(u, phi)
-    values = tuple(fun.G_phi(e, phi) for e in sequence.elements)
+    target = fun.G_phi(rep, phi)
+    values = tuple(fun.G_phi(e, phi) for e in _arguments(sequence, u, rep))
     gaps = tuple(abs(v - target) for v in values)
     return ContinuityResult(target, values, gaps, sequence.mode,
                             dict(sequence.premise))
@@ -505,8 +512,9 @@ class LscResult:
     truncation_residual: float
 
 
-def lsc_check(b, functional, sequence, u, window=None):
-    """Lower semicontinuity of F or G+ along an L1-converging sequence."""
+def lsc_check(b, functional, sequence, u, rep, window=None):
+    """Lower semicontinuity of F or G+ along an L1-converging sequence, at
+    u read from rep, pairing_by_representation(b, u)."""
     if functional not in ("F", "G+"):
         raise ValueError("functional must be 'F' or 'G+'")
     win = window
@@ -515,15 +523,17 @@ def lsc_check(b, functional, sequence, u, window=None):
     fun = Functionals(b, win)
     sequence.monitor(u)
     ev = (fun.F if functional == "F" else fun.Gplus)
-    target = ev(u)
-    values = tuple(ev(e) for e in sequence.elements)
+    target = ev(rep)
+    values = tuple(ev(e) for e in _arguments(sequence, u, rep))
     lim = liminf_tail(values)
     margin = lim - target
     # the proof truncates the field at a level k above every function in
     # sight; verify that doing so does not change the target value
     k = math.floor(max(sequence.premise["sup_linf"], u.sup_norm())) + 2.0
-    fun_k = Functionals(truncate(b, k), win)
-    target_k = (fun_k.F if functional == "F" else fun_k.Gplus)(u)
+    bk = truncate(b, k)
+    fun_k = Functionals(bk, win)
+    target_k = (fun_k.F if functional == "F" else fun_k.Gplus)(
+        pairing_by_representation(bk, u))
     k_res = abs(target_k - target)
     return LscResult(lim, target, margin, values, k, k_res)
 
@@ -540,8 +550,9 @@ class RelaxationResult:
     cantor_report: tuple
 
 
-def relaxation_check(b, u, phi, A, eps_sequence, mode="weak*"):
-    """F^phi along a mollified recovery sequence against int_A phi d mu."""
+def relaxation_check(b, u, phi, A, eps_sequence, rep, mode="weak*"):
+    """F^phi along a mollified recovery sequence against int_A phi d mu,
+    mu the measure of rep, pairing_by_representation(b, u)."""
     eps_sequence = tuple(float(e) for e in eps_sequence)
     if len(eps_sequence) < 12:
         raise ValueError("the relaxation schedule needs at least 12 radii")
@@ -560,16 +571,17 @@ def relaxation_check(b, u, phi, A, eps_sequence, mode="weak*"):
         raise AssumptionViolation(
             "recovery sequence", "a 2D u must be one constant disc")
     seq.monitor(u)
-    target = fun.G_phi(u, phi)
+    target = fun.G_phi(rep, phi)
     values = tuple(fun.G_phi(e, phi) for e in seq.elements)
     lim = liminf_tail(values)
     gap = abs(lim - target)
     jump_report, cantor_report = (), ()
     if isinstance(u, BvFunction1D):
         if u.jumps:
-            jump_report = (blowup_density(b, u, *blowup_site(u, "jump")),)
+            jump_report = (blowup_density(u, *blowup_site(u, "jump"), rep),)
         if u.cantor is not None:
-            cantor_report = (blowup_density(b, u, *blowup_site(u, "cantor")),)
+            cantor_report = (
+                blowup_density(u, *blowup_site(u, "cantor"), rep),)
     return RelaxationResult(target, eps_sequence, values, lim, gap, mode,
                             jump_report, cantor_report)
 
@@ -605,9 +617,9 @@ def blowup_site(u, point, index=0):
     return jumps[index].location, JUMP_BLOWUP_RADII
 
 
-def blowup_density(b, u, x0, radius_sequence):
-    """mu(B_r)/|Du|(B_r) around x0, extrapolated and compared with Theta."""
-    rep = pairing_by_representation(b, u)
+def blowup_density(u, x0, radius_sequence, rep):
+    """mu(B_r)/|Du|(B_r) around x0, extrapolated and compared with Theta,
+    mu and Theta those of rep, pairing_by_representation(field, u)."""
     du = gradient_measure(u)
     quotients = []
     for r in radius_sequence:
@@ -666,18 +678,19 @@ def truncate_bv(u: BvFunction1D, k):
                         jumps=tuple(jumps))
 
 
-def sigma_k_identity_check(b, u, k, phi=None):
+def sigma_k_identity_check(b, u, k, rep, phi=None):
     """Representation and functional identities for the truncated field.
 
     Checks Theta(b^k) = sigma_k(u) Theta(b) on the diffuse part, the
     sigma_k-weighted average on jump atoms, and G^k_phi(u) = G^k_phi(T_k u).
     The diffuse identity is sampled at the first 20 of 200 grid points
-    where u' != 0.  Returns the maximal residual of each identity.
+    where u' != 0, Theta(b) from rep, pairing_by_representation(b, u)
+    (at diffuse points it does not depend on how jumps are averaged).
+    Returns the maximal residual of each identity.
     """
     n_diffuse = 20
     k = float(k)
     bk = truncate(b, k)
-    rep = pairing_by_representation(b, u, genuine_jumps=False)
     repk = pairing_by_representation(bk, u, genuine_jumps=False)
 
     a0, a1 = u.domain
@@ -708,6 +721,8 @@ def sigma_k_identity_check(b, u, k, phi=None):
     g_res = float("nan")
     if phi is not None:
         fun = Functionals(bk, u.domain)
-        g_res = abs(fun.G_phi(u, phi) - fun.G_phi(truncate_bv(u, k), phi))
+        g_res = abs(fun.G_phi(pairing_by_representation(bk, u), phi)
+                    - fun.G_phi(pairing_by_representation(
+                        bk, truncate_bv(u, k)), phi))
     return {"k": k, "diffuse": diffuse, "jump": jump_res,
             "g_invariance": g_res}

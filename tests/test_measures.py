@@ -16,7 +16,7 @@ from pairinglab.measures import (Circle, DiscPatch, PolygonPatch,
 from pairinglab import quadrature
 from pairinglab.quadrature import (adaptive_simpson, adaptive_simpson_many,
                                    aitken, circle_integral_many,
-                                   find_sign_changes, integrate_abs,
+                                   find_sign_changes,
                                    polar_quad_many, polygon_quad_many,
                                    segment_integral_many)
 
@@ -142,10 +142,6 @@ def test_adaptive_simpson_many_rejects_non_finite_values():
     f = lambda x, k: np.where(k == 1, np.nan, x)
     with pytest.raises(NonFiniteValue):
         adaptive_simpson_many(f, [0.0, 0.0], [1.0, 1.0])
-
-
-def test_integrate_abs_sine_full_period():
-    assert abs(integrate_abs(np.sin, 0.0, 2.0 * math.pi) - 4.0) < 1e-9
 
 
 def test_lost_sign_changes_are_dropped_or_taken_at_the_midpoint():

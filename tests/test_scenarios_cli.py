@@ -286,6 +286,29 @@ def test_representation_is_built_once_per_scenario(sid, names, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("sid", ["s03_jump_const", "s06_stair_xt",
+                                 "s08_cantor_const"])
+def test_checks_build_their_own_representation_only_through_the_memo(
+        sid, monkeypatch):
+    # every check of the scenario, run in catalog order on one resolved
+    # scenario, reads the representation of its (field, u) from the memo:
+    # one build in all.  Measures of fields a check makes itself (lsc's
+    # truncate(b, k), sigma_k's b^k) are other builds.
+    sc = load_catalog()[sid]
+    ctx = sc.resolve()
+    own = []
+    real = pairing._representation_1d
+
+    def counted(field, u, *args):
+        own.append(field is ctx.field and u is ctx.u)
+        return real(field, u, *args)
+
+    monkeypatch.setattr(pairing, "_representation_1d", counted)
+    for spec in sc.checks:
+        assert run_check(ctx, spec).passed, spec.name
+    assert own.count(True) == 1
+
+
 def test_run_scenario_overall(tmp_path):
     outs = run_scenario(parse_scenario(FAST_SCENARIO))
     assert all(o.passed for o in outs)
@@ -392,8 +415,8 @@ NAN = math.nan
     ("order_relations", variational.Functionals, "_pair",
      lambda self, u: (NAN, 1.0)),
     ("sigma_k", variational, "sigma_k_identity_check",
-     lambda b, u, k, phi=None: {"k": k, "diffuse": NAN, "jump": 0.0,
-                                "g_invariance": 0.0}),
+     lambda b, u, k, rep, phi=None: {"k": k, "diffuse": NAN, "jump": 0.0,
+                                     "g_invariance": 0.0}),
     ("lsc", variational, "lsc_check",
      lambda *a, **kw: variational.LscResult(NAN, 1.0, NAN, (NAN,), 3.0,
                                             0.0)),

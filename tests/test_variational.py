@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from pairinglab import variational
 from pairinglab.errors import AssumptionViolation
 from pairinglab.fields import field_catalog
-from pairinglab.quadrature import integrate_abs
+from pairinglab.pairing import pairing_by_representation
+from pairinglab.quadrature import adaptive_simpson
 from pairinglab.scenarios import CheckSpec, load_catalog, run_check
 from pairinglab.variational import (ApproximatingSequence, Functionals,
                                     MollifiedBv1D, _kernel_cdf, _kernel_rho,
@@ -67,8 +68,9 @@ def test_mollified_l1_gap_shrinks(u_jump):
 
 def test_mollified_total_variation_matches_base(u_stair):
     m = MollifiedBv1D(u_stair, 0.03)
-    tv = integrate_abs(m.derivative, *u_stair.domain,
-                       breakpoints=m.breakpoints())
+    # the stair rises, so m' >= 0 and its integral is the variation
+    tv = adaptive_simpson(m.derivative, *u_stair.domain,
+                          breakpoints=m.breakpoints())
     base = u_stair.gradient_measure().variation().total_mass()
     assert abs(tv - base) < 1e-6
 
@@ -117,17 +119,21 @@ def test_windowed_cantor_sums_match_dense(sid, monkeypatch):
 
 
 def test_functionals_constant_field_jump(u_jump):
-    fn = Functionals(field_catalog("const", c=-1.5), window=None)
-    assert abs(fn.G(u_jump) + 1.5) < 1e-9
-    assert abs(fn.F(u_jump) - 1.5) < 1e-9
-    assert abs(fn.Gplus(u_jump) - 0.0) < 1e-9
+    b = field_catalog("const", c=-1.5)
+    fn = Functionals(b, window=None)
+    rep = pairing_by_representation(b, u_jump)
+    assert abs(fn.G(rep) + 1.5) < 1e-9
+    assert abs(fn.F(rep) - 1.5) < 1e-9
+    assert abs(fn.Gplus(rep) - 0.0) < 1e-9
 
 
 def test_functionals_g_phi_oracle(u_jump, phi_bump):
-    fn = Functionals(field_catalog("gt"), window=None)
+    b = field_catalog("gt")
+    fn = Functionals(b, window=None)
     atom = 1.0 + 0.5 * (math.cos(0.2) - math.cos(1.2))
     expect = atom * float(phi_bump(np.array([0.3]))[0])
-    assert abs(fn.G_phi(u_jump, phi_bump) - expect) < 1e-8
+    rep = pairing_by_representation(b, u_jump)
+    assert abs(fn.G_phi(rep, phi_bump) - expect) < 1e-8
 
 
 def _order_residual(d):
@@ -139,7 +145,8 @@ def _order_residual(d):
 
 def test_order_relations_mixed(u_mixed):
     for kind in ("const", "gt", "sep"):
-        d = order_relation_check(field_catalog(kind), u_mixed)
+        b = field_catalog(kind)
+        d = order_relation_check(b, pairing_by_representation(b, u_mixed))
         assert _order_residual(d) <= 1e-9
         assert d["F"] >= d["Gplus"] - 1e-9
         assert d["Gplus"] >= max(d["G"], 0.0) - 1e-9
@@ -148,7 +155,8 @@ def test_order_relations_mixed(u_mixed):
 @given(c=st.floats(-2.0, 2.0))
 @settings(max_examples=12, deadline=None)
 def test_order_relation_constant_fields(c, u_stair):
-    d = order_relation_check(field_catalog("const", c=c), u_stair)
+    b = field_catalog("const", c=c)
+    d = order_relation_check(b, pairing_by_representation(b, u_stair))
     assert _order_residual(d) <= 1e-9
     assert d["F"] >= abs(d["G"]) - 1e-9
 
@@ -171,7 +179,8 @@ def test_continuity_mollified_jump(u_jump, phi_bump):
     b = field_catalog("const", c=1.0)
     eps = tuple(0.03 * 0.5 ** i for i in range(8))
     seq = ApproximatingSequence.mollified(u_jump, eps)
-    res = continuity_check_Gphi(b, phi_bump, seq, u_jump)
+    res = continuity_check_Gphi(b, phi_bump, seq, u_jump,
+                                pairing_by_representation(b, u_jump))
     expect = float(phi_bump(np.array([0.3]))[0])
     assert abs(res.target - expect) < 1e-9
     assert res.gaps[-1] <= 1e-5
@@ -180,7 +189,8 @@ def test_continuity_mollified_jump(u_jump, phi_bump):
 def test_continuity_constant_sequence_exact(u_stair, phi_bump):
     b = field_catalog("gt")
     seq = ApproximatingSequence.constant(u_stair)
-    res = continuity_check_Gphi(b, phi_bump, seq, u_stair)
+    res = continuity_check_Gphi(b, phi_bump, seq, u_stair,
+                                pairing_by_representation(b, u_stair))
     assert max(res.gaps) < 1e-12
 
 
@@ -188,7 +198,7 @@ def test_lsc_equality_for_mollified_jump(u_jump):
     b = field_catalog("const", c=1.0)
     eps = tuple(0.03 * 0.5 ** i for i in range(8))
     seq = ApproximatingSequence.mollified(u_jump, eps)
-    res = lsc_check(b, "F", seq, u_jump)
+    res = lsc_check(b, "F", seq, u_jump, pairing_by_representation(b, u_jump))
     assert res.margin >= -1e-6
     assert abs(res.margin) <= 1e-5  # equality case
     assert res.truncation_k >= u_jump.sup_norm() + 1.0
@@ -199,7 +209,8 @@ def test_lsc_strict_for_oscillation(u_smooth):
     b = field_catalog("sep")
     seq = ApproximatingSequence.oscillation(u_smooth,
                                             (4, 8, 16, 32, 64, 128))
-    res = lsc_check(b, "F", seq, u_smooth)
+    res = lsc_check(b, "F", seq, u_smooth,
+                    pairing_by_representation(b, u_smooth))
     # the added oscillation inflates the variation, so liminf > target
     assert res.margin > 0.1
 
@@ -212,7 +223,7 @@ def test_lsc_oscillation_rejects_jumpy_base(u_jump):
 def test_lsc_fails_at_impossible_tolerance(u_jump):
     b = field_catalog("const", c=1.0)
     seq = ApproximatingSequence.mollified(u_jump, (0.2, 0.1))
-    res = lsc_check(b, "F", seq, u_jump)
+    res = lsc_check(b, "F", seq, u_jump, pairing_by_representation(b, u_jump))
     assert res.margin < 1.0  # margin >= -tol cannot hold at tol = -1
     # s03 is the same b and u; eps0 and count give the same sequence
     ctx = load_catalog()["s03_jump_const"].resolve()
@@ -248,7 +259,8 @@ def test_lsc_judges_its_truncation_residual(monkeypatch):
 def test_relaxation_jump_scenario(u_jump, phi_bump):
     b = field_catalog("gt")
     eps = tuple(0.04 * 0.5 ** i for i in range(12))
-    res = relaxation_check(b, u_jump, phi_bump, DOMAIN, eps)
+    res = relaxation_check(b, u_jump, phi_bump, DOMAIN, eps,
+                           pairing_by_representation(b, u_jump))
     assert res.gap <= 1e-4
     for br in res.jump_report:
         assert br.mismatch <= 1e-3
@@ -256,21 +268,24 @@ def test_relaxation_jump_scenario(u_jump, phi_bump):
 
 def test_relaxation_carrier_needs_t_independent_field(u_cantor, phi_plateau):
     eps = tuple(0.04 * 0.5 ** i for i in range(12))
+    b = field_catalog("gt")
     with pytest.raises(AssumptionViolation):
-        relaxation_check(field_catalog("gt"), u_cantor, phi_plateau,
-                         DOMAIN, eps)
+        relaxation_check(b, u_cantor, phi_plateau, DOMAIN, eps,
+                         pairing_by_representation(b, u_cantor))
 
 
 def test_relaxation_requires_long_schedule(u_jump, phi_bump):
+    b = field_catalog("const", c=1.0)
     with pytest.raises(ValueError):
-        relaxation_check(field_catalog("const", c=1.0), u_jump, phi_bump,
-                         DOMAIN, (0.04, 0.02))
+        relaxation_check(b, u_jump, phi_bump, DOMAIN, (0.04, 0.02),
+                         pairing_by_representation(b, u_jump))
 
 
 def test_blowup_at_jump_constant_field(u_jump):
     b = field_catalog("const", c=2.0)
     radii = tuple(0.02 * 0.5 ** i for i in range(6))
-    br = blowup_density(b, u_jump, 0.3, radii)
+    br = blowup_density(u_jump, 0.3, radii,
+                        pairing_by_representation(b, u_jump))
     assert br.converged
     assert abs(br.extrapolated - 2.0) < 1e-10
     assert br.mismatch < 1e-10
@@ -280,7 +295,8 @@ def test_blowup_on_cantor_carrier(u_cantor):
     b = field_catalog("const", c=1.0)
     lad = u_cantor.cantor.ladder
     radii = tuple(1.0 * lad.side ** i for i in range(2, 8))
-    br = blowup_density(b, u_cantor, 0.0, radii)
+    br = blowup_density(u_cantor, 0.0, radii,
+                        pairing_by_representation(b, u_cantor))
     assert br.converged
     assert br.mismatch < 1e-3
 
@@ -305,7 +321,9 @@ def test_truncate_bv_rejects_cantor(u_cantor):
 def test_sigma_k_identities_staircase(k, u_stair, phi_bump):
     # staircase values reach 2.5, beyond level k - 1 for both k
     assert u_stair.sup_norm() > k - 1.0
-    d = sigma_k_identity_check(field_catalog("xt"), u_stair, k,
+    b = field_catalog("xt")
+    d = sigma_k_identity_check(b, u_stair, k,
+                               pairing_by_representation(b, u_stair),
                                phi=phi_bump)
     assert d["diffuse"] <= 1e-6
     assert d["jump"] <= 1e-6
