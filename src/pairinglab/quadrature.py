@@ -209,7 +209,9 @@ def _brent_roots(g, a, b, xtol):
 
 def find_sign_changes(f, a, b, breakpoints=()):
     """Locate the zeros of ``f`` by dense sampling (4001 points over [a, b],
-    at least 16 per piece between breakpoints) plus Brent refinement."""
+    at least 16 per piece between breakpoints) plus Brent refinement.  A
+    sample where f is exactly 0 between samples of opposite sign is a
+    root as it stands."""
     pts = _clean_breakpoints(a, b, breakpoints)
     roots = []
     for lo, hi in zip(pts[:-1], pts[1:]):
@@ -220,6 +222,7 @@ def find_sign_changes(f, a, b, breakpoints=()):
         r = _brent_roots(lambda z, _: np.asarray(f(z), dtype=float), x[idx],
                          x[idx + 1], xtol=1e-14)
         roots.extend(r[~np.isnan(r)].tolist())
+        roots.extend(x[1:-1][(s[1:-1] == 0) & (s[:-2] * s[2:] < 0)].tolist())
     return sorted(roots)
 
 

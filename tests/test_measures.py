@@ -162,6 +162,14 @@ def test_find_sign_changes_locates_roots():
     assert all(abs(r - e) < 1e-9 for r, e in zip(sorted(roots), expect))
 
 
+def test_find_sign_changes_takes_a_root_on_a_sample():
+    # 0.0 is a node of the 4001-point grid on [-1, 1]: the samples on
+    # either side have opposite signs, and no bracket straddles the root
+    assert find_sign_changes(lambda x: x, -1.0, 1.0) == [0.0]
+    # a zero where f touches 0 without changing sign is not a root
+    assert find_sign_changes(lambda x: x * x, -1.0, 1.0) == []
+
+
 def test_aitken_accelerates_geometric_tail():
     partial = np.cumsum([0.5 ** k for k in range(8)])
     assert abs(aitken(list(partial)) - 2.0) < 1e-12
