@@ -246,9 +246,8 @@ class MollifiedRadial2D:
 # Direct quadrature of the functionals on sequence elements
 
 
-def _element_integrals_1d(field, elem, phi, window, weights, tol=1e-9):
-    """[int over the window of phi(x) w(b(x, u_eps) u_eps'(x)) dx for w in
-    weights], each weight "id" or "abs"."""
+def _element_integral_1d(field, elem, phi, window, weight, tol=1e-9):
+    """int over the window of phi(x) w(b(x, u_eps) u_eps'(x)) dx."""
     lo, hi = window
     lo = max(lo, elem.domain[0])
     hi = min(hi, elem.domain[1])
@@ -256,16 +255,16 @@ def _element_integrals_1d(field, elem, phi, window, weights, tol=1e-9):
         lo = max(lo, phi.support[0])
         hi = min(hi, phi.support[1])
     if hi <= lo:
-        return [0.0] * len(weights)
+        return 0.0
 
-    def integrand(x, weight):
+    def integrand(x):
         q = field.eval(x, elem.value(x)) * elem.derivative(x)
         out = np.abs(q) if weight == "abs" else q
         if phi is not None:
             out = out * phi.evaluate(x)
         return out
 
-    totals = [0.0] * len(weights)
+    total = 0.0
     regions = [(lo, hi)]
     cw = getattr(elem, "carrier_window", None)
     if cw is not None and cw[1] > lo and cw[0] < hi:
@@ -273,23 +272,21 @@ def _element_integrals_1d(field, elem, phi, window, weights, tol=1e-9):
             raise AssumptionViolation(
                 "carrier-window", "the smoothed Cantor carrier must lie "
                 "entirely inside the integration window")
-        totals = _carrier_terms(field, elem, phi, weights)
+        total += _carrier_term(field, elem, phi, weight)
         regions = [(lo, cw[0]), (cw[1], hi)]
     bps = [p for p in elem.breakpoints() if lo < p < hi]
     if phi is not None:
         bps.extend(p for p in phi.breakpoints if lo < p < hi)
-    for i, weight in enumerate(weights):
-        for a, b in regions:
-            if b > a:
-                totals[i] += adaptive_simpson(
-                    lambda x: integrand(x, weight), a, b, tol=tol,
-                    breakpoints=tuple(p for p in bps if a < p < b))
-    return totals
+    for a, b in regions:
+        if b > a:
+            total += adaptive_simpson(
+                integrand, a, b, tol=tol,
+                breakpoints=tuple(p for p in bps if a < p < b))
+    return total
 
 
-def _carrier_terms(field, elem, phi, weights, n=12):
-    """[dual-form integral over the smoothed Cantor carrier for w in
-    weights], from one evaluation of the field.
+def _carrier_term(field, elem, phi, weight, n=12):
+    """Dual-form integral over the smoothed Cantor carrier.
 
     Requires a t-independent field there; the integrand is then linear in
     the derivative and the x-integral against each leaf kernel collapses to
@@ -313,15 +310,11 @@ def _carrier_terms(field, elem, phi, weights, n=12):
     y, w = gauss_nodes(-elem.epsilon, elem.epsilon, n)
     pts = elem.leaf_mids[:, None] + y[None, :]
     g = s * np.asarray(field.eval(pts, np.zeros(pts.shape)), dtype=float)
-    phi_at = None if phi is None else phi.evaluate(pts)
-    kernel = w * elem._rho(y)
-    out = []
-    for weight in weights:
-        v = np.abs(g) if weight == "abs" else g
-        if phi is not None:
-            v = v * phi_at
-        out.append(float(elem.leaf_mass * np.sum(kernel * v)))
-    return out
+    if weight == "abs":
+        g = np.abs(g)
+    if phi is not None:
+        g = g * phi.evaluate(pts)
+    return float(elem.leaf_mass * np.sum((w * elem._rho(y)) * g))
 
 
 def _element_integrals_radial(field, elem, phi, weights, tol=1e-10):
@@ -357,7 +350,8 @@ class Functionals:
 
     A BV argument is passed as its pairing measure, the PairingMeasure of
     pairing_by_representation(field, u), and read through the pairing; a
-    sequence element is integrated directly.  ``window`` is a 1D
+    sequence element is integrated directly; a BV function passed as
+    itself raises TypeError.  ``window`` is a 1D
     interval, a 2D box, or None for the full reference rectangle of a 2D
     function.
     """
@@ -378,8 +372,14 @@ class Functionals:
                     for w in weights]
         if isinstance(u, MollifiedRadial2D):
             return _element_integrals_radial(self.field, u, phi, weights)
+        if not hasattr(u, "derivative"):
+            raise TypeError(
+                "Functionals takes a BV function as its pairing measure; "
+                "pass pairing_by_representation(field, u), not "
+                f"{type(u).__name__}")
         win = self.window if self.window is not None else u.domain
-        return _element_integrals_1d(self.field, u, phi, win, weights)
+        return [_element_integral_1d(self.field, u, phi, win, w)
+                for w in weights]
 
     def _pair(self, u):
         """(G, F) for any supported argument."""

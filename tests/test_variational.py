@@ -68,8 +68,7 @@ def test_mollified_l1_gap_shrinks(u_jump):
 
 def test_mollified_total_variation_matches_base(u_stair):
     m = MollifiedBv1D(u_stair, 0.03)
-    # the stair rises, so m' >= 0 and its integral is the variation
-    tv = adaptive_simpson(m.derivative, *u_stair.domain,
+    tv = adaptive_simpson(lambda x: np.abs(m.derivative(x)), *u_stair.domain,
                           breakpoints=m.breakpoints())
     base = u_stair.gradient_measure().variation().total_mass()
     assert abs(tv - base) < 1e-6
@@ -125,6 +124,11 @@ def test_functionals_constant_field_jump(u_jump):
     assert abs(fn.G(rep) + 1.5) < 1e-9
     assert abs(fn.F(rep) - 1.5) < 1e-9
     assert abs(fn.Gplus(rep) - 0.0) < 1e-9
+
+
+def test_functionals_reject_a_bv_function_passed_as_itself(u_jump):
+    with pytest.raises(TypeError, match="pairing_by_representation"):
+        Functionals(field_catalog("const", c=-1.5)).F(u_jump)
 
 
 def test_functionals_g_phi_oracle(u_jump, phi_bump):
