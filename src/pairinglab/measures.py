@@ -289,27 +289,22 @@ class RadonMeasure1D:
                                   r for r in self.ac_sign_roots if lo <= r <= hi))
 
     def variation_masses(self, windows):
-        """|mu|(E) for each window E, as restrict(E).variation().total_mass().
-
-        The ac part and the atoms go window by window; the |ladder density|
-        is evaluated once at the leaf midpoints and summed under each
-        window's [lo, hi) mask, with the bits the restricted measure gives.
-        """
-        lt = self._ladder_terms()
-        if lt is None:
-            return [self.restrict(E).variation().total_mass()
-                    for E in windows]
-        mid, w = lt
-        w = np.abs(w)
-        rest = replace(self, ladder=None, ladder_scale=0.0,
-                       ladder_density=None)
+        """|mu|(E) for each window E, as variation().restrict(E).total_mass(),
+        from one variation().  The |ladder density| is evaluated once at the
+        leaf midpoints and summed under each window's [lo, hi) mask, with
+        the bits the restricted measure gives."""
+        var = self.variation()
+        lt = var._ladder_terms()
+        rest = replace(var, ladder=None, ladder_scale=0.0, ladder_density=None)
         out = []
         for E in windows:
-            lo = max(E[0], self.interval[0])
-            hi = min(E[1], self.interval[1])
-            keep = (mid >= lo) & (mid < hi)
-            value = rest.restrict(E).variation().total_mass() \
-                + float(np.sum(np.where(keep, w, 0.0)))
+            value = rest.restrict(E).total_mass()
+            if lt is not None:
+                mid, w = lt
+                lo = max(E[0], self.interval[0])
+                hi = min(E[1], self.interval[1])
+                keep = (mid >= lo) & (mid < hi)
+                value += float(np.sum(np.where(keep, w, 0.0)))
             if not np.isfinite(value):
                 raise NonFiniteValue("non-finite integral value")
             out.append(value)
@@ -503,7 +498,7 @@ class RadonMeasure2D:
         return replace(self, mask=box)
 
     def variation_masses(self, boxes):
-        """[restrict(E).variation().total_mass() for E in boxes], from one
+        """[variation().restrict(E).total_mass() for E in boxes], from one
         variation() and one evaluation of each part's grid."""
         boxes = list(boxes)
         hit = [E for E in boxes if self._meets_rect(E)]

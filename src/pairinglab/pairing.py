@@ -666,7 +666,7 @@ def _frozen_pairings(field, u, phi, taus, tol):
 def _diffuse_variation_1d(u, window):
     mu = u.gradient_measure()
     dd = replace(mu, atoms=())
-    return dd.restrict(window).variation()
+    return dd.variation().restrict(window)
 
 
 def lipschitz_comparison_check(field: FieldB, u, taus, phi, dist):

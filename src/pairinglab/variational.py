@@ -364,11 +364,11 @@ class Functionals:
         and phi = 1 if None, for any supported argument."""
         if isinstance(u, PairingMeasure):
             mu = u.measure
-            if self.window is not None:
-                mu = mu.restrict(self.window)
+            cut = (lambda m: m) if self.window is None \
+                else (lambda m: m.restrict(self.window))
             value = (lambda m: m.total_mass()) if phi is None \
                 else (lambda m: m.integrate(phi))
-            return [value(mu.variation() if w == "abs" else mu)
+            return [value(cut(mu.variation() if w == "abs" else mu))
                     for w in weights]
         if isinstance(u, MollifiedRadial2D):
             return _element_integrals_radial(self.field, u, phi, weights)
@@ -620,17 +620,17 @@ def blowup_site(u, point, index=0):
 def blowup_density(u, x0, radius_sequence, rep):
     """mu(B_r)/|Du|(B_r) around x0, extrapolated and compared with Theta,
     mu and Theta those of rep, pairing_by_representation(field, u)."""
-    du = gradient_measure(u)
+    dv = gradient_measure(u).variation()
     quotients = []
     for r in radius_sequence:
         if np.ndim(x0) == 0:
             win = (float(x0) - r, float(x0) + r)
             num = rep.measure.restrict(win, closed_right=True).total_mass()
-            den = du.restrict(win, closed_right=True).variation().total_mass()
+            den = dv.restrict(win, closed_right=True).total_mass()
         else:
             win = ((x0[0] - r, x0[0] + r), (x0[1] - r, x0[1] + r))
             num = rep.measure.restrict(win).total_mass()
-            den = du.restrict(win).variation().total_mass()
+            den = dv.restrict(win).total_mass()
         quotients.append(num / den if den > 0 else float("nan"))
     arr = [q for q in quotients if math.isfinite(q)]
     extrap = aitken(arr) if len(arr) >= 3 else (arr[-1] if arr else float("nan"))

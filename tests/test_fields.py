@@ -101,9 +101,11 @@ def test_make_field_rejects_wrong_primitive():
 @pytest.mark.parametrize("kind, params", [
     ("const", {"c": math.nan}), ("const", {"c": math.inf}),
     ("tanh", {"delta": math.nan}), ("const2d", {"vx": math.nan})])
+@pytest.mark.filterwarnings("error")
 def test_make_field_rejects_non_finite_fields(kind, params):
     # a NaN error compares False with every bound, so each consistency gate
-    # must be written to fail on it rather than to pass
+    # must be written to fail on it rather than to pass, and quietly: the
+    # NaN arithmetic of the probe raises no RuntimeWarning
     with pytest.raises(AssumptionViolation):
         field_catalog(kind, **params)
 

@@ -10,7 +10,7 @@ import shutil
 import numpy as np
 import pytest
 
-from pairinglab import pairing, scenarios, variational
+from pairinglab import measures, pairing, scenarios, variational
 from pairinglab.bv import BvFunction1D
 from pairinglab.cli import _finite_or_null, main
 from pairinglab.errors import SpecError, UnknownCheck
@@ -307,6 +307,37 @@ def test_checks_build_their_own_representation_only_through_the_memo(
     for spec in sc.checks:
         assert run_check(ctx, spec).passed, spec.name
     assert own.count(True) == 1
+
+
+@pytest.mark.parametrize("sid", ["s03_jump_const", "s04_jump_gt",
+                                 "s06_stair_xt"])
+def test_checks_vary_each_measure_once(sid, monkeypatch):
+    # |mu|(E) is variation().restrict(E): the sign scan of a measure's
+    # density runs once per measure, not once per mass window or blow-up
+    # radius
+    sc = load_catalog()[sid]
+    ctx = sc.resolve()
+    calls = []
+    real = measures.find_sign_changes
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(measures, "find_sign_changes", counted)
+    scans = {}
+    for spec in sc.checks:
+        before = len(calls)
+        out = run_check(ctx, spec)
+        assert out.passed, spec.name
+        scans[spec.name] = (len(calls) - before, out)
+    # the pairing measure's and |Du|'s, for all 20 windows
+    assert scans["mass_bound"][0] <= 2
+    n, out = scans["relaxation"]
+    blowups = sum(k.startswith("blowup_") for k in out.diagnostics)
+    assert blowups >= 1 and n <= blowups
+    if sid == "s04_jump_gt":
+        assert scans["blowup"][0] <= 1
 
 
 def test_run_scenario_overall(tmp_path):
