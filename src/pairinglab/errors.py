@@ -30,7 +30,10 @@ class WindowTooLarge(PairingLabError):
 
 
 class FormMismatch(PairingLabError):
-    """The two equivalent forms of the distributional pairing disagree."""
+    """The two equivalent forms of the distributional pairing disagree.
+
+    Raised only by pairing_distributional(..., form_check=True); no
+    scenario check asks for the form check."""
 
 
 class CrossValidationMismatch(PairingLabError):

@@ -323,9 +323,13 @@ def pairing_distributional(field: FieldB, u, phi, tol=1e-9,
                            form_check=True):
     """<(b(., u), Du), phi> by the distributional definition.
 
-    Also evaluates the equivalent double-integral form (t-quadrature of b
-    and div b instead of the closed-form primitive), in the same walk, and
-    requires agreement within 10x the quadrature tolerance.
+    With ``form_check``, also evaluates the equivalent double-integral form
+    (t-quadrature of b and div b instead of the closed-form primitive), in
+    the same walk, and raises FormMismatch unless the two agree within 10x
+    the quadrature tolerance.  The value is the closed form's either way.
+    This self-check is for library callers: the scenario checks pass
+    form_check=False, and chain_rule_check compares the B-built terms
+    with the b-built representation instead.
     """
     value, *other = _dist_values(field, u, phi, tol, form_check)
     if not np.isfinite(value):
@@ -634,12 +638,15 @@ def coarea_variation_check(field: FieldB, u, phi, rep, tol=1e-9):
 # Chain rule
 
 
-def chain_rule_check(field: FieldB, u, phi, dist, tol=1e-10):
-    """Residual of Div v = (Div_x B)(x, u) L^N + (b(., u), Du) against phi,
-    where v(x) = B(x, u(x)).  Each term is integrated independently.
+def chain_rule_check(field: FieldB, u, phi, rep, tol=1e-10):
+    """(lhs, rhs, residual) of the chain rule Div v = (Div_x B)(x, u) L^N
+    + (b(., u), Du) against phi, where v(x) = B(x, u(x)).
 
-    ``dist`` is pairing_distributional(field, u, phi, tol,
-    form_check=False).
+    lhs = -int B(x, u) . grad phi - int phi Div_x B(x, u) is built from
+    the primitive B; rhs = <mu, phi>, mu the measure of ``rep``,
+    pairing_by_representation(field, u), is built from b and its
+    cylindrical averages, never from B.  A primitive or divergence that
+    does not match b therefore leaves a residual.
     """
     # div_v = -grad_term: both terms come from one walk
     grad_term, ac_term = _composed_integral(u, phi, (
@@ -647,7 +654,9 @@ def chain_rule_check(field: FieldB, u, phi, dist, tol=1e-10):
             field.dim, 0.0, np.asarray(field.primitive(x, uv), float), grad),
         lambda x, uv, f, grad: f
         * np.asarray(field.div_primitive(x, uv), float)), tol)
-    return abs(0.0 - grad_term - ac_term - dist)
+    lhs = 0.0 - grad_term - ac_term
+    rhs = rep.integrate(phi, tol=tol)
+    return lhs, rhs, abs(lhs - rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -363,13 +363,18 @@ def test_2d_coarea_slices_batch_their_levels(sid, check, batched, points,
 
 
 def _dist_1e10(field, u, phi):
-    """The dist that chain_rule, lipschitz and approximation take."""
+    """The dist that lipschitz and approximation take."""
     return pairing_distributional(field, u, phi, tol=1e-10, form_check=False)
 
 
 def test_chain_rule_small_residual(field_gt, u_mixed, phi_bump):
-    dist = _dist_1e10(field_gt, u_mixed, phi_bump)
-    assert chain_rule_check(field_gt, u_mixed, phi_bump, dist) < 1e-8
+    rep = pairing_by_representation(field_gt, u_mixed)
+    lhs, rhs, res = chain_rule_check(field_gt, u_mixed, phi_bump, rep)
+    assert res == abs(lhs - rhs) < 1e-8
+    # lhs is built from B, rhs from b: each is the distributional value
+    assert lhs == pytest.approx(_dist_1e10(field_gt, u_mixed, phi_bump),
+                                abs=1e-12)
+    assert rhs == rep.integrate(phi_bump, tol=1e-10)
 
 
 def test_lipschitz_comparison_holds(field_gt, u_jump, phi_bump):
@@ -505,7 +510,40 @@ def test_representation_theta_bounded_by_sigma(field_gt, u_mixed):
 
 
 # ---------------------------------------------------------------------------
-# the form check: one fused, blocked t-integral per integrand call
+# fields whose primitive does not match b: the library form check and
+# chain_rule, the scenarios' gate, both catch them
+
+
+def _mutant(field, **wrong):
+    """A copy of ``field`` with the evaluators named in ``wrong`` replaced:
+    wrong[name](f, x, t) is the new value, f the true evaluator."""
+    kwargs = {k.name: getattr(field, k.name)
+              for k in dataclasses.fields(field)}
+    for name, g in wrong.items():
+        kwargs[name] = lambda x, t, _f=kwargs[name], _g=g: _g(_f, x, t)
+    return FieldB(**kwargs)
+
+
+def _shift_t(f, x, t):
+    return f(x, t) + 1e-3 * np.asarray(t, float)
+
+
+def _shift_tx(f, x, t):
+    return f(x, t) + 1e-3 * np.asarray(t, float)[..., None] \
+        * np.asarray(x, float)
+
+
+def _field_mutants(field):
+    """{name: mutant} of ``field``, each with a B or Div_x B that no longer
+    matches b."""
+    return {
+        "inconsistent": _mutant(
+            field, primitive=lambda f, x, t: 1.3 * f(x, t) + 0.2,
+            div_primitive=lambda f, x, t: 0.5 * f(x, t) + 0.7),
+        "B_off_by_t": _mutant(
+            field, primitive=_shift_tx if field.dim == 2 else _shift_t),
+        "divB_off_by_t": _mutant(field, div_primitive=_shift_t),
+    }
 
 
 def _off_by(field, name):
@@ -514,20 +552,20 @@ def _off_by(field, name):
     A 2D primitive is off by 1e-3 t x: a shift that is constant in x
     pairs to zero with the gradient of a radial phi on a concentric disc.
     """
-    f = getattr(field, name)
-    if field.dim == 2 and name == "primitive":
-        wrong = lambda x, t: f(x, t) + 1e-3 * np.asarray(t, float)[
-            ..., None] * np.asarray(x, float)
-    else:
-        wrong = lambda x, t: f(x, t) + 1e-3 * np.asarray(t, float)
-    kwargs = {k.name: getattr(field, k.name)
-              for k in dataclasses.fields(field)}
-    kwargs[name] = wrong
+    bad = _field_mutants(field)[
+        "B_off_by_t" if name == "primitive" else "divB_off_by_t"]
     # make_field's finite-difference checks already reject a primitive
     # that does not match b; the gate must catch it on its own
+    kwargs = {k.name: getattr(bad, k.name) for k in dataclasses.fields(bad)}
     with pytest.raises(AssumptionViolation):
         make_field(**kwargs)
-    return FieldB(**kwargs)
+    return bad
+
+
+def _chain_rule_residual(field, u, phi, rep=None):
+    if rep is None:
+        rep = pairing_by_representation(field, u)
+    return chain_rule_check(field, u, phi, rep)[2]
 
 
 # phi's gradient does not vanish on the unit disc, so the primitive itself,
@@ -546,15 +584,53 @@ def test_form_check_catches_a_wrong_primitive_1d(kind, wrong, u_cantor,
     for u, phi in ((u_cantor, phi_plateau), (u_jump, phi_bump)):
         with pytest.raises(FormMismatch):
             pairing_distributional(bad, u, phi)
+        # chain_rule, which the scenarios run instead, fails on it too
+        assert _chain_rule_residual(bad, u, phi) > 1e-8
     pairing_distributional(field, u_jump, phi_bump)   # the right one passes
+    assert _chain_rule_residual(field, u_jump, phi_bump) < 1e-12
 
 
 @pytest.mark.parametrize("wrong", ["primitive", "div_primitive"])
 def test_form_check_catches_a_wrong_primitive_2d(wrong, u_disc):
     field = field_catalog("linear2d")
+    bad = _off_by(field, wrong)
     with pytest.raises(FormMismatch):
-        pairing_distributional(_off_by(field, wrong), u_disc, PHI_SLOPE)
+        pairing_distributional(bad, u_disc, PHI_SLOPE)
+    assert _chain_rule_residual(bad, u_disc, PHI_SLOPE) > 1e-8
     pairing_distributional(field, u_disc, PHI_SLOPE)
+    assert _chain_rule_residual(field, u_disc, PHI_SLOPE) < 1e-12
+
+
+# in these 2D scenarios grad phi = 0 wherever u != 0, so B itself enters
+# no pairing there, only its divergence: B off by 1e-3 t x is invisible
+CHAIN_RULE_SURVIVORS = {("B_off_by_t", sid) for sid in (
+    "s15_disc_linear2d", "s16_disc_const2d", "s17_disc_gt2d",
+    "s19_square_linear2d", "s20_smoothdisc_linear2d", "s21_smoothdisc_gt2d")}
+
+
+def test_chain_rule_kills_every_field_mutant_of_the_catalog():
+    """chain_rule, at its catalog tolerance, fails on 3 field mutants of
+    every shipped scenario, except the recorded 2D survivors; on those the
+    library form check passes too, so chain_rule misses nothing that it
+    catches."""
+    survived = set()
+    for sid, sc in load_catalog().items():
+        ctx = sc.resolve()
+        tol, = [c.tolerance for c in sc.checks if c.name == "chain_rule"]
+        # the representation is built from b alone, which no mutant changes
+        rep = ctx.representation()
+        assert _chain_rule_residual(ctx.field, ctx.u, ctx.phi, rep) <= tol
+        for name, bad in _field_mutants(ctx.field).items():
+            res = _chain_rule_residual(bad, ctx.u, ctx.phi, rep)
+            assert math.isfinite(res), (name, sid)
+            if not res > tol:
+                survived.add((name, sid))
+                pairing_distributional(bad, ctx.u, ctx.phi)
+    assert survived == CHAIN_RULE_SURVIVORS
+
+
+# ---------------------------------------------------------------------------
+# the form check: one fused, blocked t-integral per integrand call
 
 
 @pytest.mark.parametrize("kinks", [(), (-1.0, 0.5)])

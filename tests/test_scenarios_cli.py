@@ -196,43 +196,57 @@ CANTOR_SCENARIO = dict(
             {"name": "coarea_pairing", "tolerance": 1e-6}])
 
 
-def _count_form_checks(monkeypatch, shift=0.0):
-    """Count the double-integral form evaluations; ``shift`` perturbs them."""
+def _count_form_checks(monkeypatch):
+    """The tols of the double-integral form evaluations."""
     calls = []
     real = pairing._dist_values
 
     def counted(field, u, phi, tol, form_check):
-        values = real(field, u, phi, tol, form_check)
         if form_check:
             calls.append(tol)
-            values[1] += shift
-        return values
+        return real(field, u, phi, tol, form_check)
 
     monkeypatch.setattr(pairing, "_dist_values", counted)
     return calls
 
 
-def test_form_check_runs_once_per_scenario(monkeypatch):
+@pytest.mark.parametrize("sid", ["s09_cantor_gt", "s18_disc_radial2d"])
+def test_no_check_runs_the_form_check(sid, monkeypatch):
+    # chain_rule gates B against b; the numeric-t form is for library
+    # callers only
     calls = _count_form_checks(monkeypatch)
-    outs = run_scenario(parse_scenario(CANTOR_SCENARIO))
-    assert [o.passed for o in outs] == [True, True, True]
-    assert len(calls) == 1
+    sc = load_catalog()[sid]
+    ctx = sc.resolve()
+    assert all(run_check(ctx, spec).passed for spec in sc.checks)
+    assert calls == []
 
 
-def test_form_mismatch_fails_every_check_that_needs_it(monkeypatch):
-    calls = _count_form_checks(monkeypatch, shift=1.0)
-    outs = run_scenario(parse_scenario(CANTOR_SCENARIO))
-    assert [o.passed for o in outs] == [False, False, False]
-    assert all("FormMismatch" in o.diagnostics["error"] for o in outs)
-    assert len(calls) == 3  # a mismatch is not memoized
+def test_a_wrong_primitive_fails_every_route_check():
+    # B off by 1e-3 t: every check that compares the B-built pairing with
+    # a b-built one fails on its numbers, with no error
+    ctx = parse_scenario(CANTOR_SCENARIO).resolve()
+    right = ctx.field.primitive
+    bad = dataclasses.replace(
+        ctx.field, primitive=lambda x, t: right(x, t) + 1e-3 * np.asarray(t))
+    bad_ctx = dataclasses.replace(ctx, field=bad, _memo={})
+    specs = [*parse_scenario(CANTOR_SCENARIO).checks,
+             CheckSpec("chain_rule", 1e-8)]
+    outs = [run_check(bad_ctx, spec) for spec in specs]
+    assert [o.check for o in outs] == [
+        "two_route", "traces_route", "coarea_pairing", "chain_rule"]
+    assert not any(o.passed for o in outs)
+    assert all("error" not in o.diagnostics for o in outs)
+    assert all(math.isfinite(v) for o in outs
+               for v in (o.lhs, o.rhs, o.residual))
+    assert all(run_check(ctx, spec).passed for spec in specs)
 
 
 def test_ladder_walks_once_per_node_set(monkeypatch):
     # the stack size of each ladder walk of each s09 check, the checks run
     # in catalog order on one resolved scenario: two_route walks once for
-    # both forms, chain_rule once for the 1e-10 dist and once for div_v and
-    # ac_term, and lipschitz once for all five taus (its dist is
-    # chain_rule's)
+    # the closed form, chain_rule once for div_v and ac_term (its pairing
+    # term is the representation's), and lipschitz once for its 1e-10 dist
+    # and once for all five taus
     walks = []
     real = BvFunction1D._cantor_segment_integral
 
@@ -249,18 +263,26 @@ def test_ladder_walks_once_per_node_set(monkeypatch):
         assert run_check(ctx, spec).passed, spec.name
         per_check[spec.name] = walks[before:]
     assert per_check == {
-        "two_route": [2], "traces_route": [], "chain_rule": [1, 2],
+        "two_route": [1], "traces_route": [], "chain_rule": [2],
         "coarea_pairing": [], "coarea_variation": [], "mass_bound": [],
-        "lipschitz": [5], "order_relations": []}
+        "lipschitz": [1, 5], "order_relations": []}
 
 
 def test_resolved_scenarios_share_no_memo(monkeypatch):
     sc = parse_scenario(FAST_SCENARIO)
     first, second = sc.resolve(), sc.resolve()
-    calls = _count_form_checks(monkeypatch)
+    calls = []
+    real = pairing.pairing_distributional
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["tol"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pairing, "pairing_distributional", counted)
     assert first.distributional() == second.distributional()
     assert first.distributional() == second.distributional()
-    assert len(calls) == 2
+    assert first.distributional(1e-10) == second.distributional(1e-10)
+    assert calls == [1e-9, 1e-9, 1e-10, 1e-10]
 
 
 @pytest.mark.parametrize("sid, names", [

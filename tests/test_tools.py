@@ -105,6 +105,14 @@ def test_time_catalog_fail_row_shows_residual_and_tolerance(time_catalog,
         "tolerance=1.000e-18"]
 
 
+def _pairs(parent, change, name="run_s"):
+    return [{"parent": {name: p}, "change": {name: c}}
+            for p, c in zip(parent, change)]
+
+
+LOWER = {"better": "lower", "bound": 0.25}
+
+
 def test_bench_pairs_summary_on_synthetic_samples():
     summarize = _load_tool("bench_pairs").summarize
     parent = [5.0, 4.0, 6.0, 5.5, 4.5]
@@ -112,16 +120,44 @@ def test_bench_pairs_summary_on_synthetic_samples():
     samples = [{"parent": {"run_s": p, "rate": -p},
                 "change": {"run_s": c, "rate": -c}}
                for p, c in zip(parent, change)]
-    out = summarize(samples, {"run_s": "lower", "rate": "higher"})
+    out = summarize(samples, {"run_s": LOWER,
+                              "rate": {"better": "higher", "bound": 0.25}})
     run = out["run_s"]
     assert run["pairs"] == 5 and run["change_wins"] == 3
     assert run["parent"] == {"median": 5.0, "q1": 4.5, "q3": 5.5,
                              "iqr": 1.0}
     assert run["change"]["median"] == 4.0
     assert run["change"]["iqr"] == pytest.approx(1.0)
+    # 3 of 5 pairs is no gain, and the parent's IQR is within the bound
+    assert run["verdict"] == "no_change"
     # a higher-is-better metric wins where its value rises
     assert out["rate"]["change_wins"] == 3
     assert out["rate"]["parent"]["median"] == -5.0
-    one = summarize(samples[:1], {"run_s": "lower"})["run_s"]
+    assert out["rate"]["verdict"] == "no_change"
+    one = summarize(samples[:1], {"run_s": LOWER})["run_s"]
     assert one["parent"] == {"median": 5.0, "q1": 5.0, "q3": 5.0, "iqr": 0.0}
     assert one["change_wins"] == 1
+
+
+@pytest.mark.parametrize("parent, change, verdict", [
+    # 9 of 10 pairs, and a median gap of 2 against a parent IQR of 0.2
+    ([10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.0],
+     [8.0] * 9 + [10.5], "gain"),
+    # the median is 30% worse, beyond the 25% bound
+    ([10.0] * 4, [13.0] * 4, "worse"),
+    # the parent's IQR (3) exceeds 25% of its median, and the change wins
+    # 1 of 4 pairs
+    ([4.0, 10.0, 16.0, 10.0], [9.0, 11.0, 15.0, 10.0], "unresolved"),
+    # the change wins every pair, by less than the parent's IQR
+    ([4.0, 10.0, 16.0, 10.0], [3.9, 9.9, 15.9, 9.9], "no_change"),
+])
+def test_bench_pairs_verdicts(parent, change, verdict):
+    bench = _load_tool("bench_pairs")
+    out = bench.summarize(_pairs(parent, change), {"run_s": LOWER})
+    assert out["run_s"]["verdict"] == verdict
+    # higher-is-better: the same samples negated get the same verdict
+    neg = bench.summarize(_pairs([-p for p in parent], [-c for c in change]),
+                          {"run_s": dict(LOWER, better="higher")})
+    assert neg["run_s"]["verdict"] == verdict
+    table = bench.verdict_table({"cantor1d": {"summary": out}})
+    assert table.splitlines()[-1].split()[0::6] == ["cantor1d", verdict]

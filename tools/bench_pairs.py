@@ -15,9 +15,10 @@ slow drift of the machine falls on both sides alike.
 The record goes to ``BENCH_<label>.json``: the two commits, the machine
 (nproc, Python, platform), the settings, and per workload the samples of
 every pair and, for each end-to-end metric of ``BENCHMARK.json``, each
-side's median and quartiles and the number of pairs the change wins (ties
-count for neither side).  Exit code 0 if every run was correct, 1
-otherwise.
+side's median and quartiles, the number of pairs the change wins (ties
+count for neither side) and a verdict against the metric's ``bound``
+(see ``verdict``); the verdict table is printed at the end.  Exit code 0
+if every run was correct, 1 otherwise.
 """
 
 import argparse
@@ -66,21 +67,60 @@ def _quartiles(values):
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+def verdict(summary, better, bound):
+    """The verdict of one metric's summary, ``bound`` its relative bound:
+    "gain" if the change wins at least 9 of 10 pairs and its median is
+    better by more than the parent's IQR; "worse" if its median is worse
+    than the parent's by more than bound; "unresolved" if the parent's IQR
+    exceeds bound and the change does not win every pair; else
+    "no_change"."""
+    parent, change = summary["parent"], summary["change"]
+    sign = 1.0 if better == "lower" else -1.0
+    gap = sign * (parent["median"] - change["median"])   # > 0: better
+    scale = abs(parent["median"])
+    if 10 * summary["change_wins"] >= 9 * summary["pairs"] \
+            and gap > parent["iqr"]:
+        return "gain"
+    if -gap > bound * scale:
+        return "worse"
+    if parent["iqr"] > bound * scale \
+            and summary["change_wins"] < summary["pairs"]:
+        return "unresolved"
+    return "no_change"
+
+
 def summarize(samples, metrics):
-    """Per metric (name -> "lower" or "higher" is better) of the samples
-    [{"parent": {name: value}, "change": {name: value}}, ...]: each side's
-    median, quartiles and IQR, and the pairs the change wins."""
+    """Per metric (name -> {"better": "lower" or "higher", "bound": b}, as
+    in BENCHMARK.json) of the samples [{"parent": {name: value}, "change":
+    {name: value}}, ...]: each side's median, quartiles and IQR, the pairs
+    the change wins, and the verdict."""
     out = {}
-    for name, better in metrics.items():
+    for name, m in metrics.items():
         parent = [s["parent"][name] for s in samples]
         change = [s["change"][name] for s in samples]
-        sign = 1.0 if better == "lower" else -1.0
+        sign = 1.0 if m["better"] == "lower" else -1.0
         out[name] = {"parent": _quartiles(parent),
                      "change": _quartiles(change),
                      "change_wins": sum(sign * (c - p) < 0
                                         for p, c in zip(parent, change)),
                      "pairs": len(samples)}
+        out[name]["verdict"] = verdict(out[name], m["better"], m["bound"])
     return out
+
+
+def verdict_table(workloads):
+    """One line per (workload, metric) of the record's workloads: both
+    medians, the relative change, the pairs won and the verdict."""
+    lines = [f"{'workload':<11} {'metric':<12} {'parent':>10} "
+             f"{'change':>10} {'delta':>8} {'wins':>6}  verdict"]
+    for workload, rec in workloads.items():
+        for name, s in rec["summary"].items():
+            p, c = s["parent"]["median"], s["change"]["median"]
+            delta = f"{(c - p) / abs(p):+.1%}" if p else "n/a"
+            lines.append(f"{workload:<11} {name:<12} {p:>10.4g} {c:>10.4g} "
+                         f"{delta:>8} {s['change_wins']:>3}/{s['pairs']:<2}"
+                         f"  {s['verdict']}")
+    return "\n".join(lines)
 
 
 def main(argv=None):
@@ -93,7 +133,7 @@ def main(argv=None):
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
-    metrics = {m["name"]: m["better"] for m in json.loads(
+    metrics = {m["name"]: m for m in json.loads(
         (ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     record = {"label": args.label,
               "machine": {"nproc": os.cpu_count(),
@@ -129,6 +169,7 @@ def main(argv=None):
                 "samples": samples, "summary": summarize(samples, metrics)}
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
+    print(verdict_table(record["workloads"]))
     print(f"wrote {out}")
     return 0 if correct else 1
 
