@@ -196,8 +196,10 @@ CANTOR_SCENARIO = dict(
             {"name": "coarea_pairing", "tolerance": 1e-6}])
 
 
-def _count_form_checks(monkeypatch):
-    """The tols of the double-integral form evaluations."""
+@pytest.mark.parametrize("sid", ["s09_cantor_gt", "s18_disc_radial2d"])
+def test_no_check_runs_the_form_check(sid, monkeypatch):
+    # chain_rule gates B against b; the numeric-t form is for library
+    # callers only
     calls = []
     real = pairing._dist_values
 
@@ -207,14 +209,6 @@ def _count_form_checks(monkeypatch):
         return real(field, u, phi, tol, form_check)
 
     monkeypatch.setattr(pairing, "_dist_values", counted)
-    return calls
-
-
-@pytest.mark.parametrize("sid", ["s09_cantor_gt", "s18_disc_radial2d"])
-def test_no_check_runs_the_form_check(sid, monkeypatch):
-    # chain_rule gates B against b; the numeric-t form is for library
-    # callers only
-    calls = _count_form_checks(monkeypatch)
     sc = load_catalog()[sid]
     ctx = sc.resolve()
     assert all(run_check(ctx, spec).passed for spec in sc.checks)

@@ -148,8 +148,11 @@ def test_bench_pairs_summary_on_synthetic_samples():
     # the parent's IQR (3) exceeds 25% of its median, and the change wins
     # 1 of 4 pairs
     ([4.0, 10.0, 16.0, 10.0], [9.0, 11.0, 15.0, 10.0], "unresolved"),
-    # the change wins every pair, by less than the parent's IQR
-    ([4.0, 10.0, 16.0, 10.0], [3.9, 9.9, 15.9, 9.9], "no_change"),
+    # the same wide parent, and a change that wins every pair by 0.1
+    ([4.0, 10.0, 16.0, 10.0], [3.9, 9.9, 15.9, 9.9], "unresolved"),
+    # a wide parent (IQR 10 against a median of 15), but every run of the
+    # change is better than every run of the parent, by less than the IQR
+    ([10.0, 10.0, 20.0, 20.0], [9.9] * 4, "no_change"),
 ])
 def test_bench_pairs_verdicts(parent, change, verdict):
     bench = _load_tool("bench_pairs")

@@ -67,24 +67,23 @@ def _quartiles(values):
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def verdict(summary, better, bound):
-    """The verdict of one metric's summary, ``bound`` its relative bound:
-    "gain" if the change wins at least 9 of 10 pairs and its median is
-    better by more than the parent's IQR; "worse" if its median is worse
-    than the parent's by more than bound; "unresolved" if the parent's IQR
-    exceeds bound and the change does not win every pair; else
+def verdict(parent, change, bound):
+    """The verdict on one metric from its paired samples, signed so that
+    lower is better, and its relative bound: "gain" if the change wins at
+    least 9 of 10 pairs and its median is better by more than the parent's
+    IQR; "worse" if its median is worse than the parent's by more than
+    bound; "unresolved" if the parent's IQR exceeds bound, unless every run
+    of the change is better than every run of the parent; else
     "no_change"."""
-    parent, change = summary["parent"], summary["change"]
-    sign = 1.0 if better == "lower" else -1.0
-    gap = sign * (parent["median"] - change["median"])   # > 0: better
-    scale = abs(parent["median"])
-    if 10 * summary["change_wins"] >= 9 * summary["pairs"] \
-            and gap > parent["iqr"]:
+    p = _quartiles(parent)
+    gap = p["median"] - statistics.median(change)      # > 0: change better
+    limit = bound * abs(p["median"])
+    wins = sum(c < q for q, c in zip(parent, change))
+    if 10 * wins >= 9 * len(parent) and gap > p["iqr"]:
         return "gain"
-    if -gap > bound * scale:
+    if -gap > limit:
         return "worse"
-    if parent["iqr"] > bound * scale \
-            and summary["change_wins"] < summary["pairs"]:
+    if p["iqr"] > limit and not max(change) < min(parent):
         return "unresolved"
     return "no_change"
 
@@ -104,7 +103,9 @@ def summarize(samples, metrics):
                      "change_wins": sum(sign * (c - p) < 0
                                         for p, c in zip(parent, change)),
                      "pairs": len(samples)}
-        out[name]["verdict"] = verdict(out[name], m["better"], m["bound"])
+        out[name]["verdict"] = verdict([sign * v for v in parent],
+                                       [sign * v for v in change],
+                                       m["bound"])
     return out
 
 
