@@ -199,15 +199,16 @@ class ResolvedScenario:
     window: tuple
     _memo: dict = dc_field(default_factory=dict, compare=False, repr=False)
 
-    def distributional(self, tol=1e-9):
-        """pairing_distributional(field, u, phi, tol, form_check=False),
-        computed once per tol.  The numeric-t form check is not run:
-        chain_rule gates B against b.  Only values are kept: an error is
-        raised again on every call."""
-        if tol not in self._memo:
-            self._memo[tol] = pairing.pairing_distributional(
-                self.field, self.u, self.phi, tol=tol, form_check=False)
-        return self._memo[tol]
+    def distributional(self):
+        """pairing_distributional(field, u, phi, 1e-10, form_check=False),
+        computed once: the one B-built value that every check of the
+        scenario reads.  The numeric-t form check is not run: chain_rule
+        gates B against b.  Only values are kept: an error is raised again
+        on every call."""
+        if "distributional" not in self._memo:
+            self._memo["distributional"] = pairing.pairing_distributional(
+                self.field, self.u, self.phi, tol=1e-10, form_check=False)
+        return self._memo["distributional"]
 
     def representation(self):
         """pairing_by_representation(field, u), computed once.  As for
@@ -388,7 +389,7 @@ def _check_coarea_variation(ctx, params, tol):
 
 def _check_chain_rule(ctx, params, tol):
     lhs, rhs, res = pairing.chain_rule_check(
-        ctx.field, ctx.u, ctx.phi, ctx.representation())
+        ctx.phi, ctx.distributional(), ctx.representation())
     return CheckOutcome(ctx.id, "chain_rule", lhs, rhs, res, tol, res <= tol)
 
 
@@ -430,7 +431,7 @@ def _check_lipschitz(ctx, params, tol):
         taus = np.linspace(lo - 0.3, hi + 0.3, 5)
     taus = [float(tau) for tau in taus]
     pairs = pairing.lipschitz_comparison_check(
-        ctx.field, ctx.u, taus, ctx.phi, ctx.distributional(1e-10))
+        ctx.field, ctx.u, taus, ctx.phi, ctx.distributional())
     worst = _worst([-math.inf, *(lhs - rhs for lhs, rhs in pairs)])
     return CheckOutcome(ctx.id, "lipschitz", worst, 0.0, _worst([worst, 0.0]),
                         tol, worst <= tol, {"taus": taus})
@@ -497,7 +498,7 @@ def _eps_schedule(params, eps0=0.04, count=7):
 def _check_approximation(ctx, params, tol):
     table = pairing.approximation_convergence_check(
         ctx.field, ctx.u, ctx.phi, _eps_schedule(params),
-        ctx.distributional(1e-10))
+        ctx.distributional())
     res = table[-1][1]
     return CheckOutcome(ctx.id, "approximation", res, 0.0, res, tol,
                         res <= tol, {"eps_final": table[-1][0]},

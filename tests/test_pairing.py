@@ -363,17 +363,18 @@ def test_2d_coarea_slices_batch_their_levels(sid, check, batched, points,
 
 
 def _dist_1e10(field, u, phi):
-    """The dist that lipschitz and approximation take."""
+    """The dist that the scenario checks take:
+    ResolvedScenario.distributional()."""
     return pairing_distributional(field, u, phi, tol=1e-10, form_check=False)
 
 
 def test_chain_rule_small_residual(field_gt, u_mixed, phi_bump):
     rep = pairing_by_representation(field_gt, u_mixed)
-    lhs, rhs, res = chain_rule_check(field_gt, u_mixed, phi_bump, rep)
+    dist = _dist_1e10(field_gt, u_mixed, phi_bump)
+    lhs, rhs, res = chain_rule_check(phi_bump, dist, rep)
     assert res == abs(lhs - rhs) < 1e-8
-    # lhs is built from B, rhs from b: each is the distributional value
-    assert lhs == pytest.approx(_dist_1e10(field_gt, u_mixed, phi_bump),
-                                abs=1e-12)
+    # lhs is the B-built distributional value, rhs the b-built measure
+    assert lhs == dist
     assert rhs == rep.integrate(phi_bump, tol=1e-10)
 
 
@@ -565,7 +566,7 @@ def _off_by(field, name):
 def _chain_rule_residual(field, u, phi, rep=None):
     if rep is None:
         rep = pairing_by_representation(field, u)
-    return chain_rule_check(field, u, phi, rep)[2]
+    return chain_rule_check(phi, _dist_1e10(field, u, phi), rep)[2]
 
 
 # phi's gradient does not vanish on the unit disc, so the primitive itself,

@@ -238,9 +238,8 @@ def test_a_wrong_primitive_fails_every_route_check():
 def test_ladder_walks_once_per_node_set(monkeypatch):
     # the stack size of each ladder walk of each s09 check, the checks run
     # in catalog order on one resolved scenario: two_route walks once for
-    # the closed form, chain_rule once for div_v and ac_term (its pairing
-    # term is the representation's), and lipschitz once for its 1e-10 dist
-    # and once for all five taus
+    # the scenario's one closed-form dist, which chain_rule and lipschitz
+    # read too, and lipschitz once for all five taus
     walks = []
     real = BvFunction1D._cantor_segment_integral
 
@@ -257,9 +256,9 @@ def test_ladder_walks_once_per_node_set(monkeypatch):
         assert run_check(ctx, spec).passed, spec.name
         per_check[spec.name] = walks[before:]
     assert per_check == {
-        "two_route": [1], "traces_route": [], "chain_rule": [2],
+        "two_route": [1], "traces_route": [], "chain_rule": [],
         "coarea_pairing": [], "coarea_variation": [], "mass_bound": [],
-        "lipschitz": [1, 5], "order_relations": []}
+        "lipschitz": [5], "order_relations": []}
 
 
 def test_resolved_scenarios_share_no_memo(monkeypatch):
@@ -275,8 +274,27 @@ def test_resolved_scenarios_share_no_memo(monkeypatch):
     monkeypatch.setattr(pairing, "pairing_distributional", counted)
     assert first.distributional() == second.distributional()
     assert first.distributional() == second.distributional()
-    assert first.distributional(1e-10) == second.distributional(1e-10)
-    assert calls == [1e-9, 1e-9, 1e-10, 1e-10]
+    assert calls == [1e-10, 1e-10]
+
+
+@pytest.mark.parametrize("sid", ["s09_cantor_gt", "s11_mixed_tanh",
+                                 "s20_smoothdisc_linear2d"])
+def test_distributional_runs_once_per_scenario(sid, monkeypatch):
+    # every check of the scenario, in catalog order on one resolved
+    # scenario, reads its one B-built value; approximation's mollified
+    # fields are other objects and pair on their own
+    fields = []
+    real = pairing.pairing_distributional
+
+    def counted(field, *args, **kwargs):
+        fields.append(field)
+        return real(field, *args, **kwargs)
+
+    monkeypatch.setattr(pairing, "pairing_distributional", counted)
+    sc = load_catalog()[sid]
+    ctx = sc.resolve()
+    assert all(run_check(ctx, spec).passed for spec in sc.checks)
+    assert sum(f is ctx.field for f in fields) == 1
 
 
 @pytest.mark.parametrize("sid, names", [

@@ -164,3 +164,37 @@ def test_bench_pairs_verdicts(parent, change, verdict):
     assert neg["run_s"]["verdict"] == verdict
     table = bench.verdict_table({"cantor1d": {"summary": out}})
     assert table.splitlines()[-1].split()[0::6] == ["cantor1d", verdict]
+
+
+def _stub_perfbench(tree, body):
+    (tree / "perfbench").mkdir()
+    (tree / "perfbench" / "run.py").write_text(body)
+    return tree
+
+
+def test_bench_pairs_keeps_the_exit_code_of_an_incorrect_run(tmp_path):
+    bench = _load_tool("bench_pairs")
+    tree = _stub_perfbench(tmp_path, (
+        "import json, sys\n"
+        "print('cantor1d run_s 1.0 s')\n"
+        "print(json.dumps({'correct': False, 'attempted': 16, 'failed': 2,\n"
+        "                  'metrics': {'run_s': {'value': 1.0,\n"
+        "                                        'unit': 's'}}}))\n"
+        "sys.exit(1)\n"))
+    res = bench.perfbench(tree, "cantor1d", 1, 1.0)
+    assert res["exit_code"] == 1 and res["correct"] is False
+    assert bench.failure(res) == "INCORRECT (exit 1, failed 2)"
+    assert bench.failure(dict(res, correct=True)) == \
+        "INCORRECT (exit 1, failed 2)"
+    assert bench.failure(dict(res, correct=True, exit_code=0)) is None
+
+
+def test_bench_pairs_names_a_run_without_a_json_result(tmp_path):
+    bench = _load_tool("bench_pairs")
+    tree = _stub_perfbench(tmp_path, (
+        "import sys\n"
+        "print('cantor1d run_s 1.0 s')\n"
+        "sys.stderr.write('Traceback: worker died')\n"
+        "sys.exit(3)\n"))
+    with pytest.raises(RuntimeError, match=r"exit 3\)[^\n]*\n.*worker died"):
+        bench.perfbench(tree, "cantor1d", 1, 1.0)

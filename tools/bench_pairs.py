@@ -17,8 +17,10 @@ The record goes to ``BENCH_<label>.json``: the two commits, the machine
 every pair and, for each end-to-end metric of ``BENCHMARK.json``, each
 side's median and quartiles, the number of pairs the change wins (ties
 count for neither side) and a verdict against the metric's ``bound``
-(see ``verdict``); the verdict table is printed at the end.  Exit code 0
-if every run was correct, 1 otherwise.
+(see ``verdict``); the verdict table is printed at the end.  Each sample
+keeps its run's exit code.  A run that is incorrect or exits non-zero is
+marked INCORRECT on its progress line and listed as (workload, pair, side)
+before the verdict table; the exit code is then 1, else 0.
 """
 
 import argparse
@@ -49,16 +51,29 @@ def export(rev, dest):
 
 
 def perfbench(tree, workload, seed, seconds):
-    """The JSON result line of one perfbench run in the source tree."""
+    """The JSON result line of one perfbench run in the source tree, with
+    the run's exit code as ``exit_code``."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds)],
         cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    if not lines:
-        raise RuntimeError(f"perfbench {workload} in {tree} printed nothing:"
-                           f"\n{proc.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    try:
+        res = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        raise RuntimeError(
+            f"perfbench {workload} in {tree} (exit {proc.returncode}) "
+            f"printed no JSON result:\n{proc.stderr[-2000:]}") from None
+    res["exit_code"] = proc.returncode
+    return res
+
+
+def failure(res):
+    """"INCORRECT (exit N, failed K)" for a perfbench result that is
+    incorrect or exited non-zero, else None."""
+    if res["correct"] and res["exit_code"] == 0:
+        return None
+    return f"INCORRECT (exit {res['exit_code']}, failed {res['failed']})"
 
 
 def _quartiles(values):
@@ -143,7 +158,7 @@ def main(argv=None):
               "settings": {"pairs": args.pairs, "seconds": args.seconds,
                            "seed": args.seed},
               "workloads": {}}
-    correct = True
+    failures = []
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: pathlib.Path(tmp) / side
                  for side in ("parent", "change")}
@@ -156,23 +171,31 @@ def main(argv=None):
                 order = ("parent", "change") if i % 2 == 0 \
                     else ("change", "parent")
                 sample = {"first": order[0]}
+                notes = []
                 for side in order:
                     res = perfbench(trees[side], workload, args.seed,
                                     args.seconds)
-                    correct = correct and res["correct"]
                     sample[side] = {k: v["value"]
                                     for k, v in res["metrics"].items()}
                     sample[side]["failed"] = res["failed"]
+                    sample[side]["exit_code"] = res["exit_code"]
+                    if failure(res):
+                        failures.append((workload, i, side))
+                        notes.append(f"{side} {failure(res)}")
                 samples.append(sample)
                 print(workload, i, {s: sample[s]["run_s"]
-                                    for s in order}, flush=True)
+                                    for s in order}, *notes, flush=True)
             record["workloads"][workload] = {
                 "samples": samples, "summary": summarize(samples, metrics)}
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
+    if failures:
+        print("incorrect runs (workload, pair, side):")
+        for run in failures:
+            print(" ", *run)
     print(verdict_table(record["workloads"]))
     print(f"wrote {out}")
-    return 0 if correct else 1
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
