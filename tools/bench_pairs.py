@@ -179,9 +179,9 @@ def main(argv=None):
                                     for k, v in res["metrics"].items()}
                     sample[side]["failed"] = res["failed"]
                     sample[side]["exit_code"] = res["exit_code"]
-                    if failure(res):
+                    if note := failure(res):
                         failures.append((workload, i, side))
-                        notes.append(f"{side} {failure(res)}")
+                        notes.append(f"{side} {note}")
                 samples.append(sample)
                 print(workload, i, {s: sample[s]["run_s"]
                                     for s in order}, *notes, flush=True)
