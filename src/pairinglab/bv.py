@@ -689,7 +689,9 @@ def _coarea_rhs(u, slices, ladder_slice, tol):
     The t-panels lie between consecutive ``u.level_breaks()`` (1D or 2D),
     each pulled in at both ends by 1e-10 times the span of the breaks.
     ``slices(ts)`` gives the slices at an array of ordinary levels and may
-    raise DegenerateLevel at a plateau level.  Over the level range of a 1D
+    raise DegenerateLevel at a plateau level; the panels are the owners of
+    one adaptive_simpson_many call, so one call of slices gets the levels
+    of every panel still refining.  Over the level range of a 1D
     ladder the single crossing x(t) jumps at every dyadic level, so those
     panels follow the dyadic grid and use 2-point Gauss in t;
     ``ladder_slice(xs, nu, ts)`` gets all of their nodes at once: the
@@ -700,7 +702,8 @@ def _coarea_rhs(u, slices, ladder_slice, tol):
     breaks = u.level_breaks()
     pad = 1e-10 * (breaks[-1] - breaks[0])
     cantor_range = _cantor_level_range(u)
-    total = 0.0
+    parts = []     # per panel: its Gauss sum, or None for a Simpson panel
+    ends = []      # the Simpson panels
     for t0, t1 in zip(breaks[:-1], breaks[1:]):
         if t1 - t0 < 1e-13:
             continue
@@ -727,9 +730,16 @@ def _coarea_rhs(u, slices, ladder_slice, tol):
             xs = u.cantor.ladder.inverse(fn if increasing else 1.0 - fn)
             vals = ladder_slice(xs, 1.0 if increasing else -1.0,
                                 lo_val + fn * span)
-            total += _weighted_sum(wn, vals)
+            parts.append(_weighted_sum(wn, vals))
             continue
-        total += adaptive_simpson(slices, t0 + pad, t1 - pad, tol=tol)
+        parts.append(None)
+        ends.append((t0 + pad, t1 - pad))
+    ends = np.reshape(ends, (-1, 2))
+    simpson = iter(adaptive_simpson_many(lambda ts, _: slices(ts), ends[:, 0],
+                                         ends[:, 1], tol=tol).tolist())
+    total = 0.0
+    for part in parts:
+        total += next(simpson) if part is None else part
     return total
 
 

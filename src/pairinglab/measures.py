@@ -15,6 +15,7 @@ import numpy as np
 from .errors import NonFiniteValue
 from .quadrature import (_T_BLOCK, _brent_roots, _circle_points,
                          _segment_points, _weighted_sum, adaptive_simpson,
+                         adaptive_simpson_many,
                          circle_integral_many, find_sign_changes,
                          polar_quad_many, polygon_quad_many,
                          segment_integral_many)
@@ -193,9 +194,8 @@ class RadonMeasure1D:
             dens = self.ac_density
             integrand = lambda x: np.asarray(g(x), dtype=float) * \
                 np.asarray(dens(x), dtype=float)
-            bps = tuple(self.ac_breakpoints) + tuple(self.ac_sign_roots) + \
-                tuple(x for x, _ in self.atoms)
-            value += adaptive_simpson(integrand, a, b, tol=tol, breakpoints=bps)
+            value += adaptive_simpson(integrand, a, b, tol=tol,
+                                      breakpoints=self._ac_breaks())
             err += tol
         if self.atoms:
             xs = np.array([x for x, _ in self.atoms])
@@ -226,6 +226,12 @@ class RadonMeasure1D:
         return self.integrate(lambda x: np.ones_like(np.asarray(x, float)),
                               tol=tol)
 
+    def _ac_breaks(self):
+        """The Simpson breakpoints of the ac part: the density's own
+        breakpoints, the sign roots of |density| and the atoms."""
+        return tuple(self.ac_breakpoints) + tuple(self.ac_sign_roots) + \
+            tuple(x for x, _ in self.atoms)
+
     # -- variation / restriction
 
     def variation(self):
@@ -253,19 +259,16 @@ class RadonMeasure1D:
 
     def restrict(self, window, closed_right=False):
         """The measure on [lo, hi), or on [lo, hi] if closed_right, for
-        window (lo, hi) cut to the interval.  The ladder part is kept by
+        window (lo, hi) cut to the interval, carried by the interval
+        [lo, hi]: the density needs no mask there, and its integrals
+        have no jump at the window's ends.  The ladder part is kept by
         leaf midpoint in [lo, hi)."""
         lo = max(window[0], self.interval[0])
         hi = min(window[1], self.interval[1])
         if hi < lo or (hi == lo and not closed_right):
-            return RadonMeasure1D(self.interval)
+            return RadonMeasure1D((lo, lo))
         atoms = [(x, w) for x, w in self.atoms
                  if lo <= x < hi or (closed_right and x == hi)]
-        dens = self.ac_density
-        masked = None if dens is None else (
-            lambda x, _d=dens: np.where((np.asarray(x) >= lo)
-                                        & (np.asarray(x) <= hi),
-                                        np.asarray(_d(x), dtype=float), 0.0))
         ladder = self.ladder
         scale = self.ladder_scale
         ldens = self.ladder_density
@@ -280,30 +283,45 @@ class RadonMeasure1D:
                 return np.where(inside, base, 0.0)
 
             ldens = windowed
-        bps = tuple(p for p in self.ac_breakpoints if lo <= p <= hi) + (lo, hi)
-        return RadonMeasure1D(self.interval, ac_density=masked,
-                              ac_breakpoints=bps, atoms=tuple(atoms),
+        return RadonMeasure1D((lo, hi), ac_density=self.ac_density,
+                              ac_breakpoints=tuple(
+                                  p for p in self.ac_breakpoints
+                                  if lo <= p <= hi),
+                              atoms=tuple(atoms),
                               ladder=ladder, ladder_scale=scale,
                               ladder_density=ldens,
                               ac_sign_roots=tuple(
                                   r for r in self.ac_sign_roots if lo <= r <= hi))
 
     def variation_masses(self, windows):
-        """|mu|(E) for each window E, as variation().restrict(E).total_mass(),
-        from one variation().  The |ladder density| is evaluated once at the
-        leaf midpoints and summed under each window's [lo, hi) mask, with
-        the bits the restricted measure gives."""
+        """|mu|(E) for each window E, with the bits of
+        variation().restrict(E).total_mass(), from one variation(): the
+        |density| of every window in one adaptive_simpson_many call, owner
+        k on the interval of window k, and the |ladder density| evaluated
+        once at the leaf midpoints and summed under each window's [lo, hi)
+        mask."""
         var = self.variation()
         lt = var._ladder_terms()
         rest = replace(var, ladder=None, ladder_scale=0.0, ladder_density=None)
+        cuts = [rest.restrict(E) for E in windows]
+        ac = np.zeros(len(cuts))
+        if var.ac_density is not None:
+            ac = adaptive_simpson_many(
+                lambda x, _: np.asarray(var.ac_density(x), dtype=float),
+                [c.interval[0] for c in cuts], [c.interval[1] for c in cuts],
+                breakpoints=var._ac_breaks())
         out = []
-        for E in windows:
-            value = rest.restrict(E).total_mass()
+        for cut, simpson in zip(cuts, ac.tolist()):
+            # the sums of cut.total_mass(), in its order
+            value = 0.0
+            if cut.ac_density is not None:
+                value += simpson
+            if cut.atoms:
+                value += float(np.dot(np.ones(len(cut.atoms)),
+                                      [w for _, w in cut.atoms]))
             if lt is not None:
                 mid, w = lt
-                lo = max(E[0], self.interval[0])
-                hi = min(E[1], self.interval[1])
-                keep = (mid >= lo) & (mid < hi)
+                keep = (mid >= cut.interval[0]) & (mid < cut.interval[1])
                 value += float(np.sum(np.where(keep, w, 0.0)))
             if not np.isfinite(value):
                 raise NonFiniteValue("non-finite integral value")

@@ -42,8 +42,13 @@ def _kernel_rho(t):
 
 
 def _kernel_cdf(t):
+    """1/2 + 15/16 t (1 - t^2 (2/3 - t^2 / 5)), by multiplications (a
+    float power goes to libm pow, ~30 times slower), clipped so that it is
+    exactly 0 for t <= -1 and exactly 1 for t >= 1."""
     t = np.clip(np.asarray(t, dtype=float), -1.0, 1.0)
-    return 0.5 + (15.0 / 16.0) * (t - 2.0 * t ** 3 / 3.0 + t ** 5 / 5.0)
+    t2 = t * t
+    cdf = 0.5 + (15.0 / 16.0) * (t * (1.0 - t2 * (2.0 / 3.0 - t2 / 5.0)))
+    return np.clip(cdf, 0.0, 1.0)
 
 
 def _discrete_kernel(n=24):

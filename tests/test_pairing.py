@@ -13,6 +13,7 @@ from pairinglab.bv import (BvFunction1D, Disc, JumpPoint, Piecewise1D,
                            PiecewiseConstantBv2D, PolygonRegion,
                            gradient_measure)
 from pairinglab import bv as bv_module
+from pairinglab import measures as measures_module
 from pairinglab import pairing, quadrature
 from pairinglab.errors import (AssumptionViolation, CylAverageDiverged,
                               FormMismatch)
@@ -270,8 +271,9 @@ def test_coarea_checks_staircase(field_gt, u_stair, phi_bump):
 
 def test_coarea_checks_batch_their_levels(monkeypatch):
     """On s12 the two coarea checks find the crossings of all the levels of
-    an outer t-integrand call with one batched call, and never run a
-    scalar root finder."""
+    an outer t-integrand call (of the one adaptive_simpson_many call of
+    bv._coarea_rhs) with one batched call, and never run a scalar root
+    finder."""
     ctx = load_catalog()["s12_smooth_sep"].resolve()
     dist = ctx.distributional()
     rep = pairing_by_representation(ctx.field, ctx.u)
@@ -283,8 +285,8 @@ def test_coarea_checks_batch_their_levels(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    simpson = bv_module.adaptive_simpson
-    monkeypatch.setattr(bv_module, "adaptive_simpson",
+    simpson = bv_module.adaptive_simpson_many
+    monkeypatch.setattr(bv_module, "adaptive_simpson_many",
                         lambda f, *a, **kw: simpson(counted("outer", f),
                                                     *a, **kw))
     monkeypatch.setattr(BvFunction1D, "level_crossings_many", counted(
@@ -309,7 +311,8 @@ def test_coarea_checks_batch_their_levels(monkeypatch):
 ])
 def test_2d_coarea_slices_batch_their_levels(sid, check, batched, points,
                                              monkeypatch):
-    """Every outer t-integrand call of a 2D coarea slice makes one call of
+    """Every outer t-integrand call of a 2D coarea slice (of the one
+    adaptive_simpson_many call of bv._coarea_rhs) makes one call of
     each batched driver (quadrature._settle_many settles every planar
     driver's owners); the field is evaluated
     at as many (level, point) pairs as the level-by-level slices did (the
@@ -330,8 +333,8 @@ def test_2d_coarea_slices_batch_their_levels(sid, check, batched, points,
                 slicing.pop()
         return wrapper
 
-    simpson = bv_module.adaptive_simpson
-    monkeypatch.setattr(bv_module, "adaptive_simpson",
+    simpson = bv_module.adaptive_simpson_many
+    monkeypatch.setattr(bv_module, "adaptive_simpson_many",
                         lambda f, *a, **kw: simpson(counted("outer", f),
                                                     *a, **kw))
     for module, name in ((quadrature, "_settle_many"),
@@ -471,6 +474,27 @@ def test_variation_masses_1d(u_mixed, field_gt):
               gradient_measure(u_mixed)):
         want = [m.restrict(E).variation().total_mass() for E in windows]
         assert m.variation_masses(windows) == want
+
+
+def test_mass_bound_integrates_all_windows_in_one_simpson_call(monkeypatch):
+    # s12 has 20 mass windows: the |density| of every window, for each of
+    # the two measures, goes through one adaptive_simpson_many call
+    ctx = load_catalog()["s12_smooth_sep"].resolve()
+    windows = _windows_for(ctx, 20)
+    rep = ctx.representation()
+    calls = []
+    simpson = quadrature.adaptive_simpson_many
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return simpson(*args, **kwargs)
+
+    for module in (quadrature, measures_module):
+        monkeypatch.setattr(module, "adaptive_simpson_many", counted,
+                            raising=False)
+    out = mass_bound_check(ctx.field, ctx.u, windows, rep)
+    assert len(out) == 20 and all(w["excess"] <= 1e-9 for w in out)
+    assert len(calls) == 2
 
 
 def test_mass_bound_2d_can_fail():

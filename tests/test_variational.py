@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,6 +36,27 @@ def test_kernel_normalisation():
     # quartic bump value at the center: 15/16
     assert abs(_kernel_rho(0.0) - 15.0 / 16.0) < 1e-15
     assert _kernel_rho(1.0) == 0.0
+
+
+def test_kernel_cdf_is_exact_at_its_ends():
+    ends = np.array([-3.0, -1.0, -1.0 + 1e-300, 1.0 - 1e-16, 1.0, 2.5])
+    assert _kernel_cdf(ends).tolist()[:2] == [0.0, 0.0]
+    assert _kernel_cdf(ends).tolist()[4:] == [1.0, 1.0]
+    assert _kernel_cdf(-1.0) == 0.0 and _kernel_cdf(1.0) == 1.0
+
+
+def test_kernel_cdf_matches_the_exact_quartic():
+    # against 1/2 + 15/16 (t - 2 t^3 / 3 + t^5 / 5) in exact rationals:
+    # within 2 ulp of 1/2, the scale of the sum's rounding, and never
+    # outside [0, 1] (the power form gave -1.1e-16 at t = -1)
+    ts = np.linspace(-1.0, 1.0, 2001)
+    got = _kernel_cdf(ts)
+    assert got.min() >= 0.0 and got.max() <= 1.0
+    half = Fraction(1, 2)
+    for t, v in zip(ts.tolist(), got.tolist()):
+        x = Fraction(t)
+        exact = half + Fraction(15, 16) * (x - 2 * x ** 3 / 3 + x ** 5 / 5)
+        assert abs(Fraction(v) - exact) <= 2 * Fraction(np.spacing(0.5))
 
 
 def test_mollified_jump_midpoint_and_tails(u_jump):
