@@ -473,7 +473,7 @@ def test_measure1d_restrict_cuts_the_interval():
     # the density is e^x, nonzero at both ends of the window: the
     # restricted measure lives on the window's own interval, so Simpson
     # sees no jump there; bisecting a jump at each end down to the width
-    # floor 1e-14 (b - a) alone takes 4 * 45 nodes on [-1, 1]
+    # floor 1e-14 (b - a) alone takes about 4 * 45 nodes on [-1, 1]
     nodes = []
 
     def dens(x):

@@ -490,8 +490,7 @@ def test_mass_bound_integrates_all_windows_in_one_simpson_call(monkeypatch):
         return simpson(*args, **kwargs)
 
     for module in (quadrature, measures_module):
-        monkeypatch.setattr(module, "adaptive_simpson_many", counted,
-                            raising=False)
+        monkeypatch.setattr(module, "adaptive_simpson_many", counted)
     out = mass_bound_check(ctx.field, ctx.u, windows, rep)
     assert len(out) == 20 and all(w["excess"] <= 1e-9 for w in out)
     assert len(calls) == 2

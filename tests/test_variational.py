@@ -39,9 +39,8 @@ def test_kernel_normalisation():
 
 
 def test_kernel_cdf_is_exact_at_its_ends():
-    ends = np.array([-3.0, -1.0, -1.0 + 1e-300, 1.0 - 1e-16, 1.0, 2.5])
-    assert _kernel_cdf(ends).tolist()[:2] == [0.0, 0.0]
-    assert _kernel_cdf(ends).tolist()[4:] == [1.0, 1.0]
+    ends = np.array([-3.0, -1.0, 1.0, 2.5])
+    assert _kernel_cdf(ends).tolist() == [0.0, 0.0, 1.0, 1.0]
     assert _kernel_cdf(-1.0) == 0.0 and _kernel_cdf(1.0) == 1.0
 
 
