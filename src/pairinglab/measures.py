@@ -127,21 +127,10 @@ class SingularLadder:
         self._build()
         return self._cache["knots"]
 
-    def increments(self):
-        """(lo, hi, mid_value, mass) arrays for the 2^depth retained intervals."""
-        xk, vk = self.knots()
-        return xk[0::2], xk[1::2], vk[0::2] + 0.5 * self.mass, self.mass
-
     def midpoints(self):
         """Midpoints 0.5 (lo + hi) of the 2^depth retained intervals."""
         self._build()
         return self._cache["midpoints"]
-
-    def plateaus(self):
-        """(lo, hi, value) arrays for all removed plateau intervals, in order
-        along the carrier."""
-        xk, vk = self.knots()
-        return xk[1:-1:2], xk[2::2], vk[1:-1:2]
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ from .bv import (BvFunction1D, Disc, PiecewiseConstantBv2D, PolygonRegion,
 from .bv import gradient_measure as bv_gradient_measure
 from .errors import (CylAverageDiverged, FormMismatch,
                      CrossValidationMismatch, NonFiniteValue)
-from .fields import FieldB, _broadcast, _node_axis, _plus_dot, mollify
-from .measures import (DiscPatch, RadonMeasure1D, RadonMeasure2D,
+from .fields import FieldB, _node_axis, _plus_dot, mollify
+from .measures import (DiscPatch, RadonMeasure2D,
                        _density_sign_breaks_many, _integrate_parts,
                        _on_curves, _per_owner)
 from .quadrature import (_T_BLOCK, _leggauss, adaptive_simpson,
@@ -197,31 +197,21 @@ def _required_cyl(field, t, nu, x):
     return res.value
 
 
-def jump_theta(field: FieldB, x0, u_minus, u_plus, nu, tol=1e-9,
-               genuine=True):
-    """The averaged density over a jump: mean of q(b_t, nu)(x0) on (u-, u+).
+def jump_theta(field: FieldB, x0, u_minus, u_plus, nu):
+    """The averaged density over a jump: mean of q(b_t, nu)(x0) on (u-, u+),
+    the double-limit cylindrical average at every level.
 
     By convention the average over an empty range (u+ = u-) is the value at
     that single level.
     """
     if u_plus == u_minus:
-        if genuine:
-            return _required_cyl(field, u_minus, nu, x0)
-        return _fast_q(field, np.asarray([x0]), nu, u_minus)[0]
-    if genuine:
-        # the genuine double limit, t-averaged by adaptive Simpson
-        def integrand(ts):
-            ts = np.atleast_1d(np.asarray(ts, dtype=float))
-            return np.array([_required_cyl(field, float(t), nu, x0)
-                             for t in ts])
-    else:
-        x0a = np.asarray(x0, dtype=float)
+        return _required_cyl(field, u_minus, nu, x0)
 
-        def integrand(ts):
-            ts = np.asarray(np.atleast_1d(ts), dtype=float)
-            return _fast_q(field, _broadcast(x0a, ts, field.dim)[0], nu, ts)
+    def integrand(ts):
+        return np.array([_required_cyl(field, t, nu, x0)
+                         for t in np.atleast_1d(ts).tolist()])
 
-    total = adaptive_simpson(integrand, u_minus, u_plus, tol=tol,
+    total = adaptive_simpson(integrand, u_minus, u_plus, tol=1e-9,
                              breakpoints=[k for k in field.t_kinks
                                           if u_minus < k < u_plus])
     return total / (u_plus - u_minus)
@@ -236,6 +226,15 @@ def _fast_q(field, x, nu, t):
     return v[..., 0] * nu[..., 0] + v[..., 1] * nu[..., 1]
 
 
+def _q_1d(field, x, nu, ts):
+    """q(b_t, nu)(x) at the levels ts and a 1D point x: b(x, t) nu where
+    the field is smooth at x, the double-limit cylindrical average where
+    it is not."""
+    if field.smooth_at(x):
+        return _fast_q(field, np.full(ts.shape, x), nu, ts)
+    return np.array([_required_cyl(field, t, nu, x) for t in ts.tolist()])
+
+
 # ---------------------------------------------------------------------------
 # Normal traces
 
@@ -244,7 +243,7 @@ def normal_trace(field: FieldB, t, region, nsample=24) -> NormalTrace:
     """Trace of the normal component of b_t on the boundary of a region.
 
     ``region`` is a Disc or PolygonRegion; each of its boundary pieces gets
-    max(2, nsample // pieces) sample points.  Traces are genuine
+    max(2, nsample // pieces) sample points.  Traces are double-limit
     cylindrical averages taken with the interior normal.
     """
     if not isinstance(region, (Disc, PolygonRegion)):
@@ -348,66 +347,45 @@ def pairing_distributional(field: FieldB, u, phi, tol=1e-9,
 
 
 def _diffuse_normal_1d(u, x):
-    """Direction of Du at a diffuse point: sign of the local derivative."""
-    if u.cantor is not None:
+    """Direction of Du at a diffuse point: sign of the local derivative,
+    that of the Cantor part where u' vanishes on its carrier."""
+    d = float(u.ac_derivative(np.array([x]))[0])
+    if u.cantor is not None and abs(d) < 1e-14:
         ca, cb = u.cantor.ladder.interval
         if ca <= x <= cb:
-            d = float(u.ac_derivative(np.array([x]))[0])
-            if abs(d) < 1e-14:
-                return 1.0 if u.cantor.scale >= 0 else -1.0
-    d = float(u.ac_derivative(np.array([x]))[0])
+            return 1.0 if u.cantor.scale >= 0 else -1.0
     return float(np.sign(d)) if d != 0.0 else 1.0
 
 
-def _representation_1d(field, u, tol, genuine_jumps):
-    ac_density = None
-    bps = ()
-    if u.ac is not None:
-        def ac_density(x):
-            x = np.asarray(x, dtype=float)
-            return np.asarray(field.eval(x, u.evaluate(x)), float) \
-                * u.ac_derivative(x)
-        bps = tuple(u.ac.breaks[1:-1])
-    atoms = []
-    jump_avgs = {}
-    for j in u.jumps:
-        avg = jump_theta(field, j.location, j.u_minus, j.u_plus, j.nu,
-                         tol=tol, genuine=genuine_jumps)
-        jump_avgs[j.location] = avg
-        atoms.append((j.location, j.height * avg))
-    ladder = None
-    scale = 0.0
-    ladder_density = None
-    if u.cantor is not None:
-        ladder = u.cantor.ladder
-        scale = u.cantor.scale
+def _representation_1d(field, u):
+    """Du with each part reweighted by q(b, nu_u): b(x, u(x)) on the ac and
+    ladder parts, the jump average jump_theta on each atom."""
+    du = u.gradient_measure()
+    jump_avgs = {j.location: jump_theta(field, j.location, j.u_minus,
+                                        j.u_plus, j.nu) for j in u.jumps}
 
-        def ladder_density(x):
-            x = np.asarray(x, dtype=float)
-            return np.asarray(field.eval(x, u.evaluate(x)), float)
+    def b_of_u(x):
+        return np.asarray(field.eval(x, u.evaluate(x)), float)
 
-    measure = RadonMeasure1D(u.domain, ac_density=ac_density,
-                             ac_breakpoints=bps, atoms=tuple(atoms),
-                             ladder=ladder, ladder_scale=scale,
-                             ladder_density=ladder_density)
+    ac = du.ac_density
+    measure = replace(
+        du, atoms=tuple((j.location, j.height * jump_avgs[j.location])
+                        for j in u.jumps),
+        ac_density=None if ac is None else (lambda x: b_of_u(x) * ac(x)),
+        ladder_density=None if du.ladder is None else b_of_u)
 
     def theta(x):
-        if x in jump_avgs:
-            return jump_avgs[x]
         j = u.jump_at(x)
         if j is not None:
-            return jump_theta(field, j.location, j.u_minus, j.u_plus, j.nu,
-                              tol=tol, genuine=genuine_jumps)
-        nu = _diffuse_normal_1d(u, x)
+            return jump_avgs[j.location]
         ut = float(u.evaluate(np.array([x]))[0])
-        if field.smooth_at(x):
-            return float(_fast_q(field, np.array([x]), nu, ut)[0])
-        return _required_cyl(field, ut, nu, np.array([x]))
+        return float(_q_1d(field, x, _diffuse_normal_1d(u, x),
+                           np.array([ut]))[0])
 
     return PairingMeasure(measure, theta)
 
 
-def _representation_2d(field, u, tol):
+def _representation_2d(field, u):
     if isinstance(u, SmoothRadialBv2D):
         def density(pts):
             pts = np.asarray(pts, dtype=float)
@@ -456,31 +434,29 @@ def _representation_2d(field, u, tol):
                               key=lambda rv: rv[0].boundary_distance(x))
             nu = region.interior_normal(x) * (1.0 if val >= 0 else -1.0)
             lo, hi = (0.0, val) if val >= 0 else (val, 0.0)
-            return jump_theta(field, tuple(x), lo, hi, nu, tol=tol,
-                              genuine=field.smooth_at(x))
+            return jump_theta(field, tuple(x), lo, hi, nu)
         return PairingMeasure(measure, theta)
     raise TypeError(f"unsupported BV function {type(u)!r}")
 
 
-def pairing_by_representation(field: FieldB, u, tol=1e-9,
-                              genuine_jumps=True) -> PairingMeasure:
+def pairing_by_representation(field: FieldB, u) -> PairingMeasure:
     """The pairing measure from the cylindrical-average representation.
 
     AC part density b(x, u(x)) . grad u; jump atoms weighted by the t-mean
-    of q(b_t, nu_u); ladder part with density q(b_{u(x)}, nu_u).  Jump
-    averages use the genuine double-limit averages at the stored jump
-    points (``genuine_jumps=False`` switches to the continuity fast path).
+    of q(b_t, nu_u); ladder part with density q(b_{u(x)}, nu_u).  Every jump
+    average is the double-limit cylindrical average at the stored jump
+    point, at every level of its range.
     """
     if field.dim == 1:
-        return _representation_1d(field, u, tol, genuine_jumps)
-    return _representation_2d(field, u, tol)
+        return _representation_1d(field, u)
+    return _representation_2d(field, u)
 
 
 # ---------------------------------------------------------------------------
 # Trace route
 
 
-def _trace_jump_avg_1d(field, u, j, tol):
+def _trace_jump_avg_1d(field, u, j):
     """Average over (u-, u+) of the trace of b_t on the boundary of {u>t},
     with the boundary point located by the level-set machinery at every
     quadrature node."""
@@ -492,26 +468,22 @@ def _trace_jump_avg_1d(field, u, j, tol):
             raise CrossValidationMismatch(
                 f"level set at t={ts[np.argmin(hit)]} does not cross the "
                 f"stored jump at {j.location}")
-        if field.smooth_at(j.location):
-            return _fast_q(field, np.full(ts.shape, j.location), j.nu, ts)
-        return np.array([_required_cyl(field, t, j.nu, j.location)
-                         for t in ts.tolist()])
+        return _q_1d(field, j.location, j.nu, ts)
 
     pad = 1e-9 * j.height
     total = adaptive_simpson(integrand, j.u_minus + pad, j.u_plus - pad,
-                             tol=max(tol, 1e-8))
+                             tol=1e-8)
     return total / (j.height - 2.0 * pad)
 
 
-def pairing_by_traces(field: FieldB, u, rep, tol=1e-9) -> PairingMeasure:
+def pairing_by_traces(field: FieldB, u, rep) -> PairingMeasure:
     """Same measure as pairing_by_representation, built from normal traces
     on level-set boundaries; raises CrossValidationMismatch if it
-    disagrees with ``rep``, which is pairing_by_representation(field, u,
-    tol)."""
+    disagrees with ``rep``, which is pairing_by_representation(field, u)."""
     if field.dim == 1:
         atoms = []
         for j in u.jumps:
-            avg = _trace_jump_avg_1d(field, u, j, tol)
+            avg = _trace_jump_avg_1d(field, u, j)
             atoms.append((j.location, j.height * avg))
         measure = replace(rep.measure, atoms=tuple(atoms))
         for (x_t, w_t), (x_r, w_r) in zip(atoms, rep.measure.atoms):
@@ -522,7 +494,8 @@ def pairing_by_traces(field: FieldB, u, rep, tol=1e-9) -> PairingMeasure:
         return PairingMeasure(measure, rep.theta)
     # 2D catalog scope: single-level indicators and smooth radial profiles,
     # for which the trace form coincides with the representation densities;
-    # cross-validate the surface density against genuine traces at samples
+    # cross-validate the surface density against cylindrical-average
+    # traces at samples
     if isinstance(u, PiecewiseConstantBv2D):
         for region, val in u.regions:
             tmid = 0.5 * val
@@ -550,7 +523,7 @@ def _level_pieces(u, ts, pieces):
             np.array([sgn for _, sgn, _ in parts]), [p for *_, p in parts])
 
 
-def coarea_pairing_check(field: FieldB, u, phi, dist, tol=1e-9):
+def coarea_pairing_check(field: FieldB, u, phi, dist):
     """lhs = <(b(., u), Du), phi>; rhs = int_R <(b_t, D chi_{u>t}), phi> dt.
 
     ``dist`` is the lhs, pairing_distributional(field, u, phi, 1e-10,
@@ -578,7 +551,7 @@ def coarea_pairing_check(field: FieldB, u, phi, dist, tol=1e-9):
             vals = adaptive_simpson_many(
                 lambda x, k: integrand(x, ts[owner[k]]),
                 np.maximum(lo, phi.support[0]), np.minimum(hi, phi.support[1]),
-                tol=tol * 1e-2, breakpoints=phi.breakpoints)
+                tol=1e-11, breakpoints=phi.breakpoints)
             out = np.zeros(ts.shape)
             np.add.at(out, owner, vals)
             return 0.0 - out
@@ -589,21 +562,21 @@ def coarea_pairing_check(field: FieldB, u, phi, dist, tol=1e-9):
             level, sgn, patches = _level_pieces(
                 u, ts, lambda region: (region.patch(phi),))
             vals = _integrate_parts(lambda x, k: integrand(x, ts[level[k]]),
-                                    patches, tol * 1e-2)
+                                    patches, 1e-11)
             out = np.zeros(ts.shape)
             np.add.at(out, level, sgn * vals)
             return 0.0 - out
 
-    rhs = _coarea_rhs(u, slices, ladder_slice, max(tol, 1e-8))
+    rhs = _coarea_rhs(u, slices, ladder_slice, 1e-8)
     return lhs, rhs, abs(lhs - rhs)
 
 
-def coarea_variation_check(field: FieldB, u, phi, rep, tol=1e-9):
+def coarea_variation_check(field: FieldB, u, phi, rep):
     """Same identity for the variations |.| of both measures; phi >= 0.
 
-    ``rep`` is pairing_by_representation(field, u, tol).
+    ``rep`` is pairing_by_representation(field, u).
     """
-    lhs = rep.measure.variation().integrate(phi, tol=tol)
+    lhs = rep.measure.variation().integrate(phi, tol=1e-9)
 
     def boundary(xs, nu, ts):
         return np.asarray(phi(xs), dtype=float) \
@@ -631,7 +604,7 @@ def coarea_variation_check(field: FieldB, u, phi, rep, tol=1e-9):
             np.add.at(out, level, vals)
             return out
 
-    rhs = _coarea_rhs(u, slices, boundary, max(tol, 1e-8))
+    rhs = _coarea_rhs(u, slices, boundary, 1e-8)
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -761,7 +734,7 @@ def approximation_convergence_check(field: FieldB, u, phi, eps_sequence,
 
 def mass_bound_check(field: FieldB, u, windows, rep):
     """|mu|(E) against ||b||_{L_inf(E x [-M, M])} |Du|(E) for each window E,
-    mu the measure of ``rep``, pairing_by_representation(field, u, 1e-9).
+    mu the measure of ``rep``, pairing_by_representation(field, u).
 
     Each window's ``excess`` is (lhs - bound) / (1 + |bound|): the bound
     holds to a relative tolerance tol when excess <= tol.

@@ -689,14 +689,14 @@ def sigma_k_identity_check(b, u, k, rep, phi=None):
     Checks Theta(b^k) = sigma_k(u) Theta(b) on the diffuse part, the
     sigma_k-weighted average on jump atoms, and G^k_phi(u) = G^k_phi(T_k u).
     The diffuse identity is sampled at the first 20 of 200 grid points
-    where u' != 0, Theta(b) from rep, pairing_by_representation(b, u)
-    (at diffuse points it does not depend on how jumps are averaged).
-    Returns the maximal residual of each identity.
+    where u' != 0, Theta(b) from rep, pairing_by_representation(b, u).
+    The atoms, Theta(b^k) and G^k_phi(u) are read from one representation
+    of (b^k, u).  Returns the maximal residual of each identity.
     """
     n_diffuse = 20
     k = float(k)
     bk = truncate(b, k)
-    repk = pairing_by_representation(bk, u, genuine_jumps=False)
+    repk = pairing_by_representation(bk, u)
 
     a0, a1 = u.domain
     xs = np.linspace(a0 + 1e-3, a1 - 1e-3, 10 * n_diffuse)
@@ -726,8 +726,7 @@ def sigma_k_identity_check(b, u, k, rep, phi=None):
     g_res = float("nan")
     if phi is not None:
         fun = Functionals(bk, u.domain)
-        g_res = abs(fun.G_phi(pairing_by_representation(bk, u), phi)
-                    - fun.G_phi(pairing_by_representation(
-                        bk, truncate_bv(u, k)), phi))
+        g_res = abs(fun.G_phi(repk, phi) - fun.G_phi(
+            pairing_by_representation(bk, truncate_bv(u, k)), phi))
     return {"k": k, "diffuse": diffuse, "jump": jump_res,
             "g_invariance": g_res}

@@ -371,9 +371,11 @@ def test_ladder_flat_on_removed_middle():
 
 def test_ladder_increments_mass_sums_to_one():
     lad = SingularLadder((0.0, 1.0), depth=10)
-    lo, hi, _, mass = lad.increments()
+    xk, _ = lad.knots()
+    # the leaves are [xk[2i], xk[2i + 1]], each of ladder mass lad.mass
+    lo, hi = xk[0::2], xk[1::2]
     assert len(lo) == 2 ** 10
-    assert abs(len(lo) * mass - 1.0) < 1e-12
+    assert abs(len(lo) * lad.mass - 1.0) < 1e-12
     assert np.all(hi > lo)
 
 
@@ -412,7 +414,9 @@ def test_ladder_clamps_outside_carrier():
 @pytest.mark.parametrize("removed", [0.2, 1.0 / 3.0])
 def test_ladder_leaf_midpoints_match_increments(removed):
     lad = SingularLadder((0.3, 2.7), removed)
-    lo, hi, mid_value, mass = lad.increments()
+    xk, vk = lad.knots()
+    lo, hi, mass = xk[0::2], xk[1::2], lad.mass
+    mid_value = vk[0::2] + 0.5 * mass
     # u is linear with slope mass / (hi - lo) on a leaf, so rounding the
     # midpoint to a float moves the value by at most slope * ulp
     slack = 4.0 * mass / (hi[0] - lo[0]) * np.spacing(2.7)
@@ -421,8 +425,10 @@ def test_ladder_leaf_midpoints_match_increments(removed):
 
 def test_ladder_plateaus_tile_carrier_with_leaves():
     lad = SingularLadder((0.3, 2.7))
-    lo, hi, mid_value, mass = lad.increments()
-    plo, phi, pval = lad.plateaus()
+    xk, vk = lad.knots()
+    # leaves [xk[2i], xk[2i + 1]], plateaus [xk[2i + 1], xk[2i + 2]]
+    lo, hi = xk[0::2], xk[1::2]
+    plo, phi, pval = xk[1:-1:2], xk[2::2], vk[1:-1:2]
     assert len(plo) == len(lo) - 1
     assert np.all(phi > plo) and np.all(lo[1:] == phi) and np.all(hi[:-1] == plo)
     assert np.allclose(lad.evaluate(0.5 * (plo + phi)), pval, rtol=0,

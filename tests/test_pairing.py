@@ -234,6 +234,44 @@ def test_jump_theta_constant_field(field_const):
     assert abs(th + 1.0) < 1e-10
 
 
+def _counted(monkeypatch, name):
+    """Replace pairing.<name> by a wrapper that records each call's args."""
+    calls = []
+    real = getattr(pairing, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pairing, name, counted)
+    return calls
+
+
+def test_theta_near_a_jump_reads_the_stored_average(field_gt, u_jump,
+                                                    monkeypatch):
+    # theta within 1e-12 of a jump is the atom's average, taken once when
+    # the measure is built
+    calls = _counted(monkeypatch, "jump_theta")
+    rep = pairing_by_representation(field_gt, u_jump)
+    assert len(calls) == 1
+    (j,) = u_jump.jumps
+    assert rep.theta(j.location + 1e-13) == rep.theta(j.location)
+    assert len(calls) == 1
+
+
+def test_2d_theta_at_a_singular_point_takes_the_cylindrical_average(
+        monkeypatch):
+    # b = x/|x| is singular at 0, a boundary point of the disc: theta there
+    # is the double-limit average of b . nu, which vanishes by symmetry
+    calls = _counted(monkeypatch, "cylindrical_average")
+    u = PiecewiseConstantBv2D(((-2.0, 2.0), (-2.0, 2.0)),
+                              ((Disc((1.0, 0.0), 1.0), 1.0),))
+    theta = pairing_by_representation(field_catalog("radial2d"), u).theta
+    assert abs(theta(np.array([0.0, 0.0]))) < 1e-12
+    assert calls and all(np.array_equal(x, (0.0, 0.0))
+                         for *_, x in calls)
+
+
 def _check_normal_trace(region, want):
     f = field_catalog("linear2d")
     for kw, count in (({"nsample": 8}, 8), ({}, 24)):

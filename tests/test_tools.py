@@ -46,12 +46,16 @@ def test_time_catalog_one_scenario(time_catalog, capsys):
                                       abs=1e-3 * len(checks))
     cpu = float(rows[-1][4])
     assert cpu > 0.0
-    total, peak = (line.split() for line in out.splitlines()[-2:])
+    total, peak, src = (line.split() for line in out.splitlines()[-3:])
     assert total[0] == "total" and total[3] == "cpu"
     assert float(total[4]) == pytest.approx(cpu, abs=1e-3)
-    # the process's peak RSS comes last, and no Python process fits in 1 MB
+    # the process's peak RSS, and no Python process fits in 1 MB
     assert peak[:2] == ["peak", "RSS"] and peak[3] == "MB"
     assert float(peak[2]) > 1.0
+    # the package's line count comes last
+    lines = sum(len(path.read_text().splitlines())
+                for path in (TOOLS.parent / "src" / "pairinglab").glob("*.py"))
+    assert src == ["src", "lines", str(lines)] and lines > 1000
 
 
 def test_time_catalog_unknown_id(time_catalog):

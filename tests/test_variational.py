@@ -353,3 +353,23 @@ def test_sigma_k_identities_staircase(k, u_stair, phi_bump):
     assert d["diffuse"] <= 1e-6
     assert d["jump"] <= 1e-6
     assert d["g_invariance"] <= 1e-6
+
+
+def test_sigma_k_builds_one_truncated_representation_per_k(monkeypatch):
+    # the atoms, Theta(b^k) and G^k_phi(u) come from one representation of
+    # (b^k, u); the other build is that of (b^k, T_k u)
+    ctx = load_catalog()["s06_stair_xt"].resolve()
+    rep = ctx.representation()
+    built = []
+    real = variational.pairing_by_representation
+
+    def counted(field, u, **kwargs):
+        built.append(u is ctx.u)
+        return real(field, u, **kwargs)
+
+    monkeypatch.setattr(variational, "pairing_by_representation", counted)
+    for k in (2.0, 3.0):
+        built.clear()
+        d = sigma_k_identity_check(ctx.field, ctx.u, k, rep, phi=ctx.phi)
+        assert built == [True, False]
+        assert max(d["diffuse"], d["jump"], d["g_invariance"]) <= 1e-6

@@ -13,10 +13,11 @@ then each of its checks is run with ``run_check`` and timed with
 thread of the process).  The output is one line per (scenario, check) with
 its wall time, CPU time and outcome (a FAIL also shows the check's residual
 and tolerance), then the totals per check and per scenario, the overall
-total, and the peak resident set size of the process (``ru_maxrss``).  A
-CPU time above the wall time means some library ran helper threads (a
-BLAS thread pool, say).  Exit code 0 if every check
-passed, 1 otherwise.
+total, the peak resident set size of the process (``ru_maxrss``), and
+last ``src lines N``, the line count of src/pairinglab/*.py (what
+``cat src/pairinglab/*.py | wc -l`` prints).  A CPU time above the wall
+time means some library ran helper threads (a BLAS thread pool, say).
+Exit code 0 if every check passed, 1 otherwise.
 """
 
 import argparse
@@ -26,7 +27,8 @@ import sys
 import time
 from collections import defaultdict
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
 
 from pairinglab.scenarios import (CHECKS, load_catalog,  # noqa: E402
                                   run_check)
@@ -90,6 +92,8 @@ def main(argv=None):
     # ru_maxrss is in kilobytes on Linux
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(f"peak RSS {peak:.1f} MB")
+    print("src lines", sum(path.read_bytes().count(b"\n")
+                           for path in (SRC / "pairinglab").glob("*.py")))
     return 0 if all(r[4].passed for r in rows) else 1
 
 
