@@ -15,10 +15,9 @@ import numpy as np
 
 from .errors import DegenerateLevel
 from .measures import (Circle, RadonMeasure1D, RadonMeasure2D, Segment,
-                       DiscPatch, PolygonPatch, SingularLadder,
-                       _integrate_parts)
+                       DiscPatch, PolygonPatch, SingularLadder)
 from .quadrature import (_brent_roots, _leggauss, _weighted_sum,
-                         adaptive_simpson, adaptive_simpson_many)
+                         adaptive_simpson_many)
 
 # Plateau and leaf intervals of a ladder are integrated this many at a time,
 # which bounds the arrays an integrand builds per node (for example a
@@ -35,7 +34,6 @@ __all__ = [
     "Disc",
     "PolygonRegion",
     "gradient_measure",
-    "coarea_tv_check",
 ]
 
 
@@ -639,31 +637,6 @@ def gradient_measure(u):
             for region, val in u.regions for curve in region.boundary())
         return RadonMeasure2D(u.rect, surface_parts=parts)
     raise TypeError(f"unsupported BV function {type(u)!r}")
-
-
-def coarea_tv_check(u, g):
-    """Check int g d|Du| = int dt int_{boundary of {u>t}} g dH^{N-1}, both
-    sides at tol 1e-8."""
-    lhs = gradient_measure(u).variation().integrate(g, tol=1e-8)
-    if isinstance(u, BvFunction1D):
-        def boundary(xs, nu, ts):
-            return np.asarray(g(xs), dtype=float)
-
-        rhs = _coarea_rhs(u, _crossing_slices(u, boundary), boundary, 1e-8)
-    elif isinstance(u, SmoothRadialBv2D):
-        # parameterize the level by the disc radius: the circles of every
-        # radius of r in one batched line integral
-        def integrand(r):
-            return _integrate_parts(
-                lambda p, _: g(p), [Circle(u.center, x) for x in r.tolist()],
-                1e-10) * np.abs(np.asarray(u.dprofile(r), dtype=float))
-        rhs = adaptive_simpson(integrand, 1e-9, u.support_radius, tol=1e-8)
-    else:
-        jumps = [(abs(val - u.background), curve) for region, val in u.regions
-                 for curve in region.boundary()]
-        rhs = sum(h * v for (h, _), v in zip(jumps, _integrate_parts(
-            lambda p, _: g(p), [c for _, c in jumps], 1e-10).tolist()))
-    return lhs, rhs, abs(lhs - rhs)
 
 
 def _crossing_slices(u, boundary):

@@ -19,8 +19,12 @@ reason instead.  A scenario that parses but does not resolve fails each of
 its checks with the error, and the other scenarios are still run.  Reports
 are strict JSON: a non-finite number is written as null.
 
-Each verdict, mass_bound's too, compares a check's ``residual`` or ``lhs``
-with the ``tolerance`` in its report, once, in ``scenarios``, so a failing
+Every verdict follows one rule, decided once, in ``scenarios.run_check``:
+a check passes iff it converged and its ``residual`` is at most the
+``tolerance`` in its report.  That tolerance is the one in the check's
+spec (relative, ``tol * (1 + |lhs|)``, for two_route and traces_route);
+``series`` gives a check that its scenario does not list the tolerance
+1e-6.  No option or environment variable scales a tolerance.  A failing
 check keeps its numbers; ``series`` writes its table, prints the failure
 to stderr and exits 1, as ``run`` does.
 
@@ -30,9 +34,6 @@ reports in the same order.  If a worker dies, each scenario the broken
 pool left unfinished is run again alone in a fresh worker, so only the
 scenario that kills its worker fails, with each of its checks reporting
 the error; the run goes on.
-
-The environment variable LAB_TOL_SCALE multiplies every tolerance; it must
-be a finite number > 0, or ``run`` and ``series`` exit with code 2.
 """
 
 import argparse
@@ -40,7 +41,6 @@ import csv
 import io
 import json
 import math
-import os
 import pathlib
 import platform
 import sys
@@ -53,29 +53,11 @@ from .scenarios import (CHECKS, CheckSpec, _error_outcome, load_catalog,
                         load_scenarios, run_check, run_scenario)
 
 
-def _tol_scale():
-    """LAB_TOL_SCALE as a finite float > 0; SpecError otherwise.
-
-    Any other scale makes the tolerances vacuous (inf) or meaningless (0,
-    negative, NaN), so it is rejected rather than applied.
-    """
-    raw = os.environ.get("LAB_TOL_SCALE", "1.0")
-    try:
-        scale = float(raw)
-    except ValueError:
-        scale = math.nan
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise SpecError(
-            f"LAB_TOL_SCALE must be a finite number > 0, got {raw!r}")
-    return scale
-
-
-def _scenario_report(scenario, tol_scale, stable):
+def _scenario_report(scenario, stable):
     """(report, outcomes) of one scenario; a module-level function so that
     a worker process can run it."""
     t0 = time.time()
-    return _report(scenario, run_scenario(scenario, tol_scale=tol_scale),
-                   stable, t0)
+    return _report(scenario, run_scenario(scenario), stable, t0)
 
 
 def _report(scenario, outcomes, stable, t0):
@@ -93,16 +75,16 @@ def _report(scenario, outcomes, stable, t0):
     return report, outcomes
 
 
-def _pool_run(scenarios, tol_scale, stable, workers):
+def _pool_run(scenarios, stable, workers):
     """_scenario_report of each scenario from a pool of worker processes:
     its result, or the exception its future raised."""
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_scenario_report, sc, tol_scale, stable)
+        futures = [pool.submit(_scenario_report, sc, stable)
                    for sc in scenarios]
         return [fut.exception() or fut.result() for fut in futures]
 
 
-def _pooled_reports(scenarios, tol_scale, stable, jobs):
+def _pooled_reports(scenarios, stable, jobs):
     """_scenario_report of each scenario, in order, from worker processes.
 
     A check that raises fails alone inside its worker.  A dead worker
@@ -113,15 +95,13 @@ def _pooled_reports(scenarios, tol_scale, stable, jobs):
     outcomes.
     """
     t0 = time.time()
-    results = _pool_run(scenarios, tol_scale, stable,
-                        min(jobs, len(scenarios)))
+    results = _pool_run(scenarios, stable, min(jobs, len(scenarios)))
     for i, sc in enumerate(scenarios):
         if isinstance(results[i], BrokenProcessPool):
-            (results[i],) = _pool_run([sc], tol_scale, stable, 1)
+            (results[i],) = _pool_run([sc], stable, 1)
         if isinstance(results[i], BaseException):
-            outcomes = [_error_outcome(sc.id, c.name,
-                                       c.tolerance * tol_scale, results[i])
-                        for c in sc.checks]
+            outcomes = [_error_outcome(sc.id, c.name, c.tolerance,
+                                       results[i]) for c in sc.checks]
             # timed from the pool's start: when it ran is unknown
             results[i] = _report(sc, outcomes, stable, t0)
     return results
@@ -156,19 +136,13 @@ def cmd_run(args):
     if not scenarios:
         print("no scenarios found", file=sys.stderr)
         return 2
-    try:
-        scale = _tol_scale()
-    except SpecError as exc:
-        print(f"spec error: {exc}", file=sys.stderr)
-        return 2
     outdir = pathlib.Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
     if args.jobs > 1:
-        results = _pooled_reports(scenarios, scale, args.stable, args.jobs)
+        results = _pooled_reports(scenarios, args.stable, args.jobs)
     else:
-        results = [_scenario_report(sc, scale, args.stable)
-                   for sc in scenarios]
+        results = [_scenario_report(sc, args.stable) for sc in scenarios]
 
     all_pass = True
     rows = []
@@ -228,12 +202,11 @@ def cmd_series(args):
             return 2
         spec = CheckSpec(args.check, 1e-6)
     try:
-        scale = _tol_scale()
         ctx = scenario.resolve()
     except PairingLabError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2
-    outcome = run_check(ctx, spec, tol_scale=scale)
+    outcome = run_check(ctx, spec)
     out = pathlib.Path(args.output)
     with open(out, "w", newline="") as fh:
         w = csv.writer(fh)

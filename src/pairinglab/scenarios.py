@@ -343,6 +343,20 @@ class CheckOutcome:
                 "diagnostics": self.diagnostics}
 
 
+@dataclass(frozen=True)
+class Measurement:
+    """What a check adapter measured, and no verdict: run_check decides
+    that.  A tolerance of None is the spec's; only the checks that iterate
+    to a limit (cyl_average, blowup) can report converged=False."""
+    lhs: float
+    rhs: float
+    residual: float
+    diagnostics: dict = dc_field(default_factory=dict)
+    table: tuple = ()
+    tolerance: float = None
+    converged: bool = True
+
+
 def _worst(values):
     """The largest of values, or NaN if one of them is NaN: the builtin max
     keeps its running value against a NaN, so a NaN could never fail a
@@ -358,39 +372,31 @@ def _rng(ctx, label):
 def _check_two_route(ctx, params, tol):
     v1 = ctx.distributional()
     v2 = ctx.representation().integrate(ctx.phi)
-    res = abs(v1 - v2)
-    eff = tol * (1.0 + abs(v1))
-    return CheckOutcome(ctx.id, "two_route", v1, v2, res, eff, res <= eff,
-                        {"relative_scale": 1.0 + abs(v1)})
+    return Measurement(v1, v2, abs(v1 - v2),
+                       {"relative_scale": 1.0 + abs(v1)},
+                       tolerance=tol * (1.0 + abs(v1)))
 
 
 def _check_traces_route(ctx, params, tol):
     v1 = ctx.distributional()
     tr = pairing.pairing_by_traces(ctx.field, ctx.u, ctx.representation())
     v2 = tr.integrate(ctx.phi)
-    res = abs(v1 - v2)
-    eff = tol * (1.0 + abs(v1))
-    return CheckOutcome(ctx.id, "traces_route", v1, v2, res, eff, res <= eff)
+    return Measurement(v1, v2, abs(v1 - v2), tolerance=tol * (1.0 + abs(v1)))
 
 
 def _check_coarea_pairing(ctx, params, tol):
-    lhs, rhs, res = pairing.coarea_pairing_check(
-        ctx.field, ctx.u, ctx.phi, ctx.distributional())
-    return CheckOutcome(ctx.id, "coarea_pairing", lhs, rhs, res, tol,
-                        res <= tol)
+    return Measurement(*pairing.coarea_pairing_check(
+        ctx.field, ctx.u, ctx.phi, ctx.distributional()))
 
 
 def _check_coarea_variation(ctx, params, tol):
-    lhs, rhs, res = pairing.coarea_variation_check(
-        ctx.field, ctx.u, ctx.phi, ctx.representation())
-    return CheckOutcome(ctx.id, "coarea_variation", lhs, rhs, res, tol,
-                        res <= tol)
+    return Measurement(*pairing.coarea_variation_check(
+        ctx.field, ctx.u, ctx.phi, ctx.representation()))
 
 
 def _check_chain_rule(ctx, params, tol):
-    lhs, rhs, res = pairing.chain_rule_check(
-        ctx.phi, ctx.distributional(), ctx.representation())
-    return CheckOutcome(ctx.id, "chain_rule", lhs, rhs, res, tol, res <= tol)
+    return Measurement(*pairing.chain_rule_check(
+        ctx.phi, ctx.distributional(), ctx.representation()))
 
 
 def _windows_for(ctx, count):
@@ -419,9 +425,8 @@ def _check_mass_bound(ctx, params, tol):
     excess = [r["excess"] for r in results]
     residual = _worst([0.0, *excess])
     violations = sum(not e <= tol for e in excess)
-    return CheckOutcome(ctx.id, "mass_bound", worst, 0.0, residual, tol,
-                        residual <= tol,
-                        {"windows": count, "violations": violations})
+    return Measurement(worst, 0.0, residual,
+                       {"windows": count, "violations": violations})
 
 
 def _check_lipschitz(ctx, params, tol):
@@ -433,8 +438,7 @@ def _check_lipschitz(ctx, params, tol):
     pairs = pairing.lipschitz_comparison_check(
         ctx.field, ctx.u, taus, ctx.phi, ctx.distributional())
     worst = _worst([-math.inf, *(lhs - rhs for lhs, rhs in pairs)])
-    return CheckOutcome(ctx.id, "lipschitz", worst, 0.0, _worst([worst, 0.0]),
-                        tol, worst <= tol, {"taus": taus})
+    return Measurement(worst, 0.0, _worst([worst, 0.0]), {"taus": taus})
 
 
 def _check_gauss_green(ctx, params, tol):
@@ -449,8 +453,7 @@ def _check_gauss_green(ctx, params, tol):
             p, np.full(np.shape(p)[:-1], _v)), dtype=float)
         for _, val in ctx.u.regions]),
         [region.patch() for region, _ in ctx.u.regions], 1e-10).tolist())
-    res = abs(lhs - rhs)
-    return CheckOutcome(ctx.id, "gauss_green", lhs, rhs, res, tol, res <= tol)
+    return Measurement(lhs, rhs, abs(lhs - rhs))
 
 
 def _check_cyl_average(ctx, params, tol):
@@ -485,8 +488,7 @@ def _check_cyl_average(ctx, params, tol):
                                               tuple(x))
         converged = converged and got.converged
         worst = _worst([worst, abs(got.value - want)])
-    return CheckOutcome(ctx.id, "cyl_average", worst, 0.0, worst, tol,
-                        converged and worst <= tol, {"points": n})
+    return Measurement(worst, 0.0, worst, {"points": n}, converged=converged)
 
 
 def _eps_schedule(params, eps0=0.04, count=7):
@@ -500,9 +502,8 @@ def _check_approximation(ctx, params, tol):
         ctx.field, ctx.u, ctx.phi, _eps_schedule(params),
         ctx.distributional())
     res = table[-1][1]
-    return CheckOutcome(ctx.id, "approximation", res, 0.0, res, tol,
-                        res <= tol, {"eps_final": table[-1][0]},
-                        table=tuple(table))
+    return Measurement(res, 0.0, res, {"eps_final": table[-1][0]},
+                       tuple(table))
 
 
 def _sequence_for(ctx, params):
@@ -527,11 +528,10 @@ def _check_continuity(ctx, params, tol):
     res = variational.continuity_check_Gphi(
         ctx.field, ctx.phi, seq, ctx.u, ctx.representation(),
         window=ctx.window)
-    gap = res.gaps[-1]
-    return CheckOutcome(ctx.id, "continuity", res.values[-1], res.target,
-                        gap, tol, gap <= tol,
-                        {"mode": res.mode, "sup_linf": res.premise["sup_linf"]},
-                        table=tuple(enumerate(res.gaps)))
+    return Measurement(res.values[-1], res.target, res.gaps[-1],
+                       {"mode": res.mode,
+                        "sup_linf": res.premise["sup_linf"]},
+                       tuple(enumerate(res.gaps)))
 
 
 def _check_lsc(ctx, params, tol):
@@ -539,15 +539,13 @@ def _check_lsc(ctx, params, tol):
     seq = _sequence_for(ctx, params)
     res = variational.lsc_check(ctx.field, functional, seq, ctx.u,
                                 ctx.representation(), window=ctx.window)
-    return CheckOutcome(ctx.id, "lsc", res.liminf, res.target,
-                        _worst([0.0, -res.margin, res.truncation_residual]),
-                        tol,
-                        res.margin >= -tol and res.truncation_residual <= tol,
-                        {"functional": functional, "margin": res.margin,
-                         "truncation_k": res.truncation_k,
-                         "truncation_residual": res.truncation_residual,
-                         "mode": seq.mode},
-                        table=tuple(enumerate(res.values)))
+    return Measurement(res.liminf, res.target,
+                       _worst([0.0, -res.margin, res.truncation_residual]),
+                       {"functional": functional, "margin": res.margin,
+                        "truncation_k": res.truncation_k,
+                        "truncation_residual": res.truncation_residual,
+                        "mode": seq.mode},
+                       tuple(enumerate(res.values)))
 
 
 def _check_relaxation(ctx, params, tol):
@@ -561,9 +559,8 @@ def _check_relaxation(ctx, params, tol):
                            ("cantor", res.cantor_report)):
         for br in reports:
             diag[f"blowup_{label}_mismatch"] = br.mismatch
-    return CheckOutcome(ctx.id, "relaxation", res.liminf, res.target,
-                        res.gap, tol, res.gap <= tol, diag,
-                        table=tuple(zip(res.eps, res.values)))
+    return Measurement(res.liminf, res.target, res.gap, diag,
+                       tuple(zip(res.eps, res.values)))
 
 
 def _check_blowup(ctx, params, tol):
@@ -576,11 +573,10 @@ def _check_blowup(ctx, params, tol):
     if point != "cantor":
         radii = tuple(params.get("radii", radii))
     br = variational.blowup_density(ctx.u, x0, radii, ctx.representation())
-    return CheckOutcome(ctx.id, "blowup", br.extrapolated,
-                        br.theta_reference, br.mismatch, tol,
-                        br.converged and br.mismatch <= tol,
-                        {"x0": br.x0, "converged": br.converged},
-                        table=tuple(zip(br.radii, br.quotients)))
+    return Measurement(br.extrapolated, br.theta_reference, br.mismatch,
+                       {"x0": br.x0, "converged": br.converged},
+                       tuple(zip(br.radii, br.quotients)),
+                       converged=br.converged)
 
 
 def _check_sigma_k(ctx, params, tol):
@@ -597,8 +593,7 @@ def _check_sigma_k(ctx, params, tol):
         # stands for "not computed"
         worst = _worst([worst, d["diffuse"], d["jump"],
                         d["g_invariance"] if use_phi else 0.0])
-    return CheckOutcome(ctx.id, "sigma_k", worst, 0.0, worst, tol,
-                        worst <= tol, diag)
+    return Measurement(worst, 0.0, worst, diag)
 
 
 def _check_order_relations(ctx, params, tol):
@@ -608,8 +603,7 @@ def _check_order_relations(ctx, params, tol):
     # the largest violation of F >= G+ >= max(G, 0) and F >= |G|
     residual = _worst([0.0, gp - f, _worst([g, 0.0]) - gp, abs(g) - f]) \
         / (1.0 + abs(f))
-    return CheckOutcome(ctx.id, "order_relations", f, gp, residual, tol,
-                        residual <= tol, {"F": f, "G": g, "Gplus": gp})
+    return Measurement(f, gp, residual, {"F": f, "G": g, "Gplus": gp})
 
 
 CHECKS = {
@@ -632,19 +626,23 @@ CHECKS = {
 }
 
 
-def run_check(ctx, spec: CheckSpec, tol_scale=1.0):
-    """Execute one named check; failures surface as failed outcomes.
+def run_check(ctx, spec: CheckSpec):
+    """Execute one named check and decide its verdict, the one rule of
+    every check: pass iff it converged and residual <= tolerance.
 
     Any exception a check raises, not only a PairingLabError, fails that
     check alone, so one defect cannot take down the other checks' reports.
     """
     if spec.name not in CHECKS:
         raise UnknownCheck(spec.name)
-    tol = spec.tolerance * tol_scale
     try:
-        return CHECKS[spec.name](ctx, spec.params, tol)
+        m = CHECKS[spec.name](ctx, spec.params, spec.tolerance)
+        tol = spec.tolerance if m.tolerance is None else m.tolerance
+        return CheckOutcome(ctx.id, spec.name, m.lhs, m.rhs, m.residual, tol,
+                            m.converged and m.residual <= tol, m.diagnostics,
+                            m.table)
     except Exception as exc:
-        return _error_outcome(ctx.id, spec.name, tol, exc)
+        return _error_outcome(ctx.id, spec.name, spec.tolerance, exc)
 
 
 def _error_outcome(scenario_id, check, tol, exc):
@@ -653,12 +651,12 @@ def _error_outcome(scenario_id, check, tol, exc):
                         {"error": f"{type(exc).__name__}: {exc}"})
 
 
-def run_scenario(scenario: Scenario, tol_scale=1.0):
+def run_scenario(scenario: Scenario):
     """Outcomes of the scenario's checks.  A scenario that does not resolve
     fails each of its checks with the resolve error, and nothing else."""
     try:
         ctx = scenario.resolve()
     except Exception as exc:
-        return [_error_outcome(scenario.id, c.name, c.tolerance * tol_scale,
-                               exc) for c in scenario.checks]
-    return [run_check(ctx, c, tol_scale=tol_scale) for c in scenario.checks]
+        return [_error_outcome(scenario.id, c.name, c.tolerance, exc)
+                for c in scenario.checks]
+    return [run_check(ctx, c) for c in scenario.checks]

@@ -160,3 +160,7 @@ def test_catalog_overall_pass(catalog_results):
     failures = [(sid, name) for (sid, name), (out, _)
                 in catalog_results.items() if not out.passed]
     assert failures == []
+    # the one verdict rule, on every outcome: every catalog check converged
+    assert len(catalog_results) == 196
+    for key, (out, _) in catalog_results.items():
+        assert out.passed == (out.residual <= out.tolerance), key

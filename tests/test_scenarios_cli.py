@@ -166,11 +166,27 @@ def test_run_check_report_schema():
     assert rep["pass"] is True
 
 
-def test_run_check_tol_scale_can_force_failure():
+def test_run_check_tiny_tolerance_forces_failure():
     ctx = parse_scenario(FAST_SCENARIO).resolve()
-    out = run_check(ctx, CheckSpec("coarea_variation", 1e-5),
-                    tol_scale=1e-30)
-    assert not out.passed
+    out = run_check(ctx, CheckSpec("coarea_variation", 1e-30))
+    assert not out.passed and out.tolerance == 1e-30
+
+
+@pytest.mark.parametrize("sid, check, module, name", [
+    ("s01_smooth_const", "cyl_average", pairing, "cylindrical_average"),
+    ("s04_jump_gt", "blowup", variational, "blowup_density")],
+    ids=["cyl_average", "blowup"])
+def test_unconverged_check_fails_within_its_tolerance(sid, check, module,
+                                                      name, monkeypatch):
+    # the same numbers, flagged unconverged: the residual alone would pass
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **kw: dataclasses.replace(
+        real(*a, **kw), converged=False))
+    sc = load_catalog()[sid]
+    spec = next(c for c in sc.checks if c.name == check)
+    out = run_check(sc.resolve(), spec)
+    assert out.residual <= out.tolerance
+    assert out.passed is False and "error" not in out.diagnostics
 
 
 def test_run_check_converts_errors_to_failed_outcome():
@@ -381,9 +397,9 @@ def test_run_scenario_overall(tmp_path):
 
 def test_run_scenario_that_does_not_resolve_fails_each_check():
     sc = parse_scenario(dict(FAST_SCENARIO, field={"kind": "nope"}))
-    outs = run_scenario(sc, tol_scale=2.0)
+    outs = run_scenario(sc)
     assert [(o.check, o.passed, o.tolerance) for o in outs] == [
-        ("two_route", False, 2e-6), ("chain_rule", False, 2e-8)]
+        ("two_route", False, 1e-6), ("chain_rule", False, 1e-8)]
     for o in outs:
         assert o.scenario == "tiny_jump"
         assert o.diagnostics["error"].startswith("SpecError: bad field spec")
@@ -828,25 +844,27 @@ def test_cli_reports_write_non_finite_as_null(tmp_path):
     assert check["diagnostics"]["k=2"]["g_invariance"] is None
 
 
-def test_cli_run_failure_exit_1(tmp_path, monkeypatch):
-    p = _write_fast(tmp_path)
-    monkeypatch.setenv("LAB_TOL_SCALE", "1e-30")
+def test_cli_run_failure_exit_1(tmp_path):
+    p = _write_fast(tmp_path, dict(FAST_SCENARIO, checks=[
+        {"name": "two_route", "tolerance": 1e-30},
+        {"name": "chain_rule", "tolerance": 1e-30}]))
     code = main(["run", str(p), "--out", str(tmp_path / "r")])
     assert code == 1
 
 
-@pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1", "abc"])
-def test_cli_rejects_bad_tol_scale(scale, tmp_path, monkeypatch, capsys):
-    p = _write_fast(tmp_path)
-    monkeypatch.setenv("LAB_TOL_SCALE", scale)
+def test_cli_no_environment_variable_scales_a_tolerance(tmp_path,
+                                                        monkeypatch):
+    # approximation at one eps = 0.1 leaves a residual of about 3e-4; the
+    # variable that once scaled every tolerance must not let it pass
+    spec = dict(FAST_SCENARIO, field={"kind": "sep"}, checks=[
+        {"name": "approximation", "tolerance": 1e-6,
+         "params": {"eps0": 0.1, "count": 1}}])
+    p = _write_fast(tmp_path, spec)
+    monkeypatch.setenv("LAB_TOL_SCALE", "1e3")
     outdir = tmp_path / "r"
-    assert main(["run", str(p), "--out", str(outdir)]) == 2
-    assert not outdir.exists()
-    series = tmp_path / "series.csv"
-    assert main(["series", "s04_jump_gt", "blowup", str(series)]) == 2
-    assert not series.exists()
-    err = capsys.readouterr().err
-    assert err.count("LAB_TOL_SCALE") == 2
+    assert main(["run", str(p), "--stable", "--out", str(outdir)]) == 1
+    (check,) = _strict_load(outdir / "tiny_jump.json")["checks"]
+    assert check["tolerance"] == 1e-6 and check["residual"] > 1e-4
 
 
 def test_cli_aggregate_csv_written_atomically(tmp_path):
@@ -1011,7 +1029,10 @@ def test_cli_series_failed_check_exits_1(tmp_path, capsys):
 
 def test_cli_series_writes_the_table_of_a_failing_check(tmp_path,
                                                         monkeypatch, capsys):
-    monkeypatch.setenv("LAB_TOL_SCALE", "1e-12")
+    # lsc's own numbers and table, with a residual above any tolerance
+    real = CHECKS["lsc"]
+    monkeypatch.setitem(CHECKS, "lsc", lambda *a: dataclasses.replace(
+        real(*a), residual=1.0))
     out = tmp_path / "series.csv"
     assert main(["series", "s03_jump_const", "lsc", str(out)]) == 1
     with open(out) as fh:

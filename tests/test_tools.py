@@ -3,7 +3,10 @@ bench_pairs.py on synthetic samples."""
 
 import importlib.util
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -91,6 +94,25 @@ def test_time_catalog_only_flags_accumulate(time_catalog, capsys):
     rows = [line.split()[:2] for line in capsys.readouterr().out.splitlines()
             if line.endswith("pass")]
     assert rows == [[sid, "two_route"] for sid in sids]
+
+
+@pytest.mark.parametrize("tol, code", [(1e-5, 0), (1e-30, 1)])
+def test_time_catalog_exits_quietly_into_a_closed_pipe(tmp_path, tol, code):
+    # the reader is gone before the first row, so every write meets a
+    # closed pipe: no traceback, and the exit code is still the verdict's
+    with open(shipped_catalog_dir() / "s05_jump2_xt.json") as fh:
+        spec = dict(json.load(fh), checks=[
+            {"name": "coarea_variation", "tolerance": tol}])
+    (tmp_path / "s05.json").write_text(json.dumps(spec))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, str(TOOLS / "time_catalog.py"), str(tmp_path)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (code, "")
 
 
 def test_time_catalog_fail_row_shows_residual_and_tolerance(time_catalog,

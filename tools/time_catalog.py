@@ -17,10 +17,13 @@ total, the peak resident set size of the process (``ru_maxrss``), and
 last ``src lines N``, the line count of src/pairinglab/*.py (what
 ``cat src/pairinglab/*.py | wc -l`` prints).  A CPU time above the wall
 time means some library ran helper threads (a BLAS thread pool, say).
-Exit code 0 if every check passed, 1 otherwise.
+Exit code 0 if every check passed, 1 otherwise.  A reader that closes the
+output early (``| head``, say) changes neither that code nor ends the run
+in a traceback.
 """
 
 import argparse
+import os
 import pathlib
 import resource
 import sys
@@ -78,6 +81,17 @@ def main(argv=None):
                         metavar="NAME")
     args = parser.parse_args(argv)
     rows = time_catalog(args.directory, args.only, args.check)
+    try:
+        _print(rows)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout goes nowhere from here on, so the flush at exit cannot
+        # raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return 0 if all(r[4].passed for r in rows) else 1
+
+
+def _print(rows):
     for sid, check, dt, cpu, out in rows:
         status = "pass" if out.passed else (
             f"FAIL  residual={out.residual:.3e} tolerance={out.tolerance:.3e}")
@@ -94,7 +108,6 @@ def main(argv=None):
     print(f"peak RSS {peak:.1f} MB")
     print("src lines", sum(path.read_bytes().count(b"\n")
                            for path in (SRC / "pairinglab").glob("*.py")))
-    return 0 if all(r[4].passed for r in rows) else 1
 
 
 if __name__ == "__main__":
