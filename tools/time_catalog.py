@@ -17,9 +17,9 @@ total, the peak resident set size of the process (``ru_maxrss``), and
 last ``src lines N``, the line count of src/pairinglab/*.py (what
 ``cat src/pairinglab/*.py | wc -l`` prints).  A CPU time above the wall
 time means some library ran helper threads (a BLAS thread pool, say).
-Exit code 0 if every check passed, 1 otherwise.  A reader that closes the
-output early (``| head``, say) changes neither that code nor ends the run
-in a traceback.
+Exit code 0 if every check passed, 1 otherwise; if the reader closes the
+output early (``| head``, say), the run still exits with that code, without
+a traceback.
 """
 
 import argparse
