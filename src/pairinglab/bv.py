@@ -196,12 +196,10 @@ class BvFunction1D:
         return max(abs(lo), abs(hi))
 
     def value_range(self):
-        xs = np.linspace(self.domain[0], self.domain[1], 4001)
-        xs = np.unique(np.concatenate([xs, self.breakpoints()]))
-        v = self.evaluate(xs)
-        vals = [float(v.min()), float(v.max())]
-        for j in self.jumps:
-            vals.extend([j.u_minus, j.u_plus])
+        """(min, max) over the level grid's values and the jump sides."""
+        vals = [s for j in self.jumps for s in (j.u_minus, j.u_plus)]
+        for *_, v, _ in self._level_grid:
+            vals += [float(v.min()), float(v.max())]
         return min(vals), max(vals)
 
     # -- precise representatives
@@ -234,50 +232,40 @@ class BvFunction1D:
     # -- level sets
 
     def level_breaks(self):
-        """Values of t at which the structure of {u > t} can change."""
-        vals = set()
-        for j in self.jumps:
-            vals.add(j.u_minus)
-            vals.add(j.u_plus)
-        # endpoint / critical values of the continuous part, per segment
-        for lo, hi in self._segments():
-            xs = np.linspace(lo, hi, 801)
-            v = self._segment_values(xs, lo, hi)
-            vals.add(float(v[0]))
-            vals.add(float(v[-1]))
+        """Values of t at which the structure of {u > t} can change: the
+        jump sides, the value range, and per segment of the level grid its
+        end values and the values where it turns."""
+        vals = {s for j in self.jumps for s in (j.u_minus, j.u_plus)}
+        for *_, v, _ in self._level_grid:
             dv = np.diff(v)
-            turning = np.nonzero(dv[:-1] * dv[1:] < 0)[0]
-            for i in turning:
-                vals.add(float(v[i + 1]))
-        lo, hi = self.value_range()
-        vals.add(lo)
-        vals.add(hi)
+            turn = np.flatnonzero(dv[:-1] * dv[1:] < 0) + 1
+            vals.update(v[[0, -1, *turn]].tolist())
+        vals.update(self.value_range())
         return tuple(sorted(vals))
 
-    def _segments(self):
-        pts = [self.domain[0]] + list(self.breakpoints()) + [self.domain[1]]
-        pts = sorted(set(pts))
-        return list(zip(pts[:-1], pts[1:]))
-
-    def _segment_values(self, xs, lo, hi):
-        """u on a jump-free segment, using one-sided limits at the ends."""
-        v = self._base(xs)
-        for j in self.jumps:
-            if j.location <= lo:
-                v = v + (j.right_value - j.left_value)
-        return v
+    def _jump_offset(self, x):
+        """The jump steps at or left of x: u = _base + this just right of
+        x, and on the jump-free segment that starts at x."""
+        return float(sum(j.right_value - j.left_value
+                         for j in self.jumps if j.location <= x))
 
     @cached_property
     def _level_grid(self):
-        """Per jump-free segment: (lo, hi, a 1201-point grid, u on it, the
-        jump offset), the grid that brackets level crossings."""
+        """Per jump-free segment: (lo, hi, grid, u on it, the jump offset).
+        The grid is 1201 equal steps plus each local extremum of u, polished
+        from a turn of the steps to a root of u'; u on it (one-sided at the
+        ends) is _base + offset, as the crossing polish evaluates it."""
+        pts = sorted({self.domain[0], *self.breakpoints(), self.domain[1]})
         out = []
-        for lo, hi in self._segments():
+        for lo, hi in zip(pts[:-1], pts[1:]):
             xs = np.linspace(lo, hi, 1201)
-            offset = sum((j.right_value - j.left_value)
-                         for j in self.jumps if j.location <= lo)
-            out.append((lo, hi, xs, self._segment_values(xs, lo, hi),
-                        float(offset)))
+            dv = np.diff(self._base(xs))
+            turn = np.flatnonzero(dv[:-1] * dv[1:] < 0)
+            ext = _brent_roots(lambda z, _: self.ac_derivative(z), xs[turn],
+                               xs[turn + 2], xtol=1e-13)
+            xs = np.unique(np.append(xs, ext[~np.isnan(ext)]))
+            offset = self._jump_offset(lo)
+            out.append((lo, hi, xs, self._base(xs) + offset, offset))
         return out
 
     def level_crossings_many(self, ts):
@@ -381,8 +369,7 @@ class BvFunction1D:
     def _cantor_segment_integral(self, hs, s0, s1, share):
         cp = self.cantor
         lad = cp.ladder
-        offset = sum((j.right_value - j.left_value)
-                     for j in self.jumps if j.location <= s0)
+        offset = self._jump_offset(s0)
 
         def base(x):
             out = np.full(np.shape(x), offset)
@@ -713,7 +700,8 @@ def _coarea_rhs(u, slices, ladder_slice, tol):
 def _cantor_level_range(u):
     if not isinstance(u, BvFunction1D) or u.cantor is None:
         return None
+    # u at the carrier's ends, one-sided: off the grid of its end segments
     ca, cb = u.cantor.ladder.interval
-    va = float(u.evaluate(np.array([ca + 1e-13]))[0])
-    vb = float(u.evaluate(np.array([cb - 1e-13]))[0])
+    va = next(float(v[0]) for lo, _, _, v, _ in u._level_grid if lo == ca)
+    vb = next(float(v[-1]) for _, hi, _, v, _ in u._level_grid if hi == cb)
     return (min(va, vb), max(va, vb))

@@ -665,7 +665,6 @@ class TestFunction1D:
     gradient: object
     support: tuple
     sup_norm: float
-    grad_sup_norm: float
     breakpoints: tuple = ()  # kinks of the gradient, for quadrature seeding
 
     def __call__(self, x):
@@ -685,8 +684,7 @@ class TestFunction1D:
             s = (np.asarray(x, dtype=float) - c) / h
             return np.where(np.abs(s) < 1.0, -4.0 * s * (1.0 - s * s) / h, 0.0)
 
-        gmax = 4.0 / h * (1.0 / np.sqrt(3.0)) * (2.0 / 3.0)
-        return TestFunction1D(ev, gr, (a, b), 1.0, gmax, breakpoints=(a, b))
+        return TestFunction1D(ev, gr, (a, b), 1.0, breakpoints=(a, b))
 
     @staticmethod
     def plateau(a, p, q, b):
@@ -705,9 +703,7 @@ class TestFunction1D:
             down = -_dsmooth((b - x) / (b - q)) / (b - q)
             return np.where(x < p, up, np.where(x > q, down, 0.0))
 
-        gmax = 1.5 * max(1.0 / (p - a), 1.0 / (b - q))
-        return TestFunction1D(ev, gr, (a, b), 1.0, gmax,
-                              breakpoints=(a, p, q, b))
+        return TestFunction1D(ev, gr, (a, b), 1.0, breakpoints=(a, p, q, b))
 
 
 def _radial_profile(r0, r1, r2, r3):
@@ -742,7 +738,6 @@ class TestFunction2D:
     gradient: object
     support: tuple  # ("disc", center, r) | ("annulus", center, r0, r1) | ("box", xr, yr)
     sup_norm: float
-    grad_sup_norm: float
     radial_breaks: tuple = ()  # radii of profile kinks, for quadrature seeding
 
     def __call__(self, pts):
@@ -768,13 +763,11 @@ class TestFunction2D:
             fac = dpsi(r) / safe
             return np.stack([fac * dx, fac * dy], axis=-1)
 
-        rr = np.linspace(0, r_out, 4001)
-        gmax = float(np.abs(dpsi(rr)).max())
         if r_in1 > r_in0:
             support = ("annulus", center, r_in0, r_out)
         else:
             support = ("disc", center, r_out)
-        return TestFunction2D(ev, gr, support, 1.0, gmax,
+        return TestFunction2D(ev, gr, support, 1.0,
                               radial_breaks=(r_in0, r_in1, r_plateau, r_out))
 
     @staticmethod
@@ -793,5 +786,4 @@ class TestFunction2D:
             gy = fx.evaluate(p[..., 0]) * fy.gradient(p[..., 1])
             return np.stack([gx, gy], axis=-1)
 
-        gmax = max(fx.grad_sup_norm, fy.grad_sup_norm)
-        return TestFunction2D(ev, gr, ("box", tuple(xr), tuple(yr)), 1.0, gmax)
+        return TestFunction2D(ev, gr, ("box", tuple(xr), tuple(yr)), 1.0)

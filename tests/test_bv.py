@@ -145,15 +145,14 @@ def test_bv_level_crossings_staircase(u_stair):
 
 
 def _scalar_crossings(u, t):
-    """Reference: per segment, the 1201-point sign grid of
-    level_crossings_many and one scalar brentq per sign change."""
+    """Reference: per segment, the sign grid of level_crossings_many (the
+    level grid of u) and one scalar brentq per sign change."""
     out = [(j.location, j.nu) for j in u.jumps if j.u_minus < t < j.u_plus]
-    for lo, hi in u._segments():
-        xs = np.linspace(lo, hi, 1201)
-        v = u._segment_values(xs, lo, hi) - t
+    for _, _, xs, v, offset in u._level_grid:
+        v = v - t
         s = np.where(v >= 0.0, 1.0, -1.0)
-        def g(x):
-            return float(u._segment_values(np.array([x]), lo, hi)[0]) - t
+        def g(x, offset=offset):
+            return float(u._base(np.array([x]))[0] + offset) - t
 
         for i in np.flatnonzero(s[:-1] * s[1:] < 0):
             out.append((brentq(g, xs[i], xs[i + 1], xtol=1e-13),
@@ -189,6 +188,40 @@ def test_batched_crossings_match_scalar_brentq(u):
         assert np.max(np.abs(xs[mine] - [x for x, _ in ref])) <= 1e-12
         assert _crossings(u, t) == list(zip(xs[mine].tolist(),
                                             nus[mine].tolist()))
+
+
+def test_levels_next_to_an_extremum_cross_twice():
+    u = build_bv(CATALOG["s01_smooth_const"].bv_spec)
+    ts = np.array([0.9 - 1e-7, 0.1 + 1e-7])
+    owner, xs, nus = u.level_crossings_many(ts)
+    assert owner.tolist() == [0, 0, 1, 1]
+    assert nus.tolist() == [1, -1, -1, 1]
+    assert np.all(np.abs(u.evaluate(xs) - ts[owner]) < 1e-12)
+    owner, lo, hi = u.level_intervals(ts[:1])
+    assert owner.tolist() == [0] and hi[0] > lo[0]
+
+
+def test_value_range_holds_the_extrema():
+    u = build_bv(CATALOG["s01_smooth_const"].bv_spec)
+    lo, hi = u.value_range()
+    assert abs(lo - 0.1) <= 1e-15 and abs(hi - 0.9) <= 1e-15
+    v = u.evaluate(np.linspace(*u.domain, 2_000_001))
+    assert lo <= v.min() and v.max() <= hi
+    assert u.sup_norm() == hi
+
+
+def test_crossing_at_a_grid_value_past_two_jumps():
+    # the grid values and the root polish add the same total jump offset,
+    # so a level equal to a grid value still brackets its crossing
+    s1, s2 = 0.3366327592946544, 0.17140402119374165
+    ac = Piecewise1D.from_callables(DOMAIN, lambda x: 0.1 * x,
+                                    lambda x: np.full(np.shape(x), 0.1))
+    u = BvFunction1D(DOMAIN, ac=ac, jumps=(
+        JumpPoint.from_sides(-1.0, -0.1, -0.1 + s1),
+        JumpPoint.from_sides(-0.5, -0.05 + s1, -0.05 + s1 + s2)))
+    owner, xs, nus = u.level_crossings_many(np.array([0.5809534471550628]))
+    assert owner.tolist() == [0] and nus.tolist() == [1]
+    assert abs(xs[0] - 0.7291666666666666) < 1e-12
 
 
 def test_batched_crossings_raise_on_a_plateau_level():
