@@ -16,8 +16,8 @@ import numpy as np
 from .errors import DegenerateLevel
 from .measures import (Circle, RadonMeasure1D, RadonMeasure2D, Segment,
                        DiscPatch, PolygonPatch, SingularLadder)
-from .quadrature import (_brent_roots, _leggauss, _weighted_sum,
-                         adaptive_simpson_many)
+from .quadrature import (_brent_roots, _weighted_sum, adaptive_simpson_many,
+                         gauss_nodes)
 
 # Plateau and leaf intervals of a ladder are integrated this many at a time,
 # which bounds the arrays an integrand builds per node (for example a
@@ -43,48 +43,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Piecewise1D:
-    """Piecewise-C^1 function given by breakpoints and (value, derivative)
-    evaluators per piece."""
+    """Piecewise-C^1 function: one vectorized pair (f, df) of value and
+    derivative, and the sorted breaks where it may lose smoothness, both
+    ends of the domain included."""
 
-    breaks: tuple               # sorted, including both endpoints
-    pieces: tuple               # ((f, df), ...) vectorized callables
-
-    def __post_init__(self):
-        if len(self.pieces) != len(self.breaks) - 1:
-            raise ValueError("need one piece per breakpoint gap")
-
-    def _apply(self, which, x):
-        """Entry ``which`` of each piece's (f, df) at x.  Piece i holds on
-        [breaks[i], breaks[i + 1]); the first piece also below the domain,
-        the last one above it and at NaN."""
-        x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape)
-        if len(self.pieces) == 1:
-            out[...] = self.pieces[0][which](x)
-            return out
-        idx = np.searchsorted(self.breaks[1:-1], x, side="right")
-        for i, piece in enumerate(self.pieces):
-            m = idx == i
-            if m.any():
-                out[m] = np.asarray(piece[which](x[m]), dtype=float)
-        return out
+    breaks: tuple
+    f: object
+    df: object
 
     def evaluate(self, x):
-        return self._apply(0, x)
+        return np.asarray(self.f(np.asarray(x, dtype=float)), dtype=float)
 
     def derivative(self, x):
-        return self._apply(1, x)
+        return np.asarray(self.df(np.asarray(x, dtype=float)), dtype=float)
 
     @staticmethod
     def constant(domain, c):
-        return Piecewise1D((domain[0], domain[1]),
-                           (((lambda x, _c=c: np.full(np.shape(x), float(_c))),
-                             (lambda x: np.zeros(np.shape(x)))),))
-
-    @staticmethod
-    def from_callables(domain, f, df, interior_breaks=()):
-        brk = (domain[0],) + tuple(interior_breaks) + (domain[1],)
-        return Piecewise1D(brk, tuple((f, df) for _ in range(len(brk) - 1)))
+        return Piecewise1D(tuple(domain),
+                           lambda x, _c=float(c): np.full(np.shape(x), _c),
+                           lambda x: np.zeros(np.shape(x)))
 
 
 @dataclass(frozen=True)
@@ -149,6 +126,14 @@ class BvFunction1D:
             raise ValueError("jump locations must be strictly increasing")
         if any(not (a < x < b) for x in xs):
             raise ValueError("jump locations must be interior to the domain")
+        if self.ac is not None and not np.all(
+                np.diff([a, *self.ac.breaks[1:-1], b]) > 0):
+            raise ValueError("ac breaks must increase strictly inside the "
+                             "domain")
+        if self.cantor is not None and not (
+                a <= self.cantor.ladder.interval[0]
+                and self.cantor.ladder.interval[1] <= b):
+            raise ValueError("the Cantor carrier must lie in the domain")
         if self.ac is not None:
             # the absolutely continuous part must really be continuous;
             # discontinuities belong in explicit JumpPoint entries
@@ -383,20 +368,16 @@ class BvFunction1D:
         # plateaus: u is smooth there (base + constant ladder value), so
         # 6-point Gauss; leaves: midpoint rule (1-point Gauss) at the
         # value of the leaf midpoint, error O(side^depth)
-        rules = ((ck[1:-1:2], ck[2::2], vk[1:-1:2], 0.0, _leggauss(6)),
-                 (ck[0::2], ck[1::2], vk[0::2], 0.5 * lad.mass,
-                  (np.zeros(1), np.full(1, 2.0))))
-        for clo, chi, val, shift, (gx, gw) in rules:
+        rules = ((ck[1:-1:2], ck[2::2], vk[1:-1:2], 0.0, 6),
+                 (ck[0::2], ck[1::2], vk[0::2], 0.5 * lad.mass, 1))
+        for clo, chi, val, shift, n in rules:
             keep = chi > clo
             clo, chi, val = clo[keep], chi[keep], val[keep] + shift
             for i in range(0, clo.size, _CANTOR_BLOCK):
                 blk = slice(i, i + _CANTOR_BLOCK)
-                mid = 0.5 * (clo[blk] + chi[blk])[:, None]
-                half = 0.5 * (chi[blk] - clo[blk])[:, None]
-                xs = mid + half * gx
+                xs, w = gauss_nodes(clo[blk], chi[blk], n)
                 uvals = base(xs) + cp.scale * val[blk, None]
                 shared = share(xs)
-                w = half * gw
                 for j, h in enumerate(hs):
                     hv = np.asarray(h(xs, uvals, *shared), dtype=float)
                     totals[j] += float(np.sum(hv * w))
@@ -673,11 +654,9 @@ def _coarea_rhs(u, slices, ladder_slice, tol):
             j1 = int(np.floor(f1 * n + 1e-12))
             edges_f = np.concatenate([[f0], np.arange(j0, j1 + 1) / n, [f1]])
             edges_f = np.unique(np.clip(edges_f, f0, f1))
-            gx, gw = _leggauss(2)
-            mid = 0.5 * (edges_f[:-1] + edges_f[1:])
-            half = 0.5 * np.diff(edges_f)
-            fn = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-            wn = (half[:, None] * gw[None, :]).ravel() * span
+            fn, wn = (v.ravel() for v in gauss_nodes(edges_f[:-1],
+                                                     edges_f[1:], 2))
+            wn = wn * span
             # ladder fraction of the crossing at level t: invert the
             # monotone map
             increasing = u.cantor.scale > 0

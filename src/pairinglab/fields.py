@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import AssumptionViolation, WindowTooLarge
-from .quadrature import _leggauss
+from .quadrature import _leggauss, t_integral
 
 __all__ = [
     "FieldB",
@@ -418,31 +418,6 @@ def sigma_k(t, k):
     return np.clip(k - a, 0.0, 1.0)
 
 
-def _sigma_k_moment(t, k, integrand, antiderivative, nramp=12):
-    """int_0^t sigma_k(s) g(x, s) ds, where ``antiderivative`` is G with
-    dG/ds = g (used on the core where sigma_k = 1) and ``integrand`` is g
-    itself (per-element Gauss nodes over the ramp segment)."""
-    t = np.asarray(t, dtype=float)
-    core = np.clip(t, -(k - 1.0), k - 1.0)
-    ramp_hi = np.clip(t, -k, k)
-
-    out = np.asarray(antiderivative(core), dtype=float)
-    gx, gw = _leggauss(nramp)
-    lo = core
-    hi = ramp_hi
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    nodes = mid[..., None] + half[..., None] * gx
-    w = half[..., None] * gw
-    sk = sigma_k(nodes, k)
-    vals = np.asarray(integrand(nodes), dtype=float)
-    if vals.shape != nodes.shape:  # vector-valued integrand
-        out = out + np.sum((sk * w)[..., None] * vals, axis=-2)
-    else:
-        out = out + np.sum(sk * w * vals, axis=-1)
-    return out
-
-
 def truncate(field: FieldB, k) -> FieldB:
     """The truncated field sigma_k(t) b(x, t) with exact primitives."""
     k = float(k)
@@ -459,18 +434,21 @@ def truncate(field: FieldB, k) -> FieldB:
     def dv(x, t):
         return sigma_k(t, k) * np.asarray(field.div_x(x, t), float)
 
-    def moment(g, G):
-        # int_0^t sigma_k(s) g(x, s) ds, with G the t-primitive of g
+    def moment(gk, G):
+        # int_0^t gk(x, s) ds for gk = sigma_k g, with G the t-primitive of
+        # g: G on the core |s| <= k - 1, where sigma_k = 1, then Gauss out
+        # to the ramp's end clip(t, -k, k)
         def out(x, t):
             xb, tb = _broadcast(np.asarray(x, float), np.asarray(t, float),
                                 dim)
-            return _sigma_k_moment(
-                tb, k, integrand=lambda s: g(_node_axis(xb, dim), s),
-                antiderivative=lambda s: G(xb, s))
+            core = np.clip(tb, -(k - 1.0), k - 1.0)
+            return np.asarray(G(xb, core), dtype=float) + t_integral(
+                lambda s, xs: gk(_node_axis(xs, dim), s), core,
+                np.clip(tb, -k, k), xb, n=12)
         return out
 
-    prim = moment(field.eval, field.primitive)
-    dprim = moment(field.div_x, field.div_primitive)
+    prim = moment(ev, field.primitive)
+    dprim = moment(dv, field.div_primitive)
 
     sup = field.sup_norm(field.reference_box) if field.reference_box else 0.0
     return FieldB(

@@ -22,8 +22,8 @@ from .fields import FieldB, _node_axis, _plus_dot, mollify
 from .measures import (DiscPatch, RadonMeasure2D,
                        _density_sign_breaks_many, _integrate_parts,
                        _on_curves, _per_owner)
-from .quadrature import (_T_BLOCK, _leggauss, adaptive_simpson,
-                         adaptive_simpson_many, aitken)
+from .quadrature import (_leggauss, adaptive_simpson, adaptive_simpson_many,
+                         aitken, t_integral)
 
 __all__ = [
     "CylAverage",
@@ -66,45 +66,6 @@ class PairingMeasure:
 
     def integrate(self, phi, tol=1e-9):
         return self.measure.integrate(phi, tol=tol)
-
-
-# ---------------------------------------------------------------------------
-# Per-element t-quadrature int_0^{u} g(t) dt
-
-
-def elementwise_t_integral(fn, uv, *rows, kinks=(), n=24):
-    """Vectorized int_0^{uv} fn(t, *rows) dt, panels split at fixed t-kinks.
-
-    ``rows`` are arrays whose leading axes are those of uv (points and
-    their data, such as phi there).  The leading rows of uv are walked in
-    blocks of at most _T_BLOCK t-nodes: ``fn`` receives the nodes of a
-    block, of shape uv[blk].shape + (m,), and the same block of each of
-    ``rows``, and returns a scalar integrand of the node shape.
-    """
-    uv = np.asarray(uv, dtype=float)
-    gx, gw = _leggauss(n)
-    cuts = [float(kk) for kk in sorted(kinks)]
-    per_row = gx.size * (len(cuts) + 1) * int(np.prod(uv.shape[1:]))
-    step = max(1, _T_BLOCK // per_row)
-    blocks = ([Ellipsis] if uv.ndim == 0 else
-              [slice(i, i + step) for i in range(0, uv.shape[0], step)])
-    out = np.empty(uv.shape)
-    for blk in blocks:
-        u = uv[blk]
-        lo = np.minimum(u, 0.0)
-        hi = np.maximum(u, 0.0)
-        edges = np.stack([lo] + [np.clip(np.full_like(u, kk), lo, hi)
-                                 for kk in cuts] + [hi], axis=-1)
-        a = edges[..., :-1]
-        b = edges[..., 1:]
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        nodes = (mid[..., None] + half[..., None] * gx).reshape(
-            u.shape + (-1,))
-        w = (half[..., None] * gw).reshape(u.shape + (-1,))
-        vals = np.asarray(fn(nodes, *(r[blk] for r in rows)), dtype=float)
-        out[blk] = np.where(u >= 0.0, 1.0, -1.0) * np.sum(w * vals, axis=-1)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -242,16 +203,16 @@ def _q_1d(field, x, nu, ts):
 def normal_trace(field: FieldB, t, region, nsample=24) -> NormalTrace:
     """Trace of the normal component of b_t on the boundary of a region.
 
-    ``region`` is a Disc or PolygonRegion; each of its boundary pieces gets
-    max(2, nsample // pieces) sample points.  Traces are double-limit
+    ``region`` is a Disc or PolygonRegion; each of its boundary curves gets
+    max(2, nsample // curves) sample points.  Traces are double-limit
     cylindrical averages taken with the interior normal.
     """
     if not isinstance(region, (Disc, PolygonRegion)):
         raise TypeError(f"unsupported boundary {type(region)!r}")
-    pieces = region.boundary()
+    curves = region.boundary()
     pts, nus, vals, converged = [], [], [], True
-    for curve in pieces:
-        ps, _ = curve.sample(max(2, nsample // len(pieces)))
+    for curve in curves:
+        ps, _ = curve.sample(max(2, nsample // len(curves)))
         for p, nu in zip(ps, curve.interior_normal(ps)):
             res = cylindrical_average(field, t, nu, p)
             pts.append(tuple(p))
@@ -310,8 +271,8 @@ def _dist_values(field, u, phi, tol, form_check):
                          _node_axis(grad, dim))
 
     def numeric(x, uv, f, grad):
-        return elementwise_t_integral(integrand, uv, x, f, grad,
-                                      kinks=field.t_kinks)
+        return t_integral(integrand, 0.0, uv, x, f, grad,
+                          kinks=field.t_kinks)
 
     forms = (closed, numeric) if form_check else (closed,)
     # 0.0 - I, not -I: an exactly cancelling I gives +0.0, never -0.0
@@ -415,10 +376,10 @@ def _representation_2d(field, u):
             def density(pts):
                 pts = np.asarray(pts, dtype=float)
                 nu = curve.interior_normal(pts) * sgn
-                return sgn * elementwise_t_integral(
+                return sgn * t_integral(
                     lambda ts, p, n: _fast_q(field, p[..., None, :],
                                              n[..., None, :], ts),
-                    np.full(pts.shape[:-1], val), pts, nu,
+                    0.0, np.full(pts.shape[:-1], val), pts, nu,
                     kinks=field.t_kinks)
             return density
 
@@ -513,12 +474,12 @@ def pairing_by_traces(field: FieldB, u, rep) -> PairingMeasure:
 # Coarea checks
 
 
-def _level_pieces(u, ts, pieces):
-    """(level, sign, parts): every part of pieces(region) for every region
+def _level_parts(u, ts, parts_of):
+    """(level, sign, parts): every part of parts_of(region) for every region
     of {u > t}, signed, for every level t of ts, with the level's index."""
     parts = [(i, sgn, part)
              for i, regions in enumerate(u.level_regions_many(ts))
-             for region, sgn in regions for part in pieces(region)]
+             for region, sgn in regions for part in parts_of(region)]
     return (np.array([i for i, _, _ in parts], dtype=int),
             np.array([sgn for _, sgn, _ in parts]), [p for *_, p in parts])
 
@@ -559,7 +520,7 @@ def coarea_pairing_check(field: FieldB, u, phi, dist):
         def slices(ts):
             # the same, the patches of every region of every level in one
             # batched planar driver
-            level, sgn, patches = _level_pieces(
+            level, sgn, patches = _level_parts(
                 u, ts, lambda region: (region.patch(phi),))
             vals = _integrate_parts(lambda x, k: integrand(x, ts[level[k]]),
                                     patches, 1e-11)
@@ -586,9 +547,9 @@ def coarea_variation_check(field: FieldB, u, phi, rep):
         slices = _crossing_slices(u, boundary)
     else:
         def slices(ts):
-            # the boundary pieces of every region of every level: one sign
+            # the boundary curves of every region of every level: one sign
             # scan of q and root polish, then one batched line integral
-            level, sgn, curves = _level_pieces(u, ts, lambda r: r.boundary())
+            level, sgn, curves = _level_parts(u, ts, lambda r: r.boundary())
             _, normal = _on_curves(curves)
 
             def q(pts, k):

@@ -18,6 +18,8 @@ from .errors import NonFiniteValue, ToleranceNotMet
 __all__ = [
     "adaptive_simpson",
     "adaptive_simpson_many",
+    "gauss_nodes",
+    "t_integral",
     "find_sign_changes",
     "aitken",
     "polar_quad_many",
@@ -34,11 +36,47 @@ def _leggauss(n):
 
 
 def gauss_nodes(a, b, n):
-    """Gauss-Legendre nodes and weights on [a, b]."""
+    """n-point Gauss-Legendre nodes and weights on the panels [a, b], a
+    and b arrays of panel ends (or numbers): both on a new last axis."""
     x, w = _leggauss(n)
-    mid = 0.5 * (a + b)
+    a = np.asarray(a, dtype=float)[..., None]
+    b = np.asarray(b, dtype=float)[..., None]
     half = 0.5 * (b - a)
-    return mid + half * x, half * w
+    return 0.5 * (a + b) + half * x, half * w
+
+
+def t_integral(fn, lo, hi, *rows, kinks=(), n=24):
+    """Vectorized int_lo^hi fn(t, *rows) dt, signed by hi - lo, by n-point
+    Gauss on the panels between lo, the t-kinks inside and hi.
+
+    ``lo`` and ``hi`` broadcast together; ``rows`` are arrays whose leading
+    axes are theirs (points and their data, such as phi there).  The
+    leading rows are walked in blocks of at most _T_BLOCK t-nodes: ``fn``
+    receives the nodes of a block, of shape lo[blk].shape + (m,), and the
+    same block of each of ``rows``, and returns the integrand on the nodes,
+    with the values of a vector integrand on one more trailing axis.
+    """
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
+                                 np.asarray(hi, dtype=float))
+    cuts = [float(kk) for kk in sorted(kinks)]
+    per_row = n * (len(cuts) + 1) * int(np.prod(lo.shape[1:]))
+    step = max(1, _T_BLOCK // per_row)
+    blocks = ([Ellipsis] if lo.ndim == 0 else
+              [slice(i, i + step) for i in range(0, lo.shape[0], step)])
+    out = []
+    for blk in blocks:
+        a = np.minimum(lo[blk], hi[blk])
+        b = np.maximum(lo[blk], hi[blk])
+        edges = np.stack([a] + [np.clip(np.full_like(a, kk), a, b)
+                                for kk in cuts] + [b], axis=-1)
+        t, w = (v.reshape(a.shape + (-1,))
+                for v in gauss_nodes(edges[..., :-1], edges[..., 1:], n))
+        vals = np.asarray(fn(t, *(r[blk] for r in rows)), dtype=float)
+        sign = np.where(hi[blk] >= lo[blk], 1.0, -1.0)
+        if vals.ndim > t.ndim:  # vector integrand
+            w, sign = w[..., None], sign[..., None]
+        out.append(sign * np.sum(w * vals, axis=a.ndim))
+    return out[0] if lo.ndim == 0 else np.concatenate(out)
 
 
 def _weighted_sum(w, v):
@@ -257,7 +295,7 @@ def aitken(seq):
 
 
 _T_BLOCK = 1 << 16   # points per integrand call of a planar batch (and
-                     # t-nodes per call in pairing.elementwise_t_integral)
+                     # t-nodes per call in t_integral)
 
 
 def _estimates(f, steps):
@@ -343,12 +381,8 @@ def _area_value(spec, *operands):
 def _theta_nodes(ntheta):
     """8-point Gauss weights on ntheta equal panels of [0, 2 pi], and the
     cosines and sines of the nodes as columns."""
-    gx, gw = _leggauss(8)
     tedges = np.linspace(0.0, 2.0 * np.pi, ntheta + 1)
-    tmid = 0.5 * (tedges[:-1] + tedges[1:])
-    thalf = 0.5 * np.diff(tedges)
-    tn = (tmid[:, None] + thalf[:, None] * gx[None, :]).ravel()
-    tw = (thalf[:, None] * gw[None, :]).ravel()
+    tn, tw = (v.ravel() for v in gauss_nodes(tedges[:-1], tedges[1:], 8))
     return tw, np.cos(tn)[:, None], np.sin(tn)[:, None]
 
 
@@ -366,7 +400,6 @@ def polar_quad_many(f, center, r0, r1, r_breaks, tol=1e-9):
     (_settle_many): f(points, owner) gets the points of many annuli in one
     call."""
     center = np.asarray(center, dtype=float).reshape(-1, 2)
-    gx, gw = _leggauss(8)
     # (owner, lo, hi) of the radial segments between each annulus' edges
     seg = np.array([(k, lo, hi) for k, (a, b, br)
                     in enumerate(zip(r0, r1, r_breaks)) if a < b
@@ -381,10 +414,7 @@ def polar_quad_many(f, center, r0, r1, r_breaks, tol=1e-9):
         on = _owned(own, ks)
         # 1 << j radial panels on each segment, 8 Gauss nodes on a panel
         e = np.linspace(seg[on, 1], seg[on, 2], (1 << j) + 1, axis=-1)
-        mid = 0.5 * (e[:, :-1] + e[:, 1:])
-        half = 0.5 * (e[:, 1:] - e[:, :-1])
-        rn = (mid[..., None] + half[..., None] * gx).ravel()
-        rw = (half[..., None] * gw).ravel()
+        rn, rw = (v.ravel() for v in gauss_nodes(e[:, :-1], e[:, 1:], 8))
         return ((_polar_points(center[k], rn[i0:i1], cos, sin),
                  partial(_area_value, "i,j,ij->", tw, rw[i0:i1] * rn[i0:i1]))
                 for k, (i0, i1) in zip(ks, _spans(own[on], ks, 8 << j)))
@@ -395,9 +425,7 @@ def polar_quad_many(f, center, r0, r1, r_breaks, tol=1e-9):
 
 def _triangle_grid(tris, n):
     # Duffy transform on each triangle: collapsed tensor Gauss
-    gx, gw = _leggauss(n)
-    xi = 0.5 * (gx + 1.0)
-    wi = 0.5 * gw
+    xi, wi = gauss_nodes(0.0, 1.0, n)
     XI, ETA = np.meshgrid(xi, xi, indexing="ij")
     W = np.outer(wi, wi) * XI  # jacobian of duffy map
     u = XI * (1.0 - ETA)
@@ -455,8 +483,7 @@ def _line_many(g, point_at, a, b, jacobian, breaks, npanels, tol, what,
     """int_a^b g(point_at(s, k), k) jacobian[k] ds for the owners k of todo,
     by 8-point Gauss on panels that honor the breakpoints breaks[k], the
     panel count doubling from ``npanels``, settled together."""
-    gx, gw = _leggauss(8)
-    # (owner, lo, width) of the pieces of [a, b] between each owner's breaks
+    # (owner, lo, width) of the parts of [a, b] between each owner's breaks
     piece = np.array([(k, lo, hi - lo) for k in todo
                       for cuts in [[a, *sorted(p for p in breaks[k]
                                                if a < p < b), b]]
@@ -477,10 +504,8 @@ def _line_many(g, point_at, a, b, jacobian, breaks, npanels, tol, what,
         k = np.repeat(own[on], n)
         nxt = np.where(np.append(k[1:] != k[:-1], True), b,
                        np.append(edge[1:], b))
-        mid = 0.5 * (edge + nxt)
-        half = 0.5 * (nxt - edge)
-        s = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-        w = (half[:, None] * gw[None, :]).ravel() * np.repeat(jacobian[k], 8)
+        s, w = (v.ravel() for v in gauss_nodes(edge, nxt, 8))
+        w = w * np.repeat(jacobian[k], 8)
         return ((point_at(s[i0:i1], kk),
                  lambda vals, w=w[i0:i1]: float(np.dot(w, vals)))
                 for kk, (i0, i1) in zip(ks, _spans(k, ks, 8)))

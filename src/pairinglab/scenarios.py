@@ -60,22 +60,19 @@ def _build_ac(domain, spec):
         return Piecewise1D.constant(domain, spec["value"])
     if typ == "sinusoid":
         off, amp, freq = spec["offset"], spec["amplitude"], spec["frequency"]
-        return Piecewise1D.from_callables(
-            domain,
-            lambda x: off + amp * np.sin(freq * np.asarray(x, float)),
-            lambda x: amp * freq * np.cos(freq * np.asarray(x, float)))
+        return Piecewise1D(
+            domain, lambda x: off + amp * np.sin(freq * x),
+            lambda x: amp * freq * np.cos(freq * x))
     if typ == "ramp":
+        # lo, then the line on [x0, x1), then hi (also at NaN)
         x0, x1 = spec["x0"], spec["x1"]
         lo, hi = spec["lo"], spec["hi"]
         slope = (hi - lo) / (x1 - x0)
         return Piecewise1D(
             (domain[0], x0, x1, domain[1]),
-            (((lambda x: np.full(np.shape(x), float(lo))),
-              (lambda x: np.zeros(np.shape(x)))),
-             ((lambda x: lo + slope * (np.asarray(x, float) - x0)),
-              (lambda x: np.full(np.shape(x), float(slope)))),
-             ((lambda x: np.full(np.shape(x), float(hi))),
-              (lambda x: np.zeros(np.shape(x))))))
+            lambda x: np.where(x < x0, float(lo), np.where(
+                x < x1, lo + slope * (x - x0), float(hi))),
+            lambda x: np.where((x0 <= x) & (x < x1), float(slope), 0.0))
     raise SpecError(f"unknown ac type {typ!r}")
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import AssumptionViolation
-from .quadrature import adaptive_simpson, aitken, gauss_nodes
+from .quadrature import adaptive_simpson, aitken, gauss_nodes, t_integral
 from .measures import DiscPatch, SingularLadder, _integrate_parts
 from .bv import (BvFunction1D, Disc, JumpPoint, Piecewise1D,
                  PiecewiseConstantBv2D, gradient_measure)
@@ -713,14 +713,10 @@ def sigma_k_identity_check(b, u, k, rep, phi=None):
     jump_res = 0.0
     atoms_k = dict(repk.measure.atoms)
     for j in u.jumps:
-        kinks = sorted({j.u_minus, j.u_plus, -k, k, -(k - 1), k - 1})
-        kinks = [t for t in kinks if j.u_minus <= t <= j.u_plus]
-        want = 0.0
-        for t0, t1 in zip(kinks, kinks[1:]):
-            t, w = gauss_nodes(t0, t1, 16)
-            q = np.asarray(b.eval(np.full_like(t, j.location), t),
-                           dtype=float) * j.nu
-            want += float(np.sum(w * sigma_k(t, k) * q))
+        want = float(t_integral(
+            lambda t: sigma_k(t, k) * np.asarray(
+                b.eval(np.full_like(t, j.location), t), dtype=float) * j.nu,
+            j.u_minus, j.u_plus, kinks=(-k, -(k - 1), k - 1, k), n=16))
         jump_res = max(jump_res, abs(atoms_k[j.location] - want))
 
     g_res = float("nan")

@@ -29,7 +29,7 @@ def phi_radial():
 def u_smooth():
     return BvFunction1D(
         DOMAIN,
-        ac=Piecewise1D.from_callables(
+        ac=Piecewise1D(
             DOMAIN,
             lambda x: 0.5 + 0.4 * np.sin(2.0 * x),
             lambda x: 0.8 * np.cos(2.0 * x)))
@@ -63,11 +63,10 @@ def u_cantor():
 
 @pytest.fixture(scope="session")
 def u_mixed():
-    ramp = Piecewise1D.from_callables(
-        DOMAIN,
+    ramp = Piecewise1D(
+        (DOMAIN[0], 0.0, 1.0, DOMAIN[1]),
         lambda x: 0.8 * np.clip(x, 0.0, 1.0),
-        lambda x: np.where((x > 0.0) & (x < 1.0), 0.8, 0.0),
-        interior_breaks=(0.0, 1.0))
+        lambda x: np.where((x > 0.0) & (x < 1.0), 0.8, 0.0))
     return BvFunction1D(DOMAIN, ac=ramp,
                         jumps=(JumpPoint.from_sides(1.3, 1.3, 2.1),),
                         cantor=CantorPart(0.5, SingularLadder((-1.5, -0.5))))

@@ -12,7 +12,7 @@ from scipy.optimize import brentq
 from pairinglab.bv import (BvFunction1D, CantorPart, Disc, JumpPoint,
                            Piecewise1D, PiecewiseConstantBv2D, PolygonRegion,
                            SmoothRadialBv2D, gradient_measure)
-from pairinglab.errors import DegenerateLevel, ToleranceNotMet
+from pairinglab.errors import DegenerateLevel, SpecError, ToleranceNotMet
 from pairinglab.fields import field_catalog
 from pairinglab.measures import SingularLadder, _on_curves
 from pairinglab.pairing import (coarea_variation_check,
@@ -36,8 +36,7 @@ def _radial_u():
 
 
 def test_piecewise_evaluate_and_derivative():
-    f = Piecewise1D.from_callables(DOMAIN, lambda x: x ** 2,
-                                   lambda x: 2.0 * x)
+    f = Piecewise1D(DOMAIN, lambda x: x ** 2, lambda x: 2.0 * x)
     xs = np.linspace(-1.5, 1.5, 7)
     assert np.allclose(f.evaluate(xs), xs ** 2)
     assert np.allclose(f.derivative(xs), 2.0 * xs)
@@ -161,9 +160,8 @@ def _scalar_crossings(u, t):
 
 
 def _sine_with_jump():
-    ac = Piecewise1D.from_callables(DOMAIN,
-                                    lambda x: 0.5 + 0.4 * np.sin(2.0 * x),
-                                    lambda x: 0.8 * np.cos(2.0 * x))
+    ac = Piecewise1D(DOMAIN, lambda x: 0.5 + 0.4 * np.sin(2.0 * x),
+                     lambda x: 0.8 * np.cos(2.0 * x))
     left = 0.5 + 0.4 * math.sin(0.6)
     return BvFunction1D(DOMAIN, ac=ac,
                         jumps=(JumpPoint.from_sides(0.3, left, left + 0.7),))
@@ -214,8 +212,8 @@ def test_crossing_at_a_grid_value_past_two_jumps():
     # the grid values and the root polish add the same total jump offset,
     # so a level equal to a grid value still brackets its crossing
     s1, s2 = 0.3366327592946544, 0.17140402119374165
-    ac = Piecewise1D.from_callables(DOMAIN, lambda x: 0.1 * x,
-                                    lambda x: np.full(np.shape(x), 0.1))
+    ac = Piecewise1D(DOMAIN, lambda x: 0.1 * x,
+                     lambda x: np.full(np.shape(x), 0.1))
     u = BvFunction1D(DOMAIN, ac=ac, jumps=(
         JumpPoint.from_sides(-1.0, -0.1, -0.1 + s1),
         JumpPoint.from_sides(-0.5, -0.05 + s1, -0.05 + s1 + s2)))
@@ -256,38 +254,41 @@ def test_root_polish_never_returns_an_open_bracket(monkeypatch):
         _brent_roots(g, a, b, xtol=1e-13)
 
 
-def _binned_reference(pw, which, x):
-    """Piecewise1D evaluation with the clipped searchsorted binning."""
+def _ramp_pieces(x, x0, x1, lo, hi):
+    """(value, derivative) of a ramp by three pieces: lo, the line on
+    [x0, x1), hi; the first piece also below the domain, the last one
+    above it and at NaN."""
     x = np.asarray(x, dtype=float)
-    idx = np.clip(np.searchsorted(pw.breaks, x, side="right") - 1,
-                  0, len(pw.pieces) - 1)
-    out = np.empty(x.shape)
-    for i, piece in enumerate(pw.pieces):
-        m = idx == i
-        if m.any():
-            out[m] = np.asarray(piece[which](x[m]), dtype=float)
-    return out
+    piece = np.searchsorted([x0, x1], x, side="right")
+    slope = (hi - lo) / (x1 - x0)
+    value, deriv = np.empty(x.shape), np.empty(x.shape)
+    for i, (f, df) in enumerate(((lambda z: np.full(z.shape, lo), 0.0),
+                                 (lambda z: lo + slope * (z - x0), slope),
+                                 (lambda z: np.full(z.shape, hi), 0.0))):
+        m = piece == i
+        value[m], deriv[m] = f(x[m]), df
+    return value, deriv
 
 
-@pytest.mark.parametrize("pw", [
-    Piecewise1D.from_callables(DOMAIN, lambda x: 0.5 + 0.4 * np.sin(2.0 * x),
-                               lambda x: 0.8 * np.cos(2.0 * x)),
-    Piecewise1D((-2.0, -0.5, 1.0, 2.0),
-                ((lambda x: x ** 2, lambda x: 2.0 * x),
-                 (lambda x: np.cos(x) - 0.627, lambda x: -np.sin(x)),
-                 (lambda x: np.exp(-x), lambda x: -np.exp(-x)))),
-], ids=["one-piece", "three-pieces"])
-def test_piecewise_binning_matches_the_clipped_reference(pw):
-    x = np.concatenate([np.array(pw.breaks), [-3.0, -2.0 - 1e-12, 2.5,
-                                              np.nan],
+@pytest.mark.parametrize("ramp", [
+    {"x0": -0.5, "x1": 1.0, "lo": 0.0, "hi": 1.0},
+    {"x0": -1.3, "x1": 0.7, "lo": 0.9, "hi": -0.4},
+], ids=["up", "down"])
+def test_ramp_spec_matches_its_pieces(ramp):
+    u = build_bv(_bv1d_spec(ac={"type": "ramp", **ramp}))
+    x0, x1 = ramp["x0"], ramp["x1"]
+    x = np.concatenate([[x0, x1, np.nextafter(x0, -3), np.nextafter(x1, -3),
+                         -3.0, -2.0, 2.0, 2.5, np.nan],
                         np.linspace(-2.2, 2.2, 45)])
     grid = np.linspace(-2.5, 2.5, 24).reshape(4, 6)
-    for pts in (x, grid, grid.T, np.float64(-0.5)):
-        for which, method in ((0, pw.evaluate), (1, pw.derivative)):
-            want = _binned_reference(pw, which, pts)
-            got = method(pts)
+    for pts in (x, grid, grid.T, np.float64(x0)):
+        value, deriv = _ramp_pieces(pts, **ramp)
+        for got, want in ((u.ac.evaluate(pts), value),
+                          (u.ac.derivative(pts), deriv)):
             assert got.shape == want.shape
             assert np.array_equal(got, want, equal_nan=True)
+    assert u.ac.evaluate(np.nan) == ramp["hi"]
+    assert u.ac.breaks == (-2.0, x0, x1, 2.0)
 
 
 def test_bv_level_set_indicator(u_jump):
@@ -305,12 +306,35 @@ def test_bv_rejects_unordered_jumps():
 
 
 def test_bv_rejects_discontinuous_ac():
-    bad = Piecewise1D(
-        breaks=(-2.0, 0.0, 2.0),
-        pieces=((lambda x: np.zeros_like(x), lambda x: np.zeros_like(x)),
-                (lambda x: np.ones_like(x), lambda x: np.zeros_like(x))))
+    bad = Piecewise1D((-2.0, 0.0, 2.0), lambda x: np.where(x < 0.0, 0.0, 1.0),
+                      lambda x: np.zeros_like(x))
     with pytest.raises(ValueError):
         BvFunction1D(DOMAIN, ac=bad)
+
+
+def _bv1d_spec(**parts):
+    return {"kind": "bv1d", "domain": list(DOMAIN), **parts}
+
+
+def test_bv_rejects_ac_breaks_outside_the_domain():
+    # a ramp that starts left of the domain: breaks (-2, -3, 1, 2)
+    spec = _bv1d_spec(ac={"type": "ramp", "x0": -3.0, "x1": 1.0,
+                          "lo": 0.0, "hi": 1.0})
+    with pytest.raises(SpecError, match="ac breaks must increase"):
+        build_bv(spec)
+    ramp = Piecewise1D((-2.0, -3.0, 1.0, 2.0), lambda x: 0.25 * (x + 3.0),
+                       lambda x: np.full(np.shape(x), 0.25))
+    with pytest.raises(ValueError, match="ac breaks must increase"):
+        BvFunction1D(DOMAIN, ac=ramp)
+
+
+def test_bv_rejects_a_cantor_carrier_outside_the_domain():
+    spec = _bv1d_spec(cantor={"interval": [-3.0, -2.5], "depth": 6})
+    with pytest.raises(SpecError, match="Cantor carrier must lie"):
+        build_bv(spec)
+    with pytest.raises(ValueError, match="Cantor carrier must lie"):
+        BvFunction1D(DOMAIN, cantor=CantorPart(
+            1.0, SingularLadder((1.5, 2.5), depth=6)))
 
 
 def _coarea_tv(u):

@@ -708,16 +708,54 @@ def test_blocked_t_integral_equals_unblocked(kinks, monkeypatch):
         return np.sin(xb[..., None] + ts) * (1.0 + np.abs(ts - 0.5))
 
     def run(block):
-        monkeypatch.setattr(pairing, "_T_BLOCK", block)
+        monkeypatch.setattr(quadrature, "_T_BLOCK", block)
         seen.clear()
-        out = pairing.elementwise_t_integral(fn, uv, x, kinks=kinks)
+        out = quadrature.t_integral(fn, 0.0, uv, x, kinks=kinks)
         assert max(seen) <= max(block, 24 * (len(kinks) + 1) * 6)
         return out, len(seen)
 
-    default = pairing._T_BLOCK
+    default = quadrature._T_BLOCK
     whole, calls = run(1 << 40)
     assert calls == 1
     for block in (1, 1000, default):
         blocked, calls = run(block)
         assert calls > 1
         assert np.array_equal(blocked, whole)
+
+
+def _panel_gauss_sum(fn, lo, hi, kinks, n):
+    """int_lo^hi fn(t) dt as the sum of n-point Gauss sums on the panels
+    between lo, the kinks strictly inside and hi, one panel at a time."""
+    a, b = sorted((lo, hi))
+    edges = [a, *(kk for kk in sorted(kinks) if a < kk < b), b]
+    total = sum(np.tensordot(w, fn(t), axes=(0, 0)) for t, w in (
+        quadrature.gauss_nodes(t0, t1, n) for t0, t1 in zip(edges, edges[1:])))
+    return total if hi >= lo else -total
+
+
+@pytest.mark.parametrize("kinks", [(), (-1.0, 0.5)])
+@pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+def test_t_integral_sums_the_gauss_panels(kinks, vector, monkeypatch):
+    # lo != 0 and hi < lo, for a scalar and a vector integrand, blocked and
+    # not, against per-panel gauss_nodes sums
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-2.0, 2.0, (40, 3))
+    lo = rng.uniform(-3.0, 3.0, (40, 3))
+    hi = rng.uniform(-3.0, 3.0, (40, 3))
+    assert (hi < lo).any() and (hi > lo).any() and (lo != 0).all()
+
+    def g(t, xv):
+        s = np.sin(xv + t) * (1.0 + np.abs(t - 0.5))
+        return np.stack([s, np.cos(xv * t)], axis=-1) if vector else s
+
+    got = quadrature.t_integral(lambda ts, xb: g(ts, xb[..., None]), lo, hi,
+                                x, kinks=kinks, n=12)
+    assert got.shape == lo.shape + ((2,) if vector else ())
+    for i in np.ndindex(lo.shape):
+        want = _panel_gauss_sum(lambda t: g(t, x[i]), lo[i], hi[i], kinks,
+                                12)
+        assert np.allclose(got[i], want, rtol=1e-13, atol=1e-14)
+    monkeypatch.setattr(quadrature, "_T_BLOCK", 30)
+    assert np.array_equal(quadrature.t_integral(
+        lambda ts, xb: g(ts, xb[..., None]), lo, hi, x, kinks=kinks, n=12),
+        got)
