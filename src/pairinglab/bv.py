@@ -332,7 +332,7 @@ class BvFunction1D:
         k = len(hs)
 
         def fn(x, own):
-            # owner j integrates hs[j % k] over Simpson segment j // k
+            # owner j integrates hs[j % k] over Gauss-Kronrod segment j // k
             which, uv, shared = own % k, self.evaluate(x), share(x)
             out = np.empty(x.shape)
             for i, h in enumerate(hs):
@@ -342,12 +342,12 @@ class BvFunction1D:
 
         ends = np.repeat([(s0, s1) for s0, s1, c in segs if not c], k,
                          axis=0).reshape(-1, 2)
-        simpson = iter(adaptive_simpson_many(fn, ends[:, 0], ends[:, 1],
+        kronrod = iter(adaptive_simpson_many(fn, ends[:, 0], ends[:, 1],
                                              tol).reshape(-1, k))
         totals = [0.0] * k
         for s0, s1, cantor in segs:
             seg = self._cantor_segment_integral(hs, s0, s1, share) \
-                if cantor else next(simpson)
+                if cantor else next(kronrod)
             totals = [t + float(v) for t, v in zip(totals, seg)]
         return totals
 
@@ -637,8 +637,8 @@ def _coarea_rhs(u, slices, ladder_slice, tol):
     breaks = u.level_breaks()
     pad = 1e-10 * (breaks[-1] - breaks[0])
     cantor_range = _cantor_level_range(u)
-    parts = []     # per panel: its Gauss sum, or None for a Simpson panel
-    ends = []      # the Simpson panels
+    parts = []     # per panel: its Gauss sum, or None for an adaptive panel
+    ends = []      # the adaptive (Gauss-Kronrod 7/15) panels
     for t0, t1 in zip(breaks[:-1], breaks[1:]):
         if t1 - t0 < 1e-13:
             continue
@@ -668,11 +668,11 @@ def _coarea_rhs(u, slices, ladder_slice, tol):
         parts.append(None)
         ends.append((t0 + pad, t1 - pad))
     ends = np.reshape(ends, (-1, 2))
-    simpson = iter(adaptive_simpson_many(lambda ts, _: slices(ts), ends[:, 0],
+    kronrod = iter(adaptive_simpson_many(lambda ts, _: slices(ts), ends[:, 0],
                                          ends[:, 1], tol=tol).tolist())
     total = 0.0
     for part in parts:
-        total += next(simpson) if part is None else part
+        total += next(kronrod) if part is None else part
     return total
 
 

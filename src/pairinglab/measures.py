@@ -216,7 +216,7 @@ class RadonMeasure1D:
                               tol=tol)
 
     def _ac_breaks(self):
-        """The Simpson breakpoints of the ac part: the density's own
+        """The Gauss-Kronrod breakpoints of the ac part: the density's own
         breakpoints, the sign roots of |density| and the atoms."""
         return tuple(self.ac_breakpoints) + tuple(self.ac_sign_roots) + \
             tuple(x for x, _ in self.atoms)
@@ -300,11 +300,11 @@ class RadonMeasure1D:
                 [c.interval[0] for c in cuts], [c.interval[1] for c in cuts],
                 breakpoints=var._ac_breaks())
         out = []
-        for cut, simpson in zip(cuts, ac.tolist()):
+        for cut, ac_mass in zip(cuts, ac.tolist()):
             # the sums of cut.total_mass(), in its order
             value = 0.0
             if cut.ac_density is not None:
-                value += simpson
+                value += ac_mass
             if cut.atoms:
                 value += float(np.dot(np.ones(len(cut.atoms)),
                                       [w for _, w in cut.atoms]))

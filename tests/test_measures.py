@@ -36,16 +36,33 @@ def test_adaptive_simpson_with_kink_breakpoint():
                - exact) < 1e-12
 
 
-# float.hex of adaptive_simpson as the scalar Simpson loop gave it, before
-# that loop became the one-owner case of adaptive_simpson_many
+def test_gauss_kronrod_tables():
+    """The 7/15 pair on [-1, 1]: symmetric nodes, G7 on every other one,
+    each weight set sums to 2, and K15 integrates x^k exactly for k <= 22,
+    G7 for k <= 13."""
+    x, k15, g7 = quadrature._GK_X, quadrature._K15_W, quadrature._G7_W
+    assert x.size == k15.size == g7.size == 15 and np.all(np.diff(x) > 0)
+    assert np.array_equal(x, -x[::-1])
+    assert np.array_equal(k15, k15[::-1]) and np.array_equal(g7, g7[::-1])
+    assert np.all(g7[::2] == 0.0) and np.all(g7[1::2] > 0.0)
+    assert np.allclose(x[1::2], np.polynomial.legendre.leggauss(7)[0],
+                       rtol=0.0, atol=1e-15)
+    for w, degree in ((k15, 22), (g7, 13)):
+        assert abs(np.sum(w) - 2.0) <= 1e-15
+        for k in range(degree + 1):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(np.sum(w * x ** k) - exact) <= 1e-15, (degree, k)
+
+
+# float.hex of adaptive_simpson under the Gauss-Kronrod 7/15 rule
 _SIN7 = lambda x: np.abs(np.sin(7.0 * x)) * np.exp(-x)
 PINNED_SIMPSON = [
     (lambda x: np.abs(x - 0.3), 0.0, 1.0, dict(breakpoints=(0.3,)),
-     "0x1.28f5c28f5c28ep-2"),
-    (_SIN7, 0.0, 3.0, dict(tol=1e-9), "0x1.352b7e88b1667p-1"),
-    (_SIN7, 0.0, 3.0, dict(tol=1e-11), "0x1.352b7e88b1629p-1"),
+     "0x1.28f5c28f5c28fp-2"),
+    (_SIN7, 0.0, 3.0, dict(tol=1e-9), "0x1.352b7e88b162bp-1"),
+    (_SIN7, 0.0, 3.0, dict(tol=1e-11), "0x1.352b7e88b162cp-1"),
     (lambda x: np.sqrt(np.abs(x - 0.3)), 0.0, 1.0, {},
-     "0x1.fffc4ae4d639bp-2"),
+     "0x1.fffc4ae4d648cp-2"),
     (lambda x: x, 1.0, 1.0, {}, "0x0.0p+0"),
 ]
 
@@ -62,8 +79,8 @@ def test_adaptive_simpson_stalls_and_rejects_non_finite_values():
     with pytest.raises(ToleranceNotMet) as err:
         adaptive_simpson(lambda x: np.sign(x - 1.0 / 3.0), 0.0, 1.0,
                          max_nodes=60)
-    assert str(err.value) == ("adaptive Simpson stalled: 1 intervals above "
-                              "tolerance after 61 evaluations")
+    assert str(err.value) == ("adaptive Gauss-Kronrod stalled: 1 intervals "
+                              "above tolerance after 75 evaluations")
     for f in (lambda x: np.where(x > 0.5, np.nan, x),
               lambda x: np.where(x > 0.74, np.inf, x)):
         with pytest.raises(NonFiniteValue,
@@ -76,14 +93,16 @@ def _owned(x, k):
     return np.sin((k + 1.0) * x) + np.abs(x - 0.3)
 
 
-# float.hex of the scalar Simpson loop on owner k of _owned over
-# [OWNED_A[k], OWNED_B[k]] with tol 1e-10 and breakpoints OWNED_BPS
-OWNED_A = [0.0, -1.0, 0.25, 0.3, -2.0, 0.29]
-OWNED_B = [1.0, 0.5, 0.26, 2.0, 3.0, 0.31]
+# float.hex of adaptive_simpson_many on owner k of _owned over
+# [OWNED_A[k], OWNED_B[k]] with tol 1e-10 and breakpoints OWNED_BPS; the
+# wide owner 6 finishes more than 8 panels in one pass
+OWNED_A = [0.0, -1.0, 0.25, 0.3, -2.0, 0.29, -4.0]
+OWNED_B = [1.0, 0.5, 0.26, 2.0, 3.0, 0.31, 4.0]
 OWNED_BPS = (0.3, -0.5, 1.5)
-OWNED_BITS = ["0x1.7fd8604c5dabcp-1", "0x1.8c0edba63cfcfp-2",
-              "0x1.e355d17ce2d79p-8", "0x1.926c4312a5638p+0",
-              "0x1.918b3c5b2f734p+2", "0x1.408eaf23a2a42p-6"]
+OWNED_BITS = ["0x1.7fd8604c5dabdp-1", "0x1.8c0edba63cfcfp-2",
+              "0x1.e355d17ce2d7fp-8", "0x1.926c4312a5639p+0",
+              "0x1.918b3c5b2f736p+2", "0x1.408eaf23a2ac8p-6",
+              "0x1.0170a3d70a3d7p+4"]
 
 
 def test_adaptive_simpson_many_matches_each_owner(monkeypatch):
@@ -118,7 +137,7 @@ def test_adaptive_simpson_many_empty_intervals():
     assert out.tolist() == [0.0, 0.0, 0.0] and not calls
     out = adaptive_simpson_many(_owned, [1.0, 0.0], [0.5, 1.0])
     assert out[0] == 0.0
-    assert out[1].hex() == "0x1.ff037aa4fbdc5p-1"   # the scalar loop gave it
+    assert out[1].hex() == "0x1.ff037aa4fbdc9p-1"   # owner 1 alone gives it
 
 
 def test_adaptive_simpson_many_counts_nodes_per_owner():

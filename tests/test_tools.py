@@ -224,3 +224,23 @@ def test_bench_pairs_names_a_run_without_a_json_result(tmp_path):
         "sys.exit(3)\n"))
     with pytest.raises(RuntimeError, match=r"exit 3\)[^\n]*\n.*worker died"):
         bench.perfbench(tree, "cantor1d", 1, 1.0)
+
+
+def test_bench_pairs_takes_its_workloads_from_the_benchmark(tmp_path):
+    bench = _load_tool("bench_pairs")
+    declared = json.loads((TOOLS.parent / "BENCHMARK.json").read_text())
+    workloads, metrics = bench.load_benchmark()
+    assert workloads == [w["name"] for w in declared["workloads"]]
+    assert list(metrics) == [m["name"] for m in declared["end_to_end"]]
+    # a workload that only the benchmark file names is a choice, and the
+    # default runs every declared workload in order
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": "cantor1d"}, {"name": "mixed1d"}],
+        "end_to_end": declared["end_to_end"]}))
+    workloads, _ = bench.load_benchmark(tmp_path)
+    assert bench.parse_args(["--label", "x"], workloads).workload == \
+        ["cantor1d", "mixed1d"]
+    assert bench.parse_args(["--label", "x", "--workload", "mixed1d"],
+                            workloads).workload == ["mixed1d"]
+    with pytest.raises(SystemExit):
+        bench.parse_args(["--label", "x", "--workload", "jumps1d"], workloads)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairinglab import variational
+from pairinglab import bv, measures, pairing, quadrature, variational
 from pairinglab.errors import AssumptionViolation
 from pairinglab.fields import field_catalog
 from pairinglab.pairing import pairing_by_representation
@@ -289,6 +289,30 @@ def test_relaxation_jump_scenario(u_jump, phi_bump):
     assert res.gap <= 1e-4
     for br in res.jump_report:
         assert br.mismatch <= 1e-3
+
+
+def test_s06_relaxation_keeps_its_integrand_point_count(monkeypatch):
+    """The integrand points that s06's relaxation check (its recovery
+    sequence, the limit's measure and their windows) sends through the 1D
+    adaptive driver stay at or below the count of the Gauss-Kronrod 7/15
+    rule, 10,065; the Simpson rule before it took 655,745."""
+    scenario = load_catalog()["s06_stair_xt"]
+    ctx = scenario.resolve()
+    points = []
+    driver = quadrature.adaptive_simpson_many
+
+    def counted(f, *args, **kwargs):
+        def integrand(x, owner):
+            points.append(np.size(x))
+            return f(x, owner)
+        return driver(integrand, *args, **kwargs)
+
+    for module in (quadrature, bv, measures, pairing):
+        monkeypatch.setattr(module, "adaptive_simpson_many", counted)
+    out = run_check(ctx, next(c for c in scenario.checks
+                              if c.name == "relaxation"))
+    assert out.passed
+    assert 0 < sum(points) <= 10_065
 
 
 def test_relaxation_carrier_needs_t_independent_field(u_cantor, phi_plateau):

@@ -10,7 +10,9 @@ directories, so each side runs its own committed ``perfbench/run.py`` on its
 own committed sources, and nothing is registered in the repository.  Pair i
 runs ``perfbench/run.py --workload W --seed N --seconds S`` once on each
 side, the parent first in even pairs and the change first in odd ones, so
-slow drift of the machine falls on both sides alike.
+slow drift of the machine falls on both sides alike.  The workloads W are
+the ``workloads`` of ``BENCHMARK.json``: all of them, in order, unless
+``--workload`` names some.
 
 The record goes to ``BENCH_<label>.json``: the two commits, the machine
 (nproc, Python, platform), the settings, and per workload the samples of
@@ -36,7 +38,30 @@ import tarfile
 import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-WORKLOADS = ("cantor1d", "jumps1d", "plane2d", "pool_jobs2")
+
+
+def load_benchmark(root=ROOT):
+    """The workload names, in order, and the end-to-end metrics (name ->
+    entry) that ``BENCHMARK.json`` in the directory root declares."""
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    return ([w["name"] for w in spec["workloads"]],
+            {m["name"]: m for m in spec["end_to_end"]})
+
+
+def parse_args(argv, workloads):
+    """The command line, ``--workload`` one of workloads (by default all
+    of them, in order)."""
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--base", default="HEAD~1")
+    parser.add_argument("--head", default="HEAD")
+    parser.add_argument("--workload", action="append", choices=workloads)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    args.workload = args.workload or list(workloads)
+    return args
 
 
 def export(rev, dest):
@@ -140,17 +165,8 @@ def verdict_table(workloads):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True)
-    parser.add_argument("--base", default="HEAD~1")
-    parser.add_argument("--head", default="HEAD")
-    parser.add_argument("--workload", action="append", choices=WORKLOADS)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--seed", type=int, default=1)
-    args = parser.parse_args(argv)
-    metrics = {m["name"]: m for m in json.loads(
-        (ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    workloads, metrics = load_benchmark()
+    args = parse_args(argv, workloads)
     record = {"label": args.label,
               "machine": {"nproc": os.cpu_count(),
                           "python": platform.python_version(),
@@ -165,7 +181,7 @@ def main(argv=None):
         record["commits"] = {side: export(rev, trees[side]) for side, rev
                              in (("parent", args.base),
                                  ("change", args.head))}
-        for workload in args.workload or WORKLOADS:
+        for workload in args.workload:
             samples = []
             for i in range(args.pairs):
                 order = ("parent", "change") if i % 2 == 0 \
