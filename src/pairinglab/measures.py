@@ -13,12 +13,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NonFiniteValue
-from .quadrature import (_T_BLOCK, _brent_roots, _circle_points,
-                         _segment_points, _weighted_sum, adaptive_simpson,
-                         adaptive_simpson_many,
-                         circle_integral_many, find_sign_changes,
-                         polar_quad_many, polygon_quad_many,
-                         segment_integral_many)
+from .quadrature import (_circle_points, _segment_points, _weighted_sum,
+                         adaptive_simpson, adaptive_simpson_many,
+                         circle_integral_many, polar_quad_many,
+                         polygon_quad_many, segment_integral_many)
 
 __all__ = [
     "SingularLadder",
@@ -137,12 +135,6 @@ class SingularLadder:
 # 1D measures
 
 
-def _as_vec(g):
-    def wrapped(x):
-        return np.broadcast_to(np.asarray(g(x), dtype=float), np.shape(x))
-    return wrapped
-
-
 @dataclass(frozen=True)
 class RadonMeasure1D:
     interval: tuple
@@ -152,7 +144,6 @@ class RadonMeasure1D:
     ladder: SingularLadder = None
     ladder_scale: float = 0.0
     ladder_density: object = None  # optional density along the carrier
-    ac_sign_roots: tuple = ()  # seeded kinks of |density| for variations
 
     def __post_init__(self):
         xs = [a[0] for a in self.atoms]
@@ -217,19 +208,13 @@ class RadonMeasure1D:
 
     def _ac_breaks(self):
         """The Gauss-Kronrod breakpoints of the ac part: the density's own
-        breakpoints, the sign roots of |density| and the atoms."""
-        return tuple(self.ac_breakpoints) + tuple(self.ac_sign_roots) + \
-            tuple(x for x, _ in self.atoms)
+        breakpoints and the atoms."""
+        return tuple(self.ac_breakpoints) + tuple(x for x, _ in self.atoms)
 
     # -- variation / restriction
 
     def variation(self):
         dens = self.ac_density
-        roots = self.ac_sign_roots
-        if dens is not None and not roots:
-            roots = tuple(find_sign_changes(
-                _as_vec(dens), self.interval[0], self.interval[1],
-                breakpoints=self.ac_breakpoints))
         abs_dens = None if dens is None else (
             lambda x, _d=dens: np.abs(np.asarray(_d(x), dtype=float)))
         ldens = self.ladder_density
@@ -243,7 +228,6 @@ class RadonMeasure1D:
             ladder=self.ladder,
             ladder_scale=abs(self.ladder_scale),
             ladder_density=abs_ldens,
-            ac_sign_roots=roots,
         )
 
     def restrict(self, window, closed_right=False):
@@ -278,9 +262,7 @@ class RadonMeasure1D:
                                   if lo <= p <= hi),
                               atoms=tuple(atoms),
                               ladder=ladder, ladder_scale=scale,
-                              ladder_density=ldens,
-                              ac_sign_roots=tuple(
-                                  r for r in self.ac_sign_roots if lo <= r <= hi))
+                              ladder_density=ldens)
 
     def variation_masses(self, windows):
         """|mu|(E) for each window E, with the bits of
@@ -326,7 +308,6 @@ class RadonMeasure1D:
 class Circle:
     center: tuple
     radius: float
-    param_breaks: tuple = ()  # angles where the density loses smoothness
 
     @property
     def length(self):
@@ -335,9 +316,6 @@ class Circle:
     def point_at(self, s):
         return _circle_points(np.asarray(self.center, dtype=float),
                               self.radius, np.asarray(s, dtype=float))
-
-    def param_range(self):
-        return (0.0, 2.0 * np.pi)
 
     def interior_normal(self, pts):
         """The unit normal at points pts of the circle, into its disc."""
@@ -352,7 +330,6 @@ class Circle:
 class Segment:
     p0: tuple
     p1: tuple
-    param_breaks: tuple = ()  # parameters in (0, 1), same convention
 
     @property
     def length(self):
@@ -362,9 +339,6 @@ class Segment:
         return _segment_points(np.asarray(self.p0, float),
                                np.asarray(self.p1, float),
                                np.asarray(s, dtype=float))
-
-    def param_range(self):
-        return (0.0, 1.0)
 
     @property
     def normal(self):
@@ -399,8 +373,8 @@ class PolygonPatch:
 _BATCHED = {
     DiscPatch: (polar_quad_many, ("center", "r_inner", "r_outer", "r_breaks")),
     PolygonPatch: (polygon_quad_many, ("vertices",)),
-    Circle: (circle_integral_many, ("center", "radius", "param_breaks")),
-    Segment: (segment_integral_many, ("p0", "p1", "param_breaks")),
+    Circle: (circle_integral_many, ("center", "radius")),
+    Segment: (segment_integral_many, ("p0", "p1")),
 }
 
 
@@ -416,7 +390,7 @@ def _integrate_parts(g, parts, tol):
         idx = np.array([k for k, t in enumerate(kinds) if t is kind])
         out[idx] = driver(lambda x, j, idx=idx: g(x, idx[j]),
                           *([getattr(parts[k], name) for k in idx]
-                            for name in names), tol)
+                            for name in names), tol=tol)
     return out
 
 
@@ -482,17 +456,11 @@ class RadonMeasure2D:
         return self.integrate(lambda p: np.ones(np.shape(p)[:-1]), tol=tol)
 
     def variation(self):
-        absolute = lambda d: lambda p: np.abs(np.asarray(d(p), float))
-        ac = tuple((patch, absolute(d)) for patch, d in self.ac_parts)
-        # absolute densities kink where the signed density vanishes; record
-        # those parameters so the line quadrature can split there: one scan
-        # over every curve that has no breaks yet
-        scan = [(c, d) for c, d in self.surface_parts if not c.param_breaks]
-        found = iter(_density_sign_breaks_many(
-            [c for c, _ in scan], _per_owner([d for _, d in scan])))
-        surf = tuple((replace(c, param_breaks=c.param_breaks or next(found)),
-                      absolute(d)) for c, d in self.surface_parts)
-        return replace(self, ac_parts=ac, surface_parts=surf)
+        absolute = lambda parts: tuple(
+            (part, lambda p, d=d: np.abs(np.asarray(d(p), float)))
+            for part, d in parts)
+        return replace(self, ac_parts=absolute(self.ac_parts),
+                       surface_parts=absolute(self.surface_parts))
 
     def _meets_rect(self, box):
         (x0, x1), (y0, y1) = box
@@ -533,56 +501,17 @@ def _disc_normal(p, center):
 
 
 def _on_curves(curves):
-    """(point_at, normal) on the Circles and Segments curves: point_at(s, k)
-    gives the points at the parameters s of curves[k], normal(pts, k) the
-    interior normal at its points pts, for arrays s or pts and k that
-    broadcast together."""
+    """normal(pts, k), the interior normal at points pts of the Circles and
+    Segments curves[k], for arrays pts and k that broadcast together."""
     circle = np.array([isinstance(c, Circle) for c in curves])
     a = np.array([c.center if isinstance(c, Circle) else c.p0
-                  for c in curves], dtype=float)
-    b = np.array([(c.radius, 0.0) if isinstance(c, Circle) else c.p1
                   for c in curves], dtype=float)
     # a segment's interior normal is constant
     n = np.array([(0.0, 0.0) if isinstance(c, Circle) else c.normal
                   for c in curves], dtype=float)
-    return (lambda s, k: _per_kind(
-                circle, k, lambda: _circle_points(a[k], b[k, 0], s),
-                lambda: _segment_points(a[k], b[k], s)),
-            lambda pts, k: _per_kind(
-                circle, k, lambda: _disc_normal(pts, a[k]),
-                lambda: np.broadcast_to(n[k], pts.shape)))
-
-
-def _density_sign_breaks_many(curves, dens, n=2048):
-    """The parameters along each curve k where the density dens(pts, k)
-    changes sign: one sign scan over the (n + 1)-point parameter grids of
-    all the curves, in blocks of whole grids (with k as a column, one owner
-    per grid), and one polish of all their brackets."""
-    if not curves:
-        return []
-    point_at, _ = _on_curves(curves)
-    a, b = np.array([c.param_range() for c in curves], dtype=float).T
-    s = np.linspace(a, b, n + 1, axis=-1)
-    # curves of one kind share their grid, broadcast against the owners
-    shared = (a == a[0]).all() and (b == b[0]).all()
-    vals = np.empty(s.shape)
-    step = max(1, _T_BLOCK // (n + 1))
-    for i in range(0, len(curves), step):
-        k = np.arange(i, min(i + step, len(curves)))
-        if k.size == 1:      # a lone curve: its grid as it is, (n + 1, 2)
-            rows = i
-        else:
-            rows, k = slice(i, i + step), k[:, None]
-        vals[rows] = dens(point_at(s[0] if shared else s[rows], k), k)
-    k, i = np.nonzero((vals[:, :-1] < 0) != (vals[:, 1:] < 0))
-    lo, hi = s[k, i], s[k, i + 1]
-    r = _brent_roots(
-        lambda t, j: np.asarray(dens(point_at(t, k[j]), k[j]), dtype=float),
-        lo, hi, xtol=1e-14)
-    # a flip that the polish does not see again is taken at its midpoint
-    r = np.where(np.isnan(r), 0.5 * (lo + hi), r)
-    return [tuple(b.tolist()) for b in np.split(
-        r, np.cumsum(np.bincount(k, minlength=len(curves)))[:-1])]
+    return lambda pts, k: _per_kind(
+        circle, k, lambda: _disc_normal(pts, a[k]),
+        lambda: np.broadcast_to(n[k], pts.shape))
 
 
 def _part_grid(part, n):

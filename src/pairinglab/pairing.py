@@ -19,8 +19,7 @@ from .bv import gradient_measure as bv_gradient_measure
 from .errors import (CylAverageDiverged, FormMismatch,
                      CrossValidationMismatch, NonFiniteValue)
 from .fields import FieldB, _node_axis, _plus_dot, mollify
-from .measures import (DiscPatch, RadonMeasure2D,
-                       _density_sign_breaks_many, _integrate_parts,
+from .measures import (DiscPatch, RadonMeasure2D, _integrate_parts,
                        _on_curves, _per_owner)
 from .quadrature import (_leggauss, adaptive_simpson, adaptive_simpson_many,
                          aitken, t_integral)
@@ -547,17 +546,15 @@ def coarea_variation_check(field: FieldB, u, phi, rep):
         slices = _crossing_slices(u, boundary)
     else:
         def slices(ts):
-            # the boundary curves of every region of every level: one sign
-            # scan of q and root polish, then one batched line integral
+            # the boundary curves of every region of every level in one
+            # batched line integral
             level, sgn, curves = _level_parts(u, ts, lambda r: r.boundary())
-            _, normal = _on_curves(curves)
+            normal = _on_curves(curves)
 
             def q(pts, k):
                 return _fast_q(field, pts, normal(pts, k) * sgn[k][..., None],
                                ts[level[k]])
 
-            curves = [replace(curve, param_breaks=breaks) for curve, breaks
-                      in zip(curves, _density_sign_breaks_many(curves, q))]
             vals = _integrate_parts(
                 lambda pts, k: np.asarray(phi(pts), float) * np.abs(q(pts, k)),
                 curves, 1e-10)

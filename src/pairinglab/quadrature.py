@@ -6,7 +6,10 @@ drivers call f(x, owner) with the owner of each abscissa; 2D integrands
 receive points of shape (..., 2).  The one adaptive 1D driver,
 adaptive_simpson_many, refines on the embedded Gauss-Kronrod 7/15 pair
 (Kronrod 1965; QUADPACK's QAG rule); it keeps the name it had when it
-was a Simpson loop.
+was a Simpson loop.  It also integrates over circles and segments, one
+owner per curve, and halves only the panels around a kink, so no
+integrand needs its sign changes as breakpoints.  The area drivers
+(polar, polygon) settle successive fixed grids instead (_settle_many).
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ __all__ = [
     "adaptive_simpson_many",
     "gauss_nodes",
     "t_integral",
-    "find_sign_changes",
     "aitken",
     "polar_quad_many",
     "polygon_quad_many",
@@ -262,25 +264,6 @@ def _brent_roots(g, a, b, xtol):
                           f"after {_BRENT_MAXITER} steps")
 
 
-def find_sign_changes(f, a, b, breakpoints=()):
-    """Locate the zeros of ``f`` by dense sampling (4001 points over [a, b],
-    at least 16 per piece between breakpoints) plus Brent refinement.  A
-    sample where f is exactly 0 between samples of opposite sign is a
-    root as it stands."""
-    pts = _clean_breakpoints(a, b, breakpoints)
-    roots = []
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        npts = max(16, int(4001 * (hi - lo) / (b - a)))
-        x = np.linspace(lo, hi, npts)
-        s = np.sign(np.asarray(f(x), dtype=float))
-        idx = np.nonzero(s[:-1] * s[1:] < 0)[0]
-        r = _brent_roots(lambda z, _: np.asarray(f(z), dtype=float), x[idx],
-                         x[idx + 1], xtol=1e-14)
-        roots.extend(r[~np.isnan(r)].tolist())
-        roots.extend(x[1:-1][(s[1:-1] == 0) & (s[:-2] * s[2:] < 0)].tolist())
-    return sorted(roots)
-
-
 def aitken(seq):
     """Aitken delta-squared acceleration; returns the accelerated tail value.
 
@@ -311,7 +294,7 @@ def aitken(seq):
 # 2D quadrature
 
 
-_T_BLOCK = 1 << 16   # points per integrand call of a planar batch (and
+_T_BLOCK = 1 << 16   # points per integrand call of an area batch (and
                      # t-nodes per call in t_integral)
 
 
@@ -410,7 +393,7 @@ def _polar_points(center, rn, cos, sin):
     return pts
 
 
-def polar_quad_many(f, center, r0, r1, r_breaks, tol=1e-9):
+def polar_quad_many(f, center, r0, r1, r_breaks, *, tol=1e-9):
     """The integrals of f over the annuli r0[k] <= |x - center[k]| <= r1[k]
     in polar form, 8-point Gauss on equal theta panels and on radial panels
     between each annulus' breaks r_breaks[k], both doubling until settled
@@ -480,7 +463,7 @@ def _fan(vertices):
     ], axis=1)
 
 
-def polygon_quad_many(f, polygons, tol=1e-9, n=8):
+def polygon_quad_many(f, polygons, *, tol=1e-9, n=8):
     """The integrals of f over the simple polygons with the vertex lists
     polygons, settled together: Duffy-transformed Gauss on fan triangles,
     subdivided up to five times."""
@@ -495,41 +478,6 @@ def polygon_quad_many(f, polygons, tol=1e-9, n=8):
     return _settle_many(f, refine, range(len(polygons)), len(polygons), tol)
 
 
-def _line_many(g, point_at, a, b, jacobian, breaks, npanels, tol, what,
-               todo):
-    """int_a^b g(point_at(s, k), k) jacobian[k] ds for the owners k of todo,
-    by 8-point Gauss on panels that honor the breakpoints breaks[k], the
-    panel count doubling from ``npanels``, settled together."""
-    # (owner, lo, width) of the parts of [a, b] between each owner's breaks
-    piece = np.array([(k, lo, hi - lo) for k in todo
-                      for cuts in [[a, *sorted(p for p in breaks[k]
-                                               if a < p < b), b]]
-                      for lo, hi in zip(cuts, cuts[1:])]).reshape(-1, 3)
-    own = piece[:, 0].astype(int)
-
-    def refine(j, ks):
-        if j == 11:
-            raise ToleranceNotMet(f"{what} did not converge")
-        on = _owned(own, ks)
-        lo, width = piece[on, 1], piece[on, 2]
-        # on each piece the first n of np.linspace(lo, hi, n + 1), n in
-        # proportion to its width, and b after an owner's last piece
-        n = np.maximum(1, np.rint((npanels << j) * width / (b - a)))
-        n = n.astype(int)
-        i = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-        edge = i * np.repeat(width / n, n) + np.repeat(lo, n)
-        k = np.repeat(own[on], n)
-        nxt = np.where(np.append(k[1:] != k[:-1], True), b,
-                       np.append(edge[1:], b))
-        s, w = (v.ravel() for v in gauss_nodes(edge, nxt, 8))
-        w = w * np.repeat(jacobian[k], 8)
-        return ((point_at(s[i0:i1], kk),
-                 lambda vals, w=w[i0:i1]: float(np.dot(w, vals)))
-                for kk, (i0, i1) in zip(ks, _spans(k, ks, 8)))
-
-    return _settle_many(g, refine, todo, len(breaks), tol)
-
-
 def _circle_points(center, radius, theta):
     return np.stack([center[..., 0] + radius * np.cos(theta),
                      center[..., 1] + radius * np.sin(theta)], axis=-1)
@@ -539,25 +487,29 @@ def _segment_points(p0, p1, s):
     return p0 + s[..., None] * (p1 - p0)
 
 
-def circle_integral_many(g, center, radius, theta_breaks, tol=1e-10):
-    """The line integrals of g over the circles (center[k], radius[k]),
-    each with its angle breaks theta_breaks[k], settled together:
-    g(points, owner)."""
+def _line_many(g, point_at, b, jacobian, tol):
+    """int_0^b[k] g(point_at(s, k), k) jacobian[k] ds for each owner k, by
+    one adaptive_simpson_many call."""
+    return adaptive_simpson_many(
+        lambda s, k: np.asarray(g(point_at(s, k), k), dtype=float)
+        * jacobian[k], np.zeros(b.size), b, tol)
+
+
+def circle_integral_many(g, center, radius, *, tol=1e-10):
+    """The line integrals of g over the circles (center[k], radius[k]), in
+    theta on [0, 2 pi]: g(points, owner)."""
     center = np.asarray(center, dtype=float).reshape(-1, 2)
     radius = np.asarray(radius, dtype=float).reshape(-1)
     return _line_many(g, lambda s, k: _circle_points(center[k], radius[k], s),
-                      0.0, 2.0 * np.pi, radius, theta_breaks, 4, tol,
-                      "circle integral", range(radius.size))
+                      np.full(radius.size, 2.0 * np.pi), radius, tol)
 
 
-def segment_integral_many(g, p0, p1, s_breaks, tol=1e-10):
-    """The line integrals of g over the segments [p0[k], p1[k]], each with
-    its breaks s_breaks[k] in (0, 1), settled together: g(points, owner).
-    A segment of length 0 gives 0.0."""
+def segment_integral_many(g, p0, p1, *, tol=1e-10):
+    """The line integrals of g over the segments [p0[k], p1[k]], in s on
+    [0, 1]: g(points, owner).  A segment of length 0 gives 0.0, as the
+    empty interval [0, 0]."""
     p0 = np.asarray(p0, dtype=float).reshape(-1, 2)
     p1 = np.asarray(p1, dtype=float).reshape(-1, 2)
     length = np.array([float(np.linalg.norm(q - p)) for p, q in zip(p0, p1)])
     return _line_many(g, lambda s, k: _segment_points(p0[k], p1[k], s),
-                      0.0, 1.0, length, s_breaks, 1, tol, "segment integral",
-                      np.flatnonzero(length > 0.0))
-
+                      (length > 0.0).astype(float), length, tol)

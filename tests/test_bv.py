@@ -425,7 +425,7 @@ def test_region_boundary_pieces(region, npieces):
     for k, curve in enumerate(pieces):
         pts, _ = curve.sample(7)
         nu = curve.interior_normal(pts)
-        assert np.array_equal(_on_curves(pieces)[1](pts, np.array(k)), nu)
+        assert np.array_equal(_on_curves(pieces)(pts, np.array(k)), nu)
         assert np.allclose(np.hypot(nu[:, 0], nu[:, 1]), 1.0)
         # the interior normal points into the region
         assert region.contains(pts + 1e-6 * nu).all()

@@ -344,8 +344,7 @@ def test_coarea_checks_batch_their_levels(monkeypatch):
 
 @pytest.mark.parametrize("sid, check, batched, points", [
     ("s20_smoothdisc_linear2d", "pairing", ("_settle_many",), 1094400),
-    ("s21_smoothdisc_gt2d", "variation",
-     ("_settle_many", "_density_sign_breaks_many"), 3581415),
+    ("s21_smoothdisc_gt2d", "variation", ("adaptive_simpson_many",), 174825),
 ])
 def test_2d_coarea_slices_batch_their_levels(sid, check, batched, points,
                                              monkeypatch):
@@ -375,9 +374,9 @@ def test_2d_coarea_slices_batch_their_levels(sid, check, batched, points,
     monkeypatch.setattr(bv_module, "adaptive_simpson_many",
                         lambda f, *a, **kw: simpson(counted("outer", f),
                                                     *a, **kw))
-    for module, name in ((quadrature, "_settle_many"),
-                         (pairing, "_density_sign_breaks_many")):
-        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    for name in batched:
+        monkeypatch.setattr(quadrature, name,
+                            counted(name, getattr(quadrature, name)))
     evaluate = ctx.field.eval
 
     def field_eval(x, t):
