@@ -37,6 +37,12 @@ __all__ = [
 ]
 
 
+def _turns(v):
+    """The indices where the samples v turn from rising to falling or back."""
+    dv = np.diff(v)
+    return np.flatnonzero(dv[:-1] * dv[1:] < 0) + 1
+
+
 # ---------------------------------------------------------------------------
 # Piecewise-C^1 absolutely continuous parts
 
@@ -203,7 +209,10 @@ class BvFunction1D:
         bps = ()
         if self.ac is not None:
             ac_density = self.ac.derivative
-            bps = tuple(self.ac.breaks[1:-1])
+            # |u'| kinks where u turns on the level grid
+            turns = [x for *_, xs, v, _ in self._level_grid
+                     for x in xs[_turns(v)].tolist()]
+            bps = tuple(sorted({*self.ac.breaks[1:-1], *turns}))
         atoms = tuple((j.location, j.height * j.nu) for j in self.jumps)
         ladder = None
         scale = 0.0
@@ -222,9 +231,7 @@ class BvFunction1D:
         end values and the values where it turns."""
         vals = {s for j in self.jumps for s in (j.u_minus, j.u_plus)}
         for *_, v, _ in self._level_grid:
-            dv = np.diff(v)
-            turn = np.flatnonzero(dv[:-1] * dv[1:] < 0) + 1
-            vals.update(v[[0, -1, *turn]].tolist())
+            vals.update(v[[0, -1, *_turns(v)]].tolist())
         vals.update(self.value_range())
         return tuple(sorted(vals))
 

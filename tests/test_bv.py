@@ -1,6 +1,7 @@
 """BV functions: evaluation, derivative measures, level sets, coarea."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -77,6 +78,22 @@ def test_bv_gradient_measure_signs(u_down_jump):
     g = u_down_jump.gradient_measure()
     assert abs(g.total_mass() + 1.0) < 1e-12
     assert abs(g.variation().total_mass() - 1.0) < 1e-12
+
+
+def test_gradient_measure_splits_where_u_turns():
+    # u' = 0.8 cos 2x vanishes at +-pi/4: |u'| kinks there, and the level
+    # grid's extrema are breakpoints of Du, so one Gauss-Kronrod pass
+    # gives |Du| (without them the loop halves its way to the kinks)
+    du = _sine_with_jump().gradient_measure()
+    assert du.ac_breakpoints == pytest.approx((-math.pi / 4, math.pi / 4),
+                                              abs=1e-13)
+    var = du.variation()
+    calls = []
+    counted = replace(var, ac_density=lambda x: calls.append(x.size)
+                      or var.ac_density(x))
+    assert counted.total_mass() == pytest.approx(
+        0.8 * (2.0 - math.sin(4.0)) + 0.7, abs=1e-14)
+    assert len(calls) == 1
 
 
 def test_bv_value_range_and_sup(u_stair):
